@@ -16,11 +16,10 @@ from .corpus import (
     parse_run,
     rank_relevance_probs,
     synth_topics,
-    target_batch,
     write_qrels_file,
     write_run_file,
 )
-from .env import CONTINUE, STOP, StoppingEnv, VecStoppingEnv, reward
+from .env import CONTINUE, STOP, VecStoppingEnv, reward
 from .errors import ConfigError, ParseError
 from .metrics import (
     MethodSummary,

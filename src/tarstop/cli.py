@@ -159,11 +159,8 @@ def cmd_stop(args) -> int:
     mode = _resolve(args, config, "mode", "greedy")
     seed = _resolve(args, config, "seed", 0)
     topics = _load_topics(args.run, args.qrels)
-    rng = np.random.default_rng(seed)
-    results = []
-    for topic in topics:
-        bt = batch_topic(topic, checkpoint.n_batches)
-        results.append(infer_stop(checkpoint, bt, mode=mode, rng=rng))
+    batched = [batch_topic(topic, checkpoint.n_batches) for topic in topics]
+    results = infer_stop(checkpoint, batched, mode=mode, rng=seed)
     write_results_csv(args.out, results)
     mean_batch = float(np.mean([r.stop_batch for r in results]))
     print(f"wrote {len(results)} stopping decisions (mean stop batch {mean_batch:.2f}) to {args.out}")

@@ -60,6 +60,17 @@ class Topic:
         return int(self.labels.sum())
 
 
+def first_reaching(topic: Topic, cum_rel: np.ndarray, target_recall: float) -> int:
+    """1-based index of the first entry of ``cum_rel``, a running count of the
+    topic's relevant documents, that meets ``target_recall`` of them."""
+    if not 0.0 < target_recall <= 1.0:
+        raise ConfigError(f"target recall must be in (0, 1], got {target_recall}")
+    if topic.n_relevant == 0:
+        raise ValueError(f"topic {topic.topic_id!r}: target undefined, no relevant documents")
+    need = target_recall * topic.n_relevant - TARGET_EPS
+    return int(np.searchsorted(cum_rel, need, side="left")) + 1
+
+
 @dataclass(frozen=True)
 class BatchedTopic:
     """A topic split into contiguous batches whose sizes differ by at most one.
@@ -79,14 +90,7 @@ class BatchedTopic:
 
     def target_batch(self, target_recall: float) -> int:
         """1-based index of the first batch at which the target recall is met."""
-        if not 0.0 < target_recall <= 1.0:
-            raise ConfigError(f"target recall must be in (0, 1], got {target_recall}")
-        if self.topic.n_relevant == 0:
-            raise ValueError(
-                f"topic {self.topic.topic_id!r}: target batch undefined, no relevant documents"
-            )
-        need = target_recall * self.topic.n_relevant - TARGET_EPS
-        return int(np.searchsorted(self.cum_rel, need, side="left")) + 1
+        return first_reaching(self.topic, self.cum_rel, target_recall)
 
 
 def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
@@ -112,10 +116,6 @@ def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
     starts = ends - sizes
     batch_rel = np.add.reduceat(topic.labels, starts)
     return BatchedTopic(topic, sizes, batch_rel, np.cumsum(batch_rel))
-
-
-def target_batch(bt: BatchedTopic, target_recall: float) -> int:
-    return bt.target_batch(target_recall)
 
 
 def parse_qrels(text: str) -> dict[str, dict[str, int]]:

@@ -7,6 +7,13 @@ sentinel. STOP ends the episode; CONTINUE reveals the next batch; at the
 last batch every action terminates. Per-state rewards are positive up to
 the target batch and negative beyond it, so the episode return is largest
 when the agent stops where the target recall is reached.
+
+Training and inference build observations the same way: a precomputed
+``(n_topics, B)`` table of what each batch reveals (:func:`observation_table`)
+plus, per episode, a topic index and the number of batches examined
+(:func:`observe`). Training steps a fixed set of such episodes
+(:class:`VecStoppingEnv`); inference advances every topic of a collection
+at once (``ppo.infer_stop``).
 """
 
 from __future__ import annotations
@@ -24,82 +31,52 @@ OBS_SENTINEL = -1.0
 NORMALIZE_MODES = ("ratio", "count")
 
 
-def reward(batches_examined: int, target: int, n_batches: int) -> float:
+def reward(batches_examined, target, n_batches):
     """Reward of the state where ``batches_examined`` batches have been read.
 
     Decreases linearly from just under 1 to 0 at the target batch, then from
-    0 to -1 at the last batch.
+    0 to -1 at the last batch. Scalars give a float; arrays broadcast and
+    give an array.
     """
-    i, t, b = batches_examined, target, n_batches
-    if not 1 <= i <= b:
+    i, t, b = np.asarray(batches_examined), np.asarray(target), np.asarray(n_batches)
+    if np.any((i < 1) | (i > b)):
         raise ValueError(f"batches examined {i} outside [1, {b}]")
-    if not 1 <= t <= b:
+    if np.any((t < 1) | (t > b)):
         raise ValueError(f"target batch {t} outside [1, {b}]")
-    if i <= t:
-        return 1.0 - i / t
-    return -(i - t) / (b - t)
+    # past-target branch only applies where t < b; the floor keeps t == b finite
+    r = np.where(i <= t, 1.0 - i / t, (t - i) / np.maximum(b - t, 1))
+    return float(r) if r.ndim == 0 else r
 
 
-class StoppingEnv:
-    """One episode over one batched topic."""
+def observation_table(pool: list[BatchedTopic], normalize: str) -> np.ndarray:
+    """``(n_topics, B)`` matrix of what each batch reveals once examined."""
+    if normalize not in NORMALIZE_MODES:
+        raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {normalize!r}")
+    widths = {bt.n_batches for bt in pool}
+    if len(widths) > 1:
+        raise ConfigError(f"all pooled topics must share one batch count, got {sorted(widths)}")
+    rel = np.array([bt.batch_rel for bt in pool], dtype=np.float64)
+    if normalize == "count":
+        return rel
+    return rel / np.array([bt.batch_sizes for bt in pool])
 
-    def __init__(self, bt: BatchedTopic, target_recall: float, normalize: str = "ratio"):
-        if normalize not in NORMALIZE_MODES:
-            raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {normalize!r}")
-        self.bt = bt
-        self.target_recall = target_recall
-        self.normalize = normalize
-        self.target = bt.target_batch(target_recall)
-        self.i = 0
-        self.done = True
-        self._obs = np.full(bt.n_batches, OBS_SENTINEL, dtype=np.float64)
 
-    @property
-    def n_batches(self) -> int:
-        return self.bt.n_batches
-
-    def _reveal(self, index: int) -> None:
-        if self.normalize == "ratio":
-            self._obs[index] = self.bt.batch_rel[index] / self.bt.batch_sizes[index]
-        else:
-            self._obs[index] = float(self.bt.batch_rel[index])
-
-    def reset(self) -> np.ndarray:
-        """Start the episode with exactly the first batch examined."""
-        self._obs.fill(OBS_SENTINEL)
-        self.i = 1
-        self.done = False
-        self._reveal(0)
-        return self._obs.copy()
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
-        """Apply an action; the reward credited belongs to the current state.
-
-        STOP terminates immediately. CONTINUE reveals the next batch, except
-        at the last batch where any action terminates. An episode stopping
-        after s batches therefore accrues the sum of the first s state
-        rewards.
-        """
-        if self.done:
-            raise RuntimeError("step() called on a finished episode; reset() first")
-        if action not in (STOP, CONTINUE):
-            raise ValueError(f"action must be STOP (0) or CONTINUE (1), got {action!r}")
-        r = reward(self.i, self.target, self.n_batches)
-        if action == STOP or self.i == self.n_batches:
-            self.done = True
-        else:
-            self.i += 1
-            self._reveal(self.i - 1)
-        return self._obs.copy(), r, self.done
+def observe(table: np.ndarray, topic_idx: np.ndarray, examined: np.ndarray) -> np.ndarray:
+    """One observation row per episode: the first ``examined`` batches of
+    topic ``topic_idx`` revealed, the rest at the sentinel."""
+    revealed = np.arange(table.shape[1]) < examined[:, None]
+    return np.where(revealed, table[topic_idx], OBS_SENTINEL)
 
 
 class VecStoppingEnv:
-    """A fixed number of stopping environments running over a topic pool.
+    """A fixed number of stopping episodes running over a topic pool.
 
-    A finished slot immediately restarts on a topic drawn uniformly from the
-    pool (one shared, explicitly seeded generator, slots resampled in index
-    order), so every step returns a full set of live observations. The done
-    flags mark episode boundaries for advantage masking.
+    The state is three arrays over the slots: the topic each one reads, how
+    many batches it has examined and the reward it has accrued. A finished
+    slot immediately restarts on a topic drawn uniformly from the pool (one
+    shared, explicitly seeded generator, slots resampled in index order), so
+    every step returns a full set of live observations. The done flags mark
+    episode boundaries for advantage masking.
     """
 
     def __init__(
@@ -114,65 +91,55 @@ class VecStoppingEnv:
             raise ConfigError("topic pool is empty")
         if n_envs < 1:
             raise ConfigError(f"n_envs must be >= 1, got {n_envs}")
-        widths = {bt.n_batches for bt in pool}
-        if len(widths) != 1:
-            raise ConfigError(
-                f"all pooled topics must share one batch count, got {sorted(widths)}"
-            )
         self.pool = pool
-        self.target_recall = target_recall
-        self.normalize = normalize
-        self.n_batches = pool[0].n_batches
+        self.table = observation_table(pool, normalize)
+        self.n_batches = self.table.shape[1]
+        targets = np.array([bt.target_batch(target_recall) for bt in pool])
+        # reward of every (topic, batches examined) state, row per topic
+        self.rewards = reward(np.arange(1, self.n_batches + 1), targets[:, None], self.n_batches)
         self.n_envs = n_envs
         self.rng = np.random.default_rng(seed)
-        self.envs: list[StoppingEnv] = [self._fresh_env() for _ in range(n_envs)]
-        self._episode_rewards = np.zeros(n_envs)
-        self._obs = np.stack([env.reset() for env in self.envs])
+        self.topic_idx = np.array([self._draw() for _ in range(n_envs)])
+        self.examined = np.ones(n_envs, dtype=np.int64)
+        self.episode_rewards = np.zeros(n_envs)
 
-    def _fresh_env(self) -> StoppingEnv:
-        bt = self.pool[int(self.rng.integers(len(self.pool)))]
-        return StoppingEnv(bt, self.target_recall, self.normalize)
+    def _draw(self) -> int:
+        # one scalar draw per slot keeps the generator stream, and so every
+        # checkpoint, independent of how many slots finish together
+        return int(self.rng.integers(len(self.pool)))
 
     def current_obs(self) -> np.ndarray:
-        return self._obs.copy()
-
-    def reset(self) -> np.ndarray:
-        """Restart every slot on a freshly drawn topic."""
-        self.envs = [self._fresh_env() for _ in range(self.n_envs)]
-        self._episode_rewards[:] = 0.0
-        self._obs = np.stack([env.reset() for env in self.envs])
-        return self._obs.copy()
+        return observe(self.table, self.topic_idx, self.examined)
 
     def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-        """Step every slot; finished slots auto-reset on a new topic.
+        """Step every slot; finished slots restart on a new topic.
 
-        Returns (observations, rewards, dones, infos) where observations for
-        finished slots already belong to the fresh episode and infos carries
-        one record per finished episode.
+        The reward credited belongs to the state acted in, so an episode
+        stopping after s batches accrues the sum of the first s state
+        rewards. Returns (observations, rewards, dones, infos) where
+        observations for finished slots already belong to the fresh episode
+        and infos carries one record per finished episode.
         """
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
             raise ValueError(f"expected {self.n_envs} actions, got shape {actions.shape}")
-        rewards = np.zeros(self.n_envs)
-        dones = np.zeros(self.n_envs, dtype=bool)
+        stops = actions == STOP
+        if not (stops | (actions == CONTINUE)).all():
+            raise ValueError(f"actions must be STOP (0) or CONTINUE (1), got {actions.tolist()}")
+        rewards = self.rewards[self.topic_idx, self.examined - 1]
+        self.episode_rewards += rewards
+        dones = stops | (self.examined == self.n_batches)
         infos: list[dict] = []
-        for k, env in enumerate(self.envs):
-            obs, r, done = env.step(int(actions[k]))
-            self._episode_rewards[k] += r
-            rewards[k] = r
-            dones[k] = done
-            if done:
-                infos.append(
-                    {
-                        "env": k,
-                        "topic_id": env.bt.topic.topic_id,
-                        "episode_reward": float(self._episode_rewards[k]),
-                        "stop_batch": env.i,
-                    }
-                )
-                self._episode_rewards[k] = 0.0
-                new_env = self._fresh_env()
-                self.envs[k] = new_env
-                obs = new_env.reset()
-            self._obs[k] = obs
-        return self._obs.copy(), rewards, dones, infos
+        for k in np.flatnonzero(dones):
+            infos.append(
+                {
+                    "env": int(k),
+                    "topic_id": self.pool[self.topic_idx[k]].topic.topic_id,
+                    "episode_reward": float(self.episode_rewards[k]),
+                    "stop_batch": int(self.examined[k]),
+                }
+            )
+            self.topic_idx[k] = self._draw()
+        self.episode_rewards[dones] = 0.0
+        self.examined = np.where(dones, 1, self.examined + 1)
+        return self.current_obs(), rewards, dones, infos

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TARGET_EPS, Topic
+from .corpus import Topic, first_reaching
 from .errors import ConfigError, ParseError
 
 PER_TOPIC_HEADER = (
@@ -54,12 +54,7 @@ class StopResult:
 
 def optimal_stop_rank(topic: Topic, target_recall: float) -> int:
     """Smallest rank whose cumulative recall meets the target."""
-    if not 0.0 < target_recall <= 1.0:
-        raise ConfigError(f"target recall must be in (0, 1], got {target_recall}")
-    if topic.n_relevant == 0:
-        raise ValueError(f"topic {topic.topic_id!r}: optimal rank undefined, no relevant documents")
-    need = target_recall * topic.n_relevant - TARGET_EPS
-    return int(np.searchsorted(np.cumsum(topic.labels), need, side="left")) + 1
+    return first_reaching(topic, np.cumsum(topic.labels), target_recall)
 
 
 def _check(result: StopResult, topic: Topic) -> None:
@@ -273,6 +268,18 @@ def write_results_csv(path, results: list[StopResult]) -> None:
             )
 
 
+def _cell(path, lineno: int, row: dict, column: str, convert):
+    """One optional results cell converted by ``convert``; empty or absent is None."""
+    text = row.get(column) or None
+    if text is None:
+        return None
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "a number" if convert is float else "an integer"
+        raise ParseError(f"{path} line {lineno}: {column} {text!r} is not {kind}") from None
+
+
 def read_results_csv(path) -> list[StopResult]:
     """Read stopping results, either this package's schema or the minimal
     external one (topic_id, method, docs_examined)."""
@@ -286,24 +293,17 @@ def read_results_csv(path) -> list[StopResult]:
                 raise ConfigError(f"{path}: missing required column {required!r}")
         results = []
         for lineno, row in enumerate(reader, start=2):
-            try:
-                docs = int(row["docs_examined"])
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"{path} line {lineno}: docs_examined {row.get('docs_examined')!r} "
-                    "is not an integer"
-                ) from None
-            target = row.get("target") or None
-            relevant = row.get("relevant_found") or None
-            stop_batch = row.get("stop_batch") or None
+            docs = _cell(path, lineno, row, "docs_examined", int)
+            if docs is None:
+                raise ParseError(f"{path} line {lineno}: docs_examined is empty")
             results.append(
                 StopResult(
                     topic_id=row["topic_id"],
                     method=row["method"],
-                    target_recall=float(target) if target is not None else None,
+                    target_recall=_cell(path, lineno, row, "target", float),
                     docs_examined=docs,
-                    relevant_found=int(relevant) if relevant is not None else None,
-                    stop_batch=int(stop_batch) if stop_batch is not None else None,
+                    relevant_found=_cell(path, lineno, row, "relevant_found", int),
+                    stop_batch=_cell(path, lineno, row, "stop_batch", int),
                 )
             )
     return results

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corpus import BatchedTopic, Topic, batch_topic
-from .env import CONTINUE, OBS_SENTINEL, STOP, VecStoppingEnv
+from .env import CONTINUE, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
 from .metrics import StopResult
 from .nets import (
@@ -367,53 +367,50 @@ def train(
 
 def infer_stop(
     checkpoint: Checkpoint,
-    bt: BatchedTopic,
+    topics: list[BatchedTopic],
     mode: str = "greedy",
     rng=None,
-) -> StopResult:
-    """Run the trained policy over one topic and report where it stopped.
+) -> list[StopResult]:
+    """Run the trained policy over every topic and report where each stopped.
 
-    The policy sees only the observation vector (examined prefix), never the
-    target batch or unexamined labels. Greedy mode takes the argmax action;
-    STOP wins exact ties.
+    All topics advance together: each step is one forward pass over the
+    topics still reading, with observations built exactly as in training.
+    The policy sees only the examined prefix, never the target batch or
+    unexamined labels. Greedy mode takes the argmax action, STOP winning
+    exact ties; sample mode draws one uniform per live topic per step.
     """
-    if bt.n_batches != checkpoint.n_batches:
-        raise ConfigError(
-            f"checkpoint expects {checkpoint.n_batches} batches, "
-            f"topic {bt.topic.topic_id!r} has {bt.n_batches}"
-        )
+    for bt in topics:
+        if bt.n_batches != checkpoint.n_batches:
+            raise ConfigError(
+                f"checkpoint expects {checkpoint.n_batches} batches, "
+                f"topic {bt.topic.topic_id!r} has {bt.n_batches}"
+            )
     if mode not in ("greedy", "sample"):
         raise ConfigError(f"mode must be 'greedy' or 'sample', got {mode!r}")
     if mode == "sample" and not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    obs = np.full(bt.n_batches, OBS_SENTINEL)
-
-    def reveal(index: int) -> None:
-        if checkpoint.normalize_obs == "ratio":
-            obs[index] = bt.batch_rel[index] / bt.batch_sizes[index]
-        else:
-            obs[index] = float(bt.batch_rel[index])
-
-    examined = 1
-    reveal(0)
-    while True:
-        logits, _ = forward(checkpoint.actor, obs)
+    table = observation_table(topics, checkpoint.normalize_obs)
+    examined = np.ones(len(topics), dtype=np.int64)
+    live = np.arange(len(topics))
+    while live.size:
+        logits, _ = forward(checkpoint.actor, observe(table, live, examined[live]))
         if mode == "greedy":
-            action = int(np.argmax(logits))
+            stop = logits.argmax(axis=1) == STOP
         else:
-            action = STOP if rng.random() < softmax(logits)[STOP] else CONTINUE
-        if action == STOP or examined == bt.n_batches:
-            break
-        examined += 1
-        reveal(examined - 1)
-    return StopResult(
-        topic_id=bt.topic.topic_id,
-        method=POLICY_METHOD,
-        target_recall=checkpoint.target_recall,
-        docs_examined=int(bt.batch_sizes[:examined].sum()),
-        relevant_found=int(bt.cum_rel[examined - 1]),
-        stop_batch=examined,
-    )
+            stop = rng.random(live.size) < softmax(logits)[:, STOP]
+        live = live[~stop & (examined[live] < checkpoint.n_batches)]
+        examined[live] += 1
+    return [
+        StopResult(
+            topic_id=bt.topic.topic_id,
+            method=POLICY_METHOD,
+            target_recall=checkpoint.target_recall,
+            docs_examined=int(bt.batch_sizes[:n].sum()),
+            relevant_found=int(bt.cum_rel[n - 1]),
+            stop_batch=int(n),
+        )
+        for bt, n in zip(topics, examined)
+    ]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -446,14 +443,26 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigError(f"{path}: not a tarstop checkpoint")
     if data.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {data.get('format_version')}")
-    return Checkpoint(
-        actor=params_from_jsonable(data["actor"]),
-        critic=params_from_jsonable(data["critic"]),
-        target_recall=data["target_recall"],
-        n_batches=data["n_batches"],
-        normalize_obs=data["normalize_obs"],
-        hyper=Hyperparams(**data["hyperparams"]),
-    )
+    try:
+        checkpoint = Checkpoint(
+            actor=params_from_jsonable(data["actor"]),
+            critic=params_from_jsonable(data["critic"]),
+            target_recall=data["target_recall"],
+            n_batches=data["n_batches"],
+            normalize_obs=data["normalize_obs"],
+            hyper=Hyperparams(**data["hyperparams"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: checkpoint is missing key {exc.args[0]!r}") from None
+    # inference sizes its observations from n_batches, so the networks must agree
+    for name, params, n_out in (("actor", checkpoint.actor, 2), ("critic", checkpoint.critic, 1)):
+        sizes = params.sizes
+        if (sizes[0], sizes[-1]) != (checkpoint.n_batches, n_out):
+            raise ConfigError(
+                f"{path}: {name} maps {sizes[0]} inputs to {sizes[-1]} outputs, "
+                f"expected {checkpoint.n_batches} (n_batches) to {n_out}"
+            )
+    return checkpoint
 
 
 def write_training_log(path, rows: list[dict]) -> None:

@@ -158,8 +158,8 @@ def test_criterion_7_end_to_end_training():
     for seed in range(4):
         checkpoint, _ = train(train_topics, 0.9, Hyperparams(seed=seed), n_batches=100)
         recalls, costs, excesses = [], [], []
-        for topic in held_out:
-            result = infer_stop(checkpoint, batch_topic(topic, 100))
+        results = infer_stop(checkpoint, [batch_topic(topic, 100) for topic in held_out])
+        for topic, result in zip(held_out, results):
             recalls.append(recall_of(result, topic))
             costs.append(cost_of(result, topic))
             excesses.append(excess_of(result, topic, 0.9))

@@ -147,6 +147,14 @@ class TestStop:
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv"),
                      "--batches", "50"]) == 2
 
+    def test_truncated_checkpoint_exits_2(self, tmp_path, trained, capsys):
+        run_path, qrels_path, _ = trained
+        ckpt = tmp_path / "truncated.json"
+        ckpt.write_text('{"kind": "tarstop-checkpoint", "format_version": 1}')
+        assert main(["stop", "--checkpoint", str(ckpt), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "missing key 'actor'" in capsys.readouterr().err
+
     def test_qrels_only_topic_warns(self, tmp_path, trained, caplog):
         run_path, qrels_path, ckpt = trained
         extra_qrels = tmp_path / "extra.qrels"
@@ -244,6 +252,18 @@ class TestEval:
         broken.write_text("topic_id,method\nt1,m\n")
         assert main(["eval", "--results", str(broken), "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("column", ["target", "relevant_found", "stop_batch"])
+    def test_non_numeric_cell_exits_2(self, tmp_path, collection, capsys, column):
+        run_path, qrels_path = collection
+        cells = {"target": "0.9", "relevant_found": "3", "stop_batch": "2", column: "abc"}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("topic_id,method,target,stop_batch,docs_examined,relevant_found\n"
+                       f"synth-0000,m,{cells['target']},{cells['stop_batch']},20,"
+                       f"{cells['relevant_found']}\n")
+        assert main(["eval", "--results", str(bad), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "r")]) == 2
+        assert f"bad.csv line 2: {column} 'abc'" in capsys.readouterr().err
 
     def test_empty_results_exit_2(self, tmp_path, collection):
         run_path, qrels_path = collection

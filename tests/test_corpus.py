@@ -12,11 +12,11 @@ from tarstop.corpus import (
     parse_run,
     rank_relevance_probs,
     synth_topics,
-    target_batch,
     write_qrels_file,
     write_run_file,
 )
 from tarstop.errors import ConfigError, ParseError
+from tarstop.metrics import optimal_stop_rank
 
 
 class TestParseQrels:
@@ -239,7 +239,11 @@ class TestBatchingProperties:
     def test_target_batch_equals_linear_scan(self, labels, n_batches, target):
         bt = batch_topic(make_topic(labels), n_batches)
         assert bt.target_batch(target) == scan_target_batch(bt.cum_rel, sum(labels), target)
-        assert target_batch(bt, target) == bt.target_batch(target)
+        # the unbatched oracle rank follows the same rule over per-document counts
+        topic = bt.topic
+        assert optimal_stop_rank(topic, target) == scan_target_batch(
+            np.cumsum(topic.labels), sum(labels), target
+        )
 
 
 class TestSynthTopics:

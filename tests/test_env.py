@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_topic
-from tarstop.corpus import batch_topic, synth_topics
-from tarstop.env import CONTINUE, STOP, StoppingEnv, VecStoppingEnv, reward
+from tarstop.corpus import batch_topic
+from tarstop.env import CONTINUE, STOP, VecStoppingEnv, observation_table, reward
 from tarstop.errors import ConfigError
 
 
@@ -39,6 +39,12 @@ class TestReward:
         values = [reward(i, 6, 10) for i in range(1, 11)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_arrays_match_scalars(self):
+        examined = np.arange(1, 11)
+        targets = np.array([6, 6, 1, 10, 3, 3, 7, 10, 2, 9])
+        values = reward(examined, targets, 10)
+        assert values.tolist() == [reward(int(i), int(t), 10) for i, t in zip(examined, targets)]
+
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             reward(0, 2, 4)
@@ -48,6 +54,10 @@ class TestReward:
             reward(1, 0, 4)
         with pytest.raises(ValueError):
             reward(1, 5, 4)
+        with pytest.raises(ValueError):
+            reward(np.array([1, 5]), np.array([2, 2]), 4)
+        with pytest.raises(ValueError):
+            reward(np.array([1, 2]), np.array([2, 0]), 4)
 
 
 def four_batch_topic(first_batch_relevant=2):
@@ -58,86 +68,92 @@ def four_batch_topic(first_batch_relevant=2):
     return batch_topic(make_topic(labels), 4)
 
 
-class TestStoppingEnv:
-    def test_reset_reveals_only_first_batch(self):
-        env = StoppingEnv(four_batch_topic(2), 1.0)
-        obs = env.reset()
-        assert obs.tolist() == [1.0, -1.0, -1.0, -1.0]
+def one_topic_env(bt, target_recall, normalize="ratio"):
+    """A single slot over a one-topic pool: every episode reads ``bt``."""
+    return VecStoppingEnv([bt], target_recall, n_envs=1, seed=0, normalize=normalize)
 
-    def test_reset_with_empty_first_batch(self):
-        env = StoppingEnv(four_batch_topic(0), 1.0)
-        assert env.reset().tolist() == [0.0, -1.0, -1.0, -1.0]
 
-    def test_reset_is_deterministic(self):
-        env = StoppingEnv(four_batch_topic(1), 1.0)
-        assert np.array_equal(env.reset(), env.reset())
+def run_episode(env, stop_at):
+    """Step slot 0 until it finishes, stopping once ``stop_at`` batches are read."""
+    total, done = 0.0, False
+    while not done:
+        action = STOP if env.examined[0] >= stop_at else CONTINUE
+        _, r, dones, infos = env.step([action])
+        total += r[0]
+        done = dones[0]
+    return total, infos[0]
+
+
+class TestEpisode:
+    def test_start_reveals_only_first_batch(self):
+        env = one_topic_env(four_batch_topic(2), 1.0)
+        assert env.current_obs().tolist() == [[1.0, -1.0, -1.0, -1.0]]
+
+    def test_start_with_empty_first_batch(self):
+        env = one_topic_env(four_batch_topic(0), 1.0)
+        assert env.current_obs().tolist() == [[0.0, -1.0, -1.0, -1.0]]
+
+    def test_start_is_deterministic(self):
+        env = one_topic_env(four_batch_topic(1), 1.0)
+        assert np.array_equal(env.current_obs(), env.current_obs())
+        assert np.array_equal(env.current_obs(), one_topic_env(four_batch_topic(1), 1.0).current_obs())
 
     def test_count_mode_shows_raw_counts(self):
-        env = StoppingEnv(four_batch_topic(2), 1.0, normalize="count")
-        assert env.reset().tolist() == [2.0, -1.0, -1.0, -1.0]
+        env = one_topic_env(four_batch_topic(2), 1.0, normalize="count")
+        assert env.current_obs().tolist() == [[2.0, -1.0, -1.0, -1.0]]
 
     def test_bad_normalize_mode(self):
         with pytest.raises(ConfigError):
-            StoppingEnv(four_batch_topic(), 1.0, normalize="z-score")
+            one_topic_env(four_batch_topic(), 1.0, normalize="z-score")
+        with pytest.raises(ConfigError):
+            observation_table([four_batch_topic()], "z-score")
 
     def test_continue_credits_current_state(self):
         # T=2 with B=4: relevant in batches 1 and 2 only, target 1.0
         bt = batch_topic(make_topic([1, 0, 0, 1, 0, 0, 0, 0]), 4)
-        env = StoppingEnv(bt, 1.0)
-        env.reset()
-        assert env.target == 2
-        obs, r, done = env.step(CONTINUE)
-        assert r == 0.5  # reward of the state acted in, 1 - 1/2
-        assert not done
-        assert env.i == 2
-        assert obs.tolist()[:2] == [0.5, 0.5]
+        env = one_topic_env(bt, 1.0)
+        assert bt.target_batch(1.0) == 2
+        obs, r, done, _ = env.step([CONTINUE])
+        assert r[0] == 0.5  # reward of the state acted in, 1 - 1/2
+        assert not done[0]
+        assert env.examined[0] == 2
+        assert obs[0].tolist()[:2] == [0.5, 0.5]
 
-    def test_stop_ends_episode_and_keeps_observation(self):
-        env = StoppingEnv(four_batch_topic(1), 1.0)
-        env.reset()
-        env.step(CONTINUE)
-        before = env.step(CONTINUE)[0]
-        obs, r, done = env.step(STOP)
-        assert done
-        assert r == reward(3, env.target, 4)
-        assert np.array_equal(obs, before)
+    def test_stop_ends_episode_and_restarts(self):
+        env = one_topic_env(four_batch_topic(1), 1.0)
+        env.step([CONTINUE])
+        env.step([CONTINUE])
+        obs, r, done, infos = env.step([STOP])
+        assert done[0]
+        assert r[0] == reward(3, four_batch_topic(1).target_batch(1.0), 4)
+        assert infos[0]["stop_batch"] == 3
+        assert np.array_equal(obs, one_topic_env(four_batch_topic(1), 1.0).current_obs())
 
     def test_any_action_terminates_at_last_batch(self):
-        env = StoppingEnv(four_batch_topic(1), 1.0)
-        env.reset()
+        env = one_topic_env(four_batch_topic(1), 1.0)
         for _ in range(3):
-            _, _, done = env.step(CONTINUE)
-            assert not done
-        assert env.i == 4
-        _, r, done = env.step(CONTINUE)
-        assert done  # CONTINUE at the final batch still ends the episode
-        assert r == reward(4, env.target, 4)
-
-    def test_step_after_done_is_an_error(self):
-        env = StoppingEnv(four_batch_topic(1), 1.0)
-        env.reset()
-        env.step(STOP)
-        with pytest.raises(RuntimeError):
-            env.step(CONTINUE)
+            _, _, done, _ = env.step([CONTINUE])
+            assert not done[0]
+        assert env.examined[0] == 4
+        _, r, done, infos = env.step([CONTINUE])
+        assert done[0]  # CONTINUE at the final batch still ends the episode
+        assert r[0] == reward(4, four_batch_topic(1).target_batch(1.0), 4)
+        assert infos[0]["stop_batch"] == 4
 
     def test_invalid_action(self):
-        env = StoppingEnv(four_batch_topic(1), 1.0)
-        env.reset()
+        env = one_topic_env(four_batch_topic(1), 1.0)
         with pytest.raises(ValueError):
-            env.step(7)
+            env.step([7])
 
     def test_episode_reward_closed_form_when_target_is_last_batch(self):
         # relevant only in the last batch: T = B, so running to the end
         # accrues sum over i of (1 - i/B) = (B - 1) / 2
         n_batches = 8
         labels = [0] * (n_batches - 1) + [1]
-        env = StoppingEnv(batch_topic(make_topic(labels), n_batches), 1.0)
-        env.reset()
-        total, done = 0.0, False
-        while not done:
-            _, r, done = env.step(CONTINUE)
-            total += r
+        env = one_topic_env(batch_topic(make_topic(labels), n_batches), 1.0)
+        total, info = run_episode(env, stop_at=n_batches + 1)
         assert abs(total - (n_batches - 1) / 2) < 1e-12
+        assert abs(info["episode_reward"] - (n_batches - 1) / 2) < 1e-12
 
     def test_episode_reward_accounting_matches_direct_sum(self, rng):
         for _ in range(50):
@@ -146,31 +162,26 @@ class TestStoppingEnv:
             if labels.sum() == 0:
                 labels[int(rng.integers(n_docs))] = 1
             bt = batch_topic(make_topic(labels), int(rng.integers(1, n_docs + 1)))
-            env = StoppingEnv(bt, 0.8)
-            env.reset()
-            stop_at = int(rng.integers(1, bt.n_batches + 1))
-            total, done = 0.0, False
-            while not done:
-                action = STOP if env.i >= stop_at else CONTINUE
-                _, r, done = env.step(action)
-                total += r
-            direct = sum(reward(i, env.target, bt.n_batches) for i in range(1, env.i + 1))
+            env = one_topic_env(bt, 0.8)
+            total, info = run_episode(env, stop_at=int(rng.integers(1, bt.n_batches + 1)))
+            stop = info["stop_batch"]
+            direct = sum(reward(i, bt.target_batch(0.8), bt.n_batches) for i in range(1, stop + 1))
             assert abs(total - direct) < 1e-12
+            assert abs(info["episode_reward"] - direct) < 1e-12
 
     def test_observation_prefix_property(self, rng):
         labels = (rng.random(60) < 0.4).astype(int)
         labels[0] = 1
         bt = batch_topic(make_topic(labels), 12)
-        env = StoppingEnv(bt, 1.0)
-        obs = env.reset()
-        for k in range(1, 15):
+        env = one_topic_env(bt, 1.0)
+        obs = env.current_obs()[0]
+        for k in range(1, 13):
             revealed = obs != -1.0
-            expected = min(k, 12)
-            assert int(revealed.sum()) == expected
-            assert revealed[:expected].all()  # a prefix, no gaps
-            if env.done:
-                break
-            obs, _, _ = env.step(CONTINUE)
+            assert int(revealed.sum()) == k
+            assert revealed[:k].all()  # a prefix, no gaps
+            obs, _, done, _ = env.step([CONTINUE])
+            obs = obs[0]
+        assert done[0]
 
 
 class TestOptimalStopProperty:
@@ -206,26 +217,30 @@ class TestVecStoppingEnv:
         seen = []
         for _ in range(2):
             venv = VecStoppingEnv(pool, 0.9, n_envs=3, seed=42)
-            ids = [env.bt.topic.topic_id for env in venv.envs]
+            ids = [pool[i].topic.topic_id for i in venv.topic_idx]
             for _ in range(20):
                 _, _, _, infos = venv.step([STOP] * 3)
-                ids.extend(info["topic_id"] for info in infos)
+                ids.extend(pool[i].topic.topic_id for i in venv.topic_idx)
             seen.append(ids)
         assert seen[0] == seen[1]
+        # one scalar draw per slot, in slot order, from the seeded stream
+        reference = np.random.default_rng(42)
+        expected = [pool[int(reference.integers(len(pool)))].topic.topic_id for _ in range(63)]
+        assert seen[0] == expected
 
     def test_single_env_matches_plain_stepping(self, rng):
         pool = small_pool(rng, n_topics=1)
+        bt = pool[0]
         venv = VecStoppingEnv(pool, 0.9, n_envs=1, seed=0)
-        plain = StoppingEnv(pool[0], 0.9)
-        plain.reset()
-        for _ in range(pool[0].n_batches - 1):
-            obs_v, r_v, done_v, _ = venv.step([CONTINUE])
-            obs_p, r_p, done_p = plain.step(CONTINUE)
-            assert r_v[0] == r_p
-            if done_p:
-                break
-            assert not done_v[0]
-            assert np.array_equal(obs_v[0], obs_p)
+        target = bt.target_batch(0.9)
+        for examined in range(1, bt.n_batches):
+            expected = [-1.0] * bt.n_batches
+            for j in range(examined):
+                expected[j] = bt.batch_rel[j] / bt.batch_sizes[j]
+            assert venv.current_obs()[0].tolist() == expected
+            _, r, done, _ = venv.step([CONTINUE])
+            assert r[0] == reward(examined, target, bt.n_batches)
+            assert not done[0]
 
     def test_episode_info_reports_stop_batch(self, rng):
         venv = VecStoppingEnv(small_pool(rng), 0.9, n_envs=2, seed=1)
@@ -248,14 +263,3 @@ class TestVecStoppingEnv:
         pool.append(batch_topic(make_topic([1, 0, 1, 0]), 2))
         with pytest.raises(ConfigError, match="batch count"):
             VecStoppingEnv(pool, 0.9, n_envs=1, seed=0)
-
-    def test_reset_draws_fresh_topics(self):
-        topics = synth_topics(6, 24, 0.3, 6.0, seed=11)
-        pool = [batch_topic(t, 6) for t in topics]
-        venv = VecStoppingEnv(pool, 0.9, n_envs=3, seed=5)
-        first = [env.bt.topic.topic_id for env in venv.envs]
-        obs = venv.reset()
-        assert obs.shape == (3, 6)
-        second = [env.bt.topic.topic_id for env in venv.envs]
-        # the draw moves forward in the shared stream
-        assert first != second or len(set(first)) == 1

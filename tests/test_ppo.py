@@ -5,10 +5,10 @@ import pytest
 
 from conftest import make_topic
 from tarstop.corpus import batch_topic, synth_topics
-from tarstop.env import VecStoppingEnv
+from tarstop.env import STOP, VecStoppingEnv
 from tarstop.errors import ConfigError
-from tarstop.metrics import cost_of, recall_of
-from tarstop.nets import MlpParams, init_params
+from tarstop.metrics import StopResult, cost_of, recall_of
+from tarstop.nets import MlpParams, forward, init_params
 from tarstop.ppo import (
     Checkpoint,
     Hyperparams,
@@ -357,7 +357,7 @@ class TestInferStop:
 
     def test_always_stop_policy(self):
         bt = batch_topic(make_topic([1, 0, 1, 0, 1, 0]), 3)
-        result = infer_stop(self._checkpoint(3, stop_bias=5.0), bt)
+        [result] = infer_stop(self._checkpoint(3, stop_bias=5.0), [bt])
         assert result.stop_batch == 1
         assert result.docs_examined == int(bt.batch_sizes[0])
         assert result.relevant_found == int(bt.cum_rel[0])
@@ -365,7 +365,7 @@ class TestInferStop:
     def test_never_stop_policy_reads_everything(self):
         topic = make_topic([1, 0, 1, 0, 1, 0])
         bt = batch_topic(topic, 3)
-        result = infer_stop(self._checkpoint(3, stop_bias=-5.0), bt)
+        [result] = infer_stop(self._checkpoint(3, stop_bias=-5.0), [bt])
         assert result.stop_batch == 3
         assert result.docs_examined == topic.n_docs
         assert recall_of(result, topic) == 1.0
@@ -376,24 +376,55 @@ class TestInferStop:
         hyper = Hyperparams(total_timesteps=400, n_steps=10, n_envs=4, minibatch_size=40, seed=0)
         ckpt, _ = train(topics, 0.9, hyper, n_batches=6)
         bt = batch_topic(topics[0], 6)
-        assert infer_stop(ckpt, bt) == infer_stop(ckpt, bt)
+        assert infer_stop(ckpt, [bt]) == infer_stop(ckpt, [bt])
 
     def test_sample_mode_is_seeded(self):
         bt = batch_topic(make_topic([1, 0, 1, 0, 1, 0]), 3)
         ckpt = self._checkpoint(3, stop_bias=0.0)
-        a = infer_stop(ckpt, bt, mode="sample", rng=np.random.default_rng(5))
-        b = infer_stop(ckpt, bt, mode="sample", rng=np.random.default_rng(5))
+        a = infer_stop(ckpt, [bt, bt], mode="sample", rng=np.random.default_rng(5))
+        b = infer_stop(ckpt, [bt, bt], mode="sample", rng=np.random.default_rng(5))
         assert a == b
+
+    def test_batched_pass_matches_per_topic_loop(self):
+        # count observations and a STOP margin of 10 * (revealed counts -
+        # unrevealed batches) + 5: an odd multiple of 5, never near zero,
+        # so summation-order differences of a batched matmul cannot flip it
+        n_batches = 6
+        actor = MlpParams([np.zeros((n_batches, 2))], [np.array([5.0, 0.0])])
+        actor.weights[0][:, STOP] = 10.0
+        critic = MlpParams([np.zeros((n_batches, 1))], [np.zeros(1)])
+        ckpt = Checkpoint(actor, critic, 0.9, n_batches, "count", Hyperparams())
+        rng = np.random.default_rng(3)
+        bts = []
+        for k in range(12):
+            labels = (rng.random(30) < rng.uniform(0.0, 0.5)).astype(int)
+            labels[-1] = 1
+            bts.append(batch_topic(make_topic(labels, topic_id=f"m{k}"), n_batches))
+
+        def one_topic(bt):
+            examined = 1
+            while True:
+                obs = [float(c) if j < examined else -1.0 for j, c in enumerate(bt.batch_rel)]
+                logits, _ = forward(actor, np.array(obs))
+                if int(np.argmax(logits)) == STOP or examined == n_batches:
+                    return StopResult(bt.topic.topic_id, "policy", 0.9,
+                                      int(bt.batch_sizes[:examined].sum()),
+                                      int(bt.cum_rel[examined - 1]), examined)
+                examined += 1
+
+        expected = [one_topic(bt) for bt in bts]
+        assert len({r.stop_batch for r in expected}) >= 3  # mixed stop points
+        assert infer_stop(ckpt, bts) == expected
 
     def test_width_mismatch_rejected(self):
         bt = batch_topic(make_topic([1, 0, 1, 0]), 4)
         with pytest.raises(ConfigError, match="batches"):
-            infer_stop(self._checkpoint(3, 0.0), bt)
+            infer_stop(self._checkpoint(3, 0.0), [bt])
 
     def test_bad_mode_rejected(self):
         bt = batch_topic(make_topic([1, 0, 1]), 3)
         with pytest.raises(ConfigError, match="mode"):
-            infer_stop(self._checkpoint(3, 0.0), bt, mode="argmax")
+            infer_stop(self._checkpoint(3, 0.0), [bt], mode="argmax")
 
 
 class TestCheckpointIO:
@@ -419,6 +450,27 @@ class TestCheckpointIO:
         path = tmp_path / "x.json"
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ConfigError, match="checkpoint"):
+            load_checkpoint(path)
+
+    def test_missing_key_named(self, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"kind": "tarstop-checkpoint", "format_version": 1}')
+        with pytest.raises(ConfigError, match="truncated.json.*missing key 'actor'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("net, sizes, message", [
+        ("actor", [5, 4, 2], "actor maps 5 inputs to 2 outputs"),
+        ("critic", [5, 4, 1], "critic maps 5 inputs to 1 outputs"),
+        ("actor", [6, 4, 3], "actor maps 6 inputs to 3 outputs"),
+        ("critic", [6, 4, 2], "critic maps 6 inputs to 2 outputs"),
+    ])
+    def test_network_widths_checked(self, tmp_path, net, sizes, message):
+        actor = init_params(0, (6, 4, 2), out_gain=0.01)
+        critic = init_params(1, (6, 4, 1), out_gain=1.0)
+        nets = {"actor": actor, "critic": critic, net: init_params(2, tuple(sizes), out_gain=1.0)}
+        path = tmp_path / "policy.json"
+        save_checkpoint(Checkpoint(nets["actor"], nets["critic"], 0.9, 6, "ratio", Hyperparams()), path)
+        with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
 
     def test_training_log_format(self, tmp_path):
