@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_topic
 from tarstop.corpus import batch_topic
-from tarstop.env import CONTINUE, STOP, VecStoppingEnv, observation_table, reward
+from tarstop.env import CONTINUE, STOP, VecStoppingEnv, observation_table, observe, reward
 from tarstop.errors import ConfigError
 
 
@@ -84,16 +84,18 @@ def run_episode(env, stop_at):
     return total, infos[0]
 
 
-class TestEpisode:
-    def test_start_reveals_only_first_batch(self):
+class TestStoppingEnv:
+    # the test_reset_* cases check an episode's start: every slot begins with one batch read
+
+    def test_reset_reveals_only_first_batch(self):
         env = one_topic_env(four_batch_topic(2), 1.0)
         assert env.current_obs().tolist() == [[1.0, -1.0, -1.0, -1.0]]
 
-    def test_start_with_empty_first_batch(self):
+    def test_reset_with_empty_first_batch(self):
         env = one_topic_env(four_batch_topic(0), 1.0)
         assert env.current_obs().tolist() == [[0.0, -1.0, -1.0, -1.0]]
 
-    def test_start_is_deterministic(self):
+    def test_reset_is_deterministic(self):
         env = one_topic_env(four_batch_topic(1), 1.0)
         assert np.array_equal(env.current_obs(), env.current_obs())
         assert np.array_equal(env.current_obs(), one_topic_env(four_batch_topic(1), 1.0).current_obs())
@@ -119,14 +121,17 @@ class TestEpisode:
         assert env.examined[0] == 2
         assert obs[0].tolist()[:2] == [0.5, 0.5]
 
-    def test_stop_ends_episode_and_restarts(self):
+    def test_stop_ends_episode_and_keeps_observation(self):
         env = one_topic_env(four_batch_topic(1), 1.0)
         env.step([CONTINUE])
-        env.step([CONTINUE])
+        before = env.step([CONTINUE])[0]
         obs, r, done, infos = env.step([STOP])
         assert done[0]
         assert r[0] == reward(3, four_batch_topic(1).target_batch(1.0), 4)
         assert infos[0]["stop_batch"] == 3
+        # STOP reveals nothing: the stop point reproduces the observation acted on
+        assert np.array_equal(observe(env.table, np.array([0]), np.array([3])), before)
+        # the finished slot's returned observation already belongs to a fresh episode
         assert np.array_equal(obs, one_topic_env(four_batch_topic(1), 1.0).current_obs())
 
     def test_any_action_terminates_at_last_batch(self):
