@@ -1,8 +1,9 @@
 """Command-line entry point: synthesize data, train, infer, run baselines, evaluate.
 
 Configuration precedence is CLI flag, then --config JSON file, then the
-built-in defaults. Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error.
+built-in defaults; a config file may set only its subcommand's optional
+flags, by their Python names and with their types. Exit codes: 0 success,
+1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -54,19 +55,68 @@ HYPER_KEYS = (
 )
 
 
-def _load_config(path) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """Read ``--config`` and check it against the subcommand's flags.
+
+    A config file may set exactly the keys its subcommand has optional flags
+    for (by their ``dest`` name), each with that flag's type and choices;
+    repeatable flags take a list. Integers given for float flags become
+    floats, so a config file and the same flags write identical outputs.
+    """
+    if args.config is None:
         return {}
-    config_path = Path(path)
+    config_path = Path(args.config)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
         data = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {config_path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {config_path}: expected a JSON object")
+    for key, value in data.items():
+        action = args.config_keys.get(key)
+        if action is None:
+            raise ConfigError(
+                f"config file {config_path}: unknown key {key!r} for {args.command!r} "
+                f"(accepted: {', '.join(sorted(args.config_keys))})"
+            )
+        problem = _config_value_problem(action, value)
+        if problem:
+            raise ConfigError(f"config file {config_path}: key {key!r} {problem}, got {value!r}")
+        if action.type is float:  # as the flag would parse it: 1 becomes 1.0
+            data[key] = [float(v) for v in value] if isinstance(value, list) else float(value)
     return data
+
+
+def _config_value_problem(action: argparse.Action, value) -> str | None:
+    """Why ``value`` cannot stand in for ``action``'s flag, or None if it can."""
+    kind = action.type or str
+    accepts = (int, float) if kind is float else kind
+    one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                 str: ("a string", "strings")}[kind]
+
+    def fits(item) -> bool:
+        return not isinstance(item, bool) and isinstance(item, accepts)
+
+    if isinstance(action, argparse._AppendAction):
+        if isinstance(value, list) and value and all(map(fits, value)):
+            return None
+        return f"must be a non-empty list of {many}"
+    if not fits(value):
+        return f"must be {one}"
+    if action.choices is not None and value not in action.choices:
+        return f"must be one of {', '.join(action.choices)}"
+    return None
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A subcommand's config keys: the ``dest`` of each optional flag."""
+    return {
+        action.dest: action
+        for action in parser._actions
+        if action.option_strings and not action.required and action.dest not in ("help", "config")
+    }
 
 
 def _resolve(args, config: dict, key: str, default):
@@ -102,7 +152,7 @@ def _load_topics(run_path, qrels_path):
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     count = _resolve(args, config, "count", 20)
     docs = _resolve(args, config, "docs", 1000)
     prevalence = _resolve(args, config, "prevalence", 0.02)
@@ -123,7 +173,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     topics = _load_topics(args.run, args.qrels)
     targets = _check_targets(_resolve(args, config, "target", DEFAULT_TARGETS))
     batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
@@ -149,7 +199,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_stop(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     batches = _resolve(args, config, "batches", None)
     if batches is not None and batches != checkpoint.n_batches:
@@ -168,7 +218,7 @@ def cmd_stop(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     targets = _check_targets(_resolve(args, config, "target", DEFAULT_TARGETS))
     batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
     fraction = _resolve(args, config, "fraction", 0.5)
@@ -190,7 +240,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     targets = _resolve(args, config, "target", None)
     if targets is not None:
         _check_targets(targets)
@@ -243,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay", type=float, help="rank decay of relevance density (default 100)")
     p.add_argument("--seed", type=int, help="generator seed (default 0)")
     p.add_argument("--tag", help="run tag column value")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, config_keys=_config_keys(p))
 
     p = sub.add_parser("train", parents=[common], help="train one policy per target recall")
     p.add_argument("--run", required=True)
@@ -267,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-coef", dest="value_coef", type=float)
     p.add_argument("--n-envs", dest="n_envs", type=int)
     p.add_argument("--max-grad-norm", dest="max_grad_norm", type=float)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, config_keys=_config_keys(p))
 
     p = sub.add_parser("stop", parents=[common], help="apply a trained policy to a collection")
     p.add_argument("--checkpoint", required=True)
@@ -277,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["greedy", "sample"])
     p.add_argument("--seed", type=int, help="seed for sample mode")
     p.add_argument("--batches", type=int, help="must match the checkpoint if given")
-    p.set_defaults(func=cmd_stop)
+    p.set_defaults(func=cmd_stop, config_keys=_config_keys(p))
 
     p = sub.add_parser("baseline", parents=[common], help="run a reference stopping strategy")
     p.add_argument("--method", required=True, choices=["oracle", "knee", "budget"])
@@ -288,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target recall label(s) for the rows (default 0.8 0.9 1.0)")
     p.add_argument("--batches", type=int, help="knee evaluation schedule (default 100)")
     p.add_argument("--fraction", type=float, help="budget fraction (default 0.5)")
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=cmd_baseline, config_keys=_config_keys(p))
 
     p = sub.add_parser("eval", parents=[common], help="score stopping results against qrels")
     p.add_argument("--results", action="append", required=True,
@@ -299,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for report CSVs")
     p.add_argument("--target", type=float, action="append",
                    help="target(s) stamped onto imported rows that lack one")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, config_keys=_config_keys(p))
 
     return parser
 

@@ -4,6 +4,13 @@ The policy and value heads are small enough (input -> 64 -> 64 -> out,
 tanh hidden activations) that a tensor framework buys nothing here:
 forward, backward and the optimizer fit in a page of numpy, run in float64
 and stay bit-reproducible across runs.
+
+Each network's parameters live in one contiguous float64 buffer,
+``MlpParams.flat``: every weight matrix, then every bias vector, in layer
+order. ``weights`` and ``biases`` are views into it, so writing through a
+view changes ``flat`` and the reverse. Gradients use the same layout, which
+makes Adam, the gradient norm and clipping single vector operations over
+``flat``.
 """
 
 from __future__ import annotations
@@ -17,12 +24,44 @@ ACTIVATION = "tanh"
 INIT_SCHEME = "orthogonal"
 
 
-@dataclass
 class MlpParams:
-    """Per-layer weight matrices (in x out) and bias vectors."""
+    """Per-layer weight matrices (in x out) and bias vectors over one buffer.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The constructor copies its arguments into a new buffer; ``flat`` is that
+    buffer and ``arrays()`` its views in buffer order.
+    """
+
+    def __init__(self, weights, biases):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if not weights or len(weights) != len(biases):
+            raise ValueError(f"{len(weights)} weight matrices for {len(biases)} bias vectors")
+        if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
+            raise ValueError("weights must be matrices and biases vectors")
+        arrays = [*weights, *biases]
+        layout, offset = [], 0
+        for a in arrays:
+            layout.append((offset, offset + a.size, a.shape))
+            offset += a.size
+        self._bind(np.empty(offset), tuple(layout))
+        for view, a in zip(self.arrays(), arrays):
+            view[...] = a
+
+    def _bind(self, flat: np.ndarray, layout: tuple) -> None:
+        # layout: one (start, stop, shape) per array of arrays(), in buffer order
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        n_layers = len(layout) // 2
+        self.flat = flat
+        self.weights = views[:n_layers]
+        self.biases = views[n_layers:]
+        self._layout = layout
+
+    @classmethod
+    def over(cls, flat: np.ndarray, like: "MlpParams") -> "MlpParams":
+        """Params viewing ``flat`` (not a copy) with the layer shapes of ``like``."""
+        params = cls.__new__(cls)
+        params._bind(flat, like._layout)
+        return params
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -32,7 +71,7 @@ class MlpParams:
         return [*self.weights, *self.biases]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpParams.over(self.flat.copy(), self)
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -70,9 +109,12 @@ def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError("non-finite values in network input")
     cache = [h]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         cache.append(h)
-    out = h @ params.weights[-1] + params.biases[-1]
+    out = h @ params.weights[-1]
+    out += params.biases[-1]
     return (out[0] if single else out), cache
 
 
@@ -80,7 +122,8 @@ def backward(params: MlpParams, cache: list[np.ndarray], grad_out) -> MlpParams:
     """Exact gradients for the scalar loss whose output gradient is ``grad_out``.
 
     ``cache`` must come from a matching :func:`forward` call; gradients are
-    summed over the batch dimension.
+    summed over the batch dimension and written into one new flat buffer
+    laid out like ``params``.
     """
     g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
     n_layers = len(params.weights)
@@ -88,14 +131,16 @@ def backward(params: MlpParams, cache: list[np.ndarray], grad_out) -> MlpParams:
         raise ValueError(f"cache has {len(cache)} entries for {n_layers} layers")
     if g.shape != (cache[-1].shape[0], params.weights[-1].shape[1]):
         raise ValueError(f"grad_out shape {g.shape} does not match network output")
-    grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
+    grads = MlpParams.over(np.empty_like(params.flat), params)
     for k in reversed(range(n_layers)):
-        grad_w[k] = cache[k].T @ g
-        grad_b[k] = g.sum(axis=0)
+        np.matmul(cache[k].T, g, out=grads.weights[k])
+        g.sum(axis=0, out=grads.biases[k])
         if k > 0:
-            g = (g @ params.weights[k].T) * (1.0 - cache[k] ** 2)  # tanh'
-    return MlpParams(grad_w, grad_b)
+            tanh_grad = np.square(cache[k])  # tanh' = 1 - tanh^2
+            np.subtract(1.0, tanh_grad, out=tanh_grad)
+            g = g @ params.weights[k].T
+            g *= tanh_grad
+    return grads
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -116,21 +161,24 @@ def log_prob_and_entropy(logits, actions):
     """
     arr = np.asarray(logits, dtype=np.float64)
     single = arr.ndim == 1
-    lp = log_softmax(np.atleast_2d(arr))
-    acts = np.atleast_1d(np.asarray(actions, dtype=np.int64))
-    chosen = lp[np.arange(len(acts)), acts]
-    entropy = -(np.exp(lp) * lp).sum(axis=-1)
+    chosen, entropy = chosen_and_entropy(log_softmax(np.atleast_2d(arr)), actions)
     if single:
         return float(chosen[0]), float(entropy[0])
     return chosen, entropy
 
 
+def chosen_and_entropy(lp: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log-probability of ``actions`` and entropy, from 2-D log-softmax rows."""
+    acts = np.atleast_1d(np.asarray(actions, dtype=np.int64))
+    return lp[np.arange(len(acts)), acts], -(np.exp(lp) * lp).sum(axis=-1)
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """First/second moment accumulators, flat like the parameter buffer."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -138,34 +186,36 @@ class AdamState:
 
 
 def adam_init(params: MlpParams) -> AdamState:
-    arrays = params.arrays()
-    return AdamState([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(
     params: MlpParams, grads: MlpParams, state: AdamState, lr: float
 ) -> tuple[MlpParams, AdamState]:
-    """Bias-corrected Adam update, applied in place."""
+    """Bias-corrected Adam update, applied in place to the whole buffer."""
+    if grads.sizes != params.sizes:
+        raise ValueError(f"gradient sizes {grads.sizes} != parameter sizes {params.sizes}")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    g, m, v = grads.flat, state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    # params -= lr * (m / c1) / (sqrt(v / c2) + eps), in place with the same rounding
+    step = m / c1
+    step *= lr
+    denom = v / c2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    params.flat -= step
     return params, state
 
 
 def global_grad_norm(*grads: MlpParams) -> float:
-    total = 0.0
-    for g in grads:
-        for a in g.arrays():
-            total += float((a * a).sum())
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(float(g.flat @ g.flat) for g in grads)))
 
 
 def clip_grads(grads: list[MlpParams], max_norm: float) -> None:
@@ -174,8 +224,7 @@ def clip_grads(grads: list[MlpParams], max_norm: float) -> None:
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads:
-            for a in g.arrays():
-                a *= scale
+            g.flat *= scale
 
 
 def params_to_jsonable(params: MlpParams) -> dict:
@@ -186,7 +235,4 @@ def params_to_jsonable(params: MlpParams) -> dict:
 
 
 def params_from_jsonable(data: dict) -> MlpParams:
-    return MlpParams(
-        [np.asarray(w, dtype=np.float64) for w in data["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in data["biases"]],
-    )
+    return MlpParams(data["weights"], data["biases"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .nets import (
     adam_init,
     adam_step,
     backward,
+    chosen_and_entropy,
     clip_grads,
     forward,
     init_params,
-    log_prob_and_entropy,
     log_softmax,
     params_from_jsonable,
     params_to_jsonable,
@@ -208,7 +208,8 @@ def ppo_loss(
     logits, actor_cache = forward(actor, batch.obs)
     values_2d, critic_cache = forward(critic, batch.obs)
     values = values_2d[:, 0]
-    logp, entropy = log_prob_and_entropy(logits, batch.actions)
+    lp_all = log_softmax(logits)
+    logp, entropy = chosen_and_entropy(lp_all, batch.actions)
     log_ratio = logp - batch.log_probs_old
     ratio = np.exp(log_ratio)
     adv = batch.advantages
@@ -238,7 +239,6 @@ def ppo_loss(
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), batch.actions] = 1.0
     d_logits = d_logp[:, None] * (one_hot - probs)
-    lp_all = log_softmax(logits)
     d_entropy = -probs * (lp_all + entropy[:, None])
     d_logits += (-hyper.entropy_coef / n) * d_entropy
     d_values = (2.0 * hyper.value_coef / n) * value_err
@@ -264,23 +264,27 @@ def ppo_update(
     if buffer.advantages is None or buffer.returns is None:
         raise ValueError("compute_gae() must run before ppo_update()")
     n = buffer.n_steps * buffer.n_envs
-    flat_obs = buffer.obs.reshape(n, -1)
-    flat_actions = buffer.actions.reshape(n)
-    flat_logp = buffer.log_probs.reshape(n)
-    flat_adv = buffer.advantages.reshape(n)
-    flat_returns = buffer.returns.reshape(n)
+    flat = (
+        buffer.obs.reshape(n, -1),
+        buffer.actions.reshape(n),
+        buffer.log_probs.reshape(n),
+        buffer.advantages.reshape(n),
+        buffer.returns.reshape(n),
+    )
     totals: dict[str, float] = {}
     n_updates = 0
     for _ in range(hyper.n_epochs):
+        # one gather per epoch; each minibatch is then a contiguous slice
         perm = rng.permutation(n)
+        obs, actions, log_probs, advantages, returns = (a[perm] for a in flat)
         for start in range(0, n, hyper.minibatch_size):
-            idx = perm[start : start + hyper.minibatch_size]
+            mb = slice(start, start + hyper.minibatch_size)
             batch = Minibatch(
-                obs=flat_obs[idx],
-                actions=flat_actions[idx],
-                log_probs_old=flat_logp[idx],
-                advantages=normalize_advantages(flat_adv[idx]),
-                returns=flat_returns[idx],
+                obs=obs[mb],
+                actions=actions[mb],
+                log_probs_old=log_probs[mb],
+                advantages=normalize_advantages(advantages[mb]),
+                returns=returns[mb],
             )
             loss, stats, actor_grads, critic_grads = ppo_loss(
                 actor, critic, batch, hyper, want_grads=True
@@ -438,31 +442,69 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if data.get("kind") != "tarstop-checkpoint":
         raise ConfigError(f"{path}: not a tarstop checkpoint")
     if data.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {data.get('format_version')}")
     try:
-        checkpoint = Checkpoint(
-            actor=params_from_jsonable(data["actor"]),
-            critic=params_from_jsonable(data["critic"]),
-            target_recall=data["target_recall"],
-            n_batches=data["n_batches"],
-            normalize_obs=data["normalize_obs"],
-            hyper=Hyperparams(**data["hyperparams"]),
-        )
+        networks = {name: data[name] for name in ("actor", "critic")}
+        hyper = data["hyperparams"]
+        target_recall, n_batches = data["target_recall"], data["n_batches"]
+        normalize_obs = data["normalize_obs"]
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint is missing key {exc.args[0]!r}") from None
+    if isinstance(n_batches, bool) or not isinstance(n_batches, int):
+        raise ConfigError(f"{path}: n_batches must be an integer, got {n_batches!r}")
+    if isinstance(target_recall, bool) or not isinstance(target_recall, (int, float)):
+        raise ConfigError(f"{path}: target_recall must be a number, got {target_recall!r}")
+    if not isinstance(hyper, dict):
+        raise ConfigError(f"{path}: hyperparams must be a JSON object")
+    known = {field.name for field in fields(Hyperparams)}
+    for key in hyper:
+        if key not in known:
+            raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
+    return Checkpoint(
+        actor=_load_network(path, "actor", networks["actor"], n_batches, 2),
+        critic=_load_network(path, "critic", networks["critic"], n_batches, 1),
+        target_recall=target_recall,
+        n_batches=n_batches,
+        normalize_obs=normalize_obs,
+        hyper=Hyperparams(**hyper),
+    )
+
+
+def _load_network(path, name: str, data, n_batches: int, n_out: int) -> MlpParams:
+    """One checkpoint network, checked to be finite, chained and ``n_batches -> n_out``."""
+    try:
+        params = params_from_jsonable(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {name} is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {name} weights and biases are malformed: {exc}") from None
+    shapes = [w.shape for w in params.weights]
+    if any(a[1] != b[0] for a, b in zip(shapes, shapes[1:])) or any(
+        b.shape != (w.shape[1],) for w, b in zip(params.weights, params.biases)
+    ):
+        raise ConfigError(
+            f"{path}: {name} layer shapes do not chain: weights {shapes}, "
+            f"biases {[b.shape for b in params.biases]}"
+        )
+    if not np.isfinite(params.flat).all():
+        raise ConfigError(f"{path}: {name} has non-finite weights")
     # inference sizes its observations from n_batches, so the networks must agree
-    for name, params, n_out in (("actor", checkpoint.actor, 2), ("critic", checkpoint.critic, 1)):
-        sizes = params.sizes
-        if (sizes[0], sizes[-1]) != (checkpoint.n_batches, n_out):
-            raise ConfigError(
-                f"{path}: {name} maps {sizes[0]} inputs to {sizes[-1]} outputs, "
-                f"expected {checkpoint.n_batches} (n_batches) to {n_out}"
-            )
-    return checkpoint
+    sizes = params.sizes
+    if (sizes[0], sizes[-1]) != (n_batches, n_out):
+        raise ConfigError(
+            f"{path}: {name} maps {sizes[0]} inputs to {sizes[-1]} outputs, "
+            f"expected {n_batches} (n_batches) to {n_out}"
+        )
+    return params
 
 
 def write_training_log(path, rows: list[dict]) -> None:

@@ -108,6 +108,45 @@ class TestTrain:
                      "--out", str(out_override), "--config", str(config), "--seed", "12"]) == 0
         assert (out_override / "policy-t0.9.json").read_bytes() != (out_config / "policy-t0.9.json").read_bytes()
 
+    def test_integer_config_value_for_float_flag_matches_the_flag(self, tmp_path, collection):
+        run_path, qrels_path = collection
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"target": [1], "learning_rate": 1}))
+        data = ["--run", str(run_path), "--qrels", str(qrels_path), "--batches", "6", *FAST_TRAIN]
+        assert main(["train", *data, "--out", str(tmp_path / "a"), "--config", str(config)]) == 0
+        assert main(["train", *data, "--out", str(tmp_path / "b"), "--target", "1",
+                     "--learning-rate", "1"]) == 0
+        assert (tmp_path / "a" / "policy-t1.json").read_bytes() == (tmp_path / "b" / "policy-t1.json").read_bytes()
+
+
+    @pytest.mark.parametrize("config, message", [
+        ({"target": 0.9}, "key 'target' must be a non-empty list of numbers, got 0.9"),
+        ({"learning_rat": 0.1}, "unknown key 'learning_rat' for 'train'"),
+        ({"seed": "11"}, "key 'seed' must be an integer, got '11'"),
+        ({"batches": 6.0}, "key 'batches' must be an integer, got 6.0"),
+        ({"normalize_obs": "raw"}, "key 'normalize_obs' must be one of ratio, count"),
+    ], ids=["scalar-target", "typo-key", "string-seed", "float-batches", "bad-choice"])
+    def test_bad_config_exits_2(self, tmp_path, collection, capsys, config, message):
+        run_path, qrels_path = collection
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--run", str(run_path), "--qrels", str(qrels_path),
+                     "--out", str(tmp_path / "m"), "--config", str(path), *FAST_TRAIN]) == 2
+        err = capsys.readouterr().err
+        assert "config.json" in err and message in err
+        assert not (tmp_path / "m").exists()
+
+
+def test_config_keys_are_per_subcommand(tmp_path, collection, capsys):
+    run_path, qrels_path = collection
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"fraction": 0.3}))  # a baseline key, not a stop key
+    args = ["--run", str(run_path), "--qrels", str(qrels_path), "--config", str(path)]
+    assert main(["baseline", "--method", "budget", "--out", str(tmp_path / "b.csv"), *args]) == 0
+    assert main(["eval", "--results", str(tmp_path / "b.csv"), "--out", str(tmp_path / "r"),
+                 *args]) == 2
+    assert "unknown key 'fraction' for 'eval' (accepted: target)" in capsys.readouterr().err
+
 
 @pytest.fixture
 def trained(tmp_path, collection):
@@ -154,6 +193,26 @@ class TestStop:
         assert main(["stop", "--checkpoint", str(ckpt), "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "missing key 'actor'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:-10], "not valid JSON"),
+        (lambda text: f"[{text}]", "expected a JSON object, got list"),
+        (lambda text: text.replace('"learning_rate"', '"learning_rat"'),
+         "unknown hyperparams key 'learning_rat'"),
+        (lambda text: text.replace('"weights": [[[', '"weights": [[["x", ', 1),
+         "actor weights and biases are malformed"),
+        (lambda text: text.replace('"weights": [[[', '"weights": [[[1.0], [', 1),
+         "actor weights and biases are malformed"),
+    ], ids=["invalid-json", "top-level-list", "unknown-hyperparam", "non-numeric-weight",
+            "ragged-weights"])
+    def test_malformed_checkpoint_exits_2(self, tmp_path, trained, capsys, damage, message):
+        run_path, qrels_path, ckpt = trained
+        broken = tmp_path / "broken.json"
+        broken.write_text(damage(ckpt.read_text()))
+        assert main(["stop", "--checkpoint", str(broken), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "broken.json" in err and message in err
 
     def test_qrels_only_topic_warns(self, tmp_path, trained, caplog):
         run_path, qrels_path, ckpt = trained

@@ -9,7 +9,9 @@ from tarstop.nets import (
     adam_init,
     adam_step,
     backward,
+    clip_grads,
     forward,
+    global_grad_norm,
     init_params,
     log_prob_and_entropy,
     log_softmax,
@@ -223,3 +225,120 @@ class TestAdam:
         bad = MlpParams([np.ones((2, 2)), np.ones((4, 2))], [np.ones(4), np.ones(2)])
         with pytest.raises(ValueError):
             adam_step(params, bad, adam_init(params), lr=0.01)
+
+
+def reference_backward(params, cache, grad_out):
+    """Per-layer gradients as separate arrays, in ``arrays()`` order."""
+    g = np.atleast_2d(grad_out)
+    grad_w, grad_b = [], []
+    for k in reversed(range(len(params.weights))):
+        grad_w.insert(0, cache[k].T @ g)
+        grad_b.insert(0, g.sum(axis=0))
+        if k > 0:
+            g = (g @ params.weights[k].T) * (1.0 - cache[k] ** 2)
+    return [*grad_w, *grad_b]
+
+
+class TestFlatBuffer:
+    def test_views_share_the_buffer(self):
+        params = init_params(0, (3, 4, 2), out_gain=1.0)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == 3 * 4 + 4 * 2 + 4 + 2
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in params.arrays()]))
+        params.weights[1][2, 1] = 7.5
+        assert params.flat[3 * 4 + 2 * 2 + 1] == 7.5
+        params.flat[-1] = -3.0
+        assert params.biases[-1][-1] == -3.0
+
+    def test_copy_does_not_alias(self):
+        params = init_params(0, (3, 4, 2), out_gain=1.0)
+        clone = params.copy()
+        assert np.array_equal(clone.flat, params.flat)
+        clone.weights[0][0, 0] += 1.0
+        clone.biases[1][0] += 1.0
+        assert not np.array_equal(clone.flat, params.flat)
+        assert params.biases[1][0] == 0.0
+
+    def test_constructor_copies_its_arguments(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        params = MlpParams([w], [b])
+        w[0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+        assert params.sizes == (2, 3)
+
+    def test_malformed_layers_rejected(self):
+        with pytest.raises(ValueError):
+            MlpParams([np.ones((2, 3))], [])
+        with pytest.raises(ValueError):
+            MlpParams([np.ones(3)], [np.ones(3)])
+        with pytest.raises(ValueError):
+            MlpParams([[[1.0, 2.0], [3.0]]], [[0.0]])
+
+    def test_backward_fills_one_flat_buffer(self, rng):
+        params = init_params(rng, (5, 7, 6, 2), out_gain=0.5)
+        xs = rng.standard_normal((9, 5))
+        g = rng.standard_normal((9, 2))
+        _, cache = forward(params, xs)
+        grads = backward(params, cache, g)
+        reference = reference_backward(params, cache, g)
+        assert np.array_equal(grads.flat, np.concatenate([a.ravel() for a in reference]))
+        assert not np.shares_memory(grads.flat, params.flat)
+
+
+class TestAdamFlat:
+    def test_matches_per_array_reference_bitwise(self, rng):
+        params = init_params(4, (5, 8, 8, 2), out_gain=0.1)
+        reference = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in reference]
+        ref_v = [np.zeros_like(a) for a in reference]
+        state = adam_init(params)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 3e-3
+        for step in range(1, 6):
+            grads = MlpParams([rng.standard_normal(w.shape) for w in params.weights],
+                              [rng.standard_normal(b.shape) for b in params.biases])
+            adam_step(params, grads, state, lr)
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            for p, g, m, v in zip(reference, grads.arrays(), ref_m, ref_v):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            for a, b in zip(params.arrays(), reference):
+                assert np.array_equal(a, b)
+            assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_m]))
+            assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_v]))
+
+
+class TestClipGrads:
+    @staticmethod
+    def _grads(rng, scale):
+        return [MlpParams([rng.standard_normal((4, 6)) * scale, rng.standard_normal((6, k)) * scale],
+                          [rng.standard_normal(6) * scale, rng.standard_normal(k) * scale])
+                for k in (2, 1)]
+
+    @staticmethod
+    def _reference_norm(grads):
+        return math.sqrt(sum(float((a * a).sum()) for g in grads for a in g.arrays()))
+
+    def test_norm_matches_per_array_sum(self, rng):
+        grads = self._grads(rng, 3.0)
+        reference = self._reference_norm(grads)
+        assert abs(global_grad_norm(*grads) - reference) < 1e-12 * reference
+
+    def test_clipped_to_max_norm(self, rng):
+        grads = self._grads(rng, 5.0)
+        before = [g.flat.copy() for g in grads]
+        assert global_grad_norm(*grads) > 1.0
+        clip_grads(grads, 1.0)
+        assert abs(self._reference_norm(grads) - 1.0) < 1e-12
+        # one common scale for both networks: directions are kept
+        ratios = np.concatenate([g.flat / b for g, b in zip(grads, before)])
+        assert np.allclose(ratios, ratios[0], rtol=1e-12)
+
+    def test_under_the_limit_unchanged(self, rng):
+        grads = self._grads(rng, 0.01)
+        before = [g.flat.copy() for g in grads]
+        clip_grads(grads, 100.0)
+        for g, b in zip(grads, before):
+            assert np.array_equal(g.flat, b)

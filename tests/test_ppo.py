@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -320,6 +321,19 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert rows1 == rows2
 
+    def test_clipped_training_is_deterministic(self):
+        topics = synth_topics(4, 40, 0.25, 10.0, seed=0)
+        base = dict(total_timesteps=800, n_steps=10, n_envs=4, minibatch_size=40, seed=7)
+        clipped = Hyperparams(max_grad_norm=0.05, **base)
+        ckpt1, rows1 = train(topics, 0.9, clipped, n_batches=8)
+        ckpt2, rows2 = train(topics, 0.9, clipped, n_batches=8)
+        assert np.array_equal(ckpt1.actor.flat, ckpt2.actor.flat)
+        assert np.array_equal(ckpt1.critic.flat, ckpt2.critic.flat)
+        assert rows1 == rows2
+        # the limit is active: clipping changes the trained critic
+        unclipped, _ = train(topics, 0.9, Hyperparams(**base), n_batches=8)
+        assert not np.array_equal(ckpt1.critic.flat, unclipped.critic.flat)
+
     def test_seed_changes_outcome(self):
         topics = synth_topics(4, 40, 0.25, 10.0, seed=0)
         base = dict(total_timesteps=800, n_steps=10, n_envs=4, minibatch_size=40)
@@ -470,6 +484,28 @@ class TestCheckpointIO:
         nets = {"actor": actor, "critic": critic, net: init_params(2, tuple(sizes), out_gain=1.0)}
         path = tmp_path / "policy.json"
         save_checkpoint(Checkpoint(nets["actor"], nets["critic"], 0.9, 6, "ratio", Hyperparams()), path)
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(n_batches="6"), "n_batches must be an integer, got '6'"),
+        (lambda d: d.update(target_recall=None), "target_recall must be a number"),
+        (lambda d: d.update(hyperparams=[]), "hyperparams must be a JSON object"),
+        (lambda d: d["critic"]["biases"][0].__setitem__(0, float("nan")),
+         "critic has non-finite weights"),
+        (lambda d: d["actor"]["weights"].__setitem__(1, [[0.0] * 2] * 3),
+         "actor layer shapes do not chain"),
+        (lambda d: d["actor"].pop("biases"), "actor is missing key 'biases'"),
+    ], ids=["n_batches", "target_recall", "hyperparams", "non-finite", "unchained",
+            "missing-biases"])
+    def test_malformed_fields_rejected(self, tmp_path, edit, message):
+        actor = init_params(0, (6, 4, 2), out_gain=0.01)
+        critic = init_params(1, (6, 4, 1), out_gain=1.0)
+        path = tmp_path / "policy.json"
+        save_checkpoint(Checkpoint(actor, critic, 0.9, 6, "ratio", Hyperparams()), path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
 
