@@ -6,6 +6,15 @@ Input formats are the usual retrieval interchange files:
   relevance > 0 is treated as relevant, everything else as not)
 - run:   ``topic Q0 doc_id rank score tag``
 
+Both parsers read their columns with one call to numpy's C text reader
+(``np.loadtxt`` over the lines, which splits whitespace like ``str.split``)
+and group the rows into topics as arrays. When the reader refuses the text
+(a short line, a number token it does not read, such as ``1_0``, no lines,
+or any non-ASCII character) or a run topic repeats a document, the text
+goes through a plain line loop instead. The loop reads numbers with
+Python's ``int`` and ``float``, gives the same result wherever both paths
+accept the text, and raises :class:`ParseError` naming the offending line.
+
 A parsed topic is a ranking plus aligned binary labels. For the stopping
 task the ranking is cut into contiguous, near-equal batches; the per-batch
 relevant counts are what the stopping agent gets to observe.
@@ -15,7 +24,9 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -118,12 +129,62 @@ def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
     return BatchedTopic(topic, sizes, batch_rel, np.cumsum(batch_rel))
 
 
+# Columns the C reader keeps. ``tag`` only proves a run line has a sixth
+# field; "U1" keeps it from costing one Python string per line.
+_RUN_COLUMNS = [
+    ("topic", object), ("doc", object), ("rank", np.int64), ("score", np.float64), ("tag", "U1"),
+]
+_QRELS_COLUMNS = [("topic", object), ("doc", object), ("rel", np.int64)]
+
+
+def _read_columns(text: str, dtype: list, usecols: tuple[int, ...]) -> np.ndarray | None:
+    """One record per non-blank line of ``text`` from numpy's C reader, or
+    None if it refuses the text: a short line, a number token it does not
+    read, no lines at all, or any non-ASCII character (its integer parsing
+    reads "1\u01fe" as 472)."""
+    if not text.isascii():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(
+                text.splitlines(), dtype=dtype, usecols=usecols, comments=None, ndmin=1
+            )
+        except (ValueError, Warning):
+            return None
+
+
+def _topic_blocks(topics: np.ndarray) -> list[tuple[str, int, int]]:
+    """``(topic_id, start, stop)`` for each run of equal ids, in file order."""
+    cuts = (np.flatnonzero(topics[1:] != topics[:-1]) + 1).tolist()
+    return [(topics[start], start, stop) for start, stop in zip([0, *cuts], [*cuts, len(topics)])]
+
+
+def _rank_order(entries) -> list[str]:
+    """Doc ids of ``(rank, score, doc)`` entries by ascending rank, then
+    descending score, then doc id."""
+    return [doc for _, _, doc in sorted(entries, key=lambda e: (e[0], -e[1], e[2]))]
+
+
 def parse_qrels(text: str) -> dict[str, dict[str, int]]:
     """Parse qrels content into ``{topic_id: {doc_id: 0 or 1}}``.
 
     Graded relevance collapses to binary (> 0 means relevant). A repeated
     (topic, doc) pair overwrites the earlier judgement.
     """
+    cols = _read_columns(text, _QRELS_COLUMNS, (0, 2, 3))
+    if cols is None:
+        return _parse_qrels_lines(text)
+    docs = cols["doc"].tolist()
+    rels = (cols["rel"] > 0).astype(np.int64).tolist()
+    judgements: dict[str, dict[str, int]] = {}
+    for topic_id, start, stop in _topic_blocks(cols["topic"]):
+        judgements.setdefault(topic_id, {}).update(zip(docs[start:stop], rels[start:stop]))
+    return judgements
+
+
+def _parse_qrels_lines(text: str) -> dict[str, dict[str, int]]:
+    """:func:`parse_qrels` line by line, raising :class:`ParseError` at the bad line."""
     judgements: dict[str, dict[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -151,6 +212,27 @@ def parse_run(text: str) -> dict[str, list[str]]:
     Documents are ordered by ascending rank; ties break by descending score,
     then lexicographic doc id. A document may appear only once per topic.
     """
+    cols = _read_columns(text, _RUN_COLUMNS, (0, 2, 3, 4, 5))
+    if cols is None:
+        return _parse_run_lines(text)
+    blocks: dict[str, list[slice]] = {}
+    for topic_id, start, stop in _topic_blocks(cols["topic"]):
+        blocks.setdefault(topic_id, []).append(slice(start, stop))
+    run: dict[str, list[str]] = {}
+    for topic_id, parts in blocks.items():
+        rows = cols[parts[0]] if len(parts) == 1 else np.concatenate([cols[p] for p in parts])
+        docs = rows["doc"].tolist()
+        if len(set(docs)) != len(docs):
+            return _parse_run_lines(text)  # names the line of the repeat
+        ranks = rows["rank"]
+        if not (ranks[1:] > ranks[:-1]).all():
+            docs = _rank_order(zip(ranks.tolist(), rows["score"].tolist(), docs))
+        run[topic_id] = docs
+    return run
+
+
+def _parse_run_lines(text: str) -> dict[str, list[str]]:
+    """:func:`parse_run` line by line, raising :class:`ParseError` at the bad line."""
     rows: dict[str, list[tuple[int, float, str]]] = {}
     seen: dict[str, set[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -177,10 +259,7 @@ def parse_run(text: str) -> dict[str, list[str]]:
             )
         seen[topic_id].add(doc_id)
         rows.setdefault(topic_id, []).append((rank, score, doc_id))
-    return {
-        topic_id: [doc for _, _, doc in sorted(entries, key=lambda e: (e[0], -e[1], e[2]))]
-        for topic_id, entries in rows.items()
-    }
+    return {topic_id: _rank_order(entries) for topic_id, entries in rows.items()}
 
 
 def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]]) -> list[Topic]:
@@ -199,7 +278,7 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
             raise ConfigError(f"run topic {topic_id!r} has no qrels entry")
         judged = qrels[topic_id]
         labels = np.fromiter(
-            (judged.get(doc, 0) for doc in ranking), dtype=np.int64, count=len(ranking)
+            map(judged.get, ranking, repeat(0)), dtype=np.int64, count=len(ranking)
         )
         if labels.sum() == 0:
             log.warning("topic %s: no relevant documents, excluded (recall undefined)", topic_id)
@@ -208,14 +287,25 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
     return topics
 
 
+def _load(path, parse):
+    """``parse`` over the UTF-8 text of ``path``; a :class:`ParseError` names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_qrels(path) -> dict[str, dict[str, int]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_qrels(fh.read())
+    return _load(path, parse_qrels)
 
 
 def load_run(path) -> dict[str, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_run(fh.read())
+    return _load(path, parse_run)
 
 
 def rank_relevance_probs(n_docs: int, prevalence: float, decay: float) -> np.ndarray:

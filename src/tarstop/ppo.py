@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -465,18 +466,39 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigError(f"{path}: target_recall must be a number, got {target_recall!r}")
     if not isinstance(hyper, dict):
         raise ConfigError(f"{path}: hyperparams must be a JSON object")
-    known = {field.name for field in fields(Hyperparams)}
-    for key in hyper:
-        if key not in known:
-            raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
     return Checkpoint(
         actor=_load_network(path, "actor", networks["actor"], n_batches, 2),
         critic=_load_network(path, "critic", networks["critic"], n_batches, 1),
         target_recall=target_recall,
         n_batches=n_batches,
         normalize_obs=normalize_obs,
-        hyper=Hyperparams(**hyper),
+        hyper=_load_hyperparams(path, hyper),
     )
+
+
+def _load_hyperparams(path, hyper: dict) -> Hyperparams:
+    """Checkpoint hyperparameters, each of its field's type (no bools), then validated."""
+    kinds = {field.name: field.type for field in fields(Hyperparams)}  # "int", "float", ...
+    for key, value in hyper.items():
+        if key not in kinds:
+            raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
+        if value is None and kinds[key] == "float | None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            problem = "must be a number"
+        elif kinds[key] == "int" and not isinstance(value, int):
+            problem = "must be an integer"
+        elif not math.isfinite(value):
+            problem = "must be finite"
+        else:
+            continue
+        raise ConfigError(f"{path}: hyperparams key {key!r} {problem}, got {value!r}")
+    params = Hyperparams(**hyper)
+    try:
+        params.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: hyperparams {exc}") from None
+    return params
 
 
 def _load_network(path, name: str, data, n_batches: int, n_out: int) -> MlpParams:

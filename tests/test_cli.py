@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -203,8 +204,21 @@ class TestStop:
          "actor weights and biases are malformed"),
         (lambda text: text.replace('"weights": [[[', '"weights": [[[1.0], [', 1),
          "actor weights and biases are malformed"),
+        (lambda text: re.sub(r'"n_envs": \d+', '"n_envs": "eight"', text),
+         "hyperparams key 'n_envs' must be a number, got 'eight'"),
+        (lambda text: re.sub(r'"gamma": [\d.]+', '"gamma": null', text),
+         "hyperparams key 'gamma' must be a number, got None"),
+        (lambda text: re.sub(r'"n_epochs": \d+', '"n_epochs": true', text),
+         "hyperparams key 'n_epochs' must be a number, got True"),
+        (lambda text: re.sub(r'"n_steps": \d+', '"n_steps": 10.5', text),
+         "hyperparams key 'n_steps' must be an integer, got 10.5"),
+        (lambda text: re.sub(r'"learning_rate": [\de.-]+', '"learning_rate": NaN', text),
+         "hyperparams key 'learning_rate' must be finite, got nan"),
+        (lambda text: re.sub(r'"gamma": [\d.]+', '"gamma": 2.0', text),
+         "hyperparams gamma must be in (0, 1], got 2.0"),
     ], ids=["invalid-json", "top-level-list", "unknown-hyperparam", "non-numeric-weight",
-            "ragged-weights"])
+            "ragged-weights", "string-hyperparam", "null-hyperparam", "bool-hyperparam",
+            "float-for-int-hyperparam", "non-finite-hyperparam", "invalid-hyperparam"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, trained, capsys, damage, message):
         run_path, qrels_path, ckpt = trained
         broken = tmp_path / "broken.json"
@@ -265,6 +279,23 @@ class TestBaseline:
                      "--target", "0.9", "--batches", "100"]) == 0
         rows = read_rows(knee_csv)
         assert rows[0]["docs_examined"] == "100"
+
+    @pytest.mark.parametrize("kind", ["run", "qrels"])
+    def test_malformed_input_file_exits_2_naming_it(self, tmp_path, collection, capsys, kind):
+        files = dict(zip(("run", "qrels"), collection))
+        good = files[kind].read_bytes()
+        n_lines = good.count(b"\n")
+        for damaged, message in [
+            (good[:7] + b"\xff" + good[8:], "not valid UTF-8"),
+            (good + b"t1 0 short\n", f"{kind} line {n_lines + 1}: expected"),
+        ]:
+            files[kind] = tmp_path / f"broken.{kind}"
+            files[kind].write_bytes(damaged)
+            assert main(["baseline", "--method", "oracle", "--run", str(files["run"]),
+                         "--qrels", str(files["qrels"]), "--out", str(tmp_path / "o.csv"),
+                         "--target", "0.9"]) == 2
+            err = capsys.readouterr().err
+            assert f"broken.{kind}: " in err and message in err
 
 
 class TestEval:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
 from tarstop.corpus import (
     Topic,
+    _parse_qrels_lines,
+    _parse_run_lines,
     assemble_topics,
     batch_topic,
     parse_qrels,
@@ -17,6 +19,66 @@ from tarstop.corpus import (
 )
 from tarstop.errors import ConfigError, ParseError
 from tarstop.metrics import optimal_stop_rank
+
+# Differential inputs: well-formed lines over few topics and docs (so ties,
+# repeated docs and non-contiguous topics are common), with up to two odd
+# lines mixed in: short, blank, odd numeric tokens, non-ASCII names and
+# separators, characters that split a line.
+RANK = st.sampled_from(["1", "2", "3", "10", "-1", "0", "+3", "007", "-0"])
+SCORE = st.one_of(RANK, st.sampled_from(["2.5", ".5", "5.", "1e5", "1e400", "nan", "-Infinity"]))
+ODD_NUMBER = st.sampled_from([
+    "1_0", "\uff11", "\u0661", "0x10", "x", "1.0", "1e400", "nan", "9223372036854775807",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+])
+TOPIC = st.sampled_from(["t1", "t2", "t3"])
+DOC = st.sampled_from([f"d{i}" for i in range(20)] + ["#"])
+ODD_NAME = st.sampled_from(["\u00e9", "t\u00e9"])
+SEP = st.sampled_from([" ", "\t", "  ", "\x1f"])
+ODD_SEP = st.sampled_from(["\v", "\x1c", "\x85", "\u3000", "\xa0"])
+
+
+def line_of(fields, lengths, sep):
+    @st.composite
+    def line(draw):
+        cells = draw(st.tuples(*fields))[:draw(st.sampled_from(lengths))]
+        edge = draw(st.sampled_from(["", "", " ", "\t"]))
+        body = "".join(cells[:1]) + "".join(draw(sep) + c for c in cells[1:])
+        return edge + body + edge
+    return line()
+
+
+def text_of(clean, odd):
+    @st.composite
+    def text(draw):
+        lines = draw(st.lists(clean, max_size=12))
+        for extra in draw(st.lists(odd, max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text()
+
+
+ODD_SEP_OR_SEP = st.one_of(SEP, ODD_SEP)
+RUN_TEXT = text_of(
+    line_of([TOPIC, st.just("Q0"), DOC, RANK, SCORE, st.just("x"), st.just("x")], [6, 6, 7], SEP),
+    line_of([st.one_of(TOPIC, ODD_NAME), st.just("Q0"), st.one_of(DOC, ODD_NAME),
+             st.one_of(RANK, ODD_NUMBER), st.one_of(SCORE, ODD_NUMBER), st.just("x"),
+             st.just("x")], [0, 3, 5, 6, 7], ODD_SEP_OR_SEP),
+)
+QRELS_TEXT = text_of(
+    line_of([TOPIC, st.just("0"), DOC, RANK, st.just("x")], [4, 4, 5], SEP),
+    line_of([st.one_of(TOPIC, ODD_NAME), st.just("0"), st.one_of(DOC, ODD_NAME),
+             st.one_of(RANK, ODD_NUMBER), st.just("x")], [0, 3, 4, 5], ODD_SEP_OR_SEP),
+)
+
+
+def outcome(parse, text):
+    """The parse result with its key order, or the ParseError message."""
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", [(k, list(v.items()) if isinstance(v, dict) else v) for k, v in result.items()]
 
 
 class TestParseQrels:
@@ -40,6 +102,18 @@ class TestParseQrels:
 
     def test_blank_lines_and_crlf(self):
         assert parse_qrels("t1 0 d7 1\r\n\r\nt2 0 d1 1\r\n") == {"t1": {"d7": 1}, "t2": {"d1": 1}}
+
+    def test_repeated_pair_across_blocks(self):
+        parsed = parse_qrels("t1 0 d7 1\nt2 0 d1 1\nt1 0 d7 0\nt1 0 d8 1")
+        assert list(parsed) == ["t1", "t2"]
+        assert list(parsed["t1"].items()) == [("d7", 0), ("d8", 1)]
+
+    def test_extra_column_ignored(self):
+        assert parse_qrels("t1 0 d7 1 extra") == {"t1": {"d7": 1}}
+
+    @given(text=QRELS_TEXT)
+    def test_matches_line_loop(self, text):
+        assert outcome(parse_qrels, text) == outcome(_parse_qrels_lines, text)
 
 
 class TestParseRun:
@@ -71,6 +145,23 @@ class TestParseRun:
     def test_short_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_run("t1 Q0 d2 1 9.5")
+
+    def test_topic_split_across_blocks(self):
+        parsed = parse_run("t1 Q0 da 2 1.0 x\nt2 Q0 db 1 1.0 x\nt1 Q0 dc 1 2.0 x")
+        assert list(parsed.items()) == [("t1", ["dc", "da"]), ("t2", ["db"])]
+        with pytest.raises(ParseError, match="line 3: duplicate"):
+            parse_run("t1 Q0 da 1 1.0 x\nt2 Q0 db 1 1.0 x\nt1 Q0 da 2 2.0 x")
+
+    def test_seventh_column_ignored(self):
+        assert parse_run("t1 Q0 d2 1 9.5 x extra") == {"t1": ["d2"]}
+
+    def test_rank_read_as_python_int(self):
+        # "1_0" is ten to int(); the rank ties of the sort see it as ten
+        assert parse_run("t1 Q0 da 1_0 1.0 x\nt1 Q0 db 2 1.0 x") == {"t1": ["db", "da"]}
+
+    @given(text=RUN_TEXT)
+    def test_matches_line_loop(self, text):
+        assert outcome(parse_run, text) == outcome(_parse_run_lines, text)
 
 
 class TestAssembleTopics:
@@ -292,7 +383,36 @@ class TestSynthTopics:
             rank_relevance_probs(0, 0.1, 5.0)
 
 
+ID = st.text(alphabet="abXY019-_.#:\u00e9", min_size=1, max_size=6)
+
+
+@st.composite
+def topic_lists(draw):
+    topics = []
+    for topic_id in draw(st.lists(ID, min_size=1, max_size=4, unique=True)):
+        ranking = draw(st.lists(ID, min_size=1, max_size=15, unique=True))
+        labels = draw(st.lists(st.integers(0, 1), min_size=len(ranking), max_size=len(ranking)))
+        labels[draw(st.integers(0, len(ranking) - 1))] = 1  # assemble_topics drops topics without
+        topics.append(Topic(topic_id, tuple(ranking), np.array(labels)))
+    return topics
+
+
 class TestFileRoundTrip:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(topics=topic_lists())
+    def test_write_parse_assemble_round_trips(self, tmp_path, topics):
+        run_path = tmp_path / "x.run"
+        qrels_path = tmp_path / "x.qrels"
+        write_run_file(run_path, topics)
+        write_qrels_file(qrels_path, topics)
+        rebuilt = assemble_topics(
+            parse_run(run_path.read_text()), parse_qrels(qrels_path.read_text())
+        )
+        assert [t.topic_id for t in rebuilt] == [t.topic_id for t in topics]
+        for original, parsed in zip(topics, rebuilt):
+            assert parsed.ranking == original.ranking
+            assert np.array_equal(parsed.labels, original.labels)
+
     def test_synthetic_dump_reparses_identically(self, tmp_path):
         topics = synth_topics(4, 40, 0.2, 8.0, seed=5)
         run_path = tmp_path / "x.run"
