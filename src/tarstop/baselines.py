@@ -12,11 +12,6 @@ from .errors import ConfigError
 from .metrics import StopResult, optimal_stop_rank
 
 
-def gain_curve(topic: Topic) -> np.ndarray:
-    """Cumulative relevant count by rank, with g[0] = 0 and g[n_docs] = n_relevant."""
-    return np.concatenate(([0], np.cumsum(topic.labels)))
-
-
 def oracle_stop(topic: Topic, target_recall: float) -> StopResult:
     """Stop at the first rank whose recall meets or exceeds the target.
 
@@ -25,13 +20,12 @@ def oracle_stop(topic: Topic, target_recall: float) -> StopResult:
     to the next relevant document.
     """
     rank = optimal_stop_rank(topic, target_recall)
-    g = gain_curve(topic)
     return StopResult(
         topic_id=topic.topic_id,
         method="oracle",
         target_recall=target_recall,
         docs_examined=rank,
-        relevant_found=int(g[rank]),
+        relevant_found=int(topic.gain[rank]),
     )
 
 
@@ -45,11 +39,7 @@ class KneeConfig:
     trailing_smoothing: float = 1.0
 
 
-def knee_stop(
-    bt: BatchedTopic,
-    config: KneeConfig = KneeConfig(),
-    target_recall: float | None = None,
-) -> StopResult:
+def knee_stop(bt: BatchedTopic, config: KneeConfig = KneeConfig()) -> StopResult:
     """Stop when the gain curve's knee indicates diminishing returns.
 
     Evaluated at successive batch ends so its cost granularity matches the
@@ -57,10 +47,10 @@ def knee_stop(
     maximizes the distance above the chord from (0, 0) to (i, g(i)); the
     rule fires when the slope before the knee exceeds the (smoothed) slope
     after it by the adaptive threshold. If it never fires, the whole
-    ranking is read.
+    ranking is read. The result carries no target recall.
     """
     topic = bt.topic
-    g = gain_curve(topic)
+    g = topic.gain
     ends = np.cumsum(bt.batch_sizes)
     stop_rank = topic.n_docs
     stop_batch = bt.n_batches
@@ -80,23 +70,22 @@ def knee_stop(
     return StopResult(
         topic_id=topic.topic_id,
         method="knee",
-        target_recall=target_recall,
+        target_recall=None,
         docs_examined=stop_rank,
         relevant_found=int(g[stop_rank]),
         stop_batch=stop_batch,
     )
 
 
-def budget_stop(topic: Topic, fraction: float, target_recall: float | None = None) -> StopResult:
-    """Examine a fixed fraction of the collection and stop."""
+def budget_stop(topic: Topic, fraction: float) -> StopResult:
+    """Examine a fixed fraction of the collection and stop; no target recall."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"budget fraction must be in (0, 1], got {fraction}")
     rank = math.ceil(fraction * topic.n_docs)
-    g = gain_curve(topic)
     return StopResult(
         topic_id=topic.topic_id,
         method="budget",
-        target_recall=target_recall,
+        target_recall=None,
         docs_examined=rank,
-        relevant_found=int(g[rank]),
+        relevant_found=int(topic.gain[rank]),
     )

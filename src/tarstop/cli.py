@@ -21,6 +21,7 @@ from .baselines import budget_stop, knee_stop, oracle_stop
 from .corpus import (
     assemble_topics,
     batch_topic,
+    check_target,
     load_qrels,
     load_run,
     synth_topics,
@@ -30,6 +31,7 @@ from .corpus import (
 from .errors import ConfigError, ParseError
 from .metrics import (
     aggregate,
+    check_result,
     read_results_csv,
     write_aggregate_csv,
     write_per_topic_csv,
@@ -39,20 +41,6 @@ from .ppo import Hyperparams, infer_stop, load_checkpoint, save_checkpoint, trai
 
 DEFAULT_TARGETS = [0.8, 0.9, 1.0]
 DEFAULT_BATCHES = 100
-
-HYPER_KEYS = (
-    "n_steps",
-    "minibatch_size",
-    "learning_rate",
-    "n_epochs",
-    "entropy_coef",
-    "gamma",
-    "clip_range",
-    "gae_lambda",
-    "value_coef",
-    "n_envs",
-    "max_grad_norm",
-)
 
 
 def _load_config(args) -> dict:
@@ -135,13 +123,6 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _check_targets(targets: list[float]) -> list[float]:
-    for t in targets:
-        if not 0.0 < t <= 1.0:
-            raise ConfigError(f"target recall must be in (0, 1], got {t}")
-    return targets
-
-
 def _load_topics(run_path, qrels_path):
     run_file = _require_file(run_path, "run file")
     qrels_file = _require_file(qrels_path, "qrels file")
@@ -175,14 +156,14 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     topics = _load_topics(args.run, args.qrels)
-    targets = _check_targets(_resolve(args, config, "target", DEFAULT_TARGETS))
+    targets = [check_target(t) for t in _resolve(args, config, "target", DEFAULT_TARGETS)]
     batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
     normalize = _resolve(args, config, "normalize_obs", "ratio")
-    hyper_kwargs = {key: _resolve(args, config, key, None) for key in HYPER_KEYS}
-    hyper_kwargs = {k: v for k, v in hyper_kwargs.items() if v is not None}
-    hyper_kwargs["total_timesteps"] = _resolve(args, config, "timesteps", 100_000)
-    hyper_kwargs["seed"] = _resolve(args, config, "seed", 0)
-    hyper = Hyperparams(**hyper_kwargs)
+    hyper = Hyperparams(**{  # each field's flag has its name, except --timesteps
+        f.name: _resolve(args, config, "timesteps" if f.name == "total_timesteps" else f.name,
+                         f.default)
+        for f in dataclasses.fields(Hyperparams)
+    })
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for target in targets:
@@ -219,7 +200,7 @@ def cmd_stop(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _load_config(args)
-    targets = _check_targets(_resolve(args, config, "target", DEFAULT_TARGETS))
+    targets = [check_target(t) for t in _resolve(args, config, "target", DEFAULT_TARGETS)]
     batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
     fraction = _resolve(args, config, "fraction", 0.5)
     topics = _load_topics(args.run, args.qrels)
@@ -243,11 +224,20 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     targets = _resolve(args, config, "target", None)
     if targets is not None:
-        _check_targets(targets)
+        targets = [check_target(t) for t in targets]
     topics = _load_topics(args.run, args.qrels)
+    by_id = {t.topic_id: t for t in topics}
     results = []
     for path in args.results:
-        results.extend(read_results_csv(_require_file(path, "results file")))
+        path = _require_file(path, "results file")
+        for result in read_results_csv(path):
+            if result.topic_id not in by_id:
+                raise ConfigError(f"{path}: result references unknown topic {result.topic_id!r}")
+            try:
+                check_result(result, by_id[result.topic_id])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            results.append(result)
     if not results:
         raise ConfigError("results files contain no rows")
     resolved = []

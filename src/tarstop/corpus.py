@@ -15,9 +15,12 @@ goes through a plain line loop instead. The loop reads numbers with
 Python's ``int`` and ``float``, gives the same result wherever both paths
 accept the text, and raises :class:`ParseError` naming the offending line.
 
-A parsed topic is a ranking plus aligned binary labels. For the stopping
-task the ranking is cut into contiguous, near-equal batches; the per-batch
-relevant counts are what the stopping agent gets to observe.
+A parsed topic is a ranking plus aligned binary labels, and its running
+relevant count :attr:`Topic.gain` is the one source of every "relevant
+documents among the first r" figure: recall, the oracle, knee and budget
+stops, and the batch counts. For the stopping task the ranking is cut into
+contiguous, near-equal batches; the per-batch relevant counts are what the
+stopping agent gets to observe.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -66,16 +70,32 @@ class Topic:
     def n_docs(self) -> int:
         return len(self.ranking)
 
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """Running relevant count: ``gain[r]`` relevant documents among the
+        first ``r``, so ``gain[0] == 0`` and ``gain[n_docs] == n_relevant``.
+        Read-only, since every caller shares the one array."""
+        gain = np.concatenate(([0], np.cumsum(self.labels)))
+        gain.flags.writeable = False
+        return gain
+
     @property
     def n_relevant(self) -> int:
-        return int(self.labels.sum())
+        return int(self.gain[-1])
+
+
+def check_target(target_recall: float, what: str = "target recall") -> float:
+    """``target_recall`` itself if it lies in (0, 1]; otherwise a
+    :class:`ConfigError` that calls the value ``what``."""
+    if not 0.0 < target_recall <= 1.0:
+        raise ConfigError(f"{what} must be in (0, 1], got {target_recall}")
+    return target_recall
 
 
 def first_reaching(topic: Topic, cum_rel: np.ndarray, target_recall: float) -> int:
     """1-based index of the first entry of ``cum_rel``, a running count of the
     topic's relevant documents, that meets ``target_recall`` of them."""
-    if not 0.0 < target_recall <= 1.0:
-        raise ConfigError(f"target recall must be in (0, 1], got {target_recall}")
+    check_target(target_recall)
     if topic.n_relevant == 0:
         raise ValueError(f"topic {topic.topic_id!r}: target undefined, no relevant documents")
     need = target_recall * topic.n_relevant - TARGET_EPS
@@ -123,10 +143,8 @@ def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
     base, extra = divmod(n, n_batches)
     sizes = np.full(n_batches, base, dtype=np.int64)
     sizes[:extra] += 1
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    batch_rel = np.add.reduceat(topic.labels, starts)
-    return BatchedTopic(topic, sizes, batch_rel, np.cumsum(batch_rel))
+    cum_rel = topic.gain[np.cumsum(sizes)]
+    return BatchedTopic(topic, sizes, np.diff(cum_rel, prepend=0), cum_rel)
 
 
 # Columns the C reader keeps. ``tag`` only proves a run line has a sixth

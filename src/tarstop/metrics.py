@@ -4,16 +4,21 @@ Cost is stored as a proportion of the collection throughout; rendering it
 as a percentage is the report consumer's business. Excess normalizes the
 gap to the ideal stopping cost: 0 means the method stopped exactly where an
 oracle would, positive means overshoot, negative undershoot.
+
+Every CSV this package writes (results, per-topic and aggregate reports,
+training logs) goes through :func:`write_table`, so they share one cell
+rule: a float is written by ``repr``, ``None`` as an empty cell.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Topic, first_reaching
+from .corpus import Topic, check_target, first_reaching
 from .errors import ConfigError, ParseError
 
 PER_TOPIC_HEADER = (
@@ -54,10 +59,13 @@ class StopResult:
 
 def optimal_stop_rank(topic: Topic, target_recall: float) -> int:
     """Smallest rank whose cumulative recall meets the target."""
-    return first_reaching(topic, np.cumsum(topic.labels), target_recall)
+    return first_reaching(topic, topic.gain[1:], target_recall)
 
 
-def _check(result: StopResult, topic: Topic) -> None:
+def check_result(result: StopResult, topic: Topic) -> None:
+    """Raise ``ValueError`` unless ``result`` is for ``topic`` and its counts
+    fit it: ``docs_examined`` in [1, N] and, when given, ``relevant_found``
+    in [0, R]."""
     if result.topic_id != topic.topic_id:
         raise ValueError(f"result is for {result.topic_id!r}, topic is {topic.topic_id!r}")
     if not 1 <= result.docs_examined <= topic.n_docs:
@@ -65,39 +73,36 @@ def _check(result: StopResult, topic: Topic) -> None:
             f"topic {topic.topic_id!r}: docs_examined {result.docs_examined} "
             f"outside [1, {topic.n_docs}]"
         )
-
-
-def resolve_relevant_found(result: StopResult, topic: Topic) -> StopResult:
-    """Fill relevant_found from the labels when an imported row lacks it."""
-    if result.relevant_found is not None:
-        return result
-    found = int(np.cumsum(topic.labels)[result.docs_examined - 1])
-    return StopResult(
-        result.topic_id, result.method, result.target_recall,
-        result.docs_examined, found, result.stop_batch,
-    )
-
-
-def recall_of(result: StopResult, topic: Topic) -> float:
-    _check(result, topic)
-    if result.relevant_found is None:
-        raise ValueError(f"topic {topic.topic_id!r}: relevant_found missing; resolve it first")
-    if not 0 <= result.relevant_found <= topic.n_relevant:
+    if result.relevant_found is not None and not 0 <= result.relevant_found <= topic.n_relevant:
         raise ValueError(
             f"topic {topic.topic_id!r}: relevant_found {result.relevant_found} "
             f"outside [0, {topic.n_relevant}]"
         )
+
+
+def resolve_relevant_found(result: StopResult, topic: Topic) -> StopResult:
+    """Fill relevant_found from the labels when an imported row lacks it."""
+    check_result(result, topic)
+    if result.relevant_found is not None:
+        return result
+    return dataclasses.replace(result, relevant_found=int(topic.gain[result.docs_examined]))
+
+
+def recall_of(result: StopResult, topic: Topic) -> float:
+    check_result(result, topic)
+    if result.relevant_found is None:
+        raise ValueError(f"topic {topic.topic_id!r}: relevant_found missing; resolve it first")
     return result.relevant_found / topic.n_relevant
 
 
 def cost_of(result: StopResult, topic: Topic) -> float:
-    _check(result, topic)
+    check_result(result, topic)
     return result.docs_examined / topic.n_docs
 
 
 def excess_of(result: StopResult, topic: Topic, target_recall: float) -> float:
     """Cost overshoot past the ideal stop, normalized by the attainable room."""
-    _check(result, topic)
+    check_result(result, topic)
     optimal_cost = optimal_stop_rank(topic, target_recall) / topic.n_docs
     cost = cost_of(result, topic)
     if optimal_cost >= 1.0:
@@ -208,64 +213,43 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     return MetricsReport(tuple(rows), tuple(summaries))
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def write_table(path, header, rows, footer=None) -> None:
+    """Write ``header`` and ``rows`` as CSV, then ``footer`` as a last line.
+
+    The csv module writes ``None`` as an empty cell and every other value by
+    ``str``, which for a Python float is its ``repr``. Pass Python floats:
+    the one-rule promise does not hold for ``np.float64``, whose ``repr``
+    differs from its ``str`` under numpy 2.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+        if footer is not None:
+            fh.write(footer + "\n")
 
 
 def write_per_topic_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PER_TOPIC_HEADER)
-        for r in report.per_topic:
-            writer.writerow(
-                [
-                    r.method,
-                    _fmt(r.target_recall),
-                    r.topic_id,
-                    r.n_docs,
-                    r.n_relevant,
-                    r.docs_examined,
-                    r.relevant_found,
-                    _fmt(r.recall),
-                    _fmt(r.cost),
-                    _fmt(r.excess),
-                ]
-            )
+    write_table(path, PER_TOPIC_HEADER, (
+        (r.method, r.target_recall, r.topic_id, r.n_docs, r.n_relevant, r.docs_examined,
+         r.relevant_found, r.recall, r.cost, r.excess)
+        for r in report.per_topic
+    ))
 
 
 def write_aggregate_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_HEADER)
-        for s in report.summaries:
-            writer.writerow(
-                [
-                    s.method,
-                    _fmt(s.target_recall),
-                    _fmt(s.mean_recall),
-                    _fmt(s.mean_cost),
-                    _fmt(s.mean_excess),
-                    int(s.pareto_optimal),
-                ]
-            )
-        fh.write(EXCESS_FOOTER + "\n")
+    write_table(path, AGGREGATE_HEADER, (
+        (s.method, s.target_recall, s.mean_recall, s.mean_cost, s.mean_excess,
+         int(s.pareto_optimal))
+        for s in report.summaries
+    ), EXCESS_FOOTER)
 
 
 def write_results_csv(path, results: list[StopResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    r.topic_id,
-                    r.method,
-                    "" if r.target_recall is None else _fmt(r.target_recall),
-                    "" if r.stop_batch is None else r.stop_batch,
-                    r.docs_examined,
-                    "" if r.relevant_found is None else r.relevant_found,
-                ]
-            )
+    write_table(path, RESULTS_HEADER, (
+        (r.topic_id, r.method, r.target_recall, r.stop_batch, r.docs_examined, r.relevant_found)
+        for r in results
+    ))
 
 
 def _cell(path, lineno: int, row: dict, column: str, convert):
@@ -296,11 +280,14 @@ def read_results_csv(path) -> list[StopResult]:
             docs = _cell(path, lineno, row, "docs_examined", int)
             if docs is None:
                 raise ParseError(f"{path} line {lineno}: docs_examined is empty")
+            target = _cell(path, lineno, row, "target", float)
+            if target is not None:
+                check_target(target, f"{path} line {lineno}: target")
             results.append(
                 StopResult(
                     topic_id=row["topic_id"],
                     method=row["method"],
-                    target_recall=_cell(path, lineno, row, "target", float),
+                    target_recall=target,
                     docs_examined=docs,
                     relevant_found=_cell(path, lineno, row, "relevant_found", int),
                     stop_batch=_cell(path, lineno, row, "stop_batch", int),

@@ -9,17 +9,16 @@ bit-identical checkpoints and logs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import BatchedTopic, Topic, batch_topic
-from .env import CONTINUE, STOP, VecStoppingEnv, observation_table, observe
+from .corpus import BatchedTopic, Topic, batch_topic, check_target
+from .env import CONTINUE, NORMALIZE_MODES, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
-from .metrics import StopResult
+from .metrics import StopResult, write_table
 from .nets import (
     ACTIVATION,
     HIDDEN_SIZES,
@@ -157,25 +156,18 @@ def collect_rollout(
     return buffer, episodes
 
 
-def compute_gae(
-    buffer: RolloutBuffer,
-    gamma: float,
-    gae_lambda: float,
-    bootstrap_values: np.ndarray | None = None,
-) -> RolloutBuffer:
+def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float) -> RolloutBuffer:
     """Fill advantages and returns with truncated GAE.
 
     The recursion stops at episode boundaries; episodes still open at the
     end of the rollout bootstrap with the critic value of the post-rollout
     state.
     """
-    if bootstrap_values is None:
-        bootstrap_values = buffer.bootstrap_values
     n_steps = buffer.n_steps
     advantages = np.zeros_like(buffer.rewards)
     carry = np.zeros(buffer.n_envs)
     for t in reversed(range(n_steps)):
-        next_values = bootstrap_values if t == n_steps - 1 else buffer.values[t + 1]
+        next_values = buffer.bootstrap_values if t == n_steps - 1 else buffer.values[t + 1]
         nonterminal = 1.0 - buffer.dones[t]
         delta = buffer.rewards[t] + gamma * next_values * nonterminal - buffer.values[t]
         carry = delta + gamma * gae_lambda * nonterminal * carry
@@ -464,6 +456,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigError(f"{path}: n_batches must be an integer, got {n_batches!r}")
     if isinstance(target_recall, bool) or not isinstance(target_recall, (int, float)):
         raise ConfigError(f"{path}: target_recall must be a number, got {target_recall!r}")
+    check_target(target_recall, f"{path}: target_recall")
+    if normalize_obs not in NORMALIZE_MODES:
+        raise ConfigError(
+            f"{path}: normalize_obs must be one of {NORMALIZE_MODES}, got {normalize_obs!r}"
+        )
     if not isinstance(hyper, dict):
         raise ConfigError(f"{path}: hyperparams must be a JSON object")
     return Checkpoint(
@@ -530,10 +527,4 @@ def _load_network(path, name: str, data, n_batches: int, n_out: int) -> MlpParam
 
 
 def write_training_log(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_LOG_HEADER)
-        for row in rows:
-            writer.writerow(
-                [repr(row[k]) if isinstance(row[k], float) else row[k] for k in TRAINING_LOG_HEADER]
-            )
+    write_table(path, TRAINING_LOG_HEADER, ([row[k] for k in TRAINING_LOG_HEADER] for row in rows))

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_topic, finite_difference, max_rel_error
 from test_ppo import brute_force_gae, buffer_from_columns
-from tarstop.baselines import budget_stop, gain_curve, oracle_stop
+from tarstop.baselines import budget_stop, oracle_stop
 from tarstop.cli import main
 from tarstop.corpus import assemble_topics, batch_topic, load_qrels, load_run, synth_topics
 from tarstop.env import reward
@@ -121,7 +121,7 @@ def test_criterion_5_oracle_and_excess_identities():
     topics = synth_topics(200, 200, 0.1, 40.0, seed=5)
     failures = []
     for topic in topics:
-        g = gain_curve(topic)
+        g = topic.gain
         for target in (0.8, 0.9, 1.0):
             result = oracle_stop(topic, target)
             need = target * topic.n_relevant - 1e-9

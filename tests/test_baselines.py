@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_topic
-from tarstop.baselines import KneeConfig, budget_stop, gain_curve, knee_stop, oracle_stop
+from tarstop.baselines import KneeConfig, budget_stop, knee_stop, oracle_stop
 from tarstop.corpus import batch_topic, synth_topics
 from tarstop.errors import ConfigError
 from tarstop.metrics import excess_of, optimal_stop_rank
@@ -19,7 +19,7 @@ def random_topic(rng, n_docs=None, prevalence=0.3):
 class TestGainCurve:
     def test_endpoints_and_monotonicity(self, rng):
         topic = random_topic(rng)
-        g = gain_curve(topic)
+        g = topic.gain
         assert g[0] == 0
         assert g[-1] == topic.n_relevant
         assert (np.diff(g) >= 0).all()
@@ -54,7 +54,7 @@ class TestOracle:
             topic = random_topic(rng)
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
             rank = oracle_stop(topic, target).docs_examined
-            g = gain_curve(topic)
+            g = topic.gain
             need = target * topic.n_relevant - 1e-9
             assert g[rank] >= need
             if rank > 1:
@@ -132,7 +132,7 @@ class TestBudget:
         topic = make_topic([1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
         result = budget_stop(topic, 0.5)
         assert result.docs_examined == 5
-        assert result.relevant_found == int(gain_curve(topic)[5])
+        assert result.relevant_found == int(topic.gain[5])
 
     def test_fraction_rounds_up(self):
         assert budget_stop(make_topic([1, 0, 0]), 0.4).docs_examined == 2

@@ -216,9 +216,16 @@ class TestStop:
          "hyperparams key 'learning_rate' must be finite, got nan"),
         (lambda text: re.sub(r'"gamma": [\d.]+', '"gamma": 2.0', text),
          "hyperparams gamma must be in (0, 1], got 2.0"),
+        (lambda text: text.replace('"target_recall": 0.9', '"target_recall": 1.5'),
+         "target_recall must be in (0, 1], got 1.5"),
+        (lambda text: text.replace('"target_recall": 0.9', '"target_recall": NaN'),
+         "target_recall must be in (0, 1], got nan"),
+        (lambda text: text.replace('"normalize_obs": "ratio"', '"normalize_obs": 5'),
+         "normalize_obs must be one of ('ratio', 'count'), got 5"),
     ], ids=["invalid-json", "top-level-list", "unknown-hyperparam", "non-numeric-weight",
             "ragged-weights", "string-hyperparam", "null-hyperparam", "bool-hyperparam",
-            "float-for-int-hyperparam", "non-finite-hyperparam", "invalid-hyperparam"])
+            "float-for-int-hyperparam", "non-finite-hyperparam", "invalid-hyperparam",
+            "out-of-range-target", "nan-target", "bad-normalize-obs"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, trained, capsys, damage, message):
         run_path, qrels_path, ckpt = trained
         broken = tmp_path / "broken.json"
@@ -354,6 +361,24 @@ class TestEval:
         assert main(["eval", "--results", str(bad), "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "r")]) == 2
         assert f"bad.csv line 2: {column} 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("synth-0000,m,0.9,,0,", "bad.csv: topic 'synth-0000': docs_examined 0 outside [1, 60]"),
+        ("synth-0000,m,0.9,,998,",
+         "bad.csv: topic 'synth-0000': docs_examined 998 outside [1, 60]"),
+        ("synth-0000,m,0.9,,20,999", "bad.csv: topic 'synth-0000': relevant_found 999 outside"),
+        ("synth-0000,m,nan,,20,3", "bad.csv line 2: target must be in (0, 1], got nan"),
+        ("ghost,m,0.9,,20,3", "bad.csv: result references unknown topic 'ghost'"),
+    ], ids=["no-docs", "docs-past-topic", "found-above-R", "nan-target", "unknown-topic"])
+    def test_out_of_range_row_exits_2(self, tmp_path, collection, capsys, row, message):
+        run_path, qrels_path = collection
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            f"topic_id,method,target,stop_batch,docs_examined,relevant_found\n{row}\n"
+        )
+        assert main(["eval", "--results", str(bad), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_empty_results_exit_2(self, tmp_path, collection):
         run_path, qrels_path = collection

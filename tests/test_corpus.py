@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -206,6 +208,13 @@ class TestTopicInvariants:
         with pytest.raises(ValueError, match="empty"):
             Topic("t", (), np.array([], dtype=np.int64))
 
+    def test_gain_is_one_shared_read_only_array(self):
+        topic = make_topic([0, 1, 1, 0, 1])
+        assert topic.gain.tolist() == [0, 0, 1, 2, 2, 3]
+        assert topic.gain is topic.gain
+        with pytest.raises(ValueError, match="read-only"):
+            topic.gain[1] = 5
+
 
 class TestBatchTopic:
     def test_even_split_counts(self):
@@ -296,6 +305,15 @@ class TestBatchingProperties:
         bt = batch_topic(make_topic(labels), n_batches)
         assert int(bt.batch_rel.sum()) == sum(labels)
         assert int(bt.cum_rel[-1]) == sum(labels)
+
+    @given(labels=labels_strategy, n_batches=st.integers(1, 70))
+    def test_counts_equal_batch_slice_sums(self, labels, n_batches):
+        bt = batch_topic(make_topic(labels), n_batches)
+        ends = list(accumulate(bt.batch_sizes.tolist()))
+        sums = [sum(labels[start:end]) for start, end in zip([0, *ends], ends)]
+        assert bt.batch_rel.tolist() == sums
+        assert bt.cum_rel.tolist() == list(accumulate(sums))
+        assert bt.batch_rel.dtype == bt.cum_rel.dtype == np.int64
 
     @given(labels=labels_strategy, n_batches=st.integers(1, 70))
     def test_sizes_differ_by_at_most_one_and_preserve_order(self, labels, n_batches):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_topic
-from tarstop.baselines import gain_curve, oracle_stop
+from tarstop.baselines import oracle_stop
 from tarstop.corpus import synth_topics
 from tarstop.errors import ConfigError, ParseError
 from tarstop.metrics import (
@@ -81,7 +81,7 @@ class TestPointMetrics:
             topic = make_topic(labels)
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
             docs = int(rng.integers(1, n + 1))
-            found = int(gain_curve(topic)[docs])
+            found = int(topic.gain[docs])
             reaches = recall_of(result("t1", docs, found), topic) >= target - 1e-9
             assert reaches == (docs >= optimal_stop_rank(topic, target))
 
@@ -145,7 +145,7 @@ class TestAggregate:
         results = []
         for topic in topics:
             docs = int(rng.integers(1, topic.n_docs + 1))
-            results.append(result(topic.topic_id, docs, int(gain_curve(topic)[docs])))
+            results.append(result(topic.topic_id, docs, int(topic.gain[docs])))
         report = aggregate(results, topics)
         summary = report.summaries[0]
         assert abs(summary.mean_recall - np.mean([r.recall for r in report.per_topic])) < 1e-12
@@ -188,6 +188,44 @@ class TestCsvIO:
         path.write_text("topic_id,method,docs_examined\nt1,m,lots\n")
         with pytest.raises(ParseError, match="line 2"):
             read_results_csv(path)
+
+    def test_writers_golden_text(self, tmp_path):
+        # None cells, floats by repr, a dominated method (pareto 0) and the footer
+        topic = make_topic([1, 0, 1, 0, 1, 0])
+        results = [
+            result("t1", 2, 1, method="policy", stop_batch=1),
+            result("t1", 6, None, method="ext", target=None),
+            result("t1", 3, 2, method="budget"),
+            result("t1", 4, 2, method="late"),
+        ]
+        paths = {name: tmp_path / f"{name}.csv" for name in ("results", "per_topic", "aggregate")}
+        write_results_csv(paths["results"], results)
+        report = aggregate([results[0], result("t1", 6, 3, method="ext"), *results[2:]], [topic])
+        write_per_topic_csv(paths["per_topic"], report)
+        write_aggregate_csv(paths["aggregate"], report)
+        assert paths["results"].read_bytes() == (
+            b"topic_id,method,target,stop_batch,docs_examined,relevant_found\r\n"
+            b"t1,policy,0.9,1,2,1\r\n"
+            b"t1,ext,,,6,\r\n"
+            b"t1,budget,0.9,,3,2\r\n"
+            b"t1,late,0.9,,4,2\r\n"
+        )
+        assert paths["per_topic"].read_bytes() == (
+            b"method,target,topic_id,N,R,docs_examined,relevant_found,recall,cost,excess\r\n"
+            b"budget,0.9,t1,6,3,3,2,0.6666666666666666,0.5,-2.000000000000001\r\n"
+            b"ext,0.9,t1,6,3,6,3,1.0,1.0,1.0\r\n"
+            b"late,0.9,t1,6,3,4,2,0.6666666666666666,0.6666666666666666,-1.0000000000000007\r\n"
+            b"policy,0.9,t1,6,3,2,1,0.3333333333333333,0.3333333333333333,-3.000000000000001\r\n"
+        )
+        assert paths["aggregate"].read_bytes() == (
+            b"method,target,mean_recall,mean_cost,mean_excess,pareto_flag\r\n"
+            b"budget,0.9,0.6666666666666666,0.5,-2.000000000000001,1\r\n"
+            b"ext,0.9,1.0,1.0,1.0,1\r\n"
+            b"late,0.9,0.6666666666666666,0.6666666666666666,-1.0000000000000007,0\r\n"
+            b"policy,0.9,0.3333333333333333,0.3333333333333333,-3.000000000000001,1\r\n"
+            b"# excess convention: when the optimal stop is the full collection, "
+            b"excess = 0 if the method also examines everything, else cost - 1\n"
+        )
 
     def test_report_files_have_fixed_headers(self, tmp_path):
         topic = make_topic([1, 0, 1, 0])

@@ -490,14 +490,16 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(n_batches="6"), "n_batches must be an integer, got '6'"),
         (lambda d: d.update(target_recall=None), "target_recall must be a number"),
+        (lambda d: d.update(target_recall=1.5), r"target_recall must be in \(0, 1\], got 1.5"),
+        (lambda d: d.update(normalize_obs=5), "normalize_obs must be one of .*, got 5"),
         (lambda d: d.update(hyperparams=[]), "hyperparams must be a JSON object"),
         (lambda d: d["critic"]["biases"][0].__setitem__(0, float("nan")),
          "critic has non-finite weights"),
         (lambda d: d["actor"]["weights"].__setitem__(1, [[0.0] * 2] * 3),
          "actor layer shapes do not chain"),
         (lambda d: d["actor"].pop("biases"), "actor is missing key 'biases'"),
-    ], ids=["n_batches", "target_recall", "hyperparams", "non-finite", "unchained",
-            "missing-biases"])
+    ], ids=["n_batches", "target_recall", "target_recall-range", "normalize_obs", "hyperparams",
+            "non-finite", "unchained", "missing-biases"])
     def test_malformed_fields_rejected(self, tmp_path, edit, message):
         actor = init_params(0, (6, 4, 2), out_gain=0.01)
         critic = init_params(1, (6, 4, 1), out_gain=1.0)
@@ -518,3 +520,21 @@ class TestCheckpointIO:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,timesteps,mean_ep_reward,mean_stop_batch,policy_loss,value_loss,entropy,clip_fraction,approx_kl"
         assert len(lines) == len(rows) + 1
+
+    def test_training_log_golden_text(self, tmp_path):
+        rows = [
+            {"iteration": 1, "timesteps": 20, "mean_ep_reward": 0.1 + 0.2,
+             "mean_stop_batch": float("nan"), "policy_loss": -1e-17, "value_loss": 2.5,
+             "entropy": 0.6931471805599453, "clip_fraction": 0.0, "approx_kl": 1 / 3},
+            {"iteration": 2, "timesteps": 40, "mean_ep_reward": -0.5, "mean_stop_batch": 3.0,
+             "policy_loss": 1e22, "value_loss": 0.0, "entropy": 0.1, "clip_fraction": 0.25,
+             "approx_kl": 2e-05},
+        ]
+        path = tmp_path / "log.csv"
+        write_training_log(path, rows)
+        assert path.read_bytes() == (
+            b"iteration,timesteps,mean_ep_reward,mean_stop_batch,policy_loss,value_loss,"
+            b"entropy,clip_fraction,approx_kl\r\n"
+            b"1,20,0.30000000000000004,nan,-1e-17,2.5,0.6931471805599453,0.0,0.3333333333333333\r\n"
+            b"2,40,-0.5,3.0,1e+22,0.0,0.1,0.25,2e-05\r\n"
+        )
