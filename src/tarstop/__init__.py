@@ -4,7 +4,7 @@ Train a stopping policy on batched rankings, run oracle/knee/budget
 baselines, and score everything with recall/cost/excess reports.
 """
 
-from .baselines import KneeConfig, budget_stop, knee_stop, oracle_stop
+from .baselines import budget_stop, knee_stop, oracle_stop
 from .corpus import (
     BatchedTopic,
     Topic,
@@ -44,7 +44,6 @@ from .nets import (
     backward,
     forward,
     init_params,
-    log_prob_and_entropy,
 )
 from .ppo import (
     Checkpoint,

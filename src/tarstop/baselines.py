@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +28,15 @@ def oracle_stop(topic: Topic, target_recall: float) -> StopResult:
     )
 
 
-@dataclass(frozen=True)
-class KneeConfig:
-    """Knee-detection constants; the slope-ratio threshold adapts downward
-    as relevant documents accumulate."""
-
-    threshold_intercept: float = 156.0
-    threshold_cap: float = 150.0
-    trailing_smoothing: float = 1.0
+# Knee-detection constants: the slope-ratio threshold is
+# KNEE_THRESHOLD_INTERCEPT - min(relevant found, KNEE_THRESHOLD_CAP), so it
+# adapts downward as relevant documents accumulate.
+KNEE_THRESHOLD_INTERCEPT = 156.0
+KNEE_THRESHOLD_CAP = 150.0
+KNEE_TRAILING_SMOOTHING = 1.0
 
 
-def knee_stop(bt: BatchedTopic, config: KneeConfig = KneeConfig()) -> StopResult:
+def knee_stop(bt: BatchedTopic) -> StopResult:
     """Stop when the gain curve's knee indicates diminishing returns.
 
     Evaluated at successive batch ends so its cost granularity matches the
@@ -61,9 +58,9 @@ def knee_stop(bt: BatchedTopic, config: KneeConfig = KneeConfig()) -> StopResult
         above_chord = g[ks] * i - g[i] * ks  # perpendicular distance modulo a constant factor
         k = int(ks[np.argmax(above_chord)])
         lead_slope = g[k] / k
-        trail_slope = (g[i] - g[k] + config.trailing_smoothing) / (i - k)
+        trail_slope = (g[i] - g[k] + KNEE_TRAILING_SMOOTHING) / (i - k)
         rho = lead_slope / trail_slope
-        if rho >= config.threshold_intercept - min(float(g[k]), config.threshold_cap):
+        if rho >= KNEE_THRESHOLD_INTERCEPT - min(float(g[k]), KNEE_THRESHOLD_CAP):
             stop_rank = int(i)
             stop_batch = batch_index
             break

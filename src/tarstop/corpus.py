@@ -15,12 +15,15 @@ goes through a plain line loop instead. The loop reads numbers with
 Python's ``int`` and ``float``, gives the same result wherever both paths
 accept the text, and raises :class:`ParseError` naming the offending line.
 
-A parsed topic is a ranking plus aligned binary labels, and its running
-relevant count :attr:`Topic.gain` is the one source of every "relevant
-documents among the first r" figure: recall, the oracle, knee and budget
-stops, and the batch counts. For the stopping task the ranking is cut into
-contiguous, near-equal batches; the per-batch relevant counts are what the
-stopping agent gets to observe.
+A topic is its labels: the binary relevance of each ranked document, in
+rank order. The doc ids serve only to join the run with the qrels and to
+reject a document ranked twice (:func:`parse_run` is the one place that
+rule lives); no figure needs them afterwards, so a :class:`Topic` does not
+keep them. Its running relevant count :attr:`Topic.gain` is the one source
+of every "relevant documents among the first r" figure: recall, the oracle,
+knee and budget stops, and the batch counts. For the stopping task the
+labels are cut into contiguous, near-equal batches; the per-batch relevant
+counts are what the stopping agent gets to observe.
 """
 
 from __future__ import annotations
@@ -45,30 +48,25 @@ TARGET_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Topic:
-    """A ranked document list with aligned binary relevance labels."""
+    """A topic is its labels: ``labels[r - 1]`` is 1 if the document at
+    rank r is relevant, else 0. Doc ids are not kept."""
 
     topic_id: str
-    ranking: tuple[str, ...]
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranking", tuple(self.ranking))
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
-        if len(self.ranking) == 0:
+        if labels.ndim != 1:
+            raise ValueError(f"topic {self.topic_id!r}: labels must be a vector")
+        if len(labels) == 0:
             raise ValueError(f"topic {self.topic_id!r}: empty ranking")
-        if len(set(self.ranking)) != len(self.ranking):
-            raise ValueError(f"topic {self.topic_id!r}: duplicate doc ids in ranking")
-        if labels.shape != (len(self.ranking),):
-            raise ValueError(
-                f"topic {self.topic_id!r}: {len(labels)} labels for {len(self.ranking)} documents"
-            )
         if not np.isin(labels, (0, 1)).all():
             raise ValueError(f"topic {self.topic_id!r}: labels must be binary")
 
     @property
     def n_docs(self) -> int:
-        return len(self.ranking)
+        return len(self.labels)
 
     @cached_property
     def gain(self) -> np.ndarray:
@@ -301,7 +299,7 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
         if labels.sum() == 0:
             log.warning("topic %s: no relevant documents, excluded (recall undefined)", topic_id)
             continue
-        topics.append(Topic(topic_id, tuple(ranking), labels))
+        topics.append(Topic(topic_id, labels))
     return topics
 
 
@@ -391,24 +389,35 @@ def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed:
                 f"could not sample a topic with any relevant document "
                 f"(prevalence {prevalence}, n_docs {n_docs})"
             )
-        topic_id = f"synth-{k:04d}"
-        ranking = tuple(f"{topic_id}-d{r:06d}" for r in range(1, n_docs + 1))
-        topics.append(Topic(topic_id, ranking, labels))
+        topics.append(Topic(f"synth-{k:04d}", labels))
     return topics
 
 
+def _doc_ids(topic: Topic) -> list[str]:
+    """Generated doc ids of a topic's documents in rank order: ``<topic>-d<rank:06d>``."""
+    return [f"{topic.topic_id}-d{r:06d}" for r in range(1, topic.n_docs + 1)]
+
+
 def write_run_file(path, topics: list[Topic], tag: str = "tarstop") -> None:
-    """Write topics as a run file; scores descend so rank order round-trips."""
+    """Write topics as a run file; scores descend so rank order round-trips.
+
+    Doc ids are generated as ``<topic>-d<rank:06d>``, so writing a parsed
+    topic does not restore its original ids.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for topic in topics:
             n = topic.n_docs
-            for rank, doc in enumerate(topic.ranking, start=1):
+            for rank, doc in enumerate(_doc_ids(topic), start=1):
                 fh.write(f"{topic.topic_id} Q0 {doc} {rank} {float(n - rank + 1)!r} {tag}\n")
 
 
 def write_qrels_file(path, topics: list[Topic]) -> None:
-    """Write full judgements (including non-relevant) so parsing round-trips."""
+    """Write full judgements (including non-relevant) so parsing round-trips.
+
+    Doc ids are generated as in :func:`write_run_file`, ``<topic>-d<rank:06d>``,
+    so writing a parsed topic does not restore its original ids.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for topic in topics:
-            for doc, label in zip(topic.ranking, topic.labels):
+            for doc, label in zip(_doc_ids(topic), topic.labels):
                 fh.write(f"{topic.topic_id} 0 {doc} {int(label)}\n")

@@ -65,7 +65,7 @@ def optimal_stop_rank(topic: Topic, target_recall: float) -> int:
 def check_result(result: StopResult, topic: Topic) -> None:
     """Raise ``ValueError`` unless ``result`` is for ``topic`` and its counts
     fit it: ``docs_examined`` in [1, N] and, when given, ``relevant_found``
-    in [0, R]."""
+    equal to the relevant count among the first ``docs_examined`` documents."""
     if result.topic_id != topic.topic_id:
         raise ValueError(f"result is for {result.topic_id!r}, topic is {topic.topic_id!r}")
     if not 1 <= result.docs_examined <= topic.n_docs:
@@ -73,10 +73,11 @@ def check_result(result: StopResult, topic: Topic) -> None:
             f"topic {topic.topic_id!r}: docs_examined {result.docs_examined} "
             f"outside [1, {topic.n_docs}]"
         )
-    if result.relevant_found is not None and not 0 <= result.relevant_found <= topic.n_relevant:
+    found = int(topic.gain[result.docs_examined])
+    if result.relevant_found is not None and result.relevant_found != found:
         raise ValueError(
-            f"topic {topic.topic_id!r}: relevant_found {result.relevant_found} "
-            f"outside [0, {topic.n_relevant}]"
+            f"topic {topic.topic_id!r}: relevant_found {result.relevant_found}, but the first "
+            f"{result.docs_examined} documents hold {found} relevant"
         )
 
 

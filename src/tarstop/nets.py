@@ -153,20 +153,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_prob_and_entropy(logits, actions):
-    """Log-probability of the chosen actions and the policy entropy.
-
-    Numerically stable via max-subtracted log-softmax; works on a single
-    (logits, action) pair or on batches.
-    """
-    arr = np.asarray(logits, dtype=np.float64)
-    single = arr.ndim == 1
-    chosen, entropy = chosen_and_entropy(log_softmax(np.atleast_2d(arr)), actions)
-    if single:
-        return float(chosen[0]), float(entropy[0])
-    return chosen, entropy
-
-
 def chosen_and_entropy(lp: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log-probability of ``actions`` and entropy, from 2-D log-softmax rows."""
     acts = np.atleast_1d(np.asarray(actions, dtype=np.int64))

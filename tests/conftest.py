@@ -5,9 +5,7 @@ from tarstop.corpus import Topic
 
 
 def make_topic(labels, topic_id="t1"):
-    labels = np.asarray(labels, dtype=np.int64)
-    ranking = tuple(f"{topic_id}-d{i:05d}" for i in range(1, len(labels) + 1))
-    return Topic(topic_id, ranking, labels)
+    return Topic(topic_id, labels)
 
 
 def finite_difference(loss_fn, arrays, h=1e-5):

@@ -70,10 +70,10 @@ def test_criterion_3_gradient_fidelity():
         critic = init_params(rng, (width, 64, 64, 1), out_gain=1.0)
         obs = rng.uniform(-1.0, 1.0, (n, width))
         actions = rng.integers(0, 2, n)
-        from tarstop.nets import forward, log_prob_and_entropy
+        from tarstop.nets import chosen_and_entropy, forward, log_softmax
 
         logits, _ = forward(actor, obs)
-        logp_now, _ = log_prob_and_entropy(logits, actions)
+        logp_now, _ = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), actions)
         # log-ratio offsets keep every sample away from the clip kinks at
         # ratio 0.8 and 1.2: half near 1, half deep inside the clipped zone
         offsets = np.where(rng.random(n) < 0.5,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_topic
-from tarstop.baselines import KneeConfig, budget_stop, knee_stop, oracle_stop
+from tarstop.baselines import budget_stop, knee_stop, oracle_stop
 from tarstop.corpus import batch_topic, synth_topics
 from tarstop.errors import ConfigError
 from tarstop.metrics import excess_of, optimal_stop_rank
@@ -112,13 +112,6 @@ class TestKnee:
         topic = random_topic(rng, n_docs=200, prevalence=0.1)
         bt = batch_topic(topic, 50)
         assert knee_stop(bt) == knee_stop(bt)
-
-    def test_threshold_config_is_honoured(self):
-        labels = np.zeros(400, dtype=int)
-        labels[:40] = 1
-        bt = batch_topic(make_topic(labels), 100)
-        eager = knee_stop(bt, KneeConfig(threshold_intercept=60.0))
-        assert eager.docs_examined < 156
 
 
 class TestBudget:

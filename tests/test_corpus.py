@@ -2,7 +2,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_topic
@@ -192,21 +192,19 @@ class TestAssembleTopics:
 
 
 class TestTopicInvariants:
-    def test_duplicate_doc_ids(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Topic("t", ("a", "a"), np.array([1, 0]))
-
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValueError, match="labels"):
-            Topic("t", ("a", "b"), np.array([1]))
+    @pytest.mark.parametrize("labels", [np.array(1), np.array([[1, 0], [0, 1]])],
+                             ids=["scalar", "matrix"])
+    def test_non_vector_labels(self, labels):
+        with pytest.raises(ValueError, match="vector"):
+            Topic("t", labels)
 
     def test_non_binary_labels(self):
         with pytest.raises(ValueError, match="binary"):
-            Topic("t", ("a", "b"), np.array([1, 2]))
+            Topic("t", np.array([1, 2]))
 
     def test_empty_ranking(self):
         with pytest.raises(ValueError, match="empty"):
-            Topic("t", (), np.array([], dtype=np.int64))
+            Topic("t", np.array([], dtype=np.int64))
 
     def test_gain_is_one_shared_read_only_array(self):
         topic = make_topic([0, 1, 1, 0, 1])
@@ -322,12 +320,12 @@ class TestBatchingProperties:
         sizes = bt.batch_sizes
         assert int(sizes.sum()) == topic.n_docs
         assert int(sizes.max() - sizes.min()) <= 1
-        # concatenation of batch slices reproduces the ranking
+        # concatenation of batch slices reproduces the labels in rank order
         ends = np.cumsum(sizes)
         rebuilt = []
         for start, end in zip(ends - sizes, ends):
-            rebuilt.extend(topic.ranking[start:end])
-        assert tuple(rebuilt) == topic.ranking
+            rebuilt.extend(topic.labels[start:end].tolist())
+        assert rebuilt == list(labels)
 
     @given(
         labels=labels_strategy.filter(lambda ls: sum(ls) > 0),
@@ -356,12 +354,15 @@ class TestBatchingProperties:
 
 
 class TestSynthTopics:
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, tmp_path):
         a = synth_topics(3, 50, 0.2, 10.0, seed=9)
         b = synth_topics(3, 50, 0.2, 10.0, seed=9)
+        assert [t.topic_id for t in a] == [t.topic_id for t in b] == [
+            "synth-0000", "synth-0001", "synth-0002"]
         for ta, tb in zip(a, b):
-            assert ta.ranking == tb.ranking
             assert np.array_equal(ta.labels, tb.labels)
+        write_run_file(tmp_path / "x.run", a)
+        assert_generated_doc_ids(tmp_path / "x.run", a)
 
     def test_seed_changes_output(self):
         a = synth_topics(3, 200, 0.2, 10.0, seed=1)
@@ -404,32 +405,42 @@ class TestSynthTopics:
 ID = st.text(alphabet="abXY019-_.#:\u00e9", min_size=1, max_size=6)
 
 
+def assert_generated_doc_ids(run_path, topics):
+    """The run file's doc-id column reads ``<topic>-d<rank:06d>`` in rank order."""
+    expected = [f"{t.topic_id}-d{r:06d}" for t in topics for r in range(1, t.n_docs + 1)]
+    assert [line.split()[2] for line in run_path.read_text().splitlines()] == expected
+
+
 @st.composite
-def topic_lists(draw):
-    topics = []
+def judged_rankings(draw):
+    """``{topic_id: (doc_ids, labels)}`` with arbitrary unique ids, every
+    topic holding at least one relevant document."""
+    topics = {}
     for topic_id in draw(st.lists(ID, min_size=1, max_size=4, unique=True)):
-        ranking = draw(st.lists(ID, min_size=1, max_size=15, unique=True))
-        labels = draw(st.lists(st.integers(0, 1), min_size=len(ranking), max_size=len(ranking)))
-        labels[draw(st.integers(0, len(ranking) - 1))] = 1  # assemble_topics drops topics without
-        topics.append(Topic(topic_id, tuple(ranking), np.array(labels)))
+        docs = draw(st.lists(ID, min_size=1, max_size=15, unique=True))
+        labels = draw(st.lists(st.integers(0, 1), min_size=len(docs), max_size=len(docs)))
+        labels[draw(st.integers(0, len(docs) - 1))] = 1  # assemble_topics drops topics without
+        topics[topic_id] = (docs, labels)
     return topics
 
 
 class TestFileRoundTrip:
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(topics=topic_lists())
-    def test_write_parse_assemble_round_trips(self, tmp_path, topics):
-        run_path = tmp_path / "x.run"
-        qrels_path = tmp_path / "x.qrels"
-        write_run_file(run_path, topics)
-        write_qrels_file(qrels_path, topics)
-        rebuilt = assemble_topics(
-            parse_run(run_path.read_text()), parse_qrels(qrels_path.read_text())
+    @given(topics=judged_rankings())
+    def test_write_parse_assemble_round_trips(self, topics):
+        run_text = "".join(
+            f"{topic_id} Q0 {doc} {rank} {float(len(docs) - rank + 1)!r} tag\n"
+            for topic_id, (docs, _) in topics.items()
+            for rank, doc in enumerate(docs, start=1)
         )
-        assert [t.topic_id for t in rebuilt] == [t.topic_id for t in topics]
-        for original, parsed in zip(topics, rebuilt):
-            assert parsed.ranking == original.ranking
-            assert np.array_equal(parsed.labels, original.labels)
+        qrels_text = "".join(
+            f"{topic_id} 0 {doc} {label}\n"
+            for topic_id, (docs, labels) in topics.items()
+            for doc, label in zip(docs, labels)
+        )
+        rebuilt = assemble_topics(parse_run(run_text), parse_qrels(qrels_text))
+        assert [t.topic_id for t in rebuilt] == list(topics)
+        for parsed, (_, labels) in zip(rebuilt, topics.values()):
+            assert parsed.labels.tolist() == labels
 
     def test_synthetic_dump_reparses_identically(self, tmp_path):
         topics = synth_topics(4, 40, 0.2, 8.0, seed=5)
@@ -443,5 +454,5 @@ class TestFileRoundTrip:
         assert len(rebuilt) == len(topics)
         for original, parsed in zip(topics, rebuilt):
             assert parsed.topic_id == original.topic_id
-            assert parsed.ranking == original.ranking
             assert np.array_equal(parsed.labels, original.labels)
+        assert_generated_doc_ids(run_path, topics)

@@ -26,7 +26,7 @@ def result(topic_id, docs, found, method="m", target=0.9, stop_batch=None):
 
 class TestPointMetrics:
     def test_recall(self):
-        topic = make_topic([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
+        topic = make_topic([0, 1, 1, 1, 1, 0, 0, 0, 0, 1])
         assert recall_of(result("t1", 8, 4), topic) == 0.8
         assert recall_of(result("t1", 10, 5), topic) == 1.0
         assert recall_of(result("t1", 1, 0), topic) == 0.0
@@ -69,8 +69,10 @@ class TestPointMetrics:
         topic = make_topic([1, 0, 1, 0])
         filled = resolve_relevant_found(result("t1", 3, None), topic)
         assert filled.relevant_found == 2
-        untouched = resolve_relevant_found(result("t1", 3, 1), topic)
-        assert untouched.relevant_found == 1
+        given = result("t1", 3, 2)
+        assert resolve_relevant_found(given, topic) is given
+        with pytest.raises(ValueError, match="relevant_found 1, but the first 3 documents hold 2"):
+            resolve_relevant_found(result("t1", 3, 1), topic)
 
     def test_recall_meets_target_iff_rank_reaches_oracle_rank(self, rng):
         for _ in range(100):
@@ -110,7 +112,7 @@ class TestAggregate:
         assert flags["oracle"] is True
 
     def test_dominated_method_is_flagged(self):
-        topic = make_topic([1] * 10)
+        topic = make_topic([1, 1, 1, 1, 1, 0, 1, 1, 1, 1])
         results = [
             result("t1", 5, 5, method="lean"),
             result("t1", 6, 5, method="wasteful"),  # same recall, higher cost
@@ -129,11 +131,11 @@ class TestAggregate:
         assert all(s.pareto_optimal for s in report.summaries)
 
     def test_pareto_is_per_target(self):
-        topic = make_topic([1] * 10)
+        topic = make_topic([1, 1, 1, 1, 1, 0, 1, 1, 1, 1])
         results = [
             result("t1", 5, 5, method="a", target=0.8),
             result("t1", 6, 5, method="b", target=0.8),
-            result("t1", 6, 6, method="b", target=0.9),
+            result("t1", 6, 5, method="b", target=0.9),
         ]
         report = aggregate(results, [topic])
         flags = {(s.method, s.target_recall): s.pareto_optimal for s in report.summaries}

@@ -9,11 +9,11 @@ from tarstop.nets import (
     adam_init,
     adam_step,
     backward,
+    chosen_and_entropy,
     clip_grads,
     forward,
     global_grad_norm,
     init_params,
-    log_prob_and_entropy,
     log_softmax,
     softmax,
 )
@@ -97,7 +97,7 @@ class TestForward:
 
 class TestLogProbAndEntropy:
     def test_uniform_logits(self):
-        logp, entropy = log_prob_and_entropy(np.zeros(2), 0)
+        (logp,), (entropy,) = chosen_and_entropy(log_softmax(np.atleast_2d(np.zeros(2))), 0)
         assert abs(logp - math.log(0.5)) < 1e-15
         assert abs(entropy - math.log(2.0)) < 1e-15
 
@@ -105,16 +105,17 @@ class TestLogProbAndEntropy:
         # expected value via an independent formulation: -log1p(exp(-20))
         expected = -math.log1p(math.exp(-20.0))
         with np.errstate(over="raise"):
-            logp, entropy = log_prob_and_entropy(np.array([10.0, -10.0]), 0)
+            (logp,), (entropy,) = chosen_and_entropy(
+                log_softmax(np.atleast_2d(np.array([10.0, -10.0]))), 0)
         assert abs(logp - expected) < 1e-15
         assert 0.0 <= entropy <= math.log(2.0)
-        logp2, _ = log_prob_and_entropy(np.array([1000.0, -1000.0]), 1)
+        (logp2,), _ = chosen_and_entropy(log_softmax(np.atleast_2d(np.array([1000.0, -1000.0]))), 1)
         assert logp2 == -2000.0
 
     def test_entropy_maximal_only_for_equal_logits(self, rng):
         for _ in range(100):
             logits = rng.standard_normal(2) * 3
-            _, entropy = log_prob_and_entropy(logits, 0)
+            _, (entropy,) = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), 0)
             assert entropy <= math.log(2.0) + 1e-12
             if abs(logits[0] - logits[1]) > 1e-3:
                 assert entropy < math.log(2.0)
@@ -122,11 +123,12 @@ class TestLogProbAndEntropy:
     def test_batched(self, rng):
         logits = rng.standard_normal((6, 2))
         actions = rng.integers(0, 2, size=6)
-        logp, entropy = log_prob_and_entropy(logits, actions)
+        logp, entropy = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), actions)
         assert logp.shape == (6,)
         assert entropy.shape == (6,)
         for k in range(6):
-            single_lp, single_h = log_prob_and_entropy(logits[k], int(actions[k]))
+            (single_lp,), (single_h,) = chosen_and_entropy(
+                log_softmax(np.atleast_2d(logits[k])), int(actions[k]))
             assert abs(logp[k] - single_lp) < 1e-15
             assert abs(entropy[k] - single_h) < 1e-15
 
