@@ -4,6 +4,12 @@ Configuration precedence is CLI flag, then --config JSON file, then the
 built-in defaults; a config file may set only its subcommand's optional
 flags, by their Python names and with their types. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error.
+
+Every command that reads a run/qrels pair (``train``, ``stop``,
+``baseline``, ``eval``) ingests it through :func:`_load_topics`. That
+goes through the content-addressed topic cache (:mod:`tarstop.cache`), so
+only the first command on a pair parses it; ``TARSTOP_CACHE_DIR`` names
+the cache directory and an empty value turns the cache off.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import budget_stop, knee_stop, oracle_stop
+from .cache import cached_topics
 from .corpus import (
     assemble_topics,
     batch_topic,
@@ -124,9 +131,15 @@ def _require_file(path, what: str) -> Path:
 
 
 def _load_topics(run_path, qrels_path):
+    """The usable topics of a run/qrels pair, through the topic cache
+    (:mod:`tarstop.cache`): parsed on a miss, loaded on a hit."""
     run_file = _require_file(run_path, "run file")
     qrels_file = _require_file(qrels_path, "qrels file")
-    topics = assemble_topics(load_run(run_file), load_qrels(qrels_file))
+    # The parse goes through this module's names, so wrappers installed on
+    # them see every parse a command makes.
+    topics = cached_topics(
+        run_file, qrels_file, lambda: assemble_topics(load_run(run_file), load_qrels(qrels_file))
+    )
     if not topics:
         raise ConfigError("no usable topics (all empty or without relevant documents)")
     return topics
@@ -228,6 +241,7 @@ def cmd_eval(args) -> int:
     topics = _load_topics(args.run, args.qrels)
     by_id = {t.topic_id: t for t in topics}
     results = []
+    given_in = {}  # (method, target, topic) -> the results file that gave it
     for path in args.results:
         path = _require_file(path, "results file")
         for result in read_results_csv(path):
@@ -237,20 +251,26 @@ def cmd_eval(args) -> int:
                 check_result(result, by_id[result.topic_id])
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
-            results.append(result)
-    if not results:
-        raise ConfigError("results files contain no rows")
-    resolved = []
-    for result in results:
-        if result.target_recall is None:
-            if not targets:
+            if result.target_recall is not None:
+                stamped = [result]
+            elif targets:
+                stamped = [dataclasses.replace(result, target_recall=t) for t in targets]
+            else:
                 raise ConfigError(
                     f"results for method {result.method!r} carry no target recall; pass --target"
                 )
-            resolved.extend(dataclasses.replace(result, target_recall=t) for t in targets)
-        else:
-            resolved.append(result)
-    report = aggregate(resolved, topics)
+            for row in stamped:
+                key = (row.method, row.target_recall, row.topic_id)
+                if key in given_in:
+                    raise ConfigError(
+                        f"{path}: method {row.method!r} at target {row.target_recall:g} repeats "
+                        f"topic {row.topic_id!r}, already given in {given_in[key]}"
+                    )
+                given_in[key] = path
+            results.extend(stamped)
+    if not results:
+        raise ConfigError("results files contain no rows")
+    report = aggregate(results, topics)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_topic_path = out_dir / "per_topic.csv"

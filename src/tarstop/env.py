@@ -49,16 +49,23 @@ def reward(batches_examined, target, n_batches):
 
 
 def observation_table(pool: list[BatchedTopic], normalize: str) -> np.ndarray:
-    """``(n_topics, B)`` matrix of what each batch reveals once examined."""
+    """``(n_topics, B)`` matrix of what each batch reveals once examined.
+
+    Every observation a network sees is built from such a table, so this is
+    where a non-finite value is rejected, once per table rather than once
+    per forward pass.
+    """
     if normalize not in NORMALIZE_MODES:
         raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {normalize!r}")
     widths = {bt.n_batches for bt in pool}
     if len(widths) > 1:
         raise ConfigError(f"all pooled topics must share one batch count, got {sorted(widths)}")
-    rel = np.array([bt.batch_rel for bt in pool], dtype=np.float64)
-    if normalize == "count":
-        return rel
-    return rel / np.array([bt.batch_sizes for bt in pool])
+    table = np.array([bt.batch_rel for bt in pool], dtype=np.float64)
+    if normalize == "ratio":
+        table /= np.array([bt.batch_sizes for bt in pool])
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite values in observation table")
+    return table
 
 
 def observe(table: np.ndarray, topic_idx: np.ndarray, examined: np.ndarray) -> np.ndarray:

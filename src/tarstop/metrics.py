@@ -148,6 +148,9 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
 
     A method is Pareto-optimal at a target when no other method reaches at
     least its mean recall at no more than its mean cost, with one strict.
+    Means are compared only over one topic set: every method at a target
+    must have rows for the same topics, or this raises :class:`ConfigError`
+    naming the method, the target and a topic it lacks.
     """
     by_id = {t.topic_id: t for t in topics}
     rows = []
@@ -179,6 +182,15 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     grouped: dict[tuple[str, float], list[TopicMetrics]] = {}
     for row in rows:
         grouped.setdefault((row.method, row.target_recall), []).append(row)
+    covered = {key: {r.topic_id for r in group} for key, group in grouped.items()}
+    for (method, target), topic_ids in covered.items():
+        for (other, other_target), other_ids in covered.items():
+            if other_target == target and not other_ids <= topic_ids:
+                raise ConfigError(
+                    f"method {method!r} at target {target:g} has no row for topic "
+                    f"{min(other_ids - topic_ids)!r}, which method {other!r} has; every "
+                    "method at a target must cover the same topics"
+                )
     means = {
         key: (
             float(np.mean([r.recall for r in group])),

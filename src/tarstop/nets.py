@@ -99,14 +99,14 @@ def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Affine + tanh stack; returns (output, cache of per-layer inputs).
 
     Accepts a single observation (1-D) or a batch (2-D); the output matches.
+    Inputs are not checked to be finite here: observations are, once, when
+    ``env.observation_table`` builds them.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     h = np.atleast_2d(arr)
     if h.shape[1] != params.weights[0].shape[0]:
         raise ValueError(f"input width {h.shape[1]} != network width {params.weights[0].shape[0]}")
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite values in network input")
     cache = [h]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         h = h @ w

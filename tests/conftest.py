@@ -35,6 +35,14 @@ def max_rel_error(analytic, numeric, floor=1e-6):
     return worst
 
 
+@pytest.fixture(autouse=True)
+def topic_cache_dir(tmp_path_factory, monkeypatch):
+    """Each test gets its own empty topic cache, never the user's."""
+    path = tmp_path_factory.mktemp("topic-cache")
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(path))
+    return path
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

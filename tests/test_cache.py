@@ -1,0 +1,335 @@
+import hashlib
+import io
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import tarstop.cli as cli
+from tarstop.cache import FORMAT, cache_dir, file_sha256, read_entry
+from tarstop.cli import main
+from tarstop.corpus import assemble_topics, load_qrels, load_run
+from tarstop.errors import ConfigError
+
+
+@pytest.fixture
+def collection(tmp_path):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--count", "3", "--docs", "80",
+                 "--prevalence", "0.1", "--decay", "30", "--seed", "5"]) == 0
+    return out / "synthetic.run", out / "synthetic.qrels"
+
+
+@pytest.fixture
+def odd_collection(tmp_path):
+    """Two usable topics, one without relevant documents and a qrels-only
+    topic, so ingest logs both kinds of warning."""
+    run = tmp_path / "odd.run"
+    qrels = tmp_path / "odd.qrels"
+    lines = []
+    for topic, labels in (("t2", [0, 1, 0, 1]), ("empty", [0, 0, 0]), ("t1", [1, 0, 0])):
+        lines += [f"{topic} Q0 {topic}-{k} {k} {10 - k} x" for k in range(1, len(labels) + 1)]
+    run.write_text("\n".join(lines) + "\n")
+    qrels.write_text("ghost 0 g1 1\nt2 0 t2-2 1\nt2 0 t2-4 2\nempty 0 empty-1 0\nt1 0 t1-1 1\n"
+                     "spook 0 s1 0\n")
+    return run, qrels
+
+
+def entries(directory):
+    return sorted(directory.glob("*.npz"))
+
+
+def as_pairs(topics):
+    return [(t.topic_id, t.labels.tolist()) for t in topics]
+
+
+def cold(run, qrels):
+    return as_pairs(assemble_topics(load_run(run), load_qrels(qrels)))
+
+
+def entry_key(run, qrels):
+    return hashlib.sha256(FORMAT + file_sha256(run) + file_sha256(qrels)).hexdigest()
+
+
+def count_parses(monkeypatch):
+    """Count calls to the ingest names ``tarstop.cli`` looks up."""
+    calls = []
+    for name in ("load_run", "load_qrels", "assemble_topics"):
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@st.composite
+def collections(draw):
+    """Run and qrels text with shuffled lines, graded and missing
+    judgements, possibly a topic without relevant documents and a
+    qrels-only topic."""
+    ids = draw(st.lists(st.text("abxy019-", min_size=1, max_size=5),
+                        min_size=1, max_size=5, unique=True))
+    run_lines, qrels_lines = [], []
+    for topic in ids:
+        labels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=25))
+        for rank, rel in enumerate(labels, start=1):
+            doc = f"{topic}-d{rank}"
+            run_lines.append(f"{topic} Q0 {doc} {rank} {100 - rank}.5 run")
+            if rank == 1 or rel or draw(st.booleans()):  # some stay unjudged
+                qrels_lines.append(f"{topic} 0 {doc} {rel}")
+    if draw(st.booleans()):
+        qrels_lines.append("ghost 0 g1 1")
+    run_lines = draw(st.permutations(run_lines))
+    qrels_lines = draw(st.permutations(qrels_lines))
+    return "\n".join(run_lines) + "\n", "\n".join(qrels_lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=collections())
+def test_hit_equals_a_cold_parse(tmp_path, topic_cache_dir, texts):
+    run, qrels = tmp_path / "h.run", tmp_path / "h.qrels"
+    run.write_text(texts[0])
+    qrels.write_text(texts[1])
+    expected = cold(run, qrels)
+    if not expected:
+        with pytest.raises(ConfigError, match="no usable topics"):
+            cli._load_topics(run, qrels)
+        return
+    first = cli._load_topics(run, qrels)  # a miss, or a hit left by an earlier example
+    entry = topic_cache_dir / f"{entry_key(run, qrels)}.npz"
+    assert entry.is_file()
+    second = cli._load_topics(run, qrels)  # a hit
+    assert as_pairs(first) == as_pairs(second) == expected
+    assert all(t.labels.dtype == np.int64 for t in second)
+
+
+def test_second_command_on_the_same_bytes_does_not_parse(tmp_path, collection, topic_cache_dir,
+                                                        monkeypatch):
+    run, qrels = collection
+    calls = count_parses(monkeypatch)
+    cli._load_topics(run, qrels)
+    assert calls == ["load_run", "load_qrels", "assemble_topics"]
+    assert [p.name for p in entries(topic_cache_dir)] == [f"{entry_key(run, qrels)}.npz"]
+    calls.clear()
+    assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels)
+    assert calls == []
+
+
+def test_same_bytes_at_another_path_hit(tmp_path, collection, monkeypatch):
+    run, qrels = collection
+    cli._load_topics(run, qrels)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    run_copy = shutil.copy(run, elsewhere / "renamed.run")
+    qrels_copy = shutil.copy(qrels, elsewhere / "renamed.qrels")
+    calls = count_parses(monkeypatch)
+    assert as_pairs(cli._load_topics(run_copy, qrels_copy)) == cold(run, qrels)
+    assert calls == []
+
+
+def test_other_bytes_miss(tmp_path, collection, topic_cache_dir):
+    run, qrels = collection
+    cli._load_topics(run, qrels)
+    changed = tmp_path / "changed.qrels"
+    changed.write_text(qrels.read_text().replace(" 0\n", " 1\n", 1))
+    assert as_pairs(cli._load_topics(run, changed)) == cold(run, changed) != cold(run, qrels)
+    assert len(entries(topic_cache_dir)) == 2
+
+
+def _rewrite(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _damage_inconsistent(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["lengths"] = arrays["lengths"] + 1
+    _rewrite(path, **arrays)
+
+
+def _damage_non_binary(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["labels"][0] = 7
+    _rewrite(path, **arrays)
+
+
+def _damage_flip_label_byte(path):
+    data = bytearray(path.read_bytes())
+    index = data.index(b"labels.npy")  # the member's local header, then its data
+    data[index + 400] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+DAMAGE = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "empty": lambda p: p.write_bytes(b""),
+    "garbage": lambda p: p.write_bytes(b"not a cache entry\n" * 20),
+    "bare-npy": lambda p: p.write_bytes(_npy_bytes(np.arange(3))),
+    "flipped-byte": _damage_flip_label_byte,
+    "missing-array": lambda p: _rewrite(p, topic_ids=np.array(["a"])),
+    "inconsistent-lengths": _damage_inconsistent,
+    "non-binary-label": _damage_non_binary,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_entry_is_rebuilt(tmp_path, collection, topic_cache_dir, monkeypatch, damage):
+    run, qrels = collection
+    cli._load_topics(run, qrels)
+    (entry,) = entries(topic_cache_dir)
+    good = entry.read_bytes()
+    DAMAGE[damage](entry)
+    assert read_entry(entry) is None
+    calls = count_parses(monkeypatch)
+    assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels)
+    assert calls == ["load_run", "load_qrels", "assemble_topics"]  # a miss
+    assert entry.read_bytes() == good  # rewritten
+    assert [p.name for p in topic_cache_dir.iterdir()] == [entry.name]  # no temp file left
+
+
+def test_warnings_replay_on_a_hit_with_identical_text(tmp_path, odd_collection, caplog,
+                                                      monkeypatch):
+    run, qrels = odd_collection
+
+    def baseline(name):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),
+                         "--target", "0.5", "--out", str(tmp_path / f"{name}.csv")]) == 0
+        return [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+    logged = [baseline("miss")]
+    calls = count_parses(monkeypatch)
+    logged.append(baseline("hit"))
+    assert calls == []
+    assert logged[0] == logged[1] == [
+        ("tarstop.corpus", "WARNING", "qrels topic ghost not in run; ignored"),
+        ("tarstop.corpus", "WARNING", "qrels topic spook not in run; ignored"),
+        ("tarstop.corpus", "WARNING",
+         "topic empty: no relevant documents, excluded (recall undefined)"),
+    ]
+    assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "hit.csv").read_bytes()
+
+
+def test_unwritable_cache_directory_still_exits_0(tmp_path, collection, monkeypatch, caplog):
+    run, qrels = collection
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(blocker / "cache"))
+    args = ["baseline", "--method", "budget", "--run", str(run), "--qrels", str(qrels)]
+    with caplog.at_level("WARNING"):
+        assert main([*args, "--out", str(tmp_path / "a.csv")]) == 0
+    assert "not written, running uncached" in caplog.text
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    assert main([*args, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_malformed_run_exits_2_with_a_warm_entry_for_other_bytes(tmp_path, collection,
+                                                                 topic_cache_dir, capsys):
+    run, qrels = collection
+    cli._load_topics(run, qrels)
+    warm = entries(topic_cache_dir)
+    broken = tmp_path / "broken.run"
+    broken.write_text(run.read_text() + "synth-0000 Q0 short\n")
+    for _ in range(2):  # nor is the error stored for the second attempt
+        assert main(["baseline", "--method", "oracle", "--run", str(broken), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{broken}: run line 241: expected" in err
+    assert entries(topic_cache_dir) == warm
+
+
+def test_no_usable_topics_is_not_stored(tmp_path, odd_collection, topic_cache_dir):
+    run, qrels = odd_collection
+    only_empty = tmp_path / "empty.run"
+    only_empty.write_text("".join(line + "\n" for line in run.read_text().splitlines()
+                                  if line.startswith("empty ")))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="no usable topics"):
+            cli._load_topics(only_empty, qrels)
+    assert entries(topic_cache_dir) == []
+
+
+def test_topic_id_a_str_array_cannot_hold_is_not_stored(tmp_path, topic_cache_dir):
+    run, qrels = tmp_path / "nul.run", tmp_path / "nul.qrels"
+    run.write_text("t\x00 Q0 d1 1 2.0 x\nt\x00 Q0 d2 2 1.0 x\n")  # numpy drops a trailing NUL
+    qrels.write_text("t\x00 0 d2 1\n")
+    for _ in range(2):
+        assert as_pairs(cli._load_topics(run, qrels)) == [("t\x00", [0, 1])]
+    assert entries(topic_cache_dir) == []
+
+
+def test_empty_cache_dir_variable_writes_nothing(tmp_path, collection, monkeypatch):
+    run, qrels = collection
+    home, xdg = tmp_path / "home", tmp_path / "xdg"
+    home.mkdir()
+    xdg.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    assert cache_dir() is None
+    before = sorted(p.name for p in run.parent.iterdir())
+    for _ in range(2):
+        assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+    assert list(home.iterdir()) == [] and list(xdg.iterdir()) == []
+    assert sorted(p.name for p in run.parent.iterdir()) == before  # nothing beside the inputs
+
+
+def test_cache_location(tmp_path, monkeypatch):
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(tmp_path / "explicit"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cache_dir() == tmp_path / "explicit"
+    monkeypatch.delenv("TARSTOP_CACHE_DIR")
+    assert cache_dir() == tmp_path / "xdg" / "tarstop"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert cache_dir() == tmp_path / "home" / ".cache" / "tarstop"
+
+
+def test_file_hash_streams_in_chunks(tmp_path):
+    path = tmp_path / "big"
+    data = np.random.default_rng(0).bytes(3 * (1 << 18) + 12345)
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).digest()
+
+
+def test_pipeline_outputs_are_identical_cold_warm_and_off(tmp_path, collection, topic_cache_dir,
+                                                         monkeypatch):
+    run, qrels = collection
+    data = ["--run", str(run), "--qrels", str(qrels)]
+
+    def pipeline(out):
+        out.mkdir()
+        methods = ("oracle", "knee", "budget")
+        for method in methods:
+            assert main(["baseline", "--method", method, *data, "--batches", "10",
+                         "--out", str(out / f"{method}.csv")]) == 0
+        results = [a for m in methods for a in ("--results", str(out / f"{m}.csv"))]
+        assert main(["eval", *results, *data, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    outputs = [pipeline(tmp_path / "cold")]
+    assert len(entries(topic_cache_dir)) == 1
+    calls = count_parses(monkeypatch)
+    outputs.append(pipeline(tmp_path / "warm"))
+    assert calls == []
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    outputs.append(pipeline(tmp_path / "off"))
+    assert calls.count("load_run") == 4
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 5

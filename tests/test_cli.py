@@ -387,6 +387,50 @@ class TestEval:
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
 
+    def _oracle_csv(self, tmp_path, collection):
+        run_path, qrels_path = collection
+        oracle_csv = tmp_path / "o.csv"
+        assert main(["baseline", "--method", "oracle", "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(oracle_csv), "--target", "0.8"]) == 0
+        return oracle_csv
+
+    def test_repeated_row_exits_2(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        oracle_csv = self._oracle_csv(tmp_path, collection)
+        header, _, second, *_ = oracle_csv.read_text().splitlines()
+        dup = tmp_path / "dup.csv"
+        dup.write_text(f"{header}\n{second}\n")
+        assert main(["eval", "--results", str(dup), "--results", str(oracle_csv),
+                     "--run", str(run_path), "--qrels", str(qrels_path),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert (f"{oracle_csv}: method 'oracle' at target 0.8 repeats topic 'synth-0001', "
+                f"already given in {dup}") in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_row_stamped_twice_with_one_target_exits_2(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        external = tmp_path / "external.csv"
+        external.write_text("topic_id,method,docs_examined\nsynth-0000,sampler,30\n")
+        assert main(["eval", "--results", str(external), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "r"),
+                     "--target", "0.9", "--target", "0.9"]) == 2
+        assert (f"{external}: method 'sampler' at target 0.9 repeats topic 'synth-0000'"
+                in capsys.readouterr().err)
+
+    def test_methods_covering_different_topics_exit_2(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        oracle_csv = self._oracle_csv(tmp_path, collection)
+        header, first, *_ = oracle_csv.read_text().splitlines()
+        oracle_csv.write_text(f"{header}\n{first}\n")  # synth-0000 only
+        budget_csv = tmp_path / "budget.csv"
+        assert main(["baseline", "--method", "budget", "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(budget_csv), "--target", "0.8"]) == 0
+        assert main(["eval", "--results", str(oracle_csv), "--results", str(budget_csv),
+                     "--run", str(run_path), "--qrels", str(qrels_path),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert ("method 'oracle' at target 0.8 has no row for topic 'synth-0001', which "
+                "method 'budget' has") in capsys.readouterr().err
+
     def test_empty_results_exit_2(self, tmp_path, collection):
         run_path, qrels_path = collection
         empty = tmp_path / "empty.csv"

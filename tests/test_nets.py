@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import finite_difference, max_rel_error
+from conftest import finite_difference, make_topic, max_rel_error
+from tarstop.corpus import batch_topic
+from tarstop.env import NORMALIZE_MODES, observation_table
 from tarstop.nets import (
     MlpParams,
     adam_init,
@@ -85,9 +88,14 @@ class TestForward:
             assert np.allclose(batched[k], single, atol=1e-15)
 
     def test_non_finite_input_rejected(self):
-        params = init_params(0, (3, 4, 2), out_gain=1.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            forward(params, np.array([1.0, np.nan, 0.0]))
+        # every network input is a row of an observation table, which is
+        # where a non-finite value is rejected
+        batched = batch_topic(make_topic([1, 0, 0, 1, 1, 0]), 3)
+        for bad in (np.nan, np.inf):
+            broken = dataclasses.replace(batched, batch_rel=np.array([1.0, bad, 0.0]))
+            for mode in NORMALIZE_MODES:
+                with pytest.raises(ValueError, match="non-finite values in observation table"):
+                    observation_table([batched, broken], mode)
 
     def test_width_mismatch_rejected(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)
