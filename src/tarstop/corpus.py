@@ -61,14 +61,15 @@ class Topic:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
+        labels = np.asarray(self.labels)
         if labels.ndim != 1:
             raise ValueError(f"topic {self.topic_id!r}: labels must be a vector")
         if len(labels) == 0:
             raise ValueError(f"topic {self.topic_id!r}: empty ranking")
+        # checked before the cast, which would truncate 0.5 to 0
         if not ((labels == 0) | (labels == 1)).all():  # np.isin costs ~6x as much
             raise ValueError(f"topic {self.topic_id!r}: labels must be binary")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
     def n_docs(self) -> int:

@@ -8,21 +8,18 @@ def make_topic(labels, topic_id="t1"):
     return Topic(topic_id, labels)
 
 
-def finite_difference(loss_fn, arrays, h=1e-5):
-    """Central-difference gradients of loss_fn() w.r.t. every array element.
-
-    Perturbs in place through multi-indices, so it works for any memory
-    layout.
-    """
-    grads = [np.zeros_like(a) for a in arrays]
-    for array, grad in zip(arrays, grads):
-        for index in np.ndindex(array.shape):
-            original = array[index]
-            array[index] = original + h
+def finite_difference(loss_fn, flats, h=1e-5):
+    """Central-difference gradients of loss_fn() w.r.t. every element of
+    each 1-D buffer in ``flats``, such as ``MlpParams.flat``, perturbed in
+    place."""
+    grads = [np.zeros_like(flat) for flat in flats]
+    for flat, grad in zip(flats, grads):
+        for index, original in enumerate(flat.tolist()):
+            flat[index] = original + h
             up = loss_fn()
-            array[index] = original - h
+            flat[index] = original - h
             down = loss_fn()
-            array[index] = original
+            flat[index] = original
             grad[index] = (up - down) / (2.0 * h)
     return grads
 

@@ -92,8 +92,8 @@ def test_criterion_3_gradient_fidelity():
         def loss():
             return ppo_loss(actor, critic, batch, hyper)[0]
 
-        numeric = finite_difference(loss, actor.arrays() + critic.arrays(), h=1e-5)
-        worst = max(worst, max_rel_error(actor_grads.arrays() + critic_grads.arrays(), numeric))
+        numeric = finite_difference(loss, [actor.flat, critic.flat], h=1e-5)
+        worst = max(worst, max_rel_error([actor_grads.flat, critic_grads.flat], numeric))
     elapsed = time.perf_counter() - start
     report(3, worst < 1e-4 and elapsed < 30.0,
            f"max relative gradient error {worst:.2e} over 10 seeds in {elapsed:.1f}s")

@@ -1,11 +1,24 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tarstop.baselines as baselines
 from conftest import make_topic
-from tarstop.baselines import budget_stop, knee_stop, oracle_stop
+from tarstop.baselines import (
+    KNEE_THRESHOLD_CAP,
+    KNEE_THRESHOLD_INTERCEPT,
+    KNEE_TRAILING_SMOOTHING,
+    budget_stop,
+    knee_stop,
+    oracle_stop,
+)
 from tarstop.corpus import batch_topic, synth_topics
 from tarstop.errors import ConfigError
-from tarstop.metrics import excess_of, optimal_stop_rank
+from tarstop.metrics import StopResult, excess_of, optimal_stop_rank
 
 
 def random_topic(rng, n_docs=None, prevalence=0.3):
@@ -65,7 +78,108 @@ class TestOracle:
             oracle_stop(make_topic([0, 0, 0]), 0.9)
 
 
+def reference_knee_stop(bt):
+    """The knee rule as one Python iteration per batch end, scoring every
+    rank below it: the reference knee_stop must match exactly."""
+    topic = bt.topic
+    g = topic.gain
+    ends = np.cumsum(bt.batch_sizes)
+    stop_rank = topic.n_docs
+    stop_batch = bt.n_batches
+    for batch_index, i in enumerate(ends, start=1):
+        if i < 2:
+            continue
+        ks = np.arange(1, i)
+        above_chord = g[ks] * i - g[i] * ks  # perpendicular distance modulo a constant factor
+        k = int(ks[np.argmax(above_chord)])
+        lead_slope = g[k] / k
+        trail_slope = (g[i] - g[k] + KNEE_TRAILING_SMOOTHING) / (i - k)
+        rho = lead_slope / trail_slope
+        if rho >= KNEE_THRESHOLD_INTERCEPT - min(float(g[k]), KNEE_THRESHOLD_CAP):
+            stop_rank = int(i)
+            stop_batch = batch_index
+            break
+    return StopResult(
+        topic_id=topic.topic_id,
+        method="knee",
+        target_recall=None,
+        docs_examined=stop_rank,
+        relevant_found=int(g[stop_rank]),
+        stop_batch=stop_batch,
+    )
+
+
+@st.composite
+def knee_topics(draw):
+    """Labels of 1-600 documents: none or all relevant, or relevant with
+    probability p inside one window of ranks (flat when it spans the
+    ranking, front-loaded when it starts at rank 1, late when it ends at the
+    last), plus up to three stragglers anywhere."""
+    n = draw(st.integers(1, 600))
+    shape = draw(st.sampled_from(["none", "all", "window"]))
+    if shape == "none":
+        return np.zeros(n, dtype=int)
+    if shape == "all":
+        return np.ones(n, dtype=int)
+    start = draw(st.sampled_from([0, draw(st.integers(0, n))]))
+    stop = draw(st.sampled_from([n, draw(st.integers(start, n))]))
+    p = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros(n, dtype=int)
+    labels[start:stop] = rng.random(stop - start) < p
+    labels[rng.integers(n, size=draw(st.integers(0, 3)))] = 1
+    return labels
+
+
 class TestKnee:
+    @settings(max_examples=300, deadline=None)
+    @given(labels=knee_topics(), n_batches=st.integers(1, 700),
+           block_cells=st.sampled_from([1, 64, baselines.KNEE_BLOCK_CELLS]))
+    def test_matches_the_reference_loop(self, labels, n_batches, block_cells):
+        # batch counts above the length are clamped; small blocks split the
+        # batch ends many ways
+        bt = batch_topic(make_topic(labels), n_batches)
+        with mock.patch.object(baselines, "KNEE_BLOCK_CELLS", block_cells):
+            assert knee_stop(bt) == reference_knee_stop(bt)
+
+    def test_later_ranks_do_not_move_the_knee(self):
+        # the plateau case above plus a burst of relevant documents from
+        # rank 160 on: the ranks past each batch end, scored in the same
+        # block, must not become its knee, so the rule still fires at 156
+        labels = np.zeros(400, dtype=int)
+        labels[:40] = 1
+        labels[159:] = 1
+        bt = batch_topic(make_topic(labels), 100)
+        result = knee_stop(bt)
+        assert (result.docs_examined, result.stop_batch) == (156, 39)
+        assert result == reference_knee_stop(bt)
+
+    def test_fires_after_the_first_block(self):
+        # 10,000 relevant documents, then 10,000 not: the 51 batch ends up to
+        # the stop score up to 10,000 candidates each, more than one block
+        labels = np.zeros(20_000, dtype=int)
+        labels[:10_000] = 1
+        bt = batch_topic(make_topic(labels), 100)
+        assert 51 * 10_000 > baselines.KNEE_BLOCK_CELLS
+        result = knee_stop(bt)
+        assert (result.docs_examined, result.stop_batch, result.relevant_found) == (10_200, 51, 10_000)
+        assert result == reference_knee_stop(bt)
+
+    def test_working_memory_is_bounded(self):
+        # all relevant: every rank is a candidate and the rule never fires,
+        # so every batch end is scored; one (100 x 30,000) int64 matrix
+        # would take 24 MB
+        bt = batch_topic(make_topic(np.ones(30_000, dtype=int)), 100)
+        bt.topic.gain  # cached before tracing: the topic's arrays are not working memory
+        tracemalloc.start()
+        try:
+            result = knee_stop(bt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.docs_examined == 30_000
+        assert peak < 4 * 2**20
+
     def test_front_loaded_plateau(self):
         # 40 relevant docs up front, batches of 4: the knee sits at rank 40
         # (slope 1 before, 1/(i-40) smoothed after) and the adaptive

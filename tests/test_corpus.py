@@ -202,6 +202,21 @@ class TestTopicInvariants:
         with pytest.raises(ValueError, match="binary"):
             Topic("t", np.array([1, 2]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.0, 1.7], [1.0, 1.7], [np.nan, 1]],
+                             ids=["half", "fraction-above-one", "nan"])
+    def test_non_integer_labels_rejected_not_truncated(self, labels):
+        with pytest.raises(ValueError, match="topic 't': labels must be binary"):
+            Topic("t", labels)
+
+    @pytest.mark.parametrize("labels", [np.array([True, False, True]),
+                                        np.array([1, 0, 1], dtype=np.uint8),
+                                        np.array([1.0, 0.0, 1.0])],
+                             ids=["bool", "uint8", "float"])
+    def test_binary_labels_of_any_dtype_become_int64(self, labels):
+        topic = Topic("t", labels)
+        assert topic.labels.dtype == np.int64
+        assert topic.labels.tolist() == [1, 0, 1]
+
     def test_empty_ranking(self):
         with pytest.raises(ValueError, match="empty"):
             Topic("t", np.array([], dtype=np.int64))

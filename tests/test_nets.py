@@ -168,8 +168,8 @@ class TestBackward:
 
             out, cache = forward(params, xs)
             analytic = backward(params, cache, loss_weights)
-            numeric = finite_difference(loss, params.arrays())
-            assert max_rel_error(analytic.arrays(), numeric) < 1e-4
+            numeric = finite_difference(loss, [params.flat])
+            assert max_rel_error([analytic.flat], numeric) < 1e-4
 
     def test_gradient_linearity(self, rng):
         params = init_params(rng, (4, 6, 2), out_gain=1.0)
