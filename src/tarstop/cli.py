@@ -28,6 +28,7 @@ from .cache import cached_topics
 from .corpus import (
     assemble_topics,
     batch_topic,
+    check_seed,
     check_target,
     load_qrels,
     load_run,
@@ -37,8 +38,8 @@ from .corpus import (
 )
 from .errors import ConfigError, ParseError
 from .metrics import (
+    ResultError,
     aggregate,
-    check_result,
     read_results_csv,
     write_aggregate_csv,
     write_per_topic_csv,
@@ -178,9 +179,9 @@ def cmd_train(args) -> int:
         for f in dataclasses.fields(Hyperparams)
     })
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for target in targets:
         checkpoint, rows = train(topics, target, hyper, n_batches=batches, normalize=normalize)
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once train() accepted the settings
         ckpt_path = out_dir / f"policy-t{target:g}.json"
         log_path = out_dir / f"train-log-t{target:g}.csv"
         save_checkpoint(checkpoint, ckpt_path)
@@ -195,13 +196,8 @@ def cmd_train(args) -> int:
 def cmd_stop(args) -> int:
     config = _load_config(args)
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    batches = _resolve(args, config, "batches", None)
-    if batches is not None and batches != checkpoint.n_batches:
-        raise ConfigError(
-            f"--batches {batches} does not match checkpoint batch count {checkpoint.n_batches}"
-        )
     mode = _resolve(args, config, "mode", "greedy")
-    seed = _resolve(args, config, "seed", 0)
+    seed = check_seed(_resolve(args, config, "seed", 0))
     topics = _load_topics(args.run, args.qrels)
     batched = [batch_topic(topic, checkpoint.n_batches) for topic in topics]
     results = infer_stop(checkpoint, batched, mode=mode, rng=seed)
@@ -239,18 +235,11 @@ def cmd_eval(args) -> int:
     if targets is not None:
         targets = [check_target(t) for t in targets]
     topics = _load_topics(args.run, args.qrels)
-    by_id = {t.topic_id: t for t in topics}
     results = []
     given_in = {}  # (method, target, topic) -> the results file that gave it
     for path in args.results:
         path = _require_file(path, "results file")
         for result in read_results_csv(path):
-            if result.topic_id not in by_id:
-                raise ConfigError(f"{path}: result references unknown topic {result.topic_id!r}")
-            try:
-                check_result(result, by_id[result.topic_id])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
             if result.target_recall is not None:
                 stamped = [result]
             elif targets:
@@ -270,7 +259,12 @@ def cmd_eval(args) -> int:
             results.extend(stamped)
     if not results:
         raise ConfigError("results files contain no rows")
-    report = aggregate(results, topics)
+    try:
+        report = aggregate(results, topics)
+    except ResultError as exc:  # name the file that gave the row
+        row = exc.result
+        path = given_in[row.method, row.target_recall, row.topic_id]
+        raise ConfigError(f"{path}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_topic_path = out_dir / "per_topic.csv"
@@ -336,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--mode", choices=["greedy", "sample"])
     p.add_argument("--seed", type=int, help="seed for sample mode")
-    p.add_argument("--batches", type=int, help="must match the checkpoint if given")
     p.set_defaults(func=cmd_stop, config_keys=_config_keys(p))
 
     p = sub.add_parser("baseline", parents=[common], help="run a reference stopping strategy")

@@ -97,6 +97,13 @@ def check_target(target_recall: float, what: str = "target recall") -> float:
     return target_recall
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it is at least 0; otherwise a :class:`ConfigError`."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def first_reaching(topic: Topic, cum_rel: np.ndarray, target_recall: float) -> int:
     """1-based index of the first entry of ``cum_rel``, a running count of the
     topic's relevant documents, that meets ``target_recall`` of them."""
@@ -134,18 +141,11 @@ def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
 
     With ``n = n_docs`` the first ``n mod n_batches`` batches get
     ``ceil(n / n_batches)`` documents, the rest ``floor(n / n_batches)``.
-    A batch count above ``n_docs`` is clamped to ``n_docs`` with a warning.
+    So ``n < n_batches`` gives one document to each of the first ``n`` batches, none to the rest.
     """
     if n_batches < 1:
         raise ConfigError(f"batch count must be >= 1, got {n_batches}")
-    n = topic.n_docs
-    if n_batches > n:
-        log.warning(
-            "topic %s: %d batches requested for %d documents, clamping to %d",
-            topic.topic_id, n_batches, n, n,
-        )
-        n_batches = n
-    base, extra = divmod(n, n_batches)
+    base, extra = divmod(topic.n_docs, n_batches)
     sizes = np.full(n_batches, base, dtype=np.int64)
     sizes[:extra] += 1
     cum_rel = topic.gain[np.cumsum(sizes)]
@@ -384,7 +384,7 @@ def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed:
     if count < 1:
         raise ConfigError(f"topic count must be >= 1, got {count}")
     probs = rank_relevance_probs(n_docs, prevalence, decay)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     topics = []
     for k in range(count):
         for _ in range(1000):

@@ -61,8 +61,8 @@ def observation_table(pool: list[BatchedTopic], normalize: str) -> np.ndarray:
     if len(widths) > 1:
         raise ConfigError(f"all pooled topics must share one batch count, got {sorted(widths)}")
     table = np.array([bt.batch_rel for bt in pool], dtype=np.float64)
-    if normalize == "ratio":
-        table /= np.array([bt.batch_sizes for bt in pool])
+    if normalize == "ratio":  # an empty batch reveals 0
+        table /= np.maximum([bt.batch_sizes for bt in pool], 1)
     if not np.isfinite(table).all():
         raise ValueError("non-finite values in observation table")
     return table

@@ -62,53 +62,35 @@ def optimal_stop_rank(topic: Topic, target_recall: float) -> int:
     return first_reaching(topic, topic.gain[1:], target_recall)
 
 
-def check_result(result: StopResult, topic: Topic) -> None:
-    """Raise ``ValueError`` unless ``result`` is for ``topic`` and its counts
-    fit it: ``docs_examined`` in [1, N] and, when given, ``relevant_found``
-    equal to the relevant count among the first ``docs_examined`` documents."""
-    if result.topic_id != topic.topic_id:
-        raise ValueError(f"result is for {result.topic_id!r}, topic is {topic.topic_id!r}")
+class ResultError(ConfigError):
+    """A results row that does not fit the topics; ``result`` is the row."""
+
+    def __init__(self, message: str, result: StopResult):
+        super().__init__(message)
+        self.result = result
+
+
+def resolve_relevant_found(result: StopResult, topic: Topic | None) -> StopResult:
+    """``result`` with relevant_found filled from the labels when an imported
+    row lacks it. A :class:`ResultError` unless ``topic`` (None: no topic) is
+    the row's, ``docs_examined`` lies in [1, N] and a given ``relevant_found``
+    is the relevant count among the first ``docs_examined`` documents."""
+    if topic is None or result.topic_id != topic.topic_id:
+        raise ResultError(f"result references unknown topic {result.topic_id!r}", result)
     if not 1 <= result.docs_examined <= topic.n_docs:
-        raise ValueError(
+        raise ResultError(
             f"topic {topic.topic_id!r}: docs_examined {result.docs_examined} "
-            f"outside [1, {topic.n_docs}]"
+            f"outside [1, {topic.n_docs}]", result
         )
     found = int(topic.gain[result.docs_examined])
-    if result.relevant_found is not None and result.relevant_found != found:
-        raise ValueError(
-            f"topic {topic.topic_id!r}: relevant_found {result.relevant_found}, but the first "
-            f"{result.docs_examined} documents hold {found} relevant"
-        )
-
-
-def resolve_relevant_found(result: StopResult, topic: Topic) -> StopResult:
-    """Fill relevant_found from the labels when an imported row lacks it."""
-    check_result(result, topic)
-    if result.relevant_found is not None:
-        return result
-    return dataclasses.replace(result, relevant_found=int(topic.gain[result.docs_examined]))
-
-
-def recall_of(result: StopResult, topic: Topic) -> float:
-    check_result(result, topic)
     if result.relevant_found is None:
-        raise ValueError(f"topic {topic.topic_id!r}: relevant_found missing; resolve it first")
-    return result.relevant_found / topic.n_relevant
-
-
-def cost_of(result: StopResult, topic: Topic) -> float:
-    check_result(result, topic)
-    return result.docs_examined / topic.n_docs
-
-
-def excess_of(result: StopResult, topic: Topic, target_recall: float) -> float:
-    """Cost overshoot past the ideal stop, normalized by the attainable room."""
-    check_result(result, topic)
-    optimal_cost = optimal_stop_rank(topic, target_recall) / topic.n_docs
-    cost = cost_of(result, topic)
-    if optimal_cost >= 1.0:
-        return 0.0 if cost >= 1.0 else cost - 1.0
-    return (cost - optimal_cost) / (1.0 - optimal_cost)
+        return dataclasses.replace(result, relevant_found=found)
+    if result.relevant_found != found:
+        raise ResultError(
+            f"topic {topic.topic_id!r}: relevant_found {result.relevant_found}, but the first "
+            f"{result.docs_examined} documents hold {found} relevant", result
+        )
+    return result
 
 
 @dataclass(frozen=True)
@@ -143,6 +125,45 @@ class MetricsReport:
     summaries: tuple[MethodSummary, ...]
 
 
+def recall_of(result: StopResult, topic: Topic) -> float:
+    return _topic_metrics(result, topic).recall
+
+
+def cost_of(result: StopResult, topic: Topic) -> float:
+    return _topic_metrics(result, topic).cost
+
+
+def excess_of(result: StopResult, topic: Topic, target_recall: float) -> float:
+    """Cost overshoot past the ideal stop, normalized by the attainable room."""
+    return _topic_metrics(result, topic, target_recall).excess
+
+
+def _topic_metrics(result: StopResult, topic: Topic | None, target_recall=None) -> TopicMetrics:
+    """One row's metrics, the one place each formula lives. The row is
+    resolved against its topic once; without a target its excess is None."""
+    result = resolve_relevant_found(result, topic)
+    cost = result.docs_examined / topic.n_docs
+    excess = None
+    if target_recall is not None:
+        optimal_cost = optimal_stop_rank(topic, target_recall) / topic.n_docs
+        if optimal_cost >= 1.0:
+            excess = 0.0 if cost >= 1.0 else cost - 1.0
+        else:
+            excess = (cost - optimal_cost) / (1.0 - optimal_cost)
+    return TopicMetrics(
+        method=result.method,
+        target_recall=target_recall,
+        topic_id=result.topic_id,
+        n_docs=topic.n_docs,
+        n_relevant=topic.n_relevant,
+        docs_examined=result.docs_examined,
+        relevant_found=result.relevant_found,
+        recall=result.relevant_found / topic.n_relevant,
+        cost=cost,
+        excess=excess,
+    )
+
+
 def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     """Per-topic metrics plus per-(method, target) means and Pareto flags.
 
@@ -155,29 +176,12 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     by_id = {t.topic_id: t for t in topics}
     rows = []
     for result in results:
-        topic = by_id.get(result.topic_id)
-        if topic is None:
-            raise ConfigError(f"result references unknown topic {result.topic_id!r}")
         if result.target_recall is None:
             raise ConfigError(
                 f"result for topic {result.topic_id!r} (method {result.method!r}) "
                 "has no target recall"
             )
-        result = resolve_relevant_found(result, topic)
-        rows.append(
-            TopicMetrics(
-                method=result.method,
-                target_recall=result.target_recall,
-                topic_id=result.topic_id,
-                n_docs=topic.n_docs,
-                n_relevant=topic.n_relevant,
-                docs_examined=result.docs_examined,
-                relevant_found=result.relevant_found,
-                recall=recall_of(result, topic),
-                cost=cost_of(result, topic),
-                excess=excess_of(result, topic, result.target_recall),
-            )
-        )
+        rows.append(_topic_metrics(result, by_id.get(result.topic_id), result.target_recall))
     rows.sort(key=lambda r: (r.target_recall, r.method, r.topic_id))
     grouped: dict[tuple[str, float], list[TopicMetrics]] = {}
     for row in rows:

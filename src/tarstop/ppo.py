@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import BatchedTopic, Topic, batch_topic, check_target
+from .corpus import BatchedTopic, Topic, batch_topic, check_seed, check_target
 from .env import CONTINUE, NORMALIZE_MODES, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
 from .metrics import StopResult, write_table
@@ -75,6 +75,21 @@ class Hyperparams:
     max_grad_norm: float | None = None
 
     def validate(self) -> None:
+        """Each field a finite number of its annotated type (no bools), in range."""
+        for field in fields(self):  # field.type is the annotation's text: "int", ...
+            value = getattr(self, field.name)
+            if value is None and field.type == "float | None":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                problem = "must be a number"
+            elif field.type == "int" and not isinstance(value, int):
+                problem = "must be an integer"
+            elif not math.isfinite(value):
+                problem = "must be finite"
+            else:
+                continue
+            raise ConfigError(f"key {field.name!r} {problem}, got {value!r}")
+        check_seed(self.seed)
         for name in ("total_timesteps", "n_steps", "minibatch_size", "n_epochs", "n_envs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -325,9 +340,8 @@ def train(
     pool = [batch_topic(t, n_batches) for t in topics]
     seeds = np.random.SeedSequence(hyper.seed).spawn(5)
     venv = VecStoppingEnv(pool, target_recall, hyper.n_envs, seeds[0], normalize)
-    width = venv.n_batches
-    actor = init_params(np.random.default_rng(seeds[1]), (width, *HIDDEN_SIZES, 2), out_gain=0.01)
-    critic = init_params(np.random.default_rng(seeds[2]), (width, *HIDDEN_SIZES, 1), out_gain=1.0)
+    actor = init_params(np.random.default_rng(seeds[1]), (n_batches, *HIDDEN_SIZES, 2), out_gain=0.01)
+    critic = init_params(np.random.default_rng(seeds[2]), (n_batches, *HIDDEN_SIZES, 1), out_gain=1.0)
     actor_opt, critic_opt = adam_init(actor), adam_init(critic)
     action_rng = np.random.default_rng(seeds[3])
     shuffle_rng = np.random.default_rng(seeds[4])
@@ -358,7 +372,7 @@ def train(
                 "approx_kl": stats["approx_kl"],
             }
         )
-    checkpoint = Checkpoint(actor, critic, target_recall, width, normalize, hyper)
+    checkpoint = Checkpoint(actor, critic, target_recall, n_batches, normalize, hyper)
     return checkpoint, rows
 
 
@@ -474,22 +488,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _load_hyperparams(path, hyper: dict) -> Hyperparams:
-    """Checkpoint hyperparameters, each of its field's type (no bools), then validated."""
-    kinds = {field.name: field.type for field in fields(Hyperparams)}  # "int", "float", ...
-    for key, value in hyper.items():
-        if key not in kinds:
+    """Checkpoint hyperparameters, validated."""
+    for key in hyper:
+        if key not in Hyperparams.__dataclass_fields__:
             raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
-        if value is None and kinds[key] == "float | None":
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problem = "must be a number"
-        elif kinds[key] == "int" and not isinstance(value, int):
-            problem = "must be an integer"
-        elif not math.isfinite(value):
-            problem = "must be finite"
-        else:
-            continue
-        raise ConfigError(f"{path}: hyperparams key {key!r} {problem}, got {value!r}")
     params = Hyperparams(**hyper)
     try:
         params.validate()

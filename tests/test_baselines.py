@@ -136,8 +136,8 @@ class TestKnee:
     @given(labels=knee_topics(), n_batches=st.integers(1, 700),
            block_cells=st.sampled_from([1, 64, baselines.KNEE_BLOCK_CELLS]))
     def test_matches_the_reference_loop(self, labels, n_batches, block_cells):
-        # batch counts above the length are clamped; small blocks split the
-        # batch ends many ways
+        # batch counts above the length leave the trailing batches empty;
+        # small blocks split the batch ends many ways
         bt = batch_topic(make_topic(labels), n_batches)
         with mock.patch.object(baselines, "KNEE_BLOCK_CELLS", block_cells):
             assert knee_stop(bt) == reference_knee_stop(bt)

@@ -140,6 +140,47 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("value_coef", "inf"), ("max_grad_norm", "nan"),
+    ])
+    def test_non_finite_hyperparameter_exits_2(self, tmp_path, collection, capsys,
+                                               source, key, value):
+        run_path, qrels_path = collection
+        args = ["train", "--run", str(run_path), "--qrels", str(qrels_path),
+                "--out", str(tmp_path / "m"), "--batches", "6", *FAST_TRAIN]
+        if source == "flag":
+            args += [f"--{key.replace('_', '-')}", value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: float(value)}))  # NaN / Infinity
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        assert f"key '{key}' must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["synth", "train", "stop"])
+def test_negative_seed_exits_2(tmp_path, trained, capsys, command, source):
+    run_path, qrels_path, ckpt = trained
+    data = ["--run", str(run_path), "--qrels", str(qrels_path)]
+    args = {
+        "synth": ["synth", "--out", str(tmp_path / "s"), "--count", "2", "--docs", "30"],
+        "train": ["train", *data, "--out", str(tmp_path / "m"), "--batches", "6", *FAST_TRAIN],
+        "stop": ["stop", "--checkpoint", str(ckpt), *data, "--out", str(tmp_path / "x.csv"),
+                 "--mode", "sample"],
+    }[command]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_config_keys_are_per_subcommand(tmp_path, collection, capsys):
     run_path, qrels_path = collection
     path = tmp_path / "config.json"
@@ -183,11 +224,18 @@ class TestStop:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_batch_mismatch_exits_2(self, tmp_path, trained):
+    def test_batches_flag_is_rejected(self, tmp_path, trained, capsys):
+        # the checkpoint fixes the batch count: no flag or config key sets it
         run_path, qrels_path, ckpt = trained
-        assert main(["stop", "--checkpoint", str(ckpt), "--run", str(run_path),
-                     "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv"),
-                     "--batches", "50"]) == 2
+        args = ["stop", "--checkpoint", str(ckpt), "--run", str(run_path),
+                "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, "--batches", "6"])
+        assert exit_info.value.code == 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"batches": 6}))
+        assert main([*args, "--config", str(config)]) == 2
+        assert "unknown key 'batches' for 'stop'" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exits_2(self, tmp_path, trained, capsys):
         run_path, qrels_path, _ = trained
@@ -247,6 +295,43 @@ class TestStop:
         assert "ghost" in caplog.text
         rows = read_rows(tmp_path / "x.csv")
         assert all(r["topic_id"] != "ghost" for r in rows)
+
+
+def test_topic_shorter_than_the_batch_count(tmp_path, caplog):
+    """A 50-document topic beside longer ones at the default 100 batches:
+    every command runs, and the other topics' decisions do not move."""
+    long_topics = synth_topics(3, 120, 0.1, 30.0, seed=5)
+    short = make_topic([0, 1, 0, 0, 1] + [0] * 45, topic_id="short")
+    inputs = {}
+    for name, topics in (("long", long_topics), ("mixed", [*long_topics, short])):
+        write_run_file(tmp_path / f"{name}.run", topics)
+        write_qrels_file(tmp_path / f"{name}.qrels", topics)
+        inputs[name] = ["--run", str(tmp_path / f"{name}.run"),
+                        "--qrels", str(tmp_path / f"{name}.qrels")]
+    methods = ("policy", "oracle", "knee", "budget")
+    with caplog.at_level("WARNING"):
+        assert main(["train", *inputs["mixed"], "--out", str(tmp_path / "model"),
+                     "--target", "0.9", *FAST_TRAIN]) == 0
+        for name, data in inputs.items():
+            assert main(["stop", "--checkpoint", str(tmp_path / "model" / "policy-t0.9.json"),
+                         *data, "--out", str(tmp_path / f"{name}-policy.csv")]) == 0
+            for method in methods[1:]:
+                assert main(["baseline", "--method", method, *data, "--target", "0.9",
+                             "--out", str(tmp_path / f"{name}-{method}.csv")]) == 0
+        results = [arg for m in methods for arg in ("--results", str(tmp_path / f"mixed-{m}.csv"))]
+        assert main(["eval", *results, *inputs["mixed"], "--out", str(tmp_path / "report")]) == 0
+    assert caplog.records == []
+    for method in methods:
+        long_lines = (tmp_path / f"long-{method}.csv").read_text().splitlines()
+        mixed_lines = (tmp_path / f"mixed-{method}.csv").read_text().splitlines()
+        assert [line for line in mixed_lines if not line.startswith("short,")] == long_lines
+    rows = {r["method"]: r for r in read_rows(tmp_path / "report" / "per_topic.csv")
+            if r["topic_id"] == "short"}
+    assert set(rows) == set(methods)
+    for row in rows.values():
+        assert row["N"] == "50" and 1 <= int(row["docs_examined"]) <= 50
+        assert float(row["cost"]) == int(row["docs_examined"]) / 50
+    assert rows["oracle"]["docs_examined"] == "5"
 
 
 class TestBaseline:
@@ -415,6 +500,17 @@ class TestEval:
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "r"),
                      "--target", "0.9", "--target", "0.9"]) == 2
         assert (f"{external}: method 'sampler' at target 0.9 repeats topic 'synth-0000'"
+                in capsys.readouterr().err)
+
+    def test_bad_row_names_the_file_that_gave_it(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        oracle_csv = self._oracle_csv(tmp_path, collection)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("topic_id,method,docs_examined\nsynth-0002,sampler,0\n")
+        assert main(["eval", "--results", str(oracle_csv), "--results", str(bad),
+                     "--run", str(run_path), "--qrels", str(qrels_path),
+                     "--out", str(tmp_path / "r"), "--target", "0.8"]) == 2
+        assert (f"{bad}: topic 'synth-0002': docs_examined 0 outside [1, 60]"
                 in capsys.readouterr().err)
 
     def test_methods_covering_different_topics_exit_2(self, tmp_path, collection, capsys):

@@ -241,11 +241,17 @@ class TestBatchTopic:
         bt = batch_topic(make_topic([0] * 9 + [1]), 3)
         assert bt.batch_sizes.tolist() == [4, 3, 3]
 
-    def test_batch_count_clamped_to_doc_count(self, caplog):
-        with caplog.at_level("WARNING"):
-            bt = batch_topic(make_topic([1, 0]), 100)
-        assert bt.n_batches == 2
-        assert "clamping" in caplog.text
+    def test_short_topic_gets_empty_trailing_batches(self, caplog):
+        labels = np.zeros(50, dtype=int)
+        labels[[3, 20, 41]] = 1
+        with caplog.at_level("DEBUG"):
+            bt = batch_topic(make_topic(labels), 100)
+        assert caplog.records == []
+        assert bt.batch_sizes.tolist() == [1] * 50 + [0] * 50
+        assert bt.batch_rel.tolist() == labels.tolist() + [0] * 50
+        assert (bt.cum_rel[49:] == 3).all()
+        assert all(bt.target_batch(t) <= 50 for t in (0.5, 0.9, 1.0))
+        assert bt.target_batch(1.0) == 42
 
     def test_single_batch(self):
         bt = batch_topic(make_topic([1, 0, 1]), 1)

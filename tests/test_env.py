@@ -104,6 +104,15 @@ class TestStoppingEnv:
         env = one_topic_env(four_batch_topic(2), 1.0, normalize="count")
         assert env.current_obs().tolist() == [[2.0, -1.0, -1.0, -1.0]]
 
+    @pytest.mark.parametrize("normalize", ["ratio", "count"])
+    def test_empty_batch_observes_zero(self, normalize):
+        # 3 documents in 5 batches: batches 4 and 5 hold none
+        bt = batch_topic(make_topic([0, 1, 1]), 5)
+        assert bt.batch_sizes.tolist() == [1, 1, 1, 0, 0]
+        table = observation_table([bt], normalize)
+        assert table.tolist() == [[0.0, 1.0, 1.0, 0.0, 0.0]]
+        assert observe(table, np.array([0]), np.array([4])).tolist() == [[0.0, 1.0, 1.0, 0.0, -1.0]]
+
     def test_bad_normalize_mode(self):
         with pytest.raises(ConfigError):
             one_topic_env(four_batch_topic(), 1.0, normalize="z-score")

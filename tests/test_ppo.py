@@ -83,6 +83,11 @@ class TestHyperparams:
             {"gamma": 1.5},
             {"gae_lambda": 0.0},
             {"max_grad_norm": 0.0},
+            {"learning_rate": float("nan")},
+            {"entropy_coef": float("inf")},
+            {"value_coef": float("inf")},
+            {"max_grad_norm": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
