@@ -44,6 +44,7 @@ from .nets import (
     backward,
     forward,
     init_params,
+    joint_params,
 )
 from .ppo import (
     Checkpoint,

@@ -116,7 +116,6 @@ class MethodSummary:
     mean_cost: float
     mean_excess: float
     pareto_optimal: bool
-    excess_values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,6 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
                 mean_cost=mean_cost,
                 mean_excess=mean_excess,
                 pareto_optimal=not dominated,
-                excess_values=tuple(r.excess for r in group),
             )
         )
     summaries.sort(key=lambda s: (s.target_recall, s.method))

@@ -8,9 +8,10 @@ and stay bit-reproducible across runs.
 Each network's parameters live in one contiguous float64 buffer,
 ``MlpParams.flat``: every weight matrix, then every bias vector, in layer
 order. ``weights`` and ``biases`` are views into it, so writing through a
-view changes ``flat`` and the reverse. Gradients use the same layout, which
-makes Adam, the gradient norm and clipping single vector operations over
-``flat``.
+view changes ``flat`` and the reverse. Gradients use the same layout.
+Training keeps the actor's and the critic's buffers end to end in one
+vector (``joint_params``), so Adam and gradient clipping are single vector
+operations over both networks at once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ class MlpParams:
             raise ValueError(f"{len(weights)} weight matrices for {len(biases)} bias vectors")
         if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
             raise ValueError("weights must be matrices and biases vectors")
+        if any(a.shape[1] != b.shape[0] for a, b in zip(weights, weights[1:])) or any(
+            b.shape != (w.shape[1],) for w, b in zip(weights, biases)
+        ):
+            raise ValueError(
+                f"layer shapes do not chain: weights {[w.shape for w in weights]}, "
+                f"biases {[b.shape for b in biases]}"
+            )
         arrays = [*weights, *biases]
         layout, offset = [], 0
         for a in arrays:
@@ -70,8 +78,13 @@ class MlpParams:
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams.over(self.flat.copy(), self)
+
+def joint_params(*nets: MlpParams) -> tuple[np.ndarray, list[MlpParams]]:
+    """One new buffer holding each network's ``flat`` in turn, and each
+    network re-made as a view into its slice of it."""
+    flat = np.concatenate([net.flat for net in nets])
+    bounds = np.cumsum([0, *(net.flat.size for net in nets)])
+    return flat, [MlpParams.over(flat[a:b], net) for a, b, net in zip(bounds, bounds[1:], nets)]
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -118,12 +131,12 @@ def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
     return (out[0] if single else out), cache
 
 
-def backward(params: MlpParams, cache: list[np.ndarray], grad_out) -> MlpParams:
+def backward(params: MlpParams, cache: list[np.ndarray], grad_out, out=None) -> MlpParams:
     """Exact gradients for the scalar loss whose output gradient is ``grad_out``.
 
     ``cache`` must come from a matching :func:`forward` call; gradients are
-    summed over the batch dimension and written into one new flat buffer
-    laid out like ``params``.
+    summed over the batch dimension and written into ``out``, a flat buffer
+    laid out like ``params.flat`` (a new one if not given).
     """
     g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
     n_layers = len(params.weights)
@@ -131,7 +144,7 @@ def backward(params: MlpParams, cache: list[np.ndarray], grad_out) -> MlpParams:
         raise ValueError(f"cache has {len(cache)} entries for {n_layers} layers")
     if g.shape != (cache[-1].shape[0], params.weights[-1].shape[1]):
         raise ValueError(f"grad_out shape {g.shape} does not match network output")
-    grads = MlpParams.over(np.empty_like(params.flat), params)
+    grads = MlpParams.over(np.empty_like(params.flat) if out is None else out, params)
     for k in reversed(range(n_layers)):
         np.matmul(cache[k].T, g, out=grads.weights[k])
         g.sum(axis=0, out=grads.biases[k])
@@ -159,6 +172,11 @@ def chosen_and_entropy(lp: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]
     return lp[np.arange(len(acts)), acts], -(np.exp(lp) * lp).sum(axis=-1)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, flat like the parameter buffer."""
@@ -166,51 +184,39 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: MlpParams) -> AdamState:
-    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, lr: float
-) -> tuple[MlpParams, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, applied in place to the whole buffer."""
-    if grads.sizes != params.sizes:
-        raise ValueError(f"gradient sizes {grads.sizes} != parameter sizes {params.sizes}")
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    g, m, v = grads.flat, state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
     # params -= lr * (m / c1) / (sqrt(v / c2) + eps), in place with the same rounding
     step = m / c1
     step *= lr
     denom = v / c2
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
-    params.flat -= step
-    return params, state
+    params -= step
 
 
-def global_grad_norm(*grads: MlpParams) -> float:
-    return float(np.sqrt(sum(float(g.flat @ g.flat) for g in grads)))
-
-
-def clip_grads(grads: list[MlpParams], max_norm: float) -> None:
-    """Scale gradients in place so their joint L2 norm is at most ``max_norm``."""
-    norm = global_grad_norm(*grads)
+def clip_grads(grads: np.ndarray, max_norm: float) -> None:
+    """Scale ``grads`` in place so its L2 norm is at most ``max_norm``."""
+    norm = float(np.sqrt(grads @ grads))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g.flat *= scale
+        grads *= max_norm / norm
 
 
 def params_to_jsonable(params: MlpParams) -> dict:

@@ -10,7 +10,7 @@ bit-identical checkpoints and logs.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -32,6 +32,7 @@ from .nets import (
     clip_grads,
     forward,
     init_params,
+    joint_params,
     log_softmax,
     params_from_jsonable,
     params_to_jsonable,
@@ -84,7 +85,7 @@ class Hyperparams:
                 problem = "must be a number"
             elif field.type == "int" and not isinstance(value, int):
                 problem = "must be an integer"
-            elif not math.isfinite(value):
+            elif not abs(value) <= sys.float_info.max:  # nan, inf, or an int past any float
                 problem = "must be finite"
             else:
                 continue
@@ -206,12 +207,11 @@ def ppo_loss(
     critic: MlpParams,
     batch: Minibatch,
     hyper: Hyperparams,
-    want_grads: bool = False,
-):
+) -> tuple[float, dict, np.ndarray]:
     """Clipped-surrogate loss on one minibatch (advantages already normalized).
 
-    Returns ``(loss, stats)`` and, with ``want_grads``, exact parameter
-    gradients for both networks appended.
+    Returns ``(loss, stats, grads)``: ``grads`` holds the exact gradient for
+    the actor's ``flat`` followed by the critic's, in one vector.
     """
     logits, actor_cache = forward(actor, batch.obs)
     values_2d, critic_cache = forward(critic, batch.obs)
@@ -236,9 +236,6 @@ def ppo_loss(
         "approx_kl": float(np.mean(ratio - 1.0 - log_ratio)),
         "loss": loss,
     }
-    if not want_grads:
-        return loss, stats
-
     n = len(adv)
     # The clipped branch has zero gradient wherever it is the strict minimum.
     active = unclipped <= clipped
@@ -250,9 +247,10 @@ def ppo_loss(
     d_entropy = -probs * (lp_all + entropy[:, None])
     d_logits += (-hyper.entropy_coef / n) * d_entropy
     d_values = (2.0 * hyper.value_coef / n) * value_err
-    actor_grads = backward(actor, actor_cache, d_logits)
-    critic_grads = backward(critic, critic_cache, d_values[:, None])
-    return loss, stats, actor_grads, critic_grads
+    grads = np.empty(actor.flat.size + critic.flat.size)
+    backward(actor, actor_cache, d_logits, out=grads[: actor.flat.size])
+    backward(critic, critic_cache, d_values[:, None], out=grads[actor.flat.size :])
+    return loss, stats, grads
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -262,13 +260,17 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 def ppo_update(
     actor: MlpParams,
     critic: MlpParams,
-    actor_opt: AdamState,
-    critic_opt: AdamState,
+    params: np.ndarray,
+    opt: AdamState,
     buffer: RolloutBuffer,
     hyper: Hyperparams,
     rng: np.random.Generator,
 ) -> dict:
-    """Run ``n_epochs`` of shuffled minibatch updates over one rollout."""
+    """Run ``n_epochs`` of shuffled minibatch updates over one rollout.
+
+    ``params`` is the one vector that ``actor`` and ``critic`` view, as
+    made by :func:`joint_params`; ``opt`` is its Adam state.
+    """
     if buffer.advantages is None or buffer.returns is None:
         raise ValueError("compute_gae() must run before ppo_update()")
     n = buffer.n_steps * buffer.n_envs
@@ -294,15 +296,12 @@ def ppo_update(
                 advantages=normalize_advantages(advantages[mb]),
                 returns=returns[mb],
             )
-            loss, stats, actor_grads, critic_grads = ppo_loss(
-                actor, critic, batch, hyper, want_grads=True
-            )
+            loss, stats, grads = ppo_loss(actor, critic, batch, hyper)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(f"non-finite loss during update: {stats}")
             if hyper.max_grad_norm is not None:
-                clip_grads([actor_grads, critic_grads], hyper.max_grad_norm)
-            adam_step(actor, actor_grads, actor_opt, hyper.learning_rate)
-            adam_step(critic, critic_grads, critic_opt, hyper.learning_rate)
+                clip_grads(grads, hyper.max_grad_norm)
+            adam_step(params, grads, opt, hyper.learning_rate)
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0.0) + value
             n_updates += 1
@@ -340,9 +339,11 @@ def train(
     pool = [batch_topic(t, n_batches) for t in topics]
     seeds = np.random.SeedSequence(hyper.seed).spawn(5)
     venv = VecStoppingEnv(pool, target_recall, hyper.n_envs, seeds[0], normalize)
-    actor = init_params(np.random.default_rng(seeds[1]), (n_batches, *HIDDEN_SIZES, 2), out_gain=0.01)
-    critic = init_params(np.random.default_rng(seeds[2]), (n_batches, *HIDDEN_SIZES, 1), out_gain=1.0)
-    actor_opt, critic_opt = adam_init(actor), adam_init(critic)
+    params, (actor, critic) = joint_params(
+        init_params(np.random.default_rng(seeds[1]), (n_batches, *HIDDEN_SIZES, 2), out_gain=0.01),
+        init_params(np.random.default_rng(seeds[2]), (n_batches, *HIDDEN_SIZES, 1), out_gain=1.0),
+    )
+    opt = adam_init(params)
     action_rng = np.random.default_rng(seeds[3])
     shuffle_rng = np.random.default_rng(seeds[4])
     per_iteration = hyper.n_steps * hyper.n_envs
@@ -356,7 +357,7 @@ def train(
     for iteration in range(1, iterations + 1):
         buffer, episodes = collect_rollout(actor, critic, venv, hyper.n_steps, action_rng)
         compute_gae(buffer, hyper.gamma, hyper.gae_lambda)
-        stats = ppo_update(actor, critic, actor_opt, critic_opt, buffer, hyper, shuffle_rng)
+        stats = ppo_update(actor, critic, params, opt, buffer, hyper, shuffle_rng)
         rewards = [e["episode_reward"] for e in episodes]
         stops = [e["stop_batch"] for e in episodes]
         rows.append(
@@ -503,19 +504,11 @@ def _load_hyperparams(path, hyper: dict) -> Hyperparams:
 def _load_network(path, name: str, data, n_batches: int, n_out: int) -> MlpParams:
     """One checkpoint network, checked to be finite, chained and ``n_batches -> n_out``."""
     try:
-        params = params_from_jsonable(data)
+        params = params_from_jsonable(data)  # the constructor checks that the layers chain
     except KeyError as exc:
         raise ConfigError(f"{path}: {name} is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past any float
         raise ConfigError(f"{path}: {name} weights and biases are malformed: {exc}") from None
-    shapes = [w.shape for w in params.weights]
-    if any(a[1] != b[0] for a, b in zip(shapes, shapes[1:])) or any(
-        b.shape != (w.shape[1],) for w, b in zip(params.weights, params.biases)
-    ):
-        raise ConfigError(
-            f"{path}: {name} layer shapes do not chain: weights {shapes}, "
-            f"biases {[b.shape for b in params.biases]}"
-        )
     if not np.isfinite(params.flat).all():
         raise ConfigError(f"{path}: {name} has non-finite weights")
     # inference sizes its observations from n_batches, so the networks must agree

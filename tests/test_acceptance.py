@@ -19,7 +19,7 @@ from tarstop.cli import main
 from tarstop.corpus import assemble_topics, batch_topic, load_qrels, load_run, synth_topics
 from tarstop.env import reward
 from tarstop.metrics import cost_of, excess_of, optimal_stop_rank, recall_of
-from tarstop.nets import init_params
+from tarstop.nets import chosen_and_entropy, forward, init_params, joint_params, log_softmax
 from tarstop.ppo import Hyperparams, Minibatch, compute_gae, infer_stop, ppo_loss, train
 
 
@@ -60,18 +60,31 @@ def test_criterion_2_optimal_stop_property():
            f"{failures} mismatches over 1000 random (batches, target) pairs in {elapsed:.2f}s")
 
 
+def surrogate_loss(actor, critic, batch, hyper):
+    """ppo_loss's loss alone, with the same arithmetic; finite differences
+    call it thousands of times and need no gradient."""
+    logits, _ = forward(actor, batch.obs)
+    values = forward(critic, batch.obs)[0][:, 0]
+    logp, entropy = chosen_and_entropy(log_softmax(logits), batch.actions)
+    ratio = np.exp(logp - batch.log_probs_old)
+    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * batch.advantages
+    policy_loss = -np.minimum(ratio * batch.advantages, clipped).mean()
+    value_loss = float(np.mean((values - batch.returns) ** 2))
+    return float(policy_loss + hyper.value_coef * value_loss - hyper.entropy_coef * float(entropy.mean()))
+
+
 def test_criterion_3_gradient_fidelity():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         width, n = 6, 12
-        actor = init_params(rng, (width, 64, 64, 2), out_gain=0.01)
-        critic = init_params(rng, (width, 64, 64, 1), out_gain=1.0)
+        params, (actor, critic) = joint_params(
+            init_params(rng, (width, 64, 64, 2), out_gain=0.01),
+            init_params(rng, (width, 64, 64, 1), out_gain=1.0),
+        )
         obs = rng.uniform(-1.0, 1.0, (n, width))
         actions = rng.integers(0, 2, n)
-        from tarstop.nets import chosen_and_entropy, forward, log_softmax
-
         logits, _ = forward(actor, obs)
         logp_now, _ = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), actions)
         # log-ratio offsets keep every sample away from the clip kinks at
@@ -87,13 +100,14 @@ def test_criterion_3_gradient_fidelity():
             returns=rng.standard_normal(n),
         )
         hyper = Hyperparams()
-        _, _, actor_grads, critic_grads = ppo_loss(actor, critic, batch, hyper, want_grads=True)
+        loss, _, grads = ppo_loss(actor, critic, batch, hyper)
+        assert loss == surrogate_loss(actor, critic, batch, hyper)
 
-        def loss():
-            return ppo_loss(actor, critic, batch, hyper)[0]
+        def loss_at_params():
+            return surrogate_loss(actor, critic, batch, hyper)
 
-        numeric = finite_difference(loss, [actor.flat, critic.flat], h=1e-5)
-        worst = max(worst, max_rel_error([actor_grads.flat, critic_grads.flat], numeric))
+        numeric = finite_difference(loss_at_params, [params], h=1e-5)
+        worst = max(worst, max_rel_error([grads], numeric))
     elapsed = time.perf_counter() - start
     report(3, worst < 1e-4 and elapsed < 30.0,
            f"max relative gradient error {worst:.2e} over 10 seeds in {elapsed:.1f}s")

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_topic
 from tarstop.cli import main
@@ -264,6 +266,10 @@ class TestStop:
          "hyperparams key 'n_steps' must be an integer, got 10.5"),
         (lambda text: re.sub(r'"learning_rate": [\de.-]+', '"learning_rate": NaN', text),
          "hyperparams key 'learning_rate' must be finite, got nan"),
+        (lambda text: re.sub(r'"learning_rate": [\de.-]+', f'"learning_rate": {10**400}', text),
+         f"hyperparams key 'learning_rate' must be finite, got {10**400}"),
+        (lambda text: re.sub(r'"weights": \[\[\[[-\de.]+', f'"weights": [[[{10**400}', text, 1),
+         "actor weights and biases are malformed: int too large to convert to float"),
         (lambda text: re.sub(r'"gamma": [\d.]+', '"gamma": 2.0', text),
          "hyperparams gamma must be in (0, 1], got 2.0"),
         (lambda text: text.replace('"target_recall": 0.9', '"target_recall": 1.5'),
@@ -274,7 +280,8 @@ class TestStop:
          "normalize_obs must be one of ('ratio', 'count'), got 5"),
     ], ids=["invalid-json", "top-level-list", "unknown-hyperparam", "non-numeric-weight",
             "ragged-weights", "string-hyperparam", "null-hyperparam", "bool-hyperparam",
-            "float-for-int-hyperparam", "non-finite-hyperparam", "invalid-hyperparam",
+            "float-for-int-hyperparam", "non-finite-hyperparam", "huge-int-hyperparam",
+            "huge-int-weight", "invalid-hyperparam",
             "out-of-range-target", "nan-target", "bad-normalize-obs"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, trained, capsys, damage, message):
         run_path, qrels_path, ckpt = trained
@@ -295,6 +302,90 @@ class TestStop:
         assert "ghost" in caplog.text
         rows = read_rows(tmp_path / "x.csv")
         assert all(r["topic_id"] != "ghost" for r in rows)
+
+
+def checkpoint_paths(node, prefix=()):
+    """Paths (tuples of keys and indices) to values inside a checkpoint's
+    JSON: every dict entry, and only the first and last item of a list, so
+    top-level keys weigh as much as the thousands of weights."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from checkpoint_paths(value, (*prefix, key))
+    elif isinstance(node, list):
+        for index in sorted({0, len(node) - 1} if node else set()):
+            yield from checkpoint_paths(node[index], (*prefix, index))
+
+
+def at(data, path):
+    for step in path:
+        data = data[step]
+    return data
+
+
+def delete_a_key(draw, data):
+    path = draw(st.sampled_from([p for p in checkpoint_paths(data) if p and isinstance(p[-1], str)]))
+    del at(data, path[:-1])[path[-1]]
+    return json.dumps(data)
+
+
+JSON_VALUES = st.one_of(
+    # JSON integers have no size limit; past about 1e308 they have no float value
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def swap_a_type(draw, data):
+    path = draw(st.sampled_from(list(checkpoint_paths(data))))
+    old = at(data, path)
+    new = draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    if not path:
+        return json.dumps(new)
+    at(data, path[:-1])[path[-1]] = new
+    return json.dumps(data)
+
+
+def reshape_a_weight_matrix(draw, data):
+    weights = data[draw(st.sampled_from(["actor", "critic"]))]["weights"]
+    layer = draw(st.integers(0, len(weights) - 1))
+    shape = (draw(st.integers(0, 70)), draw(st.integers(0, 70)))
+    weights[layer] = np.resize(np.array(weights[layer]).ravel(), shape).tolist()
+    return json.dumps(data)
+
+
+def truncate_the_text(draw, data):
+    text = json.dumps(data)
+    return text[: draw(st.integers(0, len(text) - 1))]
+
+
+def flip_a_byte(draw, data):
+    raw = bytearray(json.dumps(data).encode())
+    raw[draw(st.integers(0, len(raw) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("mutate", [delete_a_key, swap_a_type, reshape_a_weight_matrix,
+                                    truncate_the_text, flip_a_byte])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoint_exits_0_or_2_naming_it(tmp_path, trained, capsys, mutate, data):
+    """Any damage to a trained checkpoint either still loads or is a
+    config error that names the file, never an exit 1."""
+    run_path, qrels_path, ckpt = trained
+    broken = tmp_path / "mutated.json"
+    text = mutate(data.draw, json.loads(ckpt.read_text()))
+    if isinstance(text, str):
+        text = text.encode()
+    broken.write_bytes(text)
+    capsys.readouterr()
+    code = main(["stop", "--checkpoint", str(broken), "--run", str(run_path),
+                 "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert code == 0 or str(broken) in err, err
 
 
 def test_topic_shorter_than_the_batch_count(tmp_path, caplog):

@@ -99,7 +99,6 @@ class TestAggregate:
         assert summary.mean_cost == row.cost
         assert summary.mean_excess == row.excess
         assert summary.n_topics == 1
-        assert summary.excess_values == (row.excess,)
 
     def test_oracle_is_pareto_optimal(self):
         topics = synth_topics(5, 40, 0.2, 8.0, seed=1)

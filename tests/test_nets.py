@@ -15,8 +15,8 @@ from tarstop.nets import (
     chosen_and_entropy,
     clip_grads,
     forward,
-    global_grad_norm,
     init_params,
+    joint_params,
     log_softmax,
     softmax,
 )
@@ -199,12 +199,9 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)
-        before = [a.copy() for a in params.arrays()]
-        grads = MlpParams([np.zeros_like(w) for w in params.weights],
-                          [np.zeros_like(b) for b in params.biases])
-        adam_step(params, grads, adam_init(params), lr=0.1)
-        for a, b in zip(params.arrays(), before):
-            assert np.array_equal(a, b)
+        before = params.flat.copy()
+        adam_step(params.flat, np.zeros_like(params.flat), adam_init(params.flat), lr=0.1)
+        assert np.array_equal(params.flat, before)
 
     def test_first_step_is_signed_lr(self, rng):
         params = init_params(1, (3, 4, 2), out_gain=1.0)
@@ -216,25 +213,25 @@ class TestAdam:
         grads = MlpParams([away_from_zero(w.shape) for w in params.weights],
                           [away_from_zero(b.shape) for b in params.biases])
         lr = 1e-3
-        adam_step(params, grads, adam_init(params), lr=lr)
+        adam_step(params.flat, grads.flat, adam_init(params.flat), lr=lr)
         for new, old, g in zip(params.arrays(), before, grads.arrays()):
             assert np.allclose(new - old, -lr * np.sign(g), atol=1e-8)
 
     def test_step_counter_increments(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)
-        state = adam_init(params)
-        grads = MlpParams([np.ones_like(w) for w in params.weights],
-                          [np.ones_like(b) for b in params.biases])
-        adam_step(params, grads, state, lr=0.01)
+        state = adam_init(params.flat)
+        grads = np.ones_like(params.flat)
+        adam_step(params.flat, grads, state, lr=0.01)
         assert state.step == 1
-        adam_step(params, grads, state, lr=0.01)
+        adam_step(params.flat, grads, state, lr=0.01)
         assert state.step == 2
 
     def test_shape_mismatch_rejected(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)
-        bad = MlpParams([np.ones((2, 2)), np.ones((4, 2))], [np.ones(4), np.ones(2)])
-        with pytest.raises(ValueError):
-            adam_step(params, bad, adam_init(params), lr=0.01)
+        # one element short; a length-1 vector would broadcast without the check
+        for bad in (np.ones(params.flat.size - 1), np.ones(1)):
+            with pytest.raises(ValueError, match="gradient shape"):
+                adam_step(params.flat, bad, adam_init(params.flat), lr=0.01)
 
 
 def reference_backward(params, cache, grad_out):
@@ -260,14 +257,17 @@ class TestFlatBuffer:
         params.flat[-1] = -3.0
         assert params.biases[-1][-1] == -3.0
 
-    def test_copy_does_not_alias(self):
-        params = init_params(0, (3, 4, 2), out_gain=1.0)
-        clone = params.copy()
-        assert np.array_equal(clone.flat, params.flat)
-        clone.weights[0][0, 0] += 1.0
-        clone.biases[1][0] += 1.0
-        assert not np.array_equal(clone.flat, params.flat)
-        assert params.biases[1][0] == 0.0
+    def test_joint_params_views_one_new_buffer(self):
+        actor = init_params(0, (3, 4, 2), out_gain=1.0)
+        critic = init_params(1, (3, 4, 1), out_gain=1.0)
+        flat, (a, c) = joint_params(actor, critic)
+        assert np.array_equal(flat, np.concatenate([actor.flat, critic.flat]))
+        assert (a.sizes, c.sizes) == (actor.sizes, critic.sizes)
+        c.biases[-1][0] = 9.0
+        assert flat[-1] == 9.0 and critic.biases[-1][0] == 0.0
+        flat[0] += 1.0
+        assert a.weights[0][0, 0] == actor.weights[0][0, 0] + 1.0
+        assert not np.shares_memory(flat, actor.flat) and not np.shares_memory(flat, critic.flat)
 
     def test_constructor_copies_its_arguments(self):
         w, b = np.ones((2, 3)), np.zeros(3)
@@ -283,6 +283,10 @@ class TestFlatBuffer:
             MlpParams([np.ones(3)], [np.ones(3)])
         with pytest.raises(ValueError):
             MlpParams([[[1.0, 2.0], [3.0]]], [[0.0]])
+        with pytest.raises(ValueError, match=r"do not chain: weights \[\(4, 6\), \(5, 2\)\]"):
+            MlpParams([np.ones((4, 6)), np.ones((5, 2))], [np.ones(6), np.ones(2)])
+        with pytest.raises(ValueError, match=r"do not chain: .* biases \[\(6,\), \(3,\)\]"):
+            MlpParams([np.ones((4, 6)), np.ones((6, 2))], [np.ones(6), np.ones(3)])
 
     def test_backward_fills_one_flat_buffer(self, rng):
         params = init_params(rng, (5, 7, 6, 2), out_gain=0.5)
@@ -297,58 +301,68 @@ class TestFlatBuffer:
 
 class TestAdamFlat:
     def test_matches_per_array_reference_bitwise(self, rng):
-        params = init_params(4, (5, 8, 8, 2), out_gain=0.1)
-        reference = [a.copy() for a in params.arrays()]
-        ref_m = [np.zeros_like(a) for a in reference]
-        ref_v = [np.zeros_like(a) for a in reference]
+        # the reference steps each array of each network on its own, as the
+        # two networks were stepped before they shared one buffer
+        nets = [init_params(4, (5, 8, 8, 2), out_gain=0.1), init_params(5, (5, 8, 8, 1), out_gain=1.0)]
+        reference = [[a.copy() for a in net.arrays()] for net in nets]
+        ref_m = [[np.zeros_like(a) for a in arrays] for arrays in reference]
+        ref_v = [[np.zeros_like(a) for a in arrays] for arrays in reference]
+        params, nets = joint_params(*nets)
         state = adam_init(params)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 3e-3
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
         for step in range(1, 6):
-            grads = MlpParams([rng.standard_normal(w.shape) for w in params.weights],
-                              [rng.standard_normal(b.shape) for b in params.biases])
+            grads = rng.standard_normal(params.size)
             adam_step(params, grads, state, lr)
+            split = nets[0].flat.size
+            grad_nets = [MlpParams.over(grads[:split], nets[0]), MlpParams.over(grads[split:], nets[1])]
             c1, c2 = 1.0 - b1**step, 1.0 - b2**step
-            for p, g, m, v in zip(reference, grads.arrays(), ref_m, ref_v):
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            for a, b in zip(params.arrays(), reference):
-                assert np.array_equal(a, b)
-            assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_m]))
-            assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_v]))
+            for arrays, grad_net, ms, vs in zip(reference, grad_nets, ref_m, ref_v):
+                for p, g, m, v in zip(arrays, grad_net.arrays(), ms, vs):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g * g
+                    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            for net, arrays in zip(nets, reference):
+                for a, b in zip(net.arrays(), arrays):
+                    assert np.array_equal(a, b)
+            assert np.array_equal(state.m, np.concatenate([m.ravel() for ms in ref_m for m in ms]))
+            assert np.array_equal(state.v, np.concatenate([v.ravel() for vs in ref_v for v in vs]))
 
 
 class TestClipGrads:
     @staticmethod
     def _grads(rng, scale):
-        return [MlpParams([rng.standard_normal((4, 6)) * scale, rng.standard_normal((6, k)) * scale],
-                          [rng.standard_normal(6) * scale, rng.standard_normal(k) * scale])
-                for k in (2, 1)]
+        """A joint gradient vector over two networks, and their views into it."""
+        return joint_params(*(
+            MlpParams([rng.standard_normal((4, 6)) * scale, rng.standard_normal((6, k)) * scale],
+                      [rng.standard_normal(6) * scale, rng.standard_normal(k) * scale])
+            for k in (2, 1)))
 
     @staticmethod
-    def _reference_norm(grads):
-        return math.sqrt(sum(float((a * a).sum()) for g in grads for a in g.arrays()))
+    def _reference_norm(nets):
+        return math.sqrt(sum(float((a * a).sum()) for g in nets for a in g.arrays()))
 
     def test_norm_matches_per_array_sum(self, rng):
-        grads = self._grads(rng, 3.0)
-        reference = self._reference_norm(grads)
-        assert abs(global_grad_norm(*grads) - reference) < 1e-12 * reference
+        grads, nets = self._grads(rng, 3.0)
+        reference = self._reference_norm(nets)
+        before = grads.copy()
+        clip_grads(grads, 0.5 * reference)
+        # the scale applied is 0.5 * reference / norm
+        assert np.allclose(grads / before, 0.5, rtol=1e-12, atol=0.0)
 
     def test_clipped_to_max_norm(self, rng):
-        grads = self._grads(rng, 5.0)
-        before = [g.flat.copy() for g in grads]
-        assert global_grad_norm(*grads) > 1.0
+        grads, nets = self._grads(rng, 5.0)
+        before = grads.copy()
+        assert self._reference_norm(nets) > 1.0
         clip_grads(grads, 1.0)
-        assert abs(self._reference_norm(grads) - 1.0) < 1e-12
+        assert abs(self._reference_norm(nets) - 1.0) < 1e-12
         # one common scale for both networks: directions are kept
-        ratios = np.concatenate([g.flat / b for g, b in zip(grads, before)])
+        ratios = grads / before
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
     def test_under_the_limit_unchanged(self, rng):
-        grads = self._grads(rng, 0.01)
-        before = [g.flat.copy() for g in grads]
+        grads, _ = self._grads(rng, 0.01)
+        before = grads.copy()
         clip_grads(grads, 100.0)
-        for g, b in zip(grads, before):
-            assert np.array_equal(g.flat, b)
+        assert np.array_equal(grads, before)

@@ -9,7 +9,8 @@ from tarstop.corpus import batch_topic, synth_topics
 from tarstop.env import STOP, VecStoppingEnv
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult, cost_of, recall_of
-from tarstop.nets import MlpParams, forward, init_params
+from tarstop import nets, ppo
+from tarstop.nets import MlpParams, adam_init, forward, init_params, joint_params
 from tarstop.ppo import (
     Checkpoint,
     Hyperparams,
@@ -208,7 +209,7 @@ class TestPpoLoss:
     def test_unchanged_policy_has_unit_ratio(self):
         actor, critic, batch = self._batch_from_rollout()
         hyper = Hyperparams()
-        _, stats = ppo_loss(actor, critic, batch, hyper)
+        _, stats, _ = ppo_loss(actor, critic, batch, hyper)
         assert stats["clip_fraction"] == 0.0
         # -mean(normalized advantages), which is zero up to float error
         assert abs(stats["policy_loss"]) < 1e-12
@@ -227,7 +228,7 @@ class TestPpoLoss:
             advantages=np.array([1.0, 1.0]),
             returns=np.zeros(2),
         )
-        _, stats = ppo_loss(actor, critic, batch, Hyperparams(clip_range=0.2))
+        _, stats, _ = ppo_loss(actor, critic, batch, Hyperparams(clip_range=0.2))
         assert abs(stats["policy_loss"] - (-1.2)) < 1e-12
         assert stats["clip_fraction"] == 1.0
 
@@ -242,14 +243,14 @@ class TestPpoLoss:
             advantages=np.array([-1.0, -1.0]),
             returns=np.zeros(2),
         )
-        _, stats = ppo_loss(actor, critic, batch, Hyperparams(clip_range=0.2))
+        _, stats, _ = ppo_loss(actor, critic, batch, Hyperparams(clip_range=0.2))
         # min(0.5 * -1, 0.8 * -1) = -0.8 -> loss +0.8
         assert abs(stats["policy_loss"] - 0.8) < 1e-12
 
     def test_stats_bounds(self):
         actor, critic, batch = self._batch_from_rollout(seed=2)
         actor2 = MlpParams([w + 0.01 for w in actor.weights], [b + 0.01 for b in actor.biases])
-        _, stats = ppo_loss(actor2, critic, batch, Hyperparams())
+        _, stats, _ = ppo_loss(actor2, critic, batch, Hyperparams())
         assert 0.0 <= stats["clip_fraction"] <= 1.0
         assert stats["approx_kl"] >= -1e-12
         assert 0.0 <= stats["entropy"] <= np.log(2.0) + 1e-12
@@ -260,10 +261,24 @@ class TestPpoLoss:
         batch = dataclasses.replace(batch, log_probs_old=np.full_like(batch.log_probs_old, -1e-13))
         h_on = Hyperparams(entropy_coef=0.1)
         h_off = Hyperparams(entropy_coef=0.0)
-        _, _, grads_on, _ = ppo_loss(actor, critic, batch, h_on, want_grads=True)
-        _, _, grads_off, _ = ppo_loss(actor, critic, batch, h_off, want_grads=True)
-        for a, b in zip(grads_on.arrays(), grads_off.arrays()):
-            assert np.allclose(a, b, atol=1e-8)
+        _, _, grads_on = ppo_loss(actor, critic, batch, h_on)
+        _, _, grads_off = ppo_loss(actor, critic, batch, h_off)
+        assert np.allclose(grads_on, grads_off, atol=1e-8)
+
+    def test_gradient_vector_is_both_backward_passes_bitwise(self, monkeypatch):
+        # the reference is each network's gradient in its own new buffer, as
+        # ppo_loss returned them before they shared one vector
+        actor, critic, batch = self._batch_from_rollout(seed=1)
+        separate = []
+
+        def recording_backward(params, cache, grad_out, out=None):
+            separate.append(nets.backward(params, cache, grad_out).flat)
+            return nets.backward(params, cache, grad_out, out=out)
+
+        monkeypatch.setattr(ppo, "backward", recording_backward)
+        _, _, grads = ppo_loss(actor, critic, batch, Hyperparams())
+        assert [g.size for g in separate] == [actor.flat.size, critic.flat.size]
+        assert np.array_equal(grads, np.concatenate(separate))
 
     def test_advantage_normalization_invariant(self, rng):
         for _ in range(20):
@@ -281,27 +296,25 @@ class TestPpoUpdate:
     def test_requires_gae(self):
         pool = small_pool()
         venv = VecStoppingEnv(pool, 0.9, n_envs=2, seed=0)
-        actor, critic = fresh_nets(venv.n_batches)
+        params, (actor, critic) = joint_params(*fresh_nets(venv.n_batches))
         buf, _ = collect_rollout(actor, critic, venv, 10, np.random.default_rng(0))
-        from tarstop.nets import adam_init
-
         with pytest.raises(ValueError, match="compute_gae"):
-            ppo_update(actor, critic, adam_init(actor), adam_init(critic), buf,
+            ppo_update(actor, critic, params, adam_init(params), buf,
                        Hyperparams(), np.random.default_rng(0))
 
     def test_update_changes_params_and_reports_stats(self):
-        from tarstop.nets import adam_init
-
         pool = small_pool()
         venv = VecStoppingEnv(pool, 0.9, n_envs=4, seed=0)
-        actor, critic = fresh_nets(venv.n_batches)
-        before = [a.copy() for a in actor.arrays()]
+        params, (actor, critic) = joint_params(*fresh_nets(venv.n_batches))
+        before = [net.flat.copy() for net in (actor, critic)]
         buf, _ = collect_rollout(actor, critic, venv, 25, np.random.default_rng(0))
         compute_gae(buf, 0.99, 0.95)
         hyper = Hyperparams(minibatch_size=20, n_epochs=2)
-        stats = ppo_update(actor, critic, adam_init(actor), adam_init(critic), buf, hyper,
-                           np.random.default_rng(0))
-        assert any(not np.array_equal(a, b) for a, b in zip(actor.arrays(), before))
+        opt = adam_init(params)
+        stats = ppo_update(actor, critic, params, opt, buf, hyper, np.random.default_rng(0))
+        # both networks move, through their views of the one vector
+        assert all(not np.array_equal(net.flat, b) for net, b in zip((actor, critic), before))
+        assert opt.step == 2 * (100 // 20)
         assert 0.0 <= stats["clip_fraction"] <= 1.0
         assert stats["approx_kl"] >= -1e-12
         assert np.isfinite(stats["loss"])
@@ -501,7 +514,7 @@ class TestCheckpointIO:
         (lambda d: d["critic"]["biases"][0].__setitem__(0, float("nan")),
          "critic has non-finite weights"),
         (lambda d: d["actor"]["weights"].__setitem__(1, [[0.0] * 2] * 3),
-         "actor layer shapes do not chain"),
+         "actor weights and biases are malformed: layer shapes do not chain"),
         (lambda d: d["actor"].pop("biases"), "actor is missing key 'biases'"),
     ], ids=["n_batches", "target_recall", "target_recall-range", "normalize_obs", "hyperparams",
             "non-finite", "unchained", "missing-biases"])
