@@ -27,11 +27,8 @@ from .metrics import (
     StopResult,
     TopicMetrics,
     aggregate,
-    cost_of,
-    excess_of,
     optimal_stop_rank,
     read_results_csv,
-    recall_of,
     write_aggregate_csv,
     write_per_topic_csv,
     write_results_csv,

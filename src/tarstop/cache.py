@@ -1,27 +1,20 @@
-"""Content-addressed cache of assembled topics, shared by every command.
+"""Content-addressed cache of parsed inputs, shared by every command.
 
-Each ``train``, ``stop``, ``baseline`` and ``eval`` command ingests a run
-and a qrels file. The first one to ingest a pair stores what ingest
-produced: the topic ids, their label vectors and the warnings ingest
-logged. A later command on the same bytes, at any path, loads those in
-place of parsing, builds every :class:`~tarstop.corpus.Topic` through its
-constructor and logs the same warnings, so its outputs are byte-identical
-to an uncached run.
+The first command to parse an input stores what the parse produced; a
+later command on the same bytes, at any path, loads it and rebuilds the
+value through the same constructors and checks, so outputs are
+byte-identical to an uncached run. :data:`TOPICS` holds a run/qrels pair's
+topic ids, labels (a byte per document) and ingest warnings, which a hit
+logs again; ``tarstop.ppo.CHECKPOINTS`` a checkpoint's weights and fields.
 
-- Key: sha256 over :data:`FORMAT` and the sha256 of each file's bytes,
-  hashed in chunks so no file is held whole beside the parse.
-- Value: one uncompressed ``.npz`` (read with ``allow_pickle=False``)
-  holding ``topic_ids``, per-topic ``lengths``, every label concatenated
-  as ``uint8`` and the ``warnings`` to replay; about one byte per ranked
-  document.
-- Location: ``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache
-  off), else ``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``.
-  Never beside the inputs.
-
-A missing, unreadable or inconsistent entry is a miss: the command parses
-and rewrites it. An entry is written to a temporary file in the cache
-directory and renamed into place; when the directory cannot be written the
-command runs uncached. Parse and configuration errors are never stored.
+An entry's key is the sha256 over its kind's ``format`` and each file's
+sha256; its value is one ``.npz``, read with ``allow_pickle=False``. It
+lives in ``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache off),
+else ``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``, and is never
+evicted. A missing, unreadable or inconsistent entry is a miss: the input
+is parsed and the entry rewritten, through a temporary file renamed into
+place. A directory that cannot be written only costs a warning. Parse and
+configuration errors are never stored.
 """
 
 from __future__ import annotations
@@ -30,9 +23,8 @@ import logging
 import os
 import tempfile
 import zipfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -41,12 +33,20 @@ from .corpus import log as corpus_log
 
 log = logging.getLogger(__name__)
 
-# Part of every key: change it whenever the entry layout or the meaning of
-# what ingest produces changes, so old entries are never read.
-FORMAT = b"tarstop-topics-v1"
 ENV_VAR = "TARSTOP_CACHE_DIR"
-_ARRAYS = ("topic_ids", "lengths", "labels", "warnings")
 _CHUNK = 1 << 18
+
+
+class Kind(NamedTuple):
+    """One kind of input: ``format`` is part of every key (change it when the
+    entry layout or a parse's meaning changes); an entry holds exactly the
+    ``arrays`` that ``encode`` makes of a value (None: store nothing) and
+    that ``decode`` turns back, raising if they are inconsistent."""
+
+    format: bytes
+    arrays: tuple[str, ...]
+    encode: Callable[[Any], dict[str, np.ndarray] | None]
+    decode: Callable[[dict[str, np.ndarray]], Any]
 
 
 def cache_dir() -> Path | None:
@@ -76,8 +76,8 @@ def file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def entry_path(run_file, qrels_file) -> Path | None:
-    """Where the entry for this run/qrels pair lives, or None when the cache is off."""
+def entry_path(kind: Kind, files) -> Path | None:
+    """Where the entry of ``kind`` for these files lives, or None when the cache is off."""
     directory = cache_dir()
     if directory is None:
         return None
@@ -85,48 +85,25 @@ def entry_path(run_file, qrels_file) -> Path | None:
     # a command that uses the cache imports it.
     import hashlib
 
-    key = hashlib.sha256(FORMAT + file_sha256(run_file) + file_sha256(qrels_file))
+    key = hashlib.sha256(kind.format + b"".join(map(file_sha256, files)))
     return directory / f"{key.hexdigest()}.npz"
 
 
-def read_entry(path: Path) -> tuple[list[Topic], list[str]] | None:
-    """The topics and warnings stored at ``path``, or None if there is no
+def read_entry(path: Path, kind: Kind):
+    """The value of ``kind`` stored at ``path``, or None if there is no
     usable entry: missing, unreadable, truncated or inconsistent."""
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            return None  # a bare .npy array
-        with data:
-            if sorted(data.files) != sorted(_ARRAYS):
+        with np.load(path, allow_pickle=False) as data:  # a bare .npy array has no ``with``
+            if sorted(data.files) != sorted(kind.arrays):
                 return None
-            ids, lengths, labels, warnings = (data[name] for name in _ARRAYS)
-        if not (ids.ndim == lengths.ndim == labels.ndim == warnings.ndim == 1
-                and ids.dtype.kind == warnings.dtype.kind == "U"
-                and lengths.dtype.kind == "i" and labels.dtype == np.uint8
-                and len(ids) == len(lengths) and len(set(ids.tolist())) == len(ids)
-                and (lengths > 0).all() and int(lengths.sum()) == len(labels)):
-            return None
-        parts = np.split(labels, np.cumsum(lengths)[:-1])
-        topics = [Topic(topic_id, part) for topic_id, part in zip(ids.tolist(), parts)]
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            return kind.decode({name: data[name] for name in kind.arrays})
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, zipfile.BadZipFile):
         return None
-    return topics, warnings.tolist()
 
 
-def write_entry(path: Path, topics: list[Topic], warnings: list[str]) -> None:
-    """Store ``topics`` and ``warnings`` at ``path``. Nothing is stored when
-    the values would not read back equal, and a directory that cannot be
-    written costs a warning, not the command."""
-    ids = np.array([t.topic_id for t in topics], dtype=str)
-    replay = np.array(warnings, dtype=str)
-    if ids.tolist() != [t.topic_id for t in topics] or replay.tolist() != warnings:
-        return  # e.g. a trailing NUL, which numpy's str arrays drop
-    arrays = {
-        "topic_ids": ids,
-        "lengths": np.array([t.n_docs for t in topics], dtype=np.int64),
-        "labels": np.concatenate([t.labels for t in topics]).astype(np.uint8),
-        "warnings": replay,
-    }
+def write_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """Store ``arrays`` at ``path``; a directory that cannot be written costs
+    a warning, not the command."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -135,9 +112,54 @@ def write_entry(path: Path, topics: list[Topic], warnings: list[str]) -> None:
             np.savez(fh, **arrays)
         os.replace(tmp, path)
     except OSError as exc:
-        log.warning("topic cache %s not written, running uncached: %s", path.parent, exc)
+        log.warning("input cache %s not written, running uncached: %s", path.parent, exc)
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
+
+
+def cached(kind: Kind, files, parse: Callable[[], Any]) -> tuple[Any, bool]:
+    """The value of ``kind`` for these files, and whether it is a hit:
+    loaded from the cache, else ``parse()``, whose value is then stored."""
+    path = entry_path(kind, files)
+    value = read_entry(path, kind) if path is not None else None
+    if value is not None:
+        return value, True
+    value = parse()
+    arrays = kind.encode(value) if path is not None else None
+    if arrays is not None:
+        write_entry(path, arrays)
+    return value, False
+
+
+def _topics_entry(value: tuple[list[Topic], list[str]]) -> dict[str, np.ndarray] | None:
+    topics, warnings = value
+    # A warning logged below the corpus logger's level is never recorded,
+    # so such a run cannot know what a hit would have to replay.
+    if not topics or not corpus_log.isEnabledFor(logging.WARNING):
+        return None
+    ids = np.array([t.topic_id for t in topics], dtype=str)
+    replay = np.array(warnings, dtype=str)
+    if ids.tolist() != [t.topic_id for t in topics] or replay.tolist() != warnings:
+        return None  # e.g. a trailing NUL, which numpy's str arrays drop
+    lengths = np.array([t.n_docs for t in topics], dtype=np.int64)
+    labels = np.concatenate([t.labels for t in topics]).astype(np.uint8)
+    return dict(zip(TOPICS.arrays, (ids, lengths, labels, replay)))
+
+
+def _topics_from_entry(arrays: dict[str, np.ndarray]) -> tuple[list[Topic], list[str]]:
+    ids, lengths, labels, warnings = arrays.values()
+    if not (ids.ndim == lengths.ndim == labels.ndim == warnings.ndim == 1
+            and ids.dtype.kind == warnings.dtype.kind == "U"
+            and lengths.dtype.kind == "i" and labels.dtype == np.uint8
+            and len(ids) == len(lengths) and len(set(ids.tolist())) == len(ids)
+            and (lengths > 0).all() and int(lengths.sum()) == len(labels)):
+        raise ValueError("inconsistent topic entry")
+    parts = np.split(labels, np.cumsum(lengths)[:-1])
+    return [Topic(topic_id, part) for topic_id, part in zip(ids.tolist(), parts)], warnings.tolist()
+
+
+TOPICS = Kind(b"tarstop-topics-v1", ("topic_ids", "lengths", "labels", "warnings"),
+              _topics_entry, _topics_from_entry)
 
 
 class _Recorder(logging.Handler):
@@ -149,31 +171,20 @@ class _Recorder(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-@contextmanager
-def _recorded_warnings():
-    """The warnings ``tarstop.corpus`` logs inside the block, as messages."""
-    recorder = _Recorder()
-    corpus_log.addHandler(recorder)
-    try:
-        yield recorder.messages
-    finally:
-        corpus_log.removeHandler(recorder)
-
-
 def cached_topics(run_file, qrels_file, ingest: Callable[[], list[Topic]]) -> list[Topic]:
-    """The topics of a run/qrels pair: from the cache on a hit, else from
-    ``ingest()``, whose result is then stored."""
-    path = entry_path(run_file, qrels_file)
-    hit = read_entry(path) if path is not None else None
-    if hit is not None:
-        topics, warnings = hit
+    """The topics of a run/qrels pair: from the cache on a hit, which logs
+    the warnings ingest logged, else from ``ingest()``."""
+
+    def parse():
+        recorder = _Recorder()
+        corpus_log.addHandler(recorder)
+        try:
+            return ingest(), recorder.messages
+        finally:
+            corpus_log.removeHandler(recorder)
+
+    (topics, warnings), hit = cached(TOPICS, (run_file, qrels_file), parse)
+    if hit:
         for message in warnings:
             corpus_log.warning("%s", message)
-        return topics
-    with _recorded_warnings() as warnings:
-        topics = ingest()
-    # A warning logged below the corpus logger's level is never recorded,
-    # so such a run cannot know what a hit would have to replay.
-    if path is not None and topics and corpus_log.isEnabledFor(logging.WARNING):
-        write_entry(path, topics, warnings)
     return topics

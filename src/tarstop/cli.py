@@ -5,11 +5,10 @@ built-in defaults; a config file may set only its subcommand's optional
 flags, by their Python names and with their types. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error.
 
-Every command that reads a run/qrels pair (``train``, ``stop``,
-``baseline``, ``eval``) ingests it through :func:`_load_topics`. That
-goes through the content-addressed topic cache (:mod:`tarstop.cache`), so
-only the first command on a pair parses it; ``TARSTOP_CACHE_DIR`` names
-the cache directory and an empty value turns the cache off.
+Run/qrels pairs (read through :func:`_load_topics`) and checkpoints go
+through the content-addressed input cache (:mod:`tarstop.cache`), so only
+the first command on the same bytes parses them; ``TARSTOP_CACHE_DIR``
+names the cache directory and an empty value turns the cache off.
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ def _load_config(args) -> dict:
     """
     if args.config is None:
         return {}
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        raise ConfigError(f"config file not found: {config_path}")
+    config_path = _require_file(args.config, "config file")
     try:
         data = json.loads(config_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -96,11 +93,13 @@ def _config_value_problem(action: argparse.Action, value) -> str | None:
         return not isinstance(item, bool) and isinstance(item, accepts)
 
     if isinstance(action, argparse._AppendAction):
-        if isinstance(value, list) and value and all(map(fits, value)):
-            return None
-        return f"must be a non-empty list of {many}"
-    if not fits(value):
+        if not (isinstance(value, list) and value and all(map(fits, value))):
+            return f"must be a non-empty list of {many}"
+    elif not fits(value):
         return f"must be {one}"
+    values = value if isinstance(value, list) else [value]
+    if kind is float and not all(abs(v) <= sys.float_info.max for v in values):
+        return "must be finite"  # Hyperparams.validate's rule, before float() meets a huge int
     if action.choices is not None and value not in action.choices:
         return f"must be one of {', '.join(action.choices)}"
     return None
@@ -117,11 +116,7 @@ def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 def _resolve(args, config: dict, key: str, default):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    return value if value is not None else config.get(key, default)
 
 
 def _require_file(path, what: str) -> Path:
@@ -217,11 +212,9 @@ def cmd_baseline(args) -> int:
     for topic in topics:
         if args.method == "oracle":
             results.extend(oracle_stop(topic, t) for t in targets)
-        elif args.method == "knee":
-            base = knee_stop(batch_topic(topic, batches))
-            results.extend(dataclasses.replace(base, target_recall=t) for t in targets)
-        else:
-            base = budget_stop(topic, fraction)
+        else:  # one decision, labelled with each target
+            base = (knee_stop(batch_topic(topic, batches)) if args.method == "knee"
+                    else budget_stop(topic, fraction))
             results.extend(dataclasses.replace(base, target_recall=t) for t in targets)
     write_results_csv(args.out, results)
     print(f"wrote {len(results)} {args.method} decisions "
@@ -288,6 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with key/value defaults")
+    pair = argparse.ArgumentParser(add_help=False)  # the inputs of every command but synth
+    pair.add_argument("--run", required=True)
+    pair.add_argument("--qrels", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic run/qrels pair")
     p.add_argument("--out", required=True, help="output directory")
@@ -299,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", help="run tag column value")
     p.set_defaults(func=cmd_synth, config_keys=_config_keys(p))
 
-    p = sub.add_parser("train", parents=[common], help="train one policy per target recall")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
+    p = sub.add_parser("train", parents=[common, pair], help="train one policy per target recall")
     p.add_argument("--out", required=True, help="output directory for checkpoints and logs")
     p.add_argument("--target", type=float, action="append",
                    help="target recall, repeatable (default 0.8 0.9 1.0)")
@@ -323,19 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-grad-norm", dest="max_grad_norm", type=float)
     p.set_defaults(func=cmd_train, config_keys=_config_keys(p))
 
-    p = sub.add_parser("stop", parents=[common], help="apply a trained policy to a collection")
+    p = sub.add_parser("stop", parents=[common, pair], help="apply a trained policy to a collection")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--mode", choices=["greedy", "sample"])
     p.add_argument("--seed", type=int, help="seed for sample mode")
     p.set_defaults(func=cmd_stop, config_keys=_config_keys(p))
 
-    p = sub.add_parser("baseline", parents=[common], help="run a reference stopping strategy")
+    p = sub.add_parser("baseline", parents=[common, pair], help="run a reference stopping strategy")
     p.add_argument("--method", required=True, choices=["oracle", "knee", "budget"])
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--target", type=float, action="append",
                    help="target recall label(s) for the rows (default 0.8 0.9 1.0)")
@@ -343,12 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, help="budget fraction (default 0.5)")
     p.set_defaults(func=cmd_baseline, config_keys=_config_keys(p))
 
-    p = sub.add_parser("eval", parents=[common], help="score stopping results against qrels")
+    p = sub.add_parser("eval", parents=[common, pair], help="score stopping results against qrels")
     p.add_argument("--results", action="append", required=True,
                    help="stopping-results CSV, repeatable; minimal schema "
                         "(topic_id, method, docs_examined) is accepted")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output directory for report CSVs")
     p.add_argument("--target", type=float, action="append",
                    help="target(s) stamped onto imported rows that lack one")
@@ -362,12 +350,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, ParseError, FileNotFoundError)) else 1
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ The CLI keeps what :func:`load_run`, :func:`load_qrels` and
 :func:`assemble_topics` make of a pair of files (the topics and the
 warnings logged) in a cache keyed by the files' bytes
 (:mod:`tarstop.cache`). A change to what they produce for given bytes must
-change ``tarstop.cache.FORMAT``, or old entries would stand in for it.
+change ``tarstop.cache.TOPICS.format``, or old entries would stand in for it.
 """
 
 from __future__ import annotations
@@ -310,13 +310,18 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
     return topics
 
 
-def _load(path, parse):
-    """``parse`` over the UTF-8 text of ``path``; a :class:`ParseError` names the file."""
+def read_text(path, newline=None) -> str:
+    """The text of ``path``; a :class:`ParseError` names the file if it is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
+
+
+def _load(path, parse):
+    """``parse`` over the UTF-8 text of ``path``; a :class:`ParseError` names the file."""
+    text = read_text(path)
     try:
         return parse(text)
     except ParseError as exc:

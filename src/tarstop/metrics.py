@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Topic, check_target, first_reaching
+from .corpus import Topic, check_target, first_reaching, read_text
 from .errors import ConfigError, ParseError
 
 PER_TOPIC_HEADER = (
@@ -124,19 +125,6 @@ class MetricsReport:
     summaries: tuple[MethodSummary, ...]
 
 
-def recall_of(result: StopResult, topic: Topic) -> float:
-    return _topic_metrics(result, topic).recall
-
-
-def cost_of(result: StopResult, topic: Topic) -> float:
-    return _topic_metrics(result, topic).cost
-
-
-def excess_of(result: StopResult, topic: Topic, target_recall: float) -> float:
-    """Cost overshoot past the ideal stop, normalized by the attainable room."""
-    return _topic_metrics(result, topic, target_recall).excess
-
-
 def _topic_metrics(result: StopResult, topic: Topic | None, target_recall=None) -> TopicMetrics:
     """One row's metrics, the one place each formula lives. The row is
     resolved against its topic once; without a target its excess is None."""
@@ -195,11 +183,8 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
                     "method at a target must cover the same topics"
                 )
     means = {
-        key: (
-            float(np.mean([r.recall for r in group])),
-            float(np.mean([r.cost for r in group])),
-            float(np.mean([r.excess for r in group])),
-        )
+        key: (float(np.mean([r.recall for r in group])), float(np.mean([r.cost for r in group])),
+              float(np.mean([r.excess for r in group])))
         for key, group in grouped.items()
     }
     summaries = []
@@ -213,17 +198,8 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
             and (means[other][0] > mean_recall or means[other][1] < mean_cost)
             for other in means
         )
-        summaries.append(
-            MethodSummary(
-                method=method,
-                target_recall=target,
-                n_topics=len(group),
-                mean_recall=mean_recall,
-                mean_cost=mean_cost,
-                mean_excess=mean_excess,
-                pareto_optimal=not dominated,
-            )
-        )
+        summaries.append(MethodSummary(method, target, len(group), mean_recall, mean_cost,
+                                       mean_excess, pareto_optimal=not dominated))
     summaries.sort(key=lambda s: (s.target_recall, s.method))
     return MetricsReport(tuple(rows), tuple(summaries))
 
@@ -282,30 +258,29 @@ def _cell(path, lineno: int, row: dict, column: str, convert):
 def read_results_csv(path) -> list[StopResult]:
     """Read stopping results, either this package's schema or the minimal
     external one (topic_id, method, docs_examined)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty results file")
-        fields = set(reader.fieldnames)
-        for required in ("topic_id", "method", "docs_examined"):
-            if required not in fields:
-                raise ConfigError(f"{path}: missing required column {required!r}")
-        results = []
-        for lineno, row in enumerate(reader, start=2):
-            docs = _cell(path, lineno, row, "docs_examined", int)
-            if docs is None:
-                raise ParseError(f"{path} line {lineno}: docs_examined is empty")
-            target = _cell(path, lineno, row, "target", float)
-            if target is not None:
-                check_target(target, f"{path} line {lineno}: target")
-            results.append(
-                StopResult(
-                    topic_id=row["topic_id"],
-                    method=row["method"],
-                    target_recall=target,
-                    docs_examined=docs,
-                    relevant_found=_cell(path, lineno, row, "relevant_found", int),
-                    stop_batch=_cell(path, lineno, row, "stop_batch", int),
-                )
+    reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
+    if reader.fieldnames is None:
+        raise ParseError(f"{path}: empty results file")
+    fields = set(reader.fieldnames)
+    for required in ("topic_id", "method", "docs_examined"):
+        if required not in fields:
+            raise ConfigError(f"{path}: missing required column {required!r}")
+    results = []
+    for lineno, row in enumerate(reader, start=2):
+        docs = _cell(path, lineno, row, "docs_examined", int)
+        if docs is None:
+            raise ParseError(f"{path} line {lineno}: docs_examined is empty")
+        target = _cell(path, lineno, row, "target", float)
+        if target is not None:
+            check_target(target, f"{path} line {lineno}: target")
+        results.append(
+            StopResult(
+                topic_id=row["topic_id"],
+                method=row["method"],
+                target_recall=target,
+                docs_examined=docs,
+                relevant_found=_cell(path, lineno, row, "relevant_found", int),
+                stop_batch=_cell(path, lineno, row, "stop_batch", int),
             )
+        )
     return results

@@ -16,6 +16,7 @@ operations over both networks at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,5 +227,11 @@ def params_to_jsonable(params: MlpParams) -> dict:
     }
 
 
-def params_from_jsonable(data: dict) -> MlpParams:
-    return MlpParams(data["weights"], data["biases"])
+def params_from_flat(flat: np.ndarray, sizes: list[int]) -> MlpParams:
+    """The params with layer ``sizes`` whose ``flat`` buffer equals ``flat``."""
+    shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
+    ends = np.cumsum([0, *map(math.prod, shapes)])
+    if flat.dtype != np.float64 or flat.shape != (ends[-1],) or min(sizes, default=-1) < 0:
+        raise ValueError(f"layer sizes {sizes} do not fit {flat.size} float64 parameters")
+    arrays = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+    return MlpParams(arrays[: len(sizes) - 1], arrays[len(sizes) - 1:])

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .cache import Kind, cached
 from .corpus import BatchedTopic, Topic, batch_topic, check_seed, check_target
 from .env import CONTINUE, NORMALIZE_MODES, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
@@ -34,7 +35,7 @@ from .nets import (
     init_params,
     joint_params,
     log_softmax,
-    params_from_jsonable,
+    params_from_flat,
     params_to_jsonable,
     softmax,
 )
@@ -425,9 +426,9 @@ def infer_stop(
     ]
 
 
-def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Write the checkpoint as versioned JSON; floats round-trip bit-exactly."""
-    payload = {
+def _payload(checkpoint: Checkpoint) -> dict:
+    """A checkpoint's JSON object, less the networks' weights."""
+    return {
         "format_version": CHECKPOINT_VERSION,
         "kind": "tarstop-checkpoint",
         "target_recall": checkpoint.target_recall,
@@ -440,20 +441,33 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             "init": INIT_SCHEME,
         },
         "hyperparams": asdict(checkpoint.hyper),
-        "actor": params_to_jsonable(checkpoint.actor),
-        "critic": params_to_jsonable(checkpoint.critic),
     }
+
+
+def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    """Write the checkpoint as versioned JSON; floats round-trip bit-exactly."""
+    payload = {**_payload(checkpoint), "actor": params_to_jsonable(checkpoint.actor),
+               "critic": params_to_jsonable(checkpoint.critic)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    """The checkpoint at ``path``, parsed or from the input cache (:mod:`tarstop.cache`)."""
+
+    def parse():
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # invalid JSON or not UTF-8
+                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        return _checked(path, data, lambda network: MlpParams(network["weights"], network["biases"]))
+
+    return cached(CHECKPOINTS, (path,), parse)[0]
+
+
+def _checked(path, data, network) -> Checkpoint:
+    """Checkpoint JSON ``data``, its networks made by ``network``, checked; errors name ``path``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if data.get("kind") != "tarstop-checkpoint":
@@ -462,9 +476,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigError(f"{path}: unsupported checkpoint version {data.get('format_version')}")
     try:
         networks = {name: data[name] for name in ("actor", "critic")}
-        hyper = data["hyperparams"]
-        target_recall, n_batches = data["target_recall"], data["n_batches"]
-        normalize_obs = data["normalize_obs"]
+        hyper, target_recall, n_batches, normalize_obs = (
+            data[key] for key in ("hyperparams", "target_recall", "n_batches", "normalize_obs"))
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint is missing key {exc.args[0]!r}") from None
     if isinstance(n_batches, bool) or not isinstance(n_batches, int):
@@ -478,33 +491,23 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if not isinstance(hyper, dict):
         raise ConfigError(f"{path}: hyperparams must be a JSON object")
-    return Checkpoint(
-        actor=_load_network(path, "actor", networks["actor"], n_batches, 2),
-        critic=_load_network(path, "critic", networks["critic"], n_batches, 1),
-        target_recall=target_recall,
-        n_batches=n_batches,
-        normalize_obs=normalize_obs,
-        hyper=_load_hyperparams(path, hyper),
-    )
-
-
-def _load_hyperparams(path, hyper: dict) -> Hyperparams:
-    """Checkpoint hyperparameters, validated."""
+    actor, critic = (_load_network(path, name, network, networks[name], n_batches, n_out)
+                     for name, n_out in (("actor", 2), ("critic", 1)))
     for key in hyper:
         if key not in Hyperparams.__dataclass_fields__:
             raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
-    params = Hyperparams(**hyper)
+    hyperparams = Hyperparams(**hyper)
     try:
-        params.validate()
+        hyperparams.validate()
     except ConfigError as exc:
         raise ConfigError(f"{path}: hyperparams {exc}") from None
-    return params
+    return Checkpoint(actor, critic, target_recall, n_batches, normalize_obs, hyperparams)
 
 
-def _load_network(path, name: str, data, n_batches: int, n_out: int) -> MlpParams:
-    """One checkpoint network, checked to be finite, chained and ``n_batches -> n_out``."""
+def _load_network(path, name: str, network, value, n_batches: int, n_out: int) -> MlpParams:
+    """``network(value)``, checked to be finite, chained and ``n_batches -> n_out``."""
     try:
-        params = params_from_jsonable(data)  # the constructor checks that the layers chain
+        params = network(value)  # the MlpParams constructor checks that the layers chain
     except KeyError as exc:
         raise ConfigError(f"{path}: {name} is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past any float
@@ -519,6 +522,23 @@ def _load_network(path, name: str, data, n_batches: int, n_out: int) -> MlpParam
             f"expected {n_batches} (n_batches) to {n_out}"
         )
     return params
+
+
+def _checkpoint_entry(checkpoint: Checkpoint) -> dict[str, np.ndarray]:
+    fields = np.array(json.dumps(_payload(checkpoint)))
+    return {"actor": checkpoint.actor.flat, "critic": checkpoint.critic.flat, "fields": fields}
+
+
+def _checkpoint_from_entry(arrays: dict[str, np.ndarray]) -> Checkpoint:
+    data = json.loads(arrays["fields"].item())
+    data.update({n: (arrays[n], data["architecture"][f"{n}_sizes"]) for n in ("actor", "critic")})
+    return _checked("cache entry", data, lambda network: params_from_flat(*network))
+
+
+# A cached checkpoint: each network's ``flat`` buffer, and the rest as its
+# JSON text, so a hit goes through the same checks as a parse.
+CHECKPOINTS = Kind(b"tarstop-checkpoint-v1", ("actor", "critic", "fields"),
+                   _checkpoint_entry, _checkpoint_from_entry)
 
 
 def write_training_log(path, rows: list[dict]) -> None:

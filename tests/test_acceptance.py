@@ -18,7 +18,7 @@ from tarstop.baselines import budget_stop, oracle_stop
 from tarstop.cli import main
 from tarstop.corpus import assemble_topics, batch_topic, load_qrels, load_run, synth_topics
 from tarstop.env import reward
-from tarstop.metrics import cost_of, excess_of, optimal_stop_rank, recall_of
+from tarstop.metrics import _topic_metrics, optimal_stop_rank
 from tarstop.nets import chosen_and_entropy, forward, init_params, joint_params, log_softmax
 from tarstop.ppo import Hyperparams, Minibatch, compute_gae, infer_stop, ppo_loss, train
 
@@ -139,11 +139,11 @@ def test_criterion_5_oracle_and_excess_identities():
         for target in (0.8, 0.9, 1.0):
             result = oracle_stop(topic, target)
             need = target * topic.n_relevant - 1e-9
-            if recall_of(result, topic) < target - 1e-9:
+            if _topic_metrics(result, topic).recall < target - 1e-9:
                 failures.append((topic.topic_id, target, "recall below target"))
             if result.docs_examined > 1 and g[result.docs_examined - 1] >= need:
                 failures.append((topic.topic_id, target, "earlier rank reaches target"))
-            if excess_of(result, topic, target) != 0.0:
+            if _topic_metrics(result, topic, target).excess != 0.0:
                 failures.append((topic.topic_id, target, "nonzero oracle excess"))
     report(5, not failures,
            f"{len(failures)} violations over 200 topics x 3 targets" +
@@ -155,7 +155,7 @@ def test_criterion_6_unattainable_target_overshoot():
     labels[1:18:2] = 1  # 9 relevant documents
     topic = make_topic(labels)
     result = oracle_stop(topic, 0.8)
-    recall = recall_of(result, topic)
+    recall = _topic_metrics(result, topic).recall
     report(6, result.relevant_found == 8 and abs(recall - 8 / 9) < 1e-12,
            f"oracle at target 0.8 over 9 relevant found {result.relevant_found}, recall {recall:.4f}")
 
@@ -166,7 +166,8 @@ def test_criterion_7_end_to_end_training():
     train_topics, held_out = topics[:30], topics[30:]
     oracle_cost = float(np.mean([optimal_stop_rank(t, 0.9) / t.n_docs for t in held_out]))
     assert 0.10 <= oracle_cost <= 0.20, f"synthetic decay mistuned: oracle cost {oracle_cost:.3f}"
-    budget_excess = float(np.mean([excess_of(budget_stop(t, 0.5), t, 0.9) for t in held_out]))
+    budget_excess = float(np.mean([_topic_metrics(budget_stop(t, 0.5), t, 0.9).excess
+                                   for t in held_out]))
     passed = 0
     details = []
     for seed in range(4):
@@ -174,9 +175,10 @@ def test_criterion_7_end_to_end_training():
         recalls, costs, excesses = [], [], []
         results = infer_stop(checkpoint, [batch_topic(topic, 100) for topic in held_out])
         for topic, result in zip(held_out, results):
-            recalls.append(recall_of(result, topic))
-            costs.append(cost_of(result, topic))
-            excesses.append(excess_of(result, topic, 0.9))
+            metrics = _topic_metrics(result, topic, 0.9)
+            recalls.append(metrics.recall)
+            costs.append(metrics.cost)
+            excesses.append(metrics.excess)
         mean_recall = float(np.mean(recalls))
         mean_cost = float(np.mean(costs))
         mean_excess = float(np.mean(excesses))

@@ -18,7 +18,7 @@ from tarstop.baselines import (
 )
 from tarstop.corpus import batch_topic, synth_topics
 from tarstop.errors import ConfigError
-from tarstop.metrics import StopResult, excess_of, optimal_stop_rank
+from tarstop.metrics import StopResult, _topic_metrics, optimal_stop_rank
 
 
 def random_topic(rng, n_docs=None, prevalence=0.3):
@@ -60,7 +60,7 @@ class TestOracle:
             topic = random_topic(rng)
             for target in (0.8, 0.9, 1.0):
                 result = oracle_stop(topic, target)
-                assert excess_of(result, topic, target) == 0.0
+                assert _topic_metrics(result, topic, target).excess == 0.0
 
     def test_no_earlier_rank_reaches_the_target(self, rng):
         for _ in range(50):

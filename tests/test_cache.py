@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import shutil
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tarstop.cli as cli
-from tarstop.cache import FORMAT, cache_dir, file_sha256, read_entry
+from tarstop.cache import TOPICS, cache_dir, file_sha256, read_entry
 from tarstop.cli import main
 from tarstop.corpus import assemble_topics, load_qrels, load_run
 from tarstop.errors import ConfigError
@@ -50,7 +51,7 @@ def cold(run, qrels):
 
 
 def entry_key(run, qrels):
-    return hashlib.sha256(FORMAT + file_sha256(run) + file_sha256(qrels)).hexdigest()
+    return hashlib.sha256(TOPICS.format + file_sha256(run) + file_sha256(qrels)).hexdigest()
 
 
 def count_parses(monkeypatch):
@@ -192,7 +193,7 @@ def test_damaged_entry_is_rebuilt(tmp_path, collection, topic_cache_dir, monkeyp
     (entry,) = entries(topic_cache_dir)
     good = entry.read_bytes()
     DAMAGE[damage](entry)
-    assert read_entry(entry) is None
+    assert read_entry(entry, TOPICS) is None
     calls = count_parses(monkeypatch)
     assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels)
     assert calls == ["load_run", "load_qrels", "assemble_topics"]  # a miss
@@ -333,3 +334,65 @@ def test_pipeline_outputs_are_identical_cold_warm_and_off(tmp_path, collection, 
     assert calls.count("load_run") == 4
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0]) == 5
+
+
+@pytest.fixture
+def checkpoint(tmp_path, collection):
+    run, qrels = collection
+    assert main(["train", "--run", str(run), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "model"), "--target", "0.9", "--batches", "6",
+                 "--timesteps", "200", "--n-steps", "10", "--n-envs", "2",
+                 "--minibatch-size", "20"]) == 0
+    return tmp_path / "model" / "policy-t0.9.json"
+
+
+def stop(checkpoint, collection, out):
+    run, qrels = collection
+    return main(["stop", "--checkpoint", str(checkpoint), "--run", str(run), "--qrels", str(qrels),
+                 "--out", str(out)])
+
+
+def test_stop_outputs_are_identical_cold_warm_and_off(tmp_path, collection, checkpoint,
+                                                      topic_cache_dir, monkeypatch):
+    for entry in entries(topic_cache_dir):  # the pair's, left by train
+        entry.unlink()
+    outputs = [tmp_path / f"{name}.csv" for name in ("cold", "warm", "off")]
+    assert stop(checkpoint, collection, outputs[0]) == 0
+    assert len(entries(topic_cache_dir)) == 2  # the pair and the checkpoint
+    calls = count_parses(monkeypatch)
+    monkeypatch.setattr(json, "load", lambda fh, _load=json.load: calls.append("json") or _load(fh))
+    assert stop(checkpoint, collection, outputs[1]) == 0
+    assert calls == []
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    assert stop(checkpoint, collection, outputs[2]) == 0
+    assert calls == ["json", "load_run", "load_qrels", "assemble_topics"]
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+
+def test_unwritable_cache_directory_only_warns_for_a_checkpoint(tmp_path, collection, checkpoint,
+                                                                monkeypatch, caplog):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(blocker / "cache"))
+    with caplog.at_level("WARNING"):
+        assert stop(checkpoint, collection, tmp_path / "a.csv") == 0
+    assert caplog.text.count("not written, running uncached") == 2  # checkpoint and pair
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    assert stop(checkpoint, collection, tmp_path / "b.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_empty_cache_dir_variable_writes_nothing_for_stop(tmp_path, collection, checkpoint,
+                                                         monkeypatch):
+    home, xdg = tmp_path / "home", tmp_path / "xdg"
+    home.mkdir()
+    xdg.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    beside = [checkpoint.parent, collection[0].parent]
+    before = [sorted(p.name for p in d.iterdir()) for d in beside]
+    for _ in range(2):
+        assert stop(checkpoint, collection, tmp_path / "x.csv") == 0
+    assert list(home.iterdir()) == [] and list(xdg.iterdir()) == []
+    assert [sorted(p.name for p in d.iterdir()) for d in beside] == before

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +132,11 @@ class TestTrain:
         ({"seed": "11"}, "key 'seed' must be an integer, got '11'"),
         ({"batches": 6.0}, "key 'batches' must be an integer, got 6.0"),
         ({"normalize_obs": "raw"}, "key 'normalize_obs' must be one of ratio, count"),
-    ], ids=["scalar-target", "typo-key", "string-seed", "float-batches", "bad-choice"])
+        # JSON integers have no size limit; past about 1e308 they have no float value
+        ({"learning_rate": 10**400}, f"key 'learning_rate' must be finite, got {10**400}"),
+        ({"target": [0.9, -(10**400)]}, f"key 'target' must be finite, got [0.9, {-(10**400)}]"),
+    ], ids=["scalar-target", "typo-key", "string-seed", "float-batches", "bad-choice",
+            "huge-int-float-flag", "huge-int-in-float-list"])
     def test_bad_config_exits_2(self, tmp_path, collection, capsys, config, message):
         run_path, qrels_path = collection
         path = tmp_path / "config.json"
@@ -371,21 +377,33 @@ def flip_a_byte(draw, data):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_checkpoint_exits_0_or_2_naming_it(tmp_path, trained, capsys, mutate, data):
+def test_mutated_checkpoint_exits_0_or_2_naming_it(tmp_path, trained, capsys, monkeypatch,
+                                                   mutate, data):
     """Any damage to a trained checkpoint either still loads or is a
-    config error that names the file, never an exit 1."""
+    config error that names the file, never an exit 1; and a second run,
+    which a loadable checkpoint serves from the input cache, gives the
+    same exit code and the same CSV bytes."""
     run_path, qrels_path, ckpt = trained
-    broken = tmp_path / "mutated.json"
+    example = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(example / "cache"))  # cold for each example
+    broken = example / "mutated.json"
     text = mutate(data.draw, json.loads(ckpt.read_text()))
     if isinstance(text, str):
         text = text.encode()
     broken.write_bytes(text)
-    capsys.readouterr()
-    code = main(["stop", "--checkpoint", str(broken), "--run", str(run_path),
-                 "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")])
-    err = capsys.readouterr().err
-    assert code in (0, 2), err
-    assert code == 0 or str(broken) in err, err
+    runs = []
+    for run in ("cold", "warm"):
+        out = example / f"{run}.csv"
+        capsys.readouterr()
+        code = main(["stop", "--checkpoint", str(broken), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert code == 0 or str(broken) in err, err
+        runs.append((code, err, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    if code == 0:  # the run/qrels pair and the checkpoint: the warm run was a hit
+        assert len(list((example / "cache").glob("*.npz"))) == 2
 
 
 def test_topic_shorter_than_the_batch_count(tmp_path, caplog):
@@ -617,6 +635,17 @@ class TestEval:
                      "--out", str(tmp_path / "r")]) == 2
         assert ("method 'oracle' at target 0.8 has no row for topic 'synth-0001', which "
                 "method 'budget' has") in capsys.readouterr().err
+
+    def test_results_not_utf8_exits_2_naming_it(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("topic_id,method,docs_examined\nsynth-0000,m\u00e9thode,20\n"
+                        .encode("latin-1"))
+        assert main(["eval", "--results", str(bad), "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not valid UTF-8: 'utf-8' codec can't decode byte 0xe9" in err
+        assert not (tmp_path / "r").exists()
 
     def test_empty_results_exit_2(self, tmp_path, collection):
         run_path, qrels_path = collection

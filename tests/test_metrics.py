@@ -7,12 +7,10 @@ from tarstop.corpus import synth_topics
 from tarstop.errors import ConfigError, ParseError
 from tarstop.metrics import (
     StopResult,
+    _topic_metrics,
     aggregate,
-    cost_of,
-    excess_of,
     optimal_stop_rank,
     read_results_csv,
-    recall_of,
     resolve_relevant_found,
     write_aggregate_csv,
     write_per_topic_csv,
@@ -27,43 +25,43 @@ def result(topic_id, docs, found, method="m", target=0.9, stop_batch=None):
 class TestPointMetrics:
     def test_recall(self):
         topic = make_topic([0, 1, 1, 1, 1, 0, 0, 0, 0, 1])
-        assert recall_of(result("t1", 8, 4), topic) == 0.8
-        assert recall_of(result("t1", 10, 5), topic) == 1.0
-        assert recall_of(result("t1", 1, 0), topic) == 0.0
+        assert _topic_metrics(result("t1", 8, 4), topic).recall == 0.8
+        assert _topic_metrics(result("t1", 10, 5), topic).recall == 1.0
+        assert _topic_metrics(result("t1", 1, 0), topic).recall == 0.0
 
     def test_cost(self):
         topic = make_topic([1] + [0] * 999)
-        assert cost_of(result("t1", 50, 1), topic) == 0.05
-        assert cost_of(result("t1", 1000, 1), topic) == 1.0
-        assert cost_of(result("t1", 10, 1), topic) == 0.01
+        assert _topic_metrics(result("t1", 50, 1), topic).cost == 0.05
+        assert _topic_metrics(result("t1", 1000, 1), topic).cost == 1.0
+        assert _topic_metrics(result("t1", 10, 1), topic).cost == 0.01
 
     def test_bounds_are_enforced(self):
         topic = make_topic([1, 0])
         with pytest.raises(ValueError, match="docs_examined"):
-            cost_of(result("t1", 3, 1), topic)
+            _topic_metrics(result("t1", 3, 1), topic)
         with pytest.raises(ValueError, match="relevant_found"):
-            recall_of(result("t1", 2, 5), topic)
+            _topic_metrics(result("t1", 2, 5), topic)
         with pytest.raises(ValueError, match="t2"):
-            cost_of(result("t2", 1, 1), topic)
+            _topic_metrics(result("t2", 1, 1), topic)
 
     def test_excess_direct_values(self):
         # relevant doc at rank 2 of 10 with target 1.0: optimal cost is 0.2
         topic = make_topic([0, 1] + [0] * 8)
         assert optimal_stop_rank(topic, 1.0) == 2
-        assert abs(excess_of(result("t1", 5, 1), topic, 1.0) - 0.375) < 1e-12
-        assert abs(excess_of(result("t1", 1, 0), topic, 1.0) - (-0.125)) < 1e-12
+        assert abs(_topic_metrics(result("t1", 5, 1), topic, 1.0).excess - 0.375) < 1e-12
+        assert abs(_topic_metrics(result("t1", 1, 0), topic, 1.0).excess - (-0.125)) < 1e-12
 
     def test_excess_zero_for_oracle(self):
         topic = make_topic([0, 1, 0, 1, 1, 0])
         oracle = oracle_stop(topic, 0.9)
-        assert excess_of(oracle, topic, 0.9) == 0.0
+        assert _topic_metrics(oracle, topic, 0.9).excess == 0.0
 
     def test_degenerate_optimal_cost_of_one(self):
         # last doc relevant and target 1.0: the optimal stop is the whole
         # collection, so the ratio convention applies
         topic = make_topic([1, 0, 0, 0, 1])
-        assert excess_of(result("t1", 5, 2), topic, 1.0) == 0.0
-        assert abs(excess_of(result("t1", 3, 1), topic, 1.0) - (-0.4)) < 1e-12
+        assert _topic_metrics(result("t1", 5, 2), topic, 1.0).excess == 0.0
+        assert abs(_topic_metrics(result("t1", 3, 1), topic, 1.0).excess - (-0.4)) < 1e-12
 
     def test_resolve_relevant_found_from_labels(self):
         topic = make_topic([1, 0, 1, 0])
@@ -84,7 +82,7 @@ class TestPointMetrics:
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
             docs = int(rng.integers(1, n + 1))
             found = int(topic.gain[docs])
-            reaches = recall_of(result("t1", docs, found), topic) >= target - 1e-9
+            reaches = _topic_metrics(result("t1", docs, found), topic).recall >= target - 1e-9
             assert reaches == (docs >= optimal_stop_rank(topic, target))
 
 

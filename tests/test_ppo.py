@@ -7,11 +7,13 @@ import pytest
 from conftest import make_topic
 from tarstop.corpus import batch_topic, synth_topics
 from tarstop.env import STOP, VecStoppingEnv
+from tarstop.cache import entry_path, read_entry
 from tarstop.errors import ConfigError
-from tarstop.metrics import StopResult, cost_of, recall_of
+from tarstop.metrics import StopResult, _topic_metrics
 from tarstop import nets, ppo
 from tarstop.nets import MlpParams, adam_init, forward, init_params, joint_params
 from tarstop.ppo import (
+    CHECKPOINTS,
     Checkpoint,
     Hyperparams,
     Minibatch,
@@ -400,8 +402,8 @@ class TestInferStop:
         [result] = infer_stop(self._checkpoint(3, stop_bias=-5.0), [bt])
         assert result.stop_batch == 3
         assert result.docs_examined == topic.n_docs
-        assert recall_of(result, topic) == 1.0
-        assert cost_of(result, topic) == 1.0
+        assert _topic_metrics(result, topic).recall == 1.0
+        assert _topic_metrics(result, topic).cost == 1.0
 
     def test_greedy_is_deterministic(self):
         topics = synth_topics(1, 60, 0.2, 10.0, seed=0)
@@ -556,3 +558,112 @@ class TestCheckpointIO:
             b"1,20,0.30000000000000004,nan,-1e-17,2.5,0.6931471805599453,0.0,0.3333333333333333\r\n"
             b"2,40,-0.5,3.0,1e+22,0.0,0.1,0.25,2e-05\r\n"
         )
+
+
+def _same_checkpoint(a: Checkpoint, b: Checkpoint) -> bool:
+    """Bitwise-equal networks, and equal fields of equal Python types."""
+    fields = ("target_recall", "n_batches", "normalize_obs")
+    return (
+        all(x.flat.dtype == y.flat.dtype and x.flat.tobytes() == y.flat.tobytes()
+            and x.sizes == y.sizes for x, y in ((a.actor, b.actor), (a.critic, b.critic)))
+        and [(type(getattr(a, f)), getattr(a, f)) for f in fields]
+        == [(type(getattr(b, f)), getattr(b, f)) for f in fields]
+        and [(type(v), v) for v in dataclasses.astuple(a.hyper)]
+        == [(type(v), v) for v in dataclasses.astuple(b.hyper)]
+    )
+
+
+def _rewrite_entry(path, edit):
+    with np.load(path) as data:
+        arrays = dict(data)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _edit_fields(edit):
+    def apply(arrays):
+        fields = json.loads(arrays["fields"].item())
+        edit(fields)
+        arrays["fields"] = np.array(json.dumps(fields))
+    return apply
+
+
+def _flip_a_weight_byte(path):
+    data = bytearray(path.read_bytes())
+    data[data.index(b"actor.npy") + 400] ^= 0x01  # the member's local header, then its data
+    path.write_bytes(bytes(data))
+
+
+ENTRY_DAMAGE = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "flipped-byte": _flip_a_weight_byte,
+    "missing-array": lambda p: _rewrite_entry(p, lambda a: a.pop("critic")),
+    "foreign-array": lambda p: _rewrite_entry(p, lambda a: a.update(labels=np.ones(3, np.uint8))),
+    "integer-flat": lambda p: _rewrite_entry(p, lambda a: a.update(actor=a["actor"].astype(int))),
+    "non-finite-flat": lambda p: _rewrite_entry(p, lambda a: a["critic"].__setitem__(0, np.inf)),
+    "sizes-do-not-fit-flat": lambda p: _rewrite_entry(p, _edit_fields(
+        lambda f: f["architecture"].update(actor_sizes=[6, 64, 64, 3]))),
+    "sizes-disagree-with-n_batches": lambda p: _rewrite_entry(p, _edit_fields(
+        lambda f: f.update(n_batches=7))),
+    "fields-not-json": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.array("{"))),
+    "bad-hyperparams": lambda p: _rewrite_entry(p, _edit_fields(
+        lambda f: f["hyperparams"].update(gamma=2.0))),
+}
+
+
+class TestCheckpointCache:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        topics = synth_topics(2, 30, 0.3, 8.0, seed=0)
+        hyper = Hyperparams(total_timesteps=400, n_steps=10, n_envs=4, minibatch_size=40, seed=0,
+                            max_grad_norm=0.5)
+        ckpt, _ = train(topics, 1, hyper, n_batches=6)  # an int target stays an int
+        path = tmp_path / "policy.json"
+        save_checkpoint(ckpt, path)
+        return path
+
+    @staticmethod
+    def uncached(path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setenv("TARSTOP_CACHE_DIR", "")
+            return load_checkpoint(path)
+
+    def test_hit_equals_the_json_load(self, saved, monkeypatch):
+        parses = []
+        monkeypatch.setattr(json, "load", lambda fh, _load=json.load: parses.append(1) or _load(fh))
+        miss = load_checkpoint(saved)
+        entry = entry_path(CHECKPOINTS, [saved])
+        hit = read_entry(entry, CHECKPOINTS)
+        assert parses == [1] and hit is not None
+        assert type(hit.target_recall) is int and hit.hyper.max_grad_norm == 0.5
+        again = load_checkpoint(saved)
+        assert parses == [1]  # served from the entry
+        parsed = self.uncached(saved, monkeypatch)
+        assert parses == [1, 1]
+        assert all(_same_checkpoint(c, parsed) for c in (miss, hit, again))
+
+    @pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGE))
+    def test_damaged_entry_is_a_miss_and_rewritten(self, saved, topic_cache_dir, monkeypatch,
+                                                   damage):
+        load_checkpoint(saved)
+        entry = entry_path(CHECKPOINTS, [saved])
+        ENTRY_DAMAGE[damage](entry)
+        assert read_entry(entry, CHECKPOINTS) is None
+        assert _same_checkpoint(load_checkpoint(saved), self.uncached(saved, monkeypatch))
+        assert _same_checkpoint(read_entry(entry, CHECKPOINTS), self.uncached(saved, monkeypatch))
+        assert [p.name for p in topic_cache_dir.iterdir()] == [entry.name]  # no temp file left
+
+    def test_malformed_checkpoint_is_never_stored(self, saved, topic_cache_dir):
+        saved.write_text(saved.read_text().replace('"gamma": 0.99', '"gamma": 2.0'))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="policy.json: hyperparams gamma must be in"):
+                load_checkpoint(saved)
+        assert list(topic_cache_dir.iterdir()) == []
+
+    def test_same_bytes_at_another_path_hit(self, saved, tmp_path, monkeypatch):
+        load_checkpoint(saved)
+        copy = tmp_path / "elsewhere.json"
+        copy.write_bytes(saved.read_bytes())
+        monkeypatch.setattr(json, "load", None)  # a parse would fail
+        assert _same_checkpoint(load_checkpoint(copy), load_checkpoint(saved))
