@@ -8,7 +8,8 @@ topic ids, labels (a byte per document) and ingest warnings, which a hit
 logs again; ``tarstop.ppo.CHECKPOINTS`` a checkpoint's weights and fields.
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
-sha256; its value is one ``.npz``, read with ``allow_pickle=False``. It
+sha256 (a checkpoint is read once, and those bytes are both hashed and
+parsed); its value is one ``.npz``, read with ``allow_pickle=False``. It
 lives in ``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache off),
 else ``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``, and is never
 evicted. A missing, unreadable or inconsistent entry is a miss: the input
@@ -41,7 +42,7 @@ class Kind(NamedTuple):
     """One kind of input: ``format`` is part of every key (change it when the
     entry layout or a parse's meaning changes); an entry holds exactly the
     ``arrays`` that ``encode`` makes of a value (None: store nothing) and
-    that ``decode`` turns back, raising if they are inconsistent."""
+    that ``decode`` turns back, raising ValueError if they are inconsistent."""
 
     format: bytes
     arrays: tuple[str, ...]
@@ -76,8 +77,10 @@ def file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def entry_path(kind: Kind, files) -> Path | None:
-    """Where the entry of ``kind`` for these files lives, or None when the cache is off."""
+def entry_path(kind: Kind, sources) -> Path | None:
+    """Where the entry of ``kind`` for these sources lives, or None when the
+    cache is off. A source is a file's path, or ``bytes`` already read from
+    one, so that the key is that of the bytes a parse reads."""
     directory = cache_dir()
     if directory is None:
         return None
@@ -85,7 +88,9 @@ def entry_path(kind: Kind, files) -> Path | None:
     # a command that uses the cache imports it.
     import hashlib
 
-    key = hashlib.sha256(kind.format + b"".join(map(file_sha256, files)))
+    digests = (hashlib.sha256(source).digest() if isinstance(source, bytes) else file_sha256(source)
+               for source in sources)
+    key = hashlib.sha256(kind.format + b"".join(digests))
     return directory / f"{key.hexdigest()}.npz"
 
 
@@ -96,8 +101,12 @@ def read_entry(path: Path, kind: Kind):
         with np.load(path, allow_pickle=False) as data:  # a bare .npy array has no ``with``
             if sorted(data.files) != sorted(kind.arrays):
                 return None
-            return kind.decode({name: data[name] for name in kind.arrays})
+            arrays = {name: data[name] for name in kind.arrays}
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, zipfile.BadZipFile):
+        return None
+    try:
+        return kind.decode(arrays)
+    except ValueError:
         return None
 
 
@@ -117,10 +126,11 @@ def write_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
             Path(tmp).unlink(missing_ok=True)
 
 
-def cached(kind: Kind, files, parse: Callable[[], Any]) -> tuple[Any, bool]:
-    """The value of ``kind`` for these files, and whether it is a hit:
-    loaded from the cache, else ``parse()``, whose value is then stored."""
-    path = entry_path(kind, files)
+def cached(kind: Kind, sources, parse: Callable[[], Any]) -> tuple[Any, bool]:
+    """The value of ``kind`` for these sources (see :func:`entry_path`), and
+    whether it is a hit: loaded from the cache, else ``parse()``, whose value
+    is then stored."""
+    path = entry_path(kind, sources)
     value = read_entry(path, kind) if path is not None else None
     if value is not None:
         return value, True

@@ -116,7 +116,11 @@ def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 def _resolve(args, config: dict, key: str, default):
     value = getattr(args, key, None)
-    return value if value is not None else config.get(key, default)
+    if value is not None:
+        return value
+    if key in config:
+        return config[key]
+    return default
 
 
 def _require_file(path, what: str) -> Path:
@@ -212,9 +216,11 @@ def cmd_baseline(args) -> int:
     for topic in topics:
         if args.method == "oracle":
             results.extend(oracle_stop(topic, t) for t in targets)
-        else:  # one decision, labelled with each target
-            base = (knee_stop(batch_topic(topic, batches)) if args.method == "knee"
-                    else budget_stop(topic, fraction))
+        elif args.method == "knee":
+            base = knee_stop(batch_topic(topic, batches))
+            results.extend(dataclasses.replace(base, target_recall=t) for t in targets)
+        else:
+            base = budget_stop(topic, fraction)
             results.extend(dataclasses.replace(base, target_recall=t) for t in targets)
     write_results_csv(args.out, results)
     print(f"wrote {len(results)} {args.method} decisions "
@@ -281,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with key/value defaults")
-    pair = argparse.ArgumentParser(add_help=False)  # the inputs of every command but synth
-    pair.add_argument("--run", required=True)
-    pair.add_argument("--qrels", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic run/qrels pair")
     p.add_argument("--out", required=True, help="output directory")
@@ -295,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", help="run tag column value")
     p.set_defaults(func=cmd_synth, config_keys=_config_keys(p))
 
-    p = sub.add_parser("train", parents=[common, pair], help="train one policy per target recall")
+    p = sub.add_parser("train", parents=[common], help="train one policy per target recall")
+    p.add_argument("--run", required=True)
+    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output directory for checkpoints and logs")
     p.add_argument("--target", type=float, action="append",
                    help="target recall, repeatable (default 0.8 0.9 1.0)")
@@ -317,15 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-grad-norm", dest="max_grad_norm", type=float)
     p.set_defaults(func=cmd_train, config_keys=_config_keys(p))
 
-    p = sub.add_parser("stop", parents=[common, pair], help="apply a trained policy to a collection")
+    p = sub.add_parser("stop", parents=[common], help="apply a trained policy to a collection")
     p.add_argument("--checkpoint", required=True)
+    p.add_argument("--run", required=True)
+    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--mode", choices=["greedy", "sample"])
     p.add_argument("--seed", type=int, help="seed for sample mode")
     p.set_defaults(func=cmd_stop, config_keys=_config_keys(p))
 
-    p = sub.add_parser("baseline", parents=[common, pair], help="run a reference stopping strategy")
+    p = sub.add_parser("baseline", parents=[common], help="run a reference stopping strategy")
     p.add_argument("--method", required=True, choices=["oracle", "knee", "budget"])
+    p.add_argument("--run", required=True)
+    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--target", type=float, action="append",
                    help="target recall label(s) for the rows (default 0.8 0.9 1.0)")
@@ -333,10 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, help="budget fraction (default 0.5)")
     p.set_defaults(func=cmd_baseline, config_keys=_config_keys(p))
 
-    p = sub.add_parser("eval", parents=[common, pair], help="score stopping results against qrels")
+    p = sub.add_parser("eval", parents=[common], help="score stopping results against qrels")
     p.add_argument("--results", action="append", required=True,
                    help="stopping-results CSV, repeatable; minimal schema "
                         "(topic_id, method, docs_examined) is accepted")
+    p.add_argument("--run", required=True)
+    p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output directory for report CSVs")
     p.add_argument("--target", type=float, action="append",
                    help="target(s) stamped onto imported rows that lack one")
@@ -350,9 +361,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
+    except (ConfigError, ParseError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigError, ParseError, FileNotFoundError)) else 1
+        return 1
 
 
 if __name__ == "__main__":

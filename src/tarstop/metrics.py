@@ -183,8 +183,11 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
                     "method at a target must cover the same topics"
                 )
     means = {
-        key: (float(np.mean([r.recall for r in group])), float(np.mean([r.cost for r in group])),
-              float(np.mean([r.excess for r in group])))
+        key: (
+            float(np.mean([r.recall for r in group])),
+            float(np.mean([r.cost for r in group])),
+            float(np.mean([r.excess for r in group])),
+        )
         for key, group in grouped.items()
     }
     summaries = []
@@ -198,8 +201,17 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
             and (means[other][0] > mean_recall or means[other][1] < mean_cost)
             for other in means
         )
-        summaries.append(MethodSummary(method, target, len(group), mean_recall, mean_cost,
-                                       mean_excess, pareto_optimal=not dominated))
+        summaries.append(
+            MethodSummary(
+                method=method,
+                target_recall=target,
+                n_topics=len(group),
+                mean_recall=mean_recall,
+                mean_cost=mean_cost,
+                mean_excess=mean_excess,
+                pareto_optimal=not dominated,
+            )
+        )
     summaries.sort(key=lambda s: (s.target_recall, s.method))
     return MetricsReport(tuple(rows), tuple(summaries))
 

@@ -9,6 +9,7 @@ bit-identical checkpoints and logs.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -454,16 +455,17 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint at ``path``, parsed or from the input cache (:mod:`tarstop.cache`)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()  # the key hashes these bytes and a miss parses them
 
     def parse():
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # invalid JSON or not UTF-8
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        try:  # decoded as open(path, encoding="utf-8") would
+            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         return _checked(path, data, lambda network: MlpParams(network["weights"], network["biases"]))
 
-    return cached(CHECKPOINTS, (path,), parse)[0]
+    return cached(CHECKPOINTS, (raw,), parse)[0]
 
 
 def _checked(path, data, network) -> Checkpoint:
@@ -476,8 +478,9 @@ def _checked(path, data, network) -> Checkpoint:
         raise ConfigError(f"{path}: unsupported checkpoint version {data.get('format_version')}")
     try:
         networks = {name: data[name] for name in ("actor", "critic")}
-        hyper, target_recall, n_batches, normalize_obs = (
-            data[key] for key in ("hyperparams", "target_recall", "n_batches", "normalize_obs"))
+        hyper = data["hyperparams"]
+        target_recall, n_batches = data["target_recall"], data["n_batches"]
+        normalize_obs = data["normalize_obs"]
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint is missing key {exc.args[0]!r}") from None
     if isinstance(n_batches, bool) or not isinstance(n_batches, int):
@@ -491,8 +494,8 @@ def _checked(path, data, network) -> Checkpoint:
         )
     if not isinstance(hyper, dict):
         raise ConfigError(f"{path}: hyperparams must be a JSON object")
-    actor, critic = (_load_network(path, name, network, networks[name], n_batches, n_out)
-                     for name, n_out in (("actor", 2), ("critic", 1)))
+    actor = _load_network(path, "actor", network, networks["actor"], n_batches, 2)
+    critic = _load_network(path, "critic", network, networks["critic"], n_batches, 1)
     for key in hyper:
         if key not in Hyperparams.__dataclass_fields__:
             raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
@@ -501,7 +504,14 @@ def _checked(path, data, network) -> Checkpoint:
         hyperparams.validate()
     except ConfigError as exc:
         raise ConfigError(f"{path}: hyperparams {exc}") from None
-    return Checkpoint(actor, critic, target_recall, n_batches, normalize_obs, hyperparams)
+    return Checkpoint(
+        actor=actor,
+        critic=critic,
+        target_recall=target_recall,
+        n_batches=n_batches,
+        normalize_obs=normalize_obs,
+        hyper=hyperparams,
+    )
 
 
 def _load_network(path, name: str, network, value, n_batches: int, n_out: int) -> MlpParams:
@@ -530,8 +540,15 @@ def _checkpoint_entry(checkpoint: Checkpoint) -> dict[str, np.ndarray]:
 
 
 def _checkpoint_from_entry(arrays: dict[str, np.ndarray]) -> Checkpoint:
-    data = json.loads(arrays["fields"].item())
-    data.update({n: (arrays[n], data["architecture"][f"{n}_sizes"]) for n in ("actor", "critic")})
+    fields = arrays["fields"]
+    if fields.shape != () or fields.dtype.kind != "U":
+        raise ValueError("checkpoint entry fields are not one text")
+    data = json.loads(fields.item())
+    try:
+        sizes = {name: data["architecture"][f"{name}_sizes"] for name in ("actor", "critic")}
+    except (KeyError, TypeError):
+        raise ValueError("checkpoint entry fields lack the layer sizes") from None
+    data.update({name: (arrays[name], sizes[name]) for name in sizes})
     return _checked("cache entry", data, lambda network: params_from_flat(*network))
 
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tarstop.cli as cli
-from tarstop.cache import TOPICS, cache_dir, file_sha256, read_entry
+from tarstop.cache import TOPICS, Kind, cache_dir, file_sha256, read_entry, write_entry
 from tarstop.cli import main
 from tarstop.corpus import assemble_topics, load_qrels, load_run
 from tarstop.errors import ConfigError
@@ -307,6 +307,21 @@ def test_file_hash_streams_in_chunks(tmp_path):
     data = np.random.default_rng(0).bytes(3 * (1 << 18) + 12345)
     path.write_bytes(data)
     assert file_sha256(path) == hashlib.sha256(data).digest()
+
+
+def test_only_an_inconsistency_in_decode_is_a_miss(tmp_path):
+    entry = tmp_path / "entry.npz"
+    write_entry(entry, {"a": np.ones(2)})
+
+    def decode_with(error):
+        def decode(arrays):
+            raise error
+        return Kind(b"test", ("a",), None, decode)
+
+    assert read_entry(entry, decode_with(ValueError("inconsistent"))) is None
+    for fault in (TypeError, KeyError, AttributeError):  # a decoder's bug is not hidden as a miss
+        with pytest.raises(fault):
+            read_entry(entry, decode_with(fault("a bug")))
 
 
 def test_pipeline_outputs_are_identical_cold_warm_and_off(tmp_path, collection, topic_cache_dir,

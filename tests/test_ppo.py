@@ -10,7 +10,7 @@ from tarstop.env import STOP, VecStoppingEnv
 from tarstop.cache import entry_path, read_entry
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult, _topic_metrics
-from tarstop import nets, ppo
+from tarstop import cache, nets, ppo
 from tarstop.nets import MlpParams, adam_init, forward, init_params, joint_params
 from tarstop.ppo import (
     CHECKPOINTS,
@@ -607,6 +607,8 @@ ENTRY_DAMAGE = {
     "sizes-disagree-with-n_batches": lambda p: _rewrite_entry(p, _edit_fields(
         lambda f: f.update(n_batches=7))),
     "fields-not-json": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.array("{"))),
+    "fields-not-an-object": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.array("[]"))),
+    "fields-not-text": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.arange(3.0))),
     "bad-hyperparams": lambda p: _rewrite_entry(p, _edit_fields(
         lambda f: f["hyperparams"].update(gamma=2.0))),
 }
@@ -660,6 +662,27 @@ class TestCheckpointCache:
             with pytest.raises(ConfigError, match="policy.json: hyperparams gamma must be in"):
                 load_checkpoint(saved)
         assert list(topic_cache_dir.iterdir()) == []
+
+    def test_file_rewritten_while_loading_files_no_entry_under_the_old_bytes(self, saved,
+                                                                              monkeypatch):
+        first = saved.read_bytes()
+        data = json.loads(first)
+        data["hyperparams"]["seed"] = 1
+        second = (json.dumps(data, sort_keys=True) + "\n").encode()
+        original = cache.entry_path
+
+        def rewrite_after_hashing(kind, sources):
+            path = original(kind, sources)
+            saved.write_bytes(second)  # e.g. ``train`` overwriting the checkpoint
+            return path
+
+        monkeypatch.setattr(cache, "entry_path", rewrite_after_hashing)
+        loaded = load_checkpoint(saved)
+        monkeypatch.setattr(cache, "entry_path", original)
+        assert loaded.hyper.seed == 0
+        assert read_entry(entry_path(CHECKPOINTS, [first]), CHECKPOINTS).hyper.seed == 0
+        assert read_entry(entry_path(CHECKPOINTS, [second]), CHECKPOINTS) is None
+        assert load_checkpoint(saved).hyper.seed == 1
 
     def test_same_bytes_at_another_path_hit(self, saved, tmp_path, monkeypatch):
         load_checkpoint(saved)
