@@ -9,13 +9,15 @@ logs again; ``tarstop.ppo.CHECKPOINTS`` a checkpoint's weights and fields.
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
 sha256 (a checkpoint is read once, and those bytes are both hashed and
-parsed); its value is one ``.npz``, read with ``allow_pickle=False``. It
-lives in ``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache off),
-else ``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``, and is never
-evicted. A missing, unreadable or inconsistent entry is a miss: the input
-is parsed and the entry rewritten, through a temporary file renamed into
-place. A directory that cannot be written only costs a warning. Parse and
-configuration errors are never stored.
+parsed; a run/qrels pair's files are hashed again after the parse, and
+nothing is stored if one changed); its value is one ``.npz``, read with
+``allow_pickle=False``. It lives in ``$TARSTOP_CACHE_DIR`` if set (set but
+empty turns the cache off), else ``$XDG_CACHE_HOME/tarstop``, else
+``~/.cache/tarstop``, and is never evicted. A missing, unreadable or
+inconsistent entry is a miss: the input is parsed and the entry rewritten,
+through a temporary file renamed into place. A directory that cannot be
+written only costs a warning. Parse and configuration errors are never
+stored.
 """
 
 from __future__ import annotations
@@ -129,14 +131,14 @@ def write_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
 def cached(kind: Kind, sources, parse: Callable[[], Any]) -> tuple[Any, bool]:
     """The value of ``kind`` for these sources (see :func:`entry_path`), and
     whether it is a hit: loaded from the cache, else ``parse()``, whose value
-    is then stored."""
+    is then stored if the sources still hash to the same key."""
     path = entry_path(kind, sources)
     value = read_entry(path, kind) if path is not None else None
     if value is not None:
         return value, True
     value = parse()
     arrays = kind.encode(value) if path is not None else None
-    if arrays is not None:
+    if arrays is not None and entry_path(kind, sources) == path:
         write_entry(path, arrays)
     return value, False
 

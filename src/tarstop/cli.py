@@ -218,10 +218,10 @@ def cmd_baseline(args) -> int:
             results.extend(oracle_stop(topic, t) for t in targets)
         elif args.method == "knee":
             base = knee_stop(batch_topic(topic, batches))
-            results.extend(dataclasses.replace(base, target_recall=t) for t in targets)
+            results.extend(base._replace(target_recall=t) for t in targets)
         else:
             base = budget_stop(topic, fraction)
-            results.extend(dataclasses.replace(base, target_recall=t) for t in targets)
+            results.extend(base._replace(target_recall=t) for t in targets)
     write_results_csv(args.out, results)
     print(f"wrote {len(results)} {args.method} decisions "
           f"({len(topics)} topics x {len(targets)} targets) to {args.out}")
@@ -242,7 +242,7 @@ def cmd_eval(args) -> int:
             if result.target_recall is not None:
                 stamped = [result]
             elif targets:
-                stamped = [dataclasses.replace(result, target_recall=t) for t in targets]
+                stamped = [result._replace(target_recall=t) for t in targets]
             else:
                 raise ConfigError(
                     f"results for method {result.method!r} carry no target recall; pass --target"

@@ -5,17 +5,21 @@ as a percentage is the report consumer's business. Excess normalizes the
 gap to the ideal stopping cost: 0 means the method stopped exactly where an
 oracle would, positive means overshoot, negative undershoot.
 
-Every CSV this package writes (results, per-topic and aggregate reports,
-training logs) goes through :func:`write_table`, so they share one cell
-rule: a float is written by ``repr``, ``None`` as an empty cell.
+``eval`` works in columns: a results file's numeric columns are each
+converted in one pass, and all rows are checked and scored in array passes,
+with one oracle search per (topic, target). Every CSV this package writes
+goes through :func:`write_table`, so they share one cell rule: a float is
+written by ``repr``, ``None`` as an empty cell.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +50,7 @@ EXCESS_FOOTER = (
 )
 
 
-@dataclass(frozen=True)
-class StopResult:
+class StopResult(NamedTuple):
     """One stopping decision on one topic."""
 
     topic_id: str
@@ -71,31 +74,7 @@ class ResultError(ConfigError):
         self.result = result
 
 
-def resolve_relevant_found(result: StopResult, topic: Topic | None) -> StopResult:
-    """``result`` with relevant_found filled from the labels when an imported
-    row lacks it. A :class:`ResultError` unless ``topic`` (None: no topic) is
-    the row's, ``docs_examined`` lies in [1, N] and a given ``relevant_found``
-    is the relevant count among the first ``docs_examined`` documents."""
-    if topic is None or result.topic_id != topic.topic_id:
-        raise ResultError(f"result references unknown topic {result.topic_id!r}", result)
-    if not 1 <= result.docs_examined <= topic.n_docs:
-        raise ResultError(
-            f"topic {topic.topic_id!r}: docs_examined {result.docs_examined} "
-            f"outside [1, {topic.n_docs}]", result
-        )
-    found = int(topic.gain[result.docs_examined])
-    if result.relevant_found is None:
-        return dataclasses.replace(result, relevant_found=found)
-    if result.relevant_found != found:
-        raise ResultError(
-            f"topic {topic.topic_id!r}: relevant_found {result.relevant_found}, but the first "
-            f"{result.docs_examined} documents hold {found} relevant", result
-        )
-    return result
-
-
-@dataclass(frozen=True)
-class TopicMetrics:
+class TopicMetrics(NamedTuple):
     method: str
     target_recall: float
     topic_id: str
@@ -126,33 +105,19 @@ class MetricsReport:
 
 
 def _topic_metrics(result: StopResult, topic: Topic | None, target_recall=None) -> TopicMetrics:
-    """One row's metrics, the one place each formula lives. The row is
-    resolved against its topic once; without a target its excess is None."""
-    result = resolve_relevant_found(result, topic)
-    cost = result.docs_examined / topic.n_docs
-    excess = None
+    """:func:`aggregate` of one row, at ``target_recall`` if given."""
     if target_recall is not None:
-        optimal_cost = optimal_stop_rank(topic, target_recall) / topic.n_docs
-        if optimal_cost >= 1.0:
-            excess = 0.0 if cost >= 1.0 else cost - 1.0
-        else:
-            excess = (cost - optimal_cost) / (1.0 - optimal_cost)
-    return TopicMetrics(
-        method=result.method,
-        target_recall=target_recall,
-        topic_id=result.topic_id,
-        n_docs=topic.n_docs,
-        n_relevant=topic.n_relevant,
-        docs_examined=result.docs_examined,
-        relevant_found=result.relevant_found,
-        recall=result.relevant_found / topic.n_relevant,
-        cost=cost,
-        excess=excess,
-    )
+        result = result._replace(target_recall=target_recall)
+    return aggregate([result], [] if topic is None else [topic]).per_topic[0]
 
 
 def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     """Per-topic metrics plus per-(method, target) means and Pareto flags.
+
+    Rows are scored together in array passes. The first row in input order
+    without a target, or (:class:`ResultError`) with an unknown topic,
+    ``docs_examined`` outside [1, N] or a ``relevant_found`` other than the
+    labels' count (None: filled from them), raises.
 
     A method is Pareto-optimal at a target when no other method reaches at
     least its mean recall at no more than its mean cost, with one strict.
@@ -160,20 +125,55 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     must have rows for the same topics, or this raises :class:`ConfigError`
     naming the method, the target and a topic it lacks.
     """
-    by_id = {t.topic_id: t for t in topics}
-    rows = []
-    for result in results:
-        if result.target_recall is None:
-            raise ConfigError(
-                f"result for topic {result.topic_id!r} (method {result.method!r}) "
-                "has no target recall"
-            )
-        rows.append(_topic_metrics(result, by_id.get(result.topic_id), result.target_recall))
-    rows.sort(key=lambda r: (r.target_recall, r.method, r.topic_id))
-    grouped: dict[tuple[str, float], list[TopicMetrics]] = {}
-    for row in rows:
-        grouped.setdefault((row.method, row.target_recall), []).append(row)
-    covered = {key: {r.topic_id for r in group} for key, group in grouped.items()}
+    ids, methods, targets, given_docs, given_found, _ = list(zip(*results)) or [()] * 6
+    index = {t.topic_id: k for k, t in enumerate(topics)}
+    tix = np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
+    gains = [t.gain for t in topics] + [np.zeros(1, np.int64)]  # index -1: no topic, N = 0
+    lengths = np.array([len(g) for g in gains])
+    n_docs, n_relevant = (lengths - 1)[tix], np.array([g[-1] for g in gains])[tix]
+    # int64 for the checks; a cell past it is clipped to a value failing the same checks
+    docs = np.array(given_docs, dtype=object).clip(0, 2**62).astype(np.int64)
+    in_range = (docs >= 1) & (docs <= n_docs)
+    gain = np.concatenate(gains)[(np.cumsum(lengths) - lengths)[tix] + np.where(in_range, docs, 0)]
+    found = np.array([g if f is None else f for f, g in zip(given_found, gain.tolist())],
+                     dtype=object).clip(-1, 2**62).astype(np.int64)
+    checks = (  # (rows failing it, its error), in the order a row meets them
+        (np.array([t is None for t in targets], dtype=bool), lambda i: ConfigError(
+            f"result for topic {ids[i]!r} (method {methods[i]!r}) has no target recall")),
+        (tix < 0, lambda i: ResultError(f"result references unknown topic {ids[i]!r}", results[i])),
+        (~in_range, lambda i: ResultError(
+            f"topic {ids[i]!r}: docs_examined {given_docs[i]} outside [1, {n_docs[i]}]", results[i])),
+        (found != gain, lambda i: ResultError(
+            f"topic {ids[i]!r}: relevant_found {given_found[i]}, but the first {docs[i]} "
+            f"documents hold {gain[i]} relevant", results[i])),
+    )
+    bad = np.logical_or.reduce([rows for rows, _ in checks])
+    if bad.any():
+        i = int(bad.argmax())
+        raise next(error(i) for rows, error in checks if rows[i])
+    stop_rank = lru_cache(None)(lambda k, target: optimal_stop_rank(topics[k], target))
+    optimal_cost = np.fromiter(map(stop_rank, tix.tolist(), targets), np.int64, len(ids)) / n_docs
+    cost = docs / n_docs
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where does not take
+        excess = np.where(optimal_cost >= 1.0, np.where(cost >= 1.0, 0.0, cost - 1.0),
+                          (cost - optimal_cost) / (1.0 - optimal_cost))
+    recall = found / n_relevant
+
+    def ranked(values):  # sorting strings as Python does, which numpy's str arrays do not
+        rank = {v: r for r, v in enumerate(sorted(set(values)))}
+        return np.fromiter(map(rank.get, values), np.int64, len(values))
+
+    method_rank, target_key = ranked(methods), np.array(targets, dtype=float)
+    order = np.lexsort((ranked(ids), method_rank, target_key))
+    take = order.tolist()
+    metrics = [a[order] for a in (n_docs, n_relevant, docs, found, recall, cost, excess)]
+    columns = [[column[i] for i in take] for column in (methods, targets, ids)]
+    rows = tuple(map(TopicMetrics._make, zip(*columns, *(a.tolist() for a in metrics))))
+    # rows of one (method, target) are contiguous: group ``key`` is rows[a:b]
+    starts = np.flatnonzero((np.diff(target_key[order], prepend=np.nan) != 0)
+                            | (np.diff(method_rank[order], prepend=-1) != 0)).tolist()
+    groups = {rows[a][:2]: (a, b) for a, b in zip(starts, starts[1:] + [len(rows)])}
+    covered = {key: set(columns[2][a:b]) for key, (a, b) in groups.items()}
     for (method, target), topic_ids in covered.items():
         for (other, other_target), other_ids in covered.items():
             if other_target == target and not other_ids <= topic_ids:
@@ -182,16 +182,10 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
                     f"{min(other_ids - topic_ids)!r}, which method {other!r} has; every "
                     "method at a target must cover the same topics"
                 )
-    means = {
-        key: (
-            float(np.mean([r.recall for r in group])),
-            float(np.mean([r.cost for r in group])),
-            float(np.mean([r.excess for r in group])),
-        )
-        for key, group in grouped.items()
-    }
+    means = {key: tuple(float(np.mean(metric[a:b])) for metric in metrics[4:])
+             for key, (a, b) in groups.items()}
     summaries = []
-    for (method, target), group in grouped.items():
+    for (method, target), (a, b) in groups.items():
         mean_recall, mean_cost, mean_excess = means[(method, target)]
         dominated = any(
             other != (method, target)
@@ -205,15 +199,14 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
             MethodSummary(
                 method=method,
                 target_recall=target,
-                n_topics=len(group),
+                n_topics=b - a,
                 mean_recall=mean_recall,
                 mean_cost=mean_cost,
                 mean_excess=mean_excess,
                 pareto_optimal=not dominated,
             )
         )
-    summaries.sort(key=lambda s: (s.target_recall, s.method))
-    return MetricsReport(tuple(rows), tuple(summaries))
+    return MetricsReport(rows, tuple(summaries))
 
 
 def write_table(path, header, rows, footer=None) -> None:
@@ -233,11 +226,7 @@ def write_table(path, header, rows, footer=None) -> None:
 
 
 def write_per_topic_csv(path, report: MetricsReport) -> None:
-    write_table(path, PER_TOPIC_HEADER, (
-        (r.method, r.target_recall, r.topic_id, r.n_docs, r.n_relevant, r.docs_examined,
-         r.relevant_found, r.recall, r.cost, r.excess)
-        for r in report.per_topic
-    ))
+    write_table(path, PER_TOPIC_HEADER, report.per_topic)  # a row's fields are the columns
 
 
 def write_aggregate_csv(path, report: MetricsReport) -> None:
@@ -255,44 +244,53 @@ def write_results_csv(path, results: list[StopResult]) -> None:
     ))
 
 
-def _cell(path, lineno: int, row: dict, column: str, convert):
-    """One optional results cell converted by ``convert``; empty or absent is None."""
-    text = row.get(column) or None
-    if text is None:
-        return None
-    try:
-        return convert(text)
-    except ValueError:
-        kind = "a number" if convert is float else "an integer"
-        raise ParseError(f"{path} line {lineno}: {column} {text!r} is not {kind}") from None
+_NUMBERS = {"docs_examined": int, "target": float, "relevant_found": int, "stop_batch": int}
+
+
+def _check_rows(path, rows) -> None:
+    """Raise the first bad cell's problem; a row is its :data:`_NUMBERS` cells."""
+    for lineno, texts in enumerate(rows, start=2):
+        for text, (column, convert) in zip(texts, _NUMBERS.items()):
+            try:
+                value = convert(text) if text else None
+            except ValueError:
+                kind = "a number" if convert is float else "an integer"
+                raise ParseError(f"{path} line {lineno}: {column} {text!r} is not {kind}") from None
+            if value is None and column == "docs_examined":
+                raise ParseError(f"{path} line {lineno}: docs_examined is empty")
+            if value is not None and column == "target":
+                check_target(value, f"{path} line {lineno}: target")
 
 
 def read_results_csv(path) -> list[StopResult]:
     """Read stopping results, either this package's schema or the minimal
-    external one (topic_id, method, docs_examined)."""
-    reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
-    if reader.fieldnames is None:
+    external one (topic_id, method, docs_examined). Each numeric column is
+    converted in one pass; a file with a bad cell is walked row by row to
+    name the first. As in ``csv.DictReader``, blank lines are skipped, a
+    missing cell reads as None and a line number counts rows."""
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    try:
+        header = next(reader, None)
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
+    if header is None:
         raise ParseError(f"{path}: empty results file")
-    fields = set(reader.fieldnames)
     for required in ("topic_id", "method", "docs_examined"):
-        if required not in fields:
+        if required not in header:
             raise ConfigError(f"{path}: missing required column {required!r}")
-    results = []
-    for lineno, row in enumerate(reader, start=2):
-        docs = _cell(path, lineno, row, "docs_examined", int)
-        if docs is None:
-            raise ParseError(f"{path} line {lineno}: docs_examined is empty")
-        target = _cell(path, lineno, row, "target", float)
-        if target is not None:
-            check_target(target, f"{path} line {lineno}: target")
-        results.append(
-            StopResult(
-                topic_id=row["topic_id"],
-                method=row["method"],
-                target_recall=target,
-                docs_examined=docs,
-                relevant_found=_cell(path, lineno, row, "relevant_found", int),
-                stop_batch=_cell(path, lineno, row, "stop_batch", int),
-            )
-        )
-    return results
+    # a repeated column name means its last column, as in DictReader
+    cells = dict(zip(header, zip(*(row + [None] * (len(header) - len(row)) for row in rows))))
+    ids, methods, *texts = (cells.get(name, (None,) * len(rows))
+                            for name in ("topic_id", "method", *_NUMBERS))
+    try:
+        docs, targets, found, stop_batch = ([convert(text) if text else None for text in column]
+                                            for column, convert in zip(texts, _NUMBERS.values()))
+        if None in docs:
+            raise ValueError("docs_examined is empty")
+        for target in set(targets) - {None}:
+            check_target(target)
+    except ValueError:  # ConfigError and ParseError too
+        _check_rows(path, zip(*texts))
+        raise
+    return list(map(StopResult, ids, methods, targets, docs, found, stop_batch))

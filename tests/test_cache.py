@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tarstop.cache as cache
 import tarstop.cli as cli
 from tarstop.cache import TOPICS, Kind, cache_dir, file_sha256, read_entry, write_entry
 from tarstop.cli import main
@@ -184,6 +185,27 @@ DAMAGE = {
     "inconsistent-lengths": _damage_inconsistent,
     "non-binary-label": _damage_non_binary,
 }
+
+
+def test_file_rewritten_while_loading_files_no_entry_under_the_old_bytes(tmp_path, collection,
+                                                                      topic_cache_dir, monkeypatch):
+    run, qrels = collection
+    first = qrels.read_text()
+    old_key = entry_key(run, qrels)
+    original = cache.entry_path
+
+    def rewrite_after_hashing(kind, sources):
+        path = original(kind, sources)
+        qrels.write_text(first.replace(" 0\n", " 1\n", 1))  # another writer, mid-command
+        return path
+
+    monkeypatch.setattr(cache, "entry_path", rewrite_after_hashing)
+    assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels)  # the new bytes, parsed
+    monkeypatch.setattr(cache, "entry_path", original)
+    assert entries(topic_cache_dir) == []
+    qrels.write_text(first)
+    assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels)
+    assert [p.name for p in entries(topic_cache_dir)] == [f"{old_key}.npz"]
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))

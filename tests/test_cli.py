@@ -569,8 +569,13 @@ class TestEval:
                                    "but the first 20 documents hold 10 relevant"),
         ("synth-0000,m,nan,,20,3", "bad.csv line 2: target must be in (0, 1], got nan"),
         ("ghost,m,0.9,,20,3", "bad.csv: result references unknown topic 'ghost'"),
+        # past int64, which the row checks must still name as they are
+        (f"synth-0000,m,0.9,,{10**20},", f"bad.csv: topic 'synth-0000': docs_examined {10**20} "
+                                         "outside [1, 60]"),
+        (f"synth-0000,m,0.9,,20,{-10**20}", f"bad.csv: topic 'synth-0000': relevant_found "
+                                            f"{-10**20}, but the first 20 documents hold 10 relevant"),
     ], ids=["no-docs", "docs-past-topic", "found-above-R", "found-not-prefix", "nan-target",
-            "unknown-topic"])
+            "unknown-topic", "docs-past-int64", "found-past-int64"])
     def test_out_of_range_row_exits_2(self, tmp_path, collection, capsys, row, message):
         run_path, qrels_path = collection
         bad = tmp_path / "bad.csv"
@@ -647,12 +652,104 @@ class TestEval:
         assert f"{bad}: not valid UTF-8: 'utf-8' codec can't decode byte 0xe9" in err
         assert not (tmp_path / "r").exists()
 
+    def test_cell_the_csv_module_refuses_exits_2_naming_it(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        big = tmp_path / "big.csv"
+        big.write_text(f"topic_id,method,docs_examined\nsynth-0000,m,20\nsynth-0001,{'m' * 131073},20\n")
+        assert main(["eval", "--results", str(big), "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {big} line 3: field larger than field limit (131072)\n")
+
     def test_empty_results_exit_2(self, tmp_path, collection):
         run_path, qrels_path = collection
         empty = tmp_path / "empty.csv"
         empty.write_text("topic_id,method,docs_examined\n")
         assert main(["eval", "--results", str(empty), "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "r")]) == 2
+
+
+class TestEvalErrors:
+    """Each ``eval`` error names its row and the file that gave it. With two
+    bad rows in different files the first in input order is named, although
+    the other comes first in the report's (target, method, topic) order."""
+
+    HEADER = "topic_id,method,target,stop_batch,docs_examined,relevant_found\n"
+
+    def _eval(self, tmp_path, collection, files, *flags):
+        run_path, qrels_path = collection
+        paths = []
+        for k, rows in enumerate(files):
+            paths.append(tmp_path / f"r{k}.csv")
+            paths[-1].write_text(self.HEADER + "".join(f"{row}\n" for row in rows))
+        code = main(["eval", *[arg for path in paths for arg in ("--results", str(path))],
+                     "--run", str(run_path), "--qrels", str(qrels_path),
+                     "--out", str(tmp_path / "report"), *flags])
+        assert not (tmp_path / "report").exists()
+        return code, paths
+
+    BAD = {
+        "unknown": ("ghost,{m},{t},,20,", "result references unknown topic 'ghost'"),
+        "docs": ("synth-{k},{m},{t},,61,", "topic 'synth-{k}': docs_examined 61 outside [1, 60]"),
+        # the first 20 documents of synth-0003 hold 6 relevant, of synth-0000 10
+        "found": ("synth-{k},{m},{t},,20,0",
+                  "topic 'synth-{k}': relevant_found 0, but the first 20 documents hold 6 relevant"),
+    }
+
+    @pytest.mark.parametrize("first, second", [("unknown", "docs"), ("docs", "found"),
+                                               ("found", "unknown")])
+    def test_misfit_row_first_in_input_order_is_named(self, tmp_path, collection, capsys,
+                                                     first, second):
+        row, message = self.BAD[first]
+        other, _ = self.BAD[second]
+        code, paths = self._eval(tmp_path, collection, [
+            ["synth-0000,zeta,1.0,,5,", row.format(k="0003", m="zeta", t="1.0")],
+            [other.format(k="0000", m="alpha", t="0.8")],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {paths[0]}: {message.format(k='0003')}\n"
+
+    def test_missing_target_names_the_first_method_lacking_one(self, tmp_path, collection,
+                                                             capsys):
+        code, _ = self._eval(tmp_path, collection, [
+            ["synth-0000,zeta,1.0,,5,", "synth-0003,mid,,,20,"],
+            ["synth-0000,alpha,,,20,"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: results for method 'mid' carry no target recall; pass --target\n")
+
+    def test_repeat_before_a_missing_target_is_named_first(self, tmp_path, collection, capsys):
+        code, paths = self._eval(tmp_path, collection, [
+            ["synth-0000,zeta,1.0,,5,", "synth-0000,zeta,1.0,,6,", "synth-0003,mid,,,20,"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[0]}: method 'zeta' at target 1 repeats topic 'synth-0000', "
+            f"already given in {paths[0]}\n")
+
+    def test_repeat_across_files_is_named_before_a_misfit_row(self, tmp_path, collection,
+                                                              capsys):
+        # every file is checked for repeats as it is read, before any row is scored
+        code, paths = self._eval(tmp_path, collection, [
+            ["synth-0000,zeta,1.0,,0,", "synth-0003,zeta,1.0,,5,"],
+            ["synth-0001,alpha,0.8,,5,", "synth-0003,zeta,1.0,,7,", "synth-0000,zeta,1.0,,5,"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[1]}: method 'zeta' at target 1 repeats topic 'synth-0003', "
+            f"already given in {paths[0]}\n")
+
+    def test_unequal_topic_sets_name_the_first_method_in_report_order(self, tmp_path,
+                                                                      collection, capsys):
+        code, _ = self._eval(tmp_path, collection, [
+            ["synth-0000,zeta,0.8,,5,", "synth-0001,zeta,0.8,,5,"],
+            ["synth-0002,alpha,0.8,,5,", "synth-0000,alpha,0.8,,5,"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: method 'alpha' at target 0.8 has no row for topic 'synth-0001', which "
+            "method 'zeta' has; every method at a target must cover the same topics\n")
 
 
 class TestGoldenBytes:
@@ -686,3 +783,35 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN}
         assert digests == self.GOLDEN
+
+    WIDE_GOLDEN = {
+        "per_topic.csv": "7773326f50ad53fe495d73c7997b8200be34eda7f57be8cbb091de08b2c58d91",
+        "aggregate.csv": "260abcd0a63b663d45a8d5422977bc9a8dfd541f10707a229feb826c16571632",
+    }
+
+    def test_wide_eval_matches_golden_hashes(self, tmp_path):
+        # 60 topics, every baseline at two targets and a minimal-schema file
+        # stamped by --target; the last document of synth-0007 is made
+        # relevant, so its oracle stop at target 1.0 is the whole collection.
+        topics = synth_topics(60, 150, 0.05, 20.0, seed=5)
+        labels = topics[7].labels.copy()
+        labels[-1] = 1
+        topics[7] = make_topic(labels, topics[7].topic_id)
+        write_run_file(tmp_path / "wide.run", topics)
+        write_qrels_file(tmp_path / "wide.qrels", topics)
+        inputs = ["--run", str(tmp_path / "wide.run"), "--qrels", str(tmp_path / "wide.qrels")]
+        targets = ["--target", "0.8", "--target", "1.0"]
+        methods = ("oracle", "knee", "budget")
+        for method in methods:
+            assert main(["baseline", "--method", method, *inputs, *targets,
+                         "--out", str(tmp_path / f"{method}.csv"), "--batches", "20"]) == 0
+        external = tmp_path / "sampler.csv"
+        external.write_text("topic_id,method,docs_examined\n" + "".join(
+            f"{t.topic_id},sampler,{t.n_docs if k % 3 == 0 else 1 + (37 * k) % t.n_docs}\n"
+            for k, t in enumerate(topics)))
+        results = [arg for m in (*methods, "sampler")
+                   for arg in ("--results", str(tmp_path / f"{m}.csv"))]
+        assert main(["eval", *results, *inputs, *targets, "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.WIDE_GOLDEN}
+        assert digests == self.WIDE_GOLDEN

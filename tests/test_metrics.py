@@ -11,7 +11,6 @@ from tarstop.metrics import (
     aggregate,
     optimal_stop_rank,
     read_results_csv,
-    resolve_relevant_found,
     write_aggregate_csv,
     write_per_topic_csv,
     write_results_csv,
@@ -65,12 +64,10 @@ class TestPointMetrics:
 
     def test_resolve_relevant_found_from_labels(self):
         topic = make_topic([1, 0, 1, 0])
-        filled = resolve_relevant_found(result("t1", 3, None), topic)
-        assert filled.relevant_found == 2
-        given = result("t1", 3, 2)
-        assert resolve_relevant_found(given, topic) is given
+        assert _topic_metrics(result("t1", 3, None), topic).relevant_found == 2
+        assert _topic_metrics(result("t1", 3, 2), topic).relevant_found == 2
         with pytest.raises(ValueError, match="relevant_found 1, but the first 3 documents hold 2"):
-            resolve_relevant_found(result("t1", 3, 1), topic)
+            _topic_metrics(result("t1", 3, 1), topic)
 
     def test_recall_meets_target_iff_rank_reaches_oracle_rank(self, rng):
         for _ in range(100):
@@ -168,7 +165,7 @@ class TestCsvIO:
         ]
         path = tmp_path / "results.csv"
         write_results_csv(path, results)
-        assert read_results_csv(path) == results
+        assert list(read_results_csv(path)) == results
 
     def test_missing_column_named_in_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -180,7 +177,7 @@ class TestCsvIO:
         path = tmp_path / "external.csv"
         path.write_text("topic_id,method,docs_examined\nt1,sampler,12\n")
         rows = read_results_csv(path)
-        assert rows == [StopResult("t1", "sampler", None, 12, None, None)]
+        assert list(rows) == [StopResult("t1", "sampler", None, 12, None, None)]
 
     def test_non_integer_docs_examined(self, tmp_path):
         path = tmp_path / "bad.csv"
