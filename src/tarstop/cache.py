@@ -170,7 +170,7 @@ def _topics_from_entry(arrays: dict[str, np.ndarray]) -> tuple[list[Topic], list
     return [Topic(topic_id, part) for topic_id, part in zip(ids.tolist(), parts)], warnings.tolist()
 
 
-TOPICS = Kind(b"tarstop-topics-v1", ("topic_ids", "lengths", "labels", "warnings"),
+TOPICS = Kind(b"tarstop-topics-v2", ("topic_ids", "lengths", "labels", "warnings"),
               _topics_entry, _topics_from_entry)
 
 

@@ -137,11 +137,13 @@ def _load_topics(run_path, qrels_path):
     qrels_file = _require_file(qrels_path, "qrels file")
     # The parse goes through this module's names, so wrappers installed on
     # them see every parse a command makes.
-    topics = cached_topics(
-        run_file, qrels_file, lambda: assemble_topics(load_run(run_file), load_qrels(qrels_file))
-    )
-    if not topics:
-        raise ConfigError("no usable topics (all empty or without relevant documents)")
+    try:
+        topics = cached_topics(run_file, qrels_file,
+                               lambda: assemble_topics(load_run(run_file), load_qrels(qrels_file)))
+        if not topics:
+            raise ConfigError("no usable topics (all empty or without relevant documents)")
+    except ConfigError as exc:  # name the pair, which assemble_topics cannot
+        raise ConfigError(f"{run_file} with {qrels_file}: {exc}") from None
     return topics
 
 

@@ -8,12 +8,15 @@ Input formats are the usual retrieval interchange files:
 
 Both parsers read their columns with one call to numpy's C text reader
 (``np.loadtxt`` over the lines, which splits whitespace like ``str.split``)
-and group the rows into topics as arrays. When the reader refuses the text
-(a short line, a number token it does not read, such as ``1_0``, no lines,
-or any non-ASCII character) or a run topic repeats a document, the text
-goes through a plain line loop instead. The loop reads numbers with
-Python's ``int`` and ``float``, gives the same result wherever both paths
-accept the text, and raises :class:`ParseError` naming the offending line.
+and group the rows into topics as arrays; every value they return comes
+from that reader. The number rule: a rank or a relevance is an ASCII
+integer (:data:`INTEGER`) that fits in int64, a score an ASCII decimal
+(:data:`DECIMAL`) with a finite value; ids are any non-whitespace text.
+One line checker serves both formats and never builds topics: it raises
+:class:`ParseError` at the first bad line (too few fields, a number that
+breaks the rule, a document its run topic already ranked). It runs when
+the reader refuses ASCII text or reads a non-finite score or a repeated
+document, and before the reader on any other text.
 
 A topic is its labels: the binary relevance of each ranked document, in
 rank order. The doc ids serve only to join the run with the qrels and to
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,41 +156,82 @@ def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
     return BatchedTopic(topic, sizes, np.diff(cum_rel, prepend=0), cum_rel)
 
 
-# Columns the C reader keeps. ``tag`` only proves a run line has a sixth
-# field; "U1" keeps it from costing one Python string per line.
-_RUN_COLUMNS = [
-    ("topic", object), ("doc", object), ("rank", np.int64), ("score", np.float64), ("tag", "U1"),
-]
-_QRELS_COLUMNS = [("topic", object), ("doc", object), ("rel", np.int64)]
+# The number rule of every file this package reads. A decimal's digits split
+# one way only, so a match over many cells joined by newlines stays linear.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-def _read_columns(text: str, dtype: list, usecols: tuple[int, ...]) -> np.ndarray | None:
-    """One record per non-blank line of ``text`` from numpy's C reader, or
-    None if it refuses the text: a short line, a number token it does not
-    read, no lines at all, or any non-ASCII character (its integer parsing
-    reads "1\u01fe" as 472)."""
+def _is_int64(token: str) -> bool:
+    """Whether ``token`` is an :data:`INTEGER` that fits in int64."""
+    digits = token.lstrip("+-").lstrip("0")  # int() refuses more than 4300 digits
+    limit = 2**63 if token.startswith("-") else 2**63 - 1
+    return INTEGER.fullmatch(token) is not None and len(digits) <= 19 and int(digits or 0) <= limit
+
+
+def _is_finite_decimal(token: str) -> bool:
+    """Whether ``token`` is a :data:`DECIMAL` with a finite value."""
+    return DECIMAL.fullmatch(token) is not None and math.isfinite(float(token))
+
+
+# The C reader keeps a layout's fields named in _COLUMNS, as the type there;
+# ``tag`` only proves a run line has a sixth field, and "U1" costs no str.
+_LAYOUTS = {"run": "topic Q0 doc rank score tag", "qrels": "topic iteration doc relevance"}
+_COLUMNS = {"topic": object, "doc": object, "rank": np.int64, "score": np.float64,
+            "relevance": np.int64, "tag": "U1"}
+_NUMBERS = {"rank": (_is_int64, "a 64-bit integer"), "relevance": (_is_int64, "a 64-bit integer"),
+            "score": (_is_finite_decimal, "a finite number")}
+
+
+def _check_lines(text: str, form: str, known_bad: bool = False) -> None:
+    """Raise :class:`ParseError` at the first line of ``text`` that breaks
+    format ``form``: too few fields, a number that breaks the number rule,
+    or (run) a document its topic already ranked. Fields split as
+    ``str.split`` splits them. No bad line in a text ``known_bad`` is a fault."""
+    fields = _LAYOUTS[form].split()
+    numbers = [(col, name, *_NUMBERS[name]) for col, name in enumerate(fields) if name in _NUMBERS]
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) < len(fields):
+            raise ParseError(f"{form} line {lineno}: expected '{_LAYOUTS[form]}', got {raw!r}")
+        for col, name, rule, kind in numbers:
+            if not rule(parts[col]):
+                raise ParseError(f"{form} line {lineno}: {name} {parts[col]!r} is not {kind}")
+        if form == "run" and (parts[0], parts[2]) in seen:
+            raise ParseError(f"run line {lineno}: duplicate document {parts[2]!r} "
+                             f"for topic {parts[0]!r}")
+        seen.add((parts[0], parts[2]))
+    if known_bad:
+        raise RuntimeError(f"no bad line in {form} text that numpy's reader refused or misread")
+
+
+def _read_columns(text: str, form: str) -> np.ndarray:
+    """One record per non-blank line of ``text`` in format ``form``, from
+    numpy's C reader. ASCII text is checked line by line only if the reader
+    refuses it; other text is checked first, so that the reader's integer
+    parsing, which reads "1\u01fe" as 472, never sees a non-ASCII token."""
+    fields = _LAYOUTS[form].split()
+    usecols = [col for col, name in enumerate(fields) if name in _COLUMNS]
+    dtype = [(fields[col], _COLUMNS[fields[col]]) for col in usecols]
+    if not text or text.isspace():
+        return np.zeros(0, dtype)
     if not text.isascii():
-        return None
+        _check_lines(text, form)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(
-                text.splitlines(), dtype=dtype, usecols=usecols, comments=None, ndmin=1
-            )
+            return np.loadtxt(text.splitlines(), dtype, comments=None, usecols=usecols, ndmin=1)
         except (ValueError, Warning):
-            return None
+            _check_lines(text, form, known_bad=True)
 
 
 def _topic_blocks(topics: np.ndarray) -> list[tuple[str, int, int]]:
     """``(topic_id, start, stop)`` for each run of equal ids, in file order."""
     cuts = (np.flatnonzero(topics[1:] != topics[:-1]) + 1).tolist()
-    return [(topics[start], start, stop) for start, stop in zip([0, *cuts], [*cuts, len(topics)])]
-
-
-def _rank_order(entries) -> list[str]:
-    """Doc ids of ``(rank, score, doc)`` entries by ascending rank, then
-    descending score, then doc id."""
-    return [doc for _, _, doc in sorted(entries, key=lambda e: (e[0], -e[1], e[2]))]
+    return [(topics[a], a, b) for a, b in zip([0, *cuts], [*cuts, len(topics)]) if a < b]
 
 
 def parse_qrels(text: str) -> dict[str, dict[str, int]]:
@@ -195,37 +240,12 @@ def parse_qrels(text: str) -> dict[str, dict[str, int]]:
     Graded relevance collapses to binary (> 0 means relevant). A repeated
     (topic, doc) pair overwrites the earlier judgement.
     """
-    cols = _read_columns(text, _QRELS_COLUMNS, (0, 2, 3))
-    if cols is None:
-        return _parse_qrels_lines(text)
+    cols = _read_columns(text, "qrels")
     docs = cols["doc"].tolist()
-    rels = (cols["rel"] > 0).astype(np.int64).tolist()
+    rels = (cols["relevance"] > 0).astype(np.int64).tolist()
     judgements: dict[str, dict[str, int]] = {}
     for topic_id, start, stop in _topic_blocks(cols["topic"]):
         judgements.setdefault(topic_id, {}).update(zip(docs[start:stop], rels[start:stop]))
-    return judgements
-
-
-def _parse_qrels_lines(text: str) -> dict[str, dict[str, int]]:
-    """:func:`parse_qrels` line by line, raising :class:`ParseError` at the bad line."""
-    judgements: dict[str, dict[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 4:
-            raise ParseError(
-                f"qrels line {lineno}: expected 'topic iteration doc relevance', got {raw!r}"
-            )
-        topic_id, doc_id, rel_field = parts[0], parts[2], parts[3]
-        try:
-            rel = int(rel_field)
-        except ValueError:
-            raise ParseError(
-                f"qrels line {lineno}: relevance {rel_field!r} is not an integer"
-            ) from None
-        judgements.setdefault(topic_id, {})[doc_id] = 1 if rel > 0 else 0
     return judgements
 
 
@@ -235,9 +255,9 @@ def parse_run(text: str) -> dict[str, list[str]]:
     Documents are ordered by ascending rank; ties break by descending score,
     then lexicographic doc id. A document may appear only once per topic.
     """
-    cols = _read_columns(text, _RUN_COLUMNS, (0, 2, 3, 4, 5))
-    if cols is None:
-        return _parse_run_lines(text)
+    cols = _read_columns(text, "run")
+    if not np.isfinite(cols["score"]).all():
+        _check_lines(text, "run", known_bad=True)
     blocks: dict[str, list[slice]] = {}
     for topic_id, start, stop in _topic_blocks(cols["topic"]):
         blocks.setdefault(topic_id, []).append(slice(start, stop))
@@ -246,43 +266,12 @@ def parse_run(text: str) -> dict[str, list[str]]:
         rows = cols[parts[0]] if len(parts) == 1 else np.concatenate([cols[p] for p in parts])
         docs = rows["doc"].tolist()
         if len(set(docs)) != len(docs):
-            return _parse_run_lines(text)  # names the line of the repeat
+            _check_lines(text, "run", known_bad=True)  # names the line of the repeat
         ranks = rows["rank"]
         if not (ranks[1:] > ranks[:-1]).all():
-            docs = _rank_order(zip(ranks.tolist(), rows["score"].tolist(), docs))
+            docs = [doc for *_, doc in sorted(zip(ranks.tolist(), (-rows["score"]).tolist(), docs))]
         run[topic_id] = docs
     return run
-
-
-def _parse_run_lines(text: str) -> dict[str, list[str]]:
-    """:func:`parse_run` line by line, raising :class:`ParseError` at the bad line."""
-    rows: dict[str, list[tuple[int, float, str]]] = {}
-    seen: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 6:
-            raise ParseError(
-                f"run line {lineno}: expected 'topic Q0 doc rank score tag', got {raw!r}"
-            )
-        topic_id, doc_id, rank_field, score_field = parts[0], parts[2], parts[3], parts[4]
-        try:
-            rank = int(rank_field)
-        except ValueError:
-            raise ParseError(f"run line {lineno}: rank {rank_field!r} is not an integer") from None
-        try:
-            score = float(score_field)
-        except ValueError:
-            raise ParseError(f"run line {lineno}: score {score_field!r} is not a number") from None
-        if doc_id in seen.setdefault(topic_id, set()):
-            raise ParseError(
-                f"run line {lineno}: duplicate document {doc_id!r} for topic {topic_id!r}"
-            )
-        seen[topic_id].add(doc_id)
-        rows.setdefault(topic_id, []).append((rank, score, doc_id))
-    return {topic_id: _rank_order(entries) for topic_id, entries in rows.items()}
 
 
 def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]]) -> list[Topic]:

@@ -5,17 +5,18 @@ as a percentage is the report consumer's business. Excess normalizes the
 gap to the ideal stopping cost: 0 means the method stopped exactly where an
 oracle would, positive means overshoot, negative undershoot.
 
-``eval`` works in columns: a results file's numeric columns are each
-converted in one pass, and all rows are checked and scored in array passes,
-with one oracle search per (topic, target). Every CSV this package writes
-goes through :func:`write_table`, so they share one cell rule: a float is
-written by ``repr``, ``None`` as an empty cell.
+``eval`` works in columns: each numeric column of a results file is
+matched and converted in one pass, and all rows are checked and scored in
+array passes, with one oracle search per (topic, target). Every CSV this
+package writes goes through :func:`write_table`, so they share one cell
+rule: a float is written by ``repr``, ``None`` as an empty cell.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Topic, check_target, first_reaching, read_text
+from .corpus import DECIMAL, INTEGER, Topic, check_target, first_reaching, read_text
 from .errors import ConfigError, ParseError
 
 PER_TOPIC_HEADER = (
@@ -244,30 +245,38 @@ def write_results_csv(path, results: list[StopResult]) -> None:
     ))
 
 
-_NUMBERS = {"docs_examined": int, "target": float, "relevant_found": int, "stop_batch": int}
+# Each numeric column's token rule and conversion; an empty or missing cell reads as None.
+_NUMBERS = {"docs_examined": (INTEGER, int), "target": (DECIMAL, float),
+            "relevant_found": (INTEGER, int), "stop_batch": (INTEGER, int)}
 
 
-def _check_rows(path, rows) -> None:
-    """Raise the first bad cell's problem; a row is its :data:`_NUMBERS` cells."""
-    for lineno, texts in enumerate(rows, start=2):
-        for text, (column, convert) in zip(texts, _NUMBERS.items()):
-            try:
-                value = convert(text) if text else None
-            except ValueError:
-                kind = "a number" if convert is float else "an integer"
-                raise ParseError(f"{path} line {lineno}: {column} {text!r} is not {kind}") from None
-            if value is None and column == "docs_examined":
-                raise ParseError(f"{path} line {lineno}: docs_examined is empty")
-            if value is not None and column == "target":
-                check_target(value, f"{path} line {lineno}: target")
+def _columns(ids, methods, *texts) -> list[list]:
+    """The :data:`_NUMBERS` columns, converted: a column's distinct cells are
+    matched at once, joined by newlines (int() and float() refuse a cell that
+    holds one), then converted once each. A ValueError says what, not where."""
+    if None in ids or None in methods:
+        raise ParseError(f"no {'topic_id' if None in ids else 'method'} cell")
+    values = []
+    for cells, (column, (token, convert)) in zip(texts, _NUMBERS.items()):
+        distinct = set(cells) - {None, ""}
+        if not re.fullmatch(rf"{token.pattern}(?:\n{token.pattern})*|", "\n".join(distinct)):
+            kind = "a number" if convert is float else "an integer"
+            raise ParseError(f"{column} {cells[0]!r} is not {kind}")
+        converted = {text: convert(text) for text in distinct}
+        values.append(list(map(converted.get, cells)))
+    if None in values[0]:
+        raise ParseError("docs_examined is empty")
+    for target in set(values[1]) - {None}:
+        check_target(target, "target")
+    return values
 
 
 def read_results_csv(path) -> list[StopResult]:
     """Read stopping results, either this package's schema or the minimal
-    external one (topic_id, method, docs_examined). Each numeric column is
-    converted in one pass; a file with a bad cell is walked row by row to
-    name the first. As in ``csv.DictReader``, blank lines are skipped, a
-    missing cell reads as None and a line number counts rows."""
+    external one (topic_id, method, docs_examined), by :func:`_columns`; a
+    file with a bad cell is walked row by row to name the first. As in
+    ``csv.DictReader``, blank lines are skipped, a missing cell reads as
+    None (an error under topic_id or method) and a line number counts rows."""
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
     try:
         header = next(reader, None)
@@ -284,13 +293,12 @@ def read_results_csv(path) -> list[StopResult]:
     ids, methods, *texts = (cells.get(name, (None,) * len(rows))
                             for name in ("topic_id", "method", *_NUMBERS))
     try:
-        docs, targets, found, stop_batch = ([convert(text) if text else None for text in column]
-                                            for column, convert in zip(texts, _NUMBERS.values()))
-        if None in docs:
-            raise ValueError("docs_examined is empty")
-        for target in set(targets) - {None}:
-            check_target(target)
+        docs, targets, found, stop_batch = _columns(ids, methods, *texts)
     except ValueError:  # ConfigError and ParseError too
-        _check_rows(path, zip(*texts))
+        for lineno, row in enumerate(zip(ids, methods, *texts), start=2):
+            try:
+                _columns(*((cell,) for cell in row))
+            except ValueError as exc:
+                raise ParseError(f"{path} line {lineno}: {exc}") from None
         raise
     return list(map(StopResult, ids, methods, targets, docs, found, stop_batch))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tarstop.corpus import Topic
+
+# More examples for the run/qrels parse agreement and fuzz tests, whose
+# contract is what numpy's text reader accepts: ``--hypothesis-profile=parsers``.
+settings.register_profile("parsers", max_examples=2000)
 
 
 def make_topic(labels, topic_id="t1"):

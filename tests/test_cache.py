@@ -12,7 +12,7 @@ import tarstop.cache as cache
 import tarstop.cli as cli
 from tarstop.cache import TOPICS, Kind, cache_dir, file_sha256, read_entry, write_entry
 from tarstop.cli import main
-from tarstop.corpus import assemble_topics, load_qrels, load_run
+from tarstop.corpus import Topic, assemble_topics, load_qrels, load_run
 from tarstop.errors import ConfigError
 
 
@@ -274,6 +274,25 @@ def test_malformed_run_exits_2_with_a_warm_entry_for_other_bytes(tmp_path, colle
         err = capsys.readouterr().err
         assert f"{broken}: run line 241: expected" in err
     assert entries(topic_cache_dir) == warm
+
+
+def test_entry_of_the_first_format_is_never_served(tmp_path, topic_cache_dir, capsys):
+    """Under format v1 a rank ``1_0`` was read as 10. A v1 entry for such
+    bytes, which the parser now rejects, is never read."""
+    run, qrels = tmp_path / "loose.run", tmp_path / "loose.qrels"
+    run.write_text("t1 Q0 d1 1_0 2.0 x\nt1 Q0 d2 2 1.0 x\n")
+    qrels.write_text("t1 0 d1 1\n")
+    v1_key = hashlib.sha256(b"tarstop-topics-v1" + file_sha256(run) + file_sha256(qrels))
+    v1_entry = topic_cache_dir / f"{v1_key.hexdigest()}.npz"
+    write_entry(v1_entry, TOPICS.encode(([Topic("t1", [0, 1])], [])))
+    assert read_entry(v1_entry, TOPICS) is not None  # a usable entry, under the old key
+    for _ in range(2):
+        assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert (f"{run}: run line 1: rank '1_0' is not a 64-bit integer"
+                in capsys.readouterr().err)
+    assert entries(topic_cache_dir) == [v1_entry]
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_no_usable_topics_is_not_stored(tmp_path, odd_collection, topic_cache_dir):

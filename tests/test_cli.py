@@ -501,6 +501,27 @@ class TestBaseline:
             assert f"broken.{kind}: " in err and message in err
 
 
+    @pytest.mark.parametrize("kind, column, token", [
+        *(("run", 3, rank) for rank in ["1_0", "\u0661", "\uff12", "1\u01fe",
+                                         "9223372036854775808"]),
+        ("qrels", 3, "0_1"),
+        *(("run", 4, score) for score in ["nan", "inf", "-Infinity", "1e400", "1_0.5"]),
+    ])
+    def test_loose_number_exits_2_naming_file_and_line(self, tmp_path, collection, capsys, kind,
+                                                       column, token):
+        files = dict(zip(("run", "qrels"), collection))
+        lines = files[kind].read_text().splitlines()
+        fields = lines[4].split(" ")
+        fields[column] = token
+        lines[4] = " ".join(fields)
+        files[kind] = tmp_path / f"loose.{kind}"
+        files[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["baseline", "--method", "oracle", "--run", str(files["run"]),
+                     "--qrels", str(files["qrels"]), "--out", str(tmp_path / "o.csv")]) == 2
+        name = {("run", 3): "rank", ("run", 4): "score", ("qrels", 3): "relevance"}[kind, column]
+        assert f"{files[kind]}: {kind} line 5: {name} {token!r} is not" in capsys.readouterr().err
+
+
 class TestEval:
     def test_joint_report_shape(self, tmp_path, trained):
         run_path, qrels_path, ckpt = trained
@@ -567,7 +588,8 @@ class TestEval:
         # within [0, R] (R = 12) but not the count among the first 20 documents
         ("synth-0000,m,0.9,,20,3", "bad.csv: topic 'synth-0000': relevant_found 3, "
                                    "but the first 20 documents hold 10 relevant"),
-        ("synth-0000,m,nan,,20,3", "bad.csv line 2: target must be in (0, 1], got nan"),
+        ("synth-0000,m,nan,,20,3", "bad.csv line 2: target 'nan' is not a number"),
+        ("synth-0000,m,1.5,,20,3", "bad.csv line 2: target must be in (0, 1], got 1.5"),
         ("ghost,m,0.9,,20,3", "bad.csv: result references unknown topic 'ghost'"),
         # past int64, which the row checks must still name as they are
         (f"synth-0000,m,0.9,,{10**20},", f"bad.csv: topic 'synth-0000': docs_examined {10**20} "
@@ -575,7 +597,7 @@ class TestEval:
         (f"synth-0000,m,0.9,,20,{-10**20}", f"bad.csv: topic 'synth-0000': relevant_found "
                                             f"{-10**20}, but the first 20 documents hold 10 relevant"),
     ], ids=["no-docs", "docs-past-topic", "found-above-R", "found-not-prefix", "nan-target",
-            "unknown-topic", "docs-past-int64", "found-past-int64"])
+            "target-above-1", "unknown-topic", "docs-past-int64", "found-past-int64"])
     def test_out_of_range_row_exits_2(self, tmp_path, collection, capsys, row, message):
         run_path, qrels_path = collection
         bad = tmp_path / "bad.csv"
@@ -660,6 +682,41 @@ class TestEval:
                      str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
         assert capsys.readouterr().err == (
             f"error: {big} line 3: field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("cell, value", [("2_4", "2_4"), (" 24", " 24"), ('"24\n"', "24\n"),
+                                             ("\uff12\uff14", "\uff12\uff14"), ("24.0", "24.0")])
+    def test_loose_integer_cell_exits_2_naming_it(self, tmp_path, collection, capsys, cell, value):
+        run_path, qrels_path = collection
+        bad = tmp_path / "bad.csv"
+        bad.write_text("topic_id,method,docs_examined\nsynth-0000,m,20\n"
+                       f"synth-0001,m,{cell}\n", encoding="utf-8")
+        assert main(["eval", "--results", str(bad), "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
+        assert (f"{bad} line 3: docs_examined {value!r} is not an integer"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+    def test_cell_holding_a_newline_between_digits_exits_2(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        bad = tmp_path / "bad.csv"
+        bad.write_text('topic_id,method,docs_examined\nsynth-0000,m,20\nsynth-0001,m,"2\n4"\n')
+        assert main(["eval", "--results", str(bad), "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
+        assert f"{bad} line 3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, row, column", [
+        ("topic_id,docs_examined,method", "synth-0001,24", "method"),
+        ("method,docs_examined,topic_id", "m,24", "topic_id"),
+    ])
+    def test_row_without_a_method_or_topic_cell_exits_2(self, tmp_path, collection, capsys,
+                                                         header, row, column):
+        run_path, qrels_path = collection
+        short = tmp_path / "short.csv"
+        first = {"method": "synth-0000,20,m", "topic_id": "m,20,synth-0000"}[column]
+        short.write_text(f"{header}\n{first}\n{row}\n")
+        assert main(["eval", "--results", str(short), "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
+        assert capsys.readouterr().err == f"error: {short} line 3: no {column} cell\n"
 
     def test_empty_results_exit_2(self, tmp_path, collection):
         run_path, qrels_path = collection

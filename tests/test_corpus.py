@@ -1,3 +1,4 @@
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_topic
 from tarstop.corpus import (
     Topic,
-    _parse_qrels_lines,
-    _parse_run_lines,
     assemble_topics,
     batch_topic,
     parse_qrels,
@@ -31,6 +30,7 @@ SCORE = st.one_of(RANK, st.sampled_from(["2.5", ".5", "5.", "1e5", "1e400", "nan
 ODD_NUMBER = st.sampled_from([
     "1_0", "\uff11", "\u0661", "0x10", "x", "1.0", "1e400", "nan", "9223372036854775807",
     "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+    "1\u01fe", "1_0.5", "inf", "1.e5", "-9223372036854775808", "0009223372036854775807", "1e",
 ])
 TOPIC = st.sampled_from(["t1", "t2", "t3"])
 DOC = st.sampled_from([f"d{i}" for i in range(20)] + ["#"])
@@ -73,13 +73,54 @@ QRELS_TEXT = text_of(
              st.one_of(RANK, ODD_NUMBER), st.just("x")], [0, 3, 4, 5], ODD_SEP_OR_SEP),
 )
 
+# The reference parsers: the README's rules, line by line, written apart
+# from the package's number patterns.
+STRICT_INTEGER = re.compile(r"[+-]?[0-9]+")
+STRICT_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def strict_fields(text, count):
+    """``(lineno, fields)`` of each non-blank line; a ParseError names the
+    first line with fewer than ``count`` fields."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and len(fields) < count:
+            raise ParseError(f"line {lineno}")
+        if fields:
+            yield lineno, fields
+
+
+def strict_int(token, lineno):
+    if STRICT_INTEGER.fullmatch(token) and -2**63 <= int(token) < 2**63:
+        return int(token)
+    raise ParseError(f"line {lineno}")
+
+
+def reference_qrels(text):
+    judgements = {}
+    for lineno, (topic, _, doc, relevance, *_) in strict_fields(text, 4):
+        judgements.setdefault(topic, {})[doc] = int(strict_int(relevance, lineno) > 0)
+    return judgements
+
+
+def reference_run(text):
+    entries = {}
+    for lineno, (topic, _, doc, rank, score, *_) in strict_fields(text, 6):
+        rank = strict_int(rank, lineno)
+        if not (STRICT_DECIMAL.fullmatch(score) and abs(float(score)) < float("inf")):
+            raise ParseError(f"line {lineno}")
+        if doc in {d for *_, d in entries.get(topic, [])}:
+            raise ParseError(f"line {lineno}")
+        entries.setdefault(topic, []).append((rank, -float(score), doc))
+    return {topic: [doc for *_, doc in sorted(rows)] for topic, rows in entries.items()}
+
 
 def outcome(parse, text):
-    """The parse result with its key order, or the ParseError message."""
+    """The parse result with its key order, or the line a ParseError names."""
     try:
         result = parse(text)
     except ParseError as exc:
-        return "error", str(exc)
+        return "error", re.search(r"line (\d+)", str(exc)).group(1)
     return "ok", [(k, list(v.items()) if isinstance(v, dict) else v) for k, v in result.items()]
 
 
@@ -115,7 +156,14 @@ class TestParseQrels:
 
     @given(text=QRELS_TEXT)
     def test_matches_line_loop(self, text):
-        assert outcome(parse_qrels, text) == outcome(_parse_qrels_lines, text)
+        """The same judgements as the strict reference, or both reject the same line."""
+        assert outcome(parse_qrels, text) == outcome(reference_qrels, text)
+
+    @pytest.mark.parametrize("relevance", ["0_1", "\u0661", "\uff12", "1\u01fe", "1.0",
+                                           "9223372036854775808"])
+    def test_loose_relevance_rejected(self, relevance):
+        with pytest.raises(ParseError, match=f"qrels line 2: relevance '{relevance}' is not"):
+            parse_qrels(f"t1 0 d7 1\nt1 0 d8 {relevance}\n")
 
 
 class TestParseRun:
@@ -157,13 +205,33 @@ class TestParseRun:
     def test_seventh_column_ignored(self):
         assert parse_run("t1 Q0 d2 1 9.5 x extra") == {"t1": ["d2"]}
 
-    def test_rank_read_as_python_int(self):
-        # "1_0" is ten to int(); the rank ties of the sort see it as ten
-        assert parse_run("t1 Q0 da 1_0 1.0 x\nt1 Q0 db 2 1.0 x") == {"t1": ["db", "da"]}
+    def test_loose_rank_rejected(self):
+        # int() reads "1_0" as ten and "\u0661" as one; the rank rule reads neither
+        for rank in ["1_0", "\u0661", "\uff12", "1\u01fe", "9223372036854775808",
+                     "-9223372036854775809", "1.0", "1e2", "9" * 5000]:
+            with pytest.raises(ParseError, match=f"run line 2: rank '{rank}' is not a 64-bit"):
+                parse_run(f"t1 Q0 da 1 1.0 x\nt1 Q0 db {rank} 1.0 x")
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e400", "1_0.5", "\u0661.5",
+                                       "0x10", "1e"])
+    def test_non_finite_or_loose_score_rejected(self, score):
+        with pytest.raises(ParseError, match=f"run line 2: score '{score}' is not a finite number"):
+            parse_run(f"t1 Q0 da 1 1.0 x\nt1 Q0 db 2 {score} x")
+
+    def test_number_forms_the_rule_allows(self):
+        text = ("t\u00e9 Q0 d\u00e9 +3 .5 x\nt\u00e9 Q0 db 007 5. x\nt\u00e9 Q0 dc -0 1e5 x\n"
+                "t\u00e9 Q0 dd -9223372036854775808 1.e5 x\nt\u00e9 Q0 de 3 1e-400 x")
+        assert parse_run(text) == {"t\u00e9": ["dd", "dc", "d\u00e9", "de", "db"]}
+        assert parse_run(text.replace("\u00e9", "x")) == {"tx": ["dd", "dc", "dx", "de", "db"]}
+
+    def test_no_lines_parse_to_nothing(self):
+        for text in ["", "\n", "  \r\n\t", "\u3000\n"]:
+            assert parse_run(text) == {} and parse_qrels(text) == {}
 
     @given(text=RUN_TEXT)
     def test_matches_line_loop(self, text):
-        assert outcome(parse_run, text) == outcome(_parse_run_lines, text)
+        """The same rankings as the strict reference, or both reject the same line."""
+        assert outcome(parse_run, text) == outcome(reference_run, text)
 
 
 class TestAssembleTopics:
