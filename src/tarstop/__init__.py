@@ -10,6 +10,7 @@ from .corpus import (
     Topic,
     assemble_topics,
     batch_topic,
+    batch_topics,
     load_qrels,
     load_run,
     parse_qrels,

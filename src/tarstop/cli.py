@@ -26,7 +26,7 @@ from .baselines import budget_stop, knee_stop, oracle_stop
 from .cache import cached_topics
 from .corpus import (
     assemble_topics,
-    batch_topic,
+    batch_topics,
     check_seed,
     check_target,
     load_qrels,
@@ -200,7 +200,7 @@ def cmd_stop(args) -> int:
     mode = _resolve(args, config, "mode", "greedy")
     seed = check_seed(_resolve(args, config, "seed", 0))
     topics = _load_topics(args.run, args.qrels)
-    batched = [batch_topic(topic, checkpoint.n_batches) for topic in topics]
+    batched = batch_topics(topics, checkpoint.n_batches)
     results = infer_stop(checkpoint, batched, mode=mode, rng=seed)
     write_results_csv(args.out, results)
     mean_batch = float(np.mean([r.stop_batch for r in results]))
@@ -214,16 +214,12 @@ def cmd_baseline(args) -> int:
     batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
     fraction = _resolve(args, config, "fraction", 0.5)
     topics = _load_topics(args.run, args.qrels)
-    results = []
-    for topic in topics:
-        if args.method == "oracle":
-            results.extend(oracle_stop(topic, t) for t in targets)
-        elif args.method == "knee":
-            base = knee_stop(batch_topic(topic, batches))
-            results.extend(base._replace(target_recall=t) for t in targets)
-        else:
-            base = budget_stop(topic, fraction)
-            results.extend(base._replace(target_recall=t) for t in targets)
+    if args.method == "oracle":
+        results = [oracle_stop(topic, t) for topic in topics for t in targets]
+    else:
+        bases = (map(knee_stop, batch_topics(topics, batches)) if args.method == "knee"
+                 else (budget_stop(topic, fraction) for topic in topics))
+        results = [base._replace(target_recall=t) for base in bases for t in targets]
     write_results_csv(args.out, results)
     print(f"wrote {len(results)} {args.method} decisions "
           f"({len(topics)} topics x {len(targets)} targets) to {args.out}")

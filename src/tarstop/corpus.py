@@ -24,9 +24,9 @@ reject a document ranked twice (:func:`parse_run` is the one place that
 rule lives); no figure needs them afterwards, so a :class:`Topic` does not
 keep them. Its running relevant count :attr:`Topic.gain` is the one source
 of every "relevant documents among the first r" figure: recall, the oracle,
-knee and budget stops, and the batch counts. For the stopping task the
-labels are cut into contiguous, near-equal batches; the per-batch relevant
-counts are what the stopping agent gets to observe.
+knee and budget stops. For the stopping task the labels are cut into
+contiguous, near-equal batches (one pass per collection: :func:`batch_topics`);
+the per-batch relevant counts are what the stopping agent gets to observe.
 
 The CLI keeps what :func:`load_run`, :func:`load_qrels` and
 :func:`assemble_topics` make of a pair of files (the topics and the
@@ -108,14 +108,16 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def first_reaching(topic: Topic, cum_rel: np.ndarray, target_recall: float) -> int:
+def first_reaching(topic: Topic, cum_rel: np.ndarray, target_recall: float | np.ndarray):
     """1-based index of the first entry of ``cum_rel``, a running count of the
-    topic's relevant documents, that meets ``target_recall`` of them."""
-    check_target(target_recall)
+    topic's relevant documents, that meets ``target_recall`` of them (int64s for an array)."""
+    many = isinstance(target_recall, np.ndarray)
+    for target in target_recall.tolist() if many else [target_recall]:
+        check_target(target)
     if topic.n_relevant == 0:
         raise ValueError(f"topic {topic.topic_id!r}: target undefined, no relevant documents")
-    need = target_recall * topic.n_relevant - TARGET_EPS
-    return int(np.searchsorted(cum_rel, need, side="left")) + 1
+    index = np.searchsorted(cum_rel, target_recall * topic.n_relevant - TARGET_EPS, side="left") + 1
+    return index if many else int(index)
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,8 @@ class BatchedTopic:
         return first_reaching(self.topic, self.cum_rel, target_recall)
 
 
-def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
-    """Split a topic into ``n_batches`` contiguous batches.
+def batch_topics(topics: list[Topic], n_batches: int) -> list[BatchedTopic]:
+    """Split each topic into ``n_batches`` contiguous batches, all in one pass.
 
     With ``n = n_docs`` the first ``n mod n_batches`` batches get
     ``ceil(n / n_batches)`` documents, the rest ``floor(n / n_batches)``.
@@ -149,11 +151,18 @@ def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
     """
     if n_batches < 1:
         raise ConfigError(f"batch count must be >= 1, got {n_batches}")
-    base, extra = divmod(topic.n_docs, n_batches)
-    sizes = np.full(n_batches, base, dtype=np.int64)
-    sizes[:extra] += 1
-    cum_rel = topic.gain[np.cumsum(sizes)]
-    return BatchedTopic(topic, sizes, np.diff(cum_rel, prepend=0), cum_rel)
+    n_docs = np.array([t.n_docs for t in topics], dtype=np.int64)
+    base, extra = np.divmod(n_docs, n_batches)
+    sizes = base[:, None] + (np.arange(n_batches) < extra[:, None])
+    gain = np.cumsum(np.concatenate([[0], *(t.labels for t in topics)]))  # every topic's, end to end
+    starts = np.cumsum(n_docs) - n_docs
+    cum_rel = gain[starts[:, None] + np.cumsum(sizes, axis=1)] - gain[starts, None]
+    return list(map(BatchedTopic, topics, sizes, np.diff(cum_rel, axis=1, prepend=0), cum_rel))
+
+
+def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
+    """One topic split as :func:`batch_topics` splits each of its topics."""
+    return batch_topics([topic], n_batches)[0]
 
 
 # The number rule of every file this package reads. A decimal's digits split

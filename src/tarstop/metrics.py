@@ -7,9 +7,9 @@ oracle would, positive means overshoot, negative undershoot.
 
 ``eval`` works in columns: each numeric column of a results file is
 matched and converted in one pass, and all rows are checked and scored in
-array passes, with one oracle search per (topic, target). Every CSV this
-package writes goes through :func:`write_table`, so they share one cell
-rule: a float is written by ``repr``, ``None`` as an empty cell.
+array passes, with one oracle search per topic over all its targets. Every
+CSV this package writes goes through :func:`write_table`, so they share one
+cell rule: a float is written by ``repr``, ``None`` as an empty cell.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -62,8 +61,8 @@ class StopResult(NamedTuple):
     stop_batch: int | None = None
 
 
-def optimal_stop_rank(topic: Topic, target_recall: float) -> int:
-    """Smallest rank whose cumulative recall meets the target."""
+def optimal_stop_rank(topic: Topic, target_recall: float | np.ndarray):
+    """Smallest rank whose cumulative recall meets the target (or each of an array of them)."""
     return first_reaching(topic, topic.gain[1:], target_recall)
 
 
@@ -152,8 +151,12 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     if bad.any():
         i = int(bad.argmax())
         raise next(error(i) for rows, error in checks if rows[i])
-    stop_rank = lru_cache(None)(lambda k, target: optimal_stop_rank(topics[k], target))
-    optimal_cost = np.fromiter(map(stop_rank, tix.tolist(), targets), np.int64, len(ids)) / n_docs
+    target_key = np.array(targets, dtype=float)
+    optimal_rank = np.empty(len(ids), np.int64)
+    for k in np.unique(tix).tolist():  # one search per topic, over all its targets
+        rows = tix == k
+        optimal_rank[rows] = optimal_stop_rank(topics[k], target_key[rows])
+    optimal_cost = optimal_rank / n_docs
     cost = docs / n_docs
     with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where does not take
         excess = np.where(optimal_cost >= 1.0, np.where(cost >= 1.0, 0.0, cost - 1.0),
@@ -164,7 +167,7 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
         return np.fromiter(map(rank.get, values), np.int64, len(values))
 
-    method_rank, target_key = ranked(methods), np.array(targets, dtype=float)
+    method_rank = ranked(methods)
     order = np.lexsort((ranked(ids), method_rank, target_key))
     take = order.tolist()
     metrics = [a[order] for a in (n_docs, n_relevant, docs, found, recall, cost, excess)]
@@ -262,7 +265,10 @@ def _columns(ids, methods, *texts) -> list[list]:
         if not re.fullmatch(rf"{token.pattern}(?:\n{token.pattern})*|", "\n".join(distinct)):
             kind = "a number" if convert is float else "an integer"
             raise ParseError(f"{column} {cells[0]!r} is not {kind}")
-        converted = {text: convert(text) for text in distinct}
+        try:
+            converted = {text: convert(text) for text in distinct}
+        except ValueError:  # int() refuses a cell of more than 4300 digits
+            raise ParseError(f"{column} '{max(distinct, key=len)[:20]}…' is not an integer") from None
         values.append(list(map(converted.get, cells)))
     if None in values[0]:
         raise ParseError("docs_examined is empty")

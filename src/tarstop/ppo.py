@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .cache import Kind, cached
-from .corpus import BatchedTopic, Topic, batch_topic, check_seed, check_target
+from .corpus import BatchedTopic, Topic, batch_topics, check_seed, check_target
 from .env import CONTINUE, NORMALIZE_MODES, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
 from .metrics import StopResult, write_table
@@ -338,7 +338,7 @@ def train(
     hyper.validate()
     if not topics:
         raise ConfigError("no training topics")
-    pool = [batch_topic(t, n_batches) for t in topics]
+    pool = batch_topics(topics, n_batches)
     seeds = np.random.SeedSequence(hyper.seed).spawn(5)
     venv = VecStoppingEnv(pool, target_recall, hyper.n_envs, seeds[0], normalize)
     params, (actor, critic) = joint_params(
@@ -388,7 +388,8 @@ def infer_stop(
     """Run the trained policy over every topic and report where each stopped.
 
     All topics advance together: each step is one forward pass over the
-    topics still reading, with observations built exactly as in training.
+    topics still reading, whose rows ``env.observe`` builds once, as in
+    training; all have examined as many batches, so a step reveals one column.
     The policy sees only the examined prefix, never the target batch or
     unexamined labels. Greedy mode takes the argmax action, STOP winning
     exact ties; sample mode draws one uniform per live topic per step.
@@ -404,16 +405,23 @@ def infer_stop(
     if mode == "sample" and not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     table = observation_table(topics, checkpoint.normalize_obs)
-    examined = np.ones(len(topics), dtype=np.int64)
+    examined = np.full(len(topics), checkpoint.n_batches)  # until a topic stops earlier
     live = np.arange(len(topics))
+    obs = observe(table, live, np.ones_like(live)) if topics else None
+    step = 1  # batches examined by every live topic
     while live.size:
-        logits, _ = forward(checkpoint.actor, observe(table, live, examined[live]))
+        logits, _ = forward(checkpoint.actor, obs)
         if mode == "greedy":
             stop = logits.argmax(axis=1) == STOP
         else:
             stop = rng.random(live.size) < softmax(logits)[:, STOP]
-        live = live[~stop & (examined[live] < checkpoint.n_batches)]
-        examined[live] += 1
+        if step == checkpoint.n_batches:
+            break
+        if stop.any():
+            examined[live[stop]] = step
+            live, obs = live[~stop], obs[~stop]
+        obs[:, step] = table[live, step]
+        step += 1
     return [
         StopResult(
             topic_id=bt.topic.topic_id,

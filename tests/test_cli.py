@@ -696,6 +696,16 @@ class TestEval:
                 in capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
+    def test_integer_cell_past_int_digit_limit_exits_2_naming_it(self, tmp_path, collection, capsys):
+        run_path, qrels_path = collection
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"topic_id,method,docs_examined\nsynth-0000,m,20\nsynth-0001,m,{'1' * 5000}\n")
+        assert main(["eval", "--results", str(bad), "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--out", str(tmp_path / "r"), "--target", "0.9"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} line 3: docs_examined '{'1' * 20}…' is not an integer\n")
+        assert not (tmp_path / "r").exists()
+
     def test_cell_holding_a_newline_between_digits_exits_2(self, tmp_path, collection, capsys):
         run_path, qrels_path = collection
         bad = tmp_path / "bad.csv"

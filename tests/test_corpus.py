@@ -11,6 +11,8 @@ from tarstop.corpus import (
     Topic,
     assemble_topics,
     batch_topic,
+    batch_topics,
+    first_reaching,
     parse_qrels,
     parse_run,
     rank_relevance_probs,
@@ -331,6 +333,48 @@ class TestBatchTopic:
             batch_topic(make_topic([1]), 0)
 
 
+def per_topic_split(topic, n_batches):
+    """Reference for ``batch_topics``: one topic split by itself, its
+    counts read from the topic's own running count."""
+    base, extra = divmod(topic.n_docs, n_batches)
+    sizes = np.full(n_batches, base, dtype=np.int64)
+    sizes[:extra] += 1
+    cum_rel = topic.gain[np.cumsum(sizes)]
+    return sizes, np.diff(cum_rel, prepend=0), cum_rel
+
+
+@st.composite
+def batched_collections(draw):
+    """A batch count and 1-6 topics of lengths below, at and above it."""
+    n_batches = draw(st.integers(1, 12))
+    length = st.one_of(st.just(1), st.just(n_batches), st.integers(1, 3 * n_batches + 2))
+    labels = length.flatmap(lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    topics = draw(st.lists(labels, min_size=1, max_size=6))
+    return n_batches, [make_topic(ls, f"t{k}") for k, ls in enumerate(topics)]
+
+
+class TestBatchTopics:
+    @given(collection=batched_collections())
+    def test_matches_per_topic_split(self, collection):
+        n_batches, topics = collection
+        batched = batch_topics(topics, n_batches)
+        assert len(batched) == len(topics)
+        for bt, topic in zip(batched, topics):
+            assert bt.topic is topic
+            got = (bt.batch_sizes, bt.batch_rel, bt.cum_rel)
+            for array, expected in zip(got, per_topic_split(topic, n_batches)):
+                assert array.dtype == np.int64
+                assert array.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n_batches", [0, -3])
+    def test_invalid_batch_count(self, n_batches):
+        with pytest.raises(ConfigError, match="batch count must be >= 1"):
+            batch_topics([make_topic([1, 0])], n_batches)
+
+    def test_no_topics(self):
+        assert batch_topics([], 5) == []
+
+
 def scan_target_batch(cum_rel, n_relevant, target):
     """Independent linear-scan oracle for the first batch meeting the target."""
     need = target * n_relevant - 1e-9
@@ -384,6 +428,26 @@ class TestTargetBatch:
 
 
 labels_strategy = st.lists(st.integers(0, 1), min_size=1, max_size=60)
+
+
+class TestFirstReachingTargets:
+    @given(labels=labels_strategy.filter(lambda ls: sum(ls) > 0),
+           targets=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
+    def test_array_of_targets_is_each_target_searched_alone(self, labels, targets):
+        topic = make_topic(labels)
+        ranks = first_reaching(topic, topic.gain[1:], np.array(targets))
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [first_reaching(topic, topic.gain[1:], t) for t in targets]
+
+    def test_array_checks_every_target(self):
+        topic = make_topic([1, 0, 1])
+        with pytest.raises(ConfigError, match="got 1.5"):
+            first_reaching(topic, topic.gain[1:], np.array([0.5, 1.5]))
+
+    def test_array_on_topic_without_relevant_is_undefined(self):
+        topic = make_topic([0, 0])
+        with pytest.raises(ValueError, match="undefined"):
+            first_reaching(topic, topic.gain[1:], np.array([0.5, 0.9]))
 
 
 class TestBatchingProperties:

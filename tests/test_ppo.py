@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import make_topic
-from tarstop.corpus import batch_topic, synth_topics
-from tarstop.env import STOP, VecStoppingEnv
+from tarstop.corpus import batch_topic, batch_topics, synth_topics
+from tarstop.env import STOP, VecStoppingEnv, observation_table, observe
 from tarstop.cache import entry_path, read_entry
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult, _topic_metrics
 from tarstop import cache, nets, ppo
-from tarstop.nets import MlpParams, adam_init, forward, init_params, joint_params
+from tarstop.nets import HIDDEN_SIZES, MlpParams, adam_init, forward, init_params, joint_params, softmax
 from tarstop.ppo import (
     CHECKPOINTS,
     Checkpoint,
@@ -383,7 +383,73 @@ class TestTrain:
         assert 8.0 <= float(np.mean(tail)) <= 12.0
 
 
+def per_step_observe_infer(checkpoint, topics, mode="greedy", rng=None):
+    """Reference for ``infer_stop``: every step rebuilds each live topic's
+    row with ``observe`` from the topics' examined counts."""
+    table = observation_table(topics, checkpoint.normalize_obs)
+    examined = np.ones(len(topics), dtype=np.int64)
+    live = np.arange(len(topics))
+    while live.size:
+        logits, _ = forward(checkpoint.actor, observe(table, live, examined[live]))
+        if mode == "greedy":
+            stop = logits.argmax(axis=1) == STOP
+        else:
+            stop = rng.random(live.size) < softmax(logits)[:, STOP]
+        live = live[~stop & (examined[live] < checkpoint.n_batches)]
+        examined[live] += 1
+    return [
+        StopResult(bt.topic.topic_id, "policy", checkpoint.target_recall,
+                   int(bt.batch_sizes[:n].sum()), int(bt.cum_rel[n - 1]), int(n))
+        for bt, n in zip(topics, examined)
+    ]
+
+
+def random_policy_collection(seed, n_batches=16, normalize="ratio", count=40):
+    """A checkpoint with a randomly initialised actor of the trained shape
+    (B -> 64 -> 64 -> 2) and ``count`` topics, many shorter than B."""
+    rng = np.random.default_rng(seed)
+    actor = init_params(rng, (n_batches, *HIDDEN_SIZES, 2), out_gain=1.0)
+    critic = init_params(rng, (n_batches, *HIDDEN_SIZES, 1), out_gain=1.0)
+    topics = []
+    for k in range(count):
+        labels = (rng.random(int(rng.integers(1, 3 * n_batches))) < rng.uniform(0.05, 0.5))
+        topics.append(make_topic(labels.astype(int), topic_id=f"r{k}"))
+    checkpoint = Checkpoint(actor, critic, 0.9, n_batches, normalize, Hyperparams())
+    return checkpoint, batch_topics(topics, n_batches)
+
+
 class TestInferStop:
+    @pytest.mark.parametrize("normalize", ["ratio", "count"])
+    @pytest.mark.parametrize("seed", [0, 3, 6])  # seeds whose greedy stops spread
+    def test_matches_per_step_observe_loop(self, seed, normalize):
+        ckpt, bts = random_policy_collection(seed, normalize=normalize)
+        greedy = infer_stop(ckpt, bts)
+        assert greedy == per_step_observe_infer(ckpt, bts)
+        assert len({r.stop_batch for r in greedy}) >= 3  # mixed stop points
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        sampled = infer_stop(ckpt, bts, mode="sample", rng=ours)
+        assert sampled == per_step_observe_infer(ckpt, bts, "sample", reference)
+        assert len({r.stop_batch for r in sampled}) >= 3
+        # one uniform per live topic per step, the last step included
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_each_step_forwards_the_rows_observe_builds(self, monkeypatch):
+        ckpt, bts = random_policy_collection(6)
+        rows = []
+
+        def spy(params, x):
+            rows.append(np.array(x))  # a copy: infer_stop writes into its rows between steps
+            return forward(params, x)
+
+        monkeypatch.setattr(ppo, "forward", spy)
+        results = infer_stop(ckpt, bts)
+        stops = np.array([r.stop_batch for r in results])
+        assert len(rows) == stops.max()
+        table = observation_table(bts, ckpt.normalize_obs)
+        for step, seen in enumerate(rows, start=1):
+            live = np.flatnonzero(stops >= step)  # the topics still reading, in input order
+            assert np.array_equal(seen, observe(table, live, np.full(live.size, step)))
+
     def _checkpoint(self, width, stop_bias):
         actor = MlpParams([np.zeros((width, 2))], [np.array([stop_bias, 0.0])])
         critic = MlpParams([np.zeros((width, 1))], [np.zeros(1)])
@@ -418,6 +484,15 @@ class TestInferStop:
         a = infer_stop(ckpt, [bt, bt], mode="sample", rng=np.random.default_rng(5))
         b = infer_stop(ckpt, [bt, bt], mode="sample", rng=np.random.default_rng(5))
         assert a == b
+
+    def test_sample_mode_draws_at_the_last_batch_too(self):
+        bts = batch_topics([make_topic([1, 0, 1, 0, 1]), make_topic([0, 1])], 3)
+        ckpt = self._checkpoint(3, stop_bias=-5.0)
+        ours, reference = np.random.default_rng(2), np.random.default_rng(2)
+        sampled = infer_stop(ckpt, bts, mode="sample", rng=ours)
+        assert sampled == per_step_observe_infer(ckpt, bts, "sample", reference)
+        assert [r.stop_batch for r in sampled] == [3, 3]
+        assert ours.bit_generator.state == reference.bit_generator.state
 
     def test_batched_pass_matches_per_topic_loop(self):
         # count observations and a STOP margin of 10 * (revealed counts -
