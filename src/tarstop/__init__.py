@@ -1,6 +1,6 @@
 """Stopping rules for ranked document review.
 
-Train a stopping policy on batched rankings, run oracle/knee/budget
+Train a stopping policy on batched rankings, run collection-wide oracle/knee/budget
 baselines, and score everything with recall/cost/excess reports.
 """
 
@@ -11,11 +11,13 @@ from .corpus import (
     assemble_topics,
     batch_topic,
     batch_topics,
+    first_reaching,
     load_qrels,
     load_run,
     parse_qrels,
     parse_run,
     rank_relevance_probs,
+    running_count,
     synth_topics,
     write_qrels_file,
     write_run_file,

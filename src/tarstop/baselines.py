@@ -1,31 +1,33 @@
-"""Reference stopping strategies: oracle, gain-curve knee, fixed budget."""
+"""Reference stopping strategies over a whole collection: oracle and fixed
+budget read its one running relevant count, the gain-curve knee its batch counts."""
 
 from __future__ import annotations
 
-import math
+from itertools import repeat
 
 import numpy as np
 
-from .corpus import BatchedTopic, Topic
+from .corpus import BatchedTopic, Topic, first_reaching, running_count
 from .errors import ConfigError
-from .metrics import StopResult, optimal_stop_rank
+from .metrics import StopResult
 
 
-def oracle_stop(topic: Topic, target_recall: float) -> StopResult:
-    """Stop at the first rank whose recall meets or exceeds the target.
+def oracle_stop(topics: list[Topic], targets: list[float]) -> list[StopResult]:
+    """For each topic, then each target: stop at the first rank whose recall
+    meets or exceeds the target.
 
     Requires full label knowledge, so it marks the ideal cost rather than a
     usable method. When the target is not exactly attainable it overshoots
     to the next relevant document.
     """
-    rank = optimal_stop_rank(topic, target_recall)
-    return StopResult(
-        topic_id=topic.topic_id,
-        method="oracle",
-        target_recall=target_recall,
-        docs_examined=rank,
-        relevant_found=int(topic.gain[rank]),
-    )
+    gain, bounds = running_count(topics)
+    starts = bounds[:-1, None]
+    targets = np.array(targets, dtype=np.float64)
+    rank = first_reaching(gain, starts, gain[bounds[1:, None]] - gain[starts], targets)
+    found = gain[starts + rank] - gain[starts]
+    ids = [t.topic_id for t in topics for _ in targets]
+    return list(map(StopResult, ids, repeat("oracle"), targets.tolist() * len(topics),
+                    rank.ravel().tolist(), found.ravel().tolist()))
 
 
 # Knee-detection constants: the slope-ratio threshold is
@@ -42,8 +44,8 @@ KNEE_BLOCK_CELLS = 1 << 16
 _INT64_MIN = np.iinfo(np.int64).min
 
 
-def knee_stop(bt: BatchedTopic) -> StopResult:
-    """Stop when the gain curve's knee indicates diminishing returns.
+def knee_stop(batched: list[BatchedTopic]) -> list[StopResult]:
+    """For each topic: stop when the gain curve's knee indicates diminishing returns.
 
     Evaluated at the batch ends so its cost granularity matches the trained
     policy's. At each batch end i >= 2 the knee k is the first rank in
@@ -56,57 +58,51 @@ def knee_stop(bt: BatchedTopic) -> StopResult:
 
     Only rank 1 and the relevant ranks >= 2 can be that first maximizer: at
     a non-relevant rank k >= 2, g(k) == g(k - 1), so its score is rank
-    k - 1's minus g(i), never above it. All batch ends are scored at once
-    over those candidates, in blocks of at most ``KNEE_BLOCK_CELLS`` cells,
-    with the same int64 and float64 arithmetic at each end.
+    k - 1's minus g(i), never above it. g at the batch ends is the topic's
+    ``cum_rel``; at the candidates it is ``labels[0]``, then one more at each
+    relevant rank. A topic's batch ends are scored at once over its
+    candidates, in blocks of at most ``KNEE_BLOCK_CELLS`` cells, with the
+    same int64 and float64 arithmetic at each end, up to its first block
+    that fires.
     """
-    topic = bt.topic
-    g = topic.gain
-    ends = np.cumsum(bt.batch_sizes)
-    candidates = np.concatenate(([1], np.flatnonzero(topic.labels[1:]) + 2))
-    candidate_gain = g[candidates]
-    n_below = np.searchsorted(candidates, ends)  # candidates k < i at each end
-    stop_rank = topic.n_docs
-    stop_batch = bt.n_batches
-    start = int(np.searchsorted(ends, 2))  # ends below 2 have no k in [1, i)
-    while start < len(ends):
-        # cells of a block of the next 1, 2, ... ends: rows x its last end's candidates
-        block_cells = np.arange(1, len(ends) - start + 1) * n_below[start:]
-        stop = start + max(1, int(np.searchsorted(block_cells, KNEE_BLOCK_CELLS, side="right")))
-        i = ends[start:stop]
-        width = n_below[stop - 1]
-        above_chord = candidate_gain[:width] * i[:, None] - g[i, None] * candidates[:width]
-        above_chord[np.arange(width) >= n_below[start:stop, None]] = _INT64_MIN
-        k = candidates[np.argmax(above_chord, axis=1)]
-        lead_slope = g[k] / k
-        trail_slope = (g[i] - g[k] + KNEE_TRAILING_SMOOTHING) / (i - k)
-        rho = lead_slope / trail_slope
-        fires = rho >= KNEE_THRESHOLD_INTERCEPT - np.minimum(g[k].astype(np.float64), KNEE_THRESHOLD_CAP)
-        if fires.any():
-            row = start + int(np.argmax(fires))
-            stop_rank = int(ends[row])
-            stop_batch = row + 1
-            break
-        start = stop
-    return StopResult(
-        topic_id=topic.topic_id,
-        method="knee",
-        target_recall=None,
-        docs_examined=stop_rank,
-        relevant_found=int(g[stop_rank]),
-        stop_batch=stop_batch,
-    )
+    results = []
+    for bt in batched:
+        ends = np.cumsum(bt.batch_sizes)
+        candidates = np.concatenate(([1], np.flatnonzero(bt.topic.labels[1:]) + 2))
+        candidate_gain = bt.topic.labels[0] + np.arange(len(candidates))
+        n_below = np.searchsorted(candidates, ends)  # candidates k < i at each end
+        row = bt.n_batches - 1
+        start = int(np.searchsorted(ends, 2))  # ends below 2 have no k in [1, i)
+        while start < len(ends):
+            # cells of a block of the next 1, 2, ... ends: rows x its last end's candidates
+            stop = len(ends)
+            if (len(ends) - start) * int(n_below[-1]) > KNEE_BLOCK_CELLS:
+                block_cells = np.arange(1, len(ends) - start + 1) * n_below[start:]
+                stop = start + max(1, int(np.searchsorted(block_cells, KNEE_BLOCK_CELLS, side="right")))
+            i, g_i = ends[start:stop], bt.cum_rel[start:stop]
+            width = n_below[stop - 1]
+            above_chord = candidate_gain[:width] * i[:, None] - g_i[:, None] * candidates[:width]
+            above_chord[np.arange(width) >= n_below[start:stop, None]] = _INT64_MIN
+            knee = np.argmax(above_chord, axis=1)
+            k, g_k = candidates[knee], candidate_gain[knee]
+            rho = (g_k / k) / ((g_i - g_k + KNEE_TRAILING_SMOOTHING) / (i - k))  # slope ratio
+            fires = rho >= KNEE_THRESHOLD_INTERCEPT - np.minimum(g_k, KNEE_THRESHOLD_CAP)
+            if fires.any():
+                row = start + int(np.argmax(fires))
+                break
+            start = stop
+        results.append(StopResult(bt.topic.topic_id, "knee", None, int(ends[row]),
+                                  int(bt.cum_rel[row]), row + 1))
+    return results
 
 
-def budget_stop(topic: Topic, fraction: float) -> StopResult:
-    """Examine a fixed fraction of the collection and stop; no target recall."""
+def budget_stop(topics: list[Topic], fraction: float) -> list[StopResult]:
+    """For each topic: examine a fixed fraction of the ranking, rounded up, and
+    stop; no target recall."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"budget fraction must be in (0, 1], got {fraction}")
-    rank = math.ceil(fraction * topic.n_docs)
-    return StopResult(
-        topic_id=topic.topic_id,
-        method="budget",
-        target_recall=None,
-        docs_examined=rank,
-        relevant_found=int(topic.gain[rank]),
-    )
+    gain, bounds = running_count(topics)
+    rank = np.ceil(fraction * np.diff(bounds)).astype(np.int64)
+    found = gain[bounds[:-1] + rank] - gain[bounds[:-1]]
+    return list(map(StopResult, [t.topic_id for t in topics], repeat("budget"), repeat(None),
+                    rank.tolist(), found.tolist()))

@@ -38,6 +38,7 @@ from .corpus import (
 from .errors import ConfigError, ParseError
 from .metrics import (
     ResultError,
+    StopResult,
     aggregate,
     read_results_csv,
     write_aggregate_csv,
@@ -215,11 +216,12 @@ def cmd_baseline(args) -> int:
     fraction = _resolve(args, config, "fraction", 0.5)
     topics = _load_topics(args.run, args.qrels)
     if args.method == "oracle":
-        results = [oracle_stop(topic, t) for topic in topics for t in targets]
+        results = oracle_stop(topics, targets)
     else:
-        bases = (map(knee_stop, batch_topics(topics, batches)) if args.method == "knee"
-                 else (budget_stop(topic, fraction) for topic in topics))
-        results = [base._replace(target_recall=t) for base in bases for t in targets]
+        bases = (knee_stop(batch_topics(topics, batches)) if args.method == "knee"
+                 else budget_stop(topics, fraction))
+        results = [StopResult(topic_id, method, t, docs, found, batch)
+                   for topic_id, method, _, docs, found, batch in bases for t in targets]
     write_results_csv(args.out, results)
     print(f"wrote {len(results)} {args.method} decisions "
           f"({len(topics)} topics x {len(targets)} targets) to {args.out}")
@@ -242,9 +244,8 @@ def cmd_eval(args) -> int:
             elif targets:
                 stamped = [result._replace(target_recall=t) for t in targets]
             else:
-                raise ConfigError(
-                    f"results for method {result.method!r} carry no target recall; pass --target"
-                )
+                raise ConfigError(f"{path}: results for method {result.method!r} carry no "
+                                  "target recall; pass --target")
             for row in stamped:
                 key = (row.method, row.target_recall, row.topic_id)
                 if key in given_in:
@@ -258,10 +259,10 @@ def cmd_eval(args) -> int:
         raise ConfigError("results files contain no rows")
     try:
         report = aggregate(results, topics)
-    except ResultError as exc:  # name the file that gave the row
-        row = exc.result
-        path = given_in[row.method, row.target_recall, row.topic_id]
-        raise ConfigError(f"{path}: {exc}") from None
+    except ResultError as exc:  # name the files that gave the rows
+        paths = dict.fromkeys(str(given_in[r.method, r.target_recall, r.topic_id])
+                              for r in exc.results)
+        raise ConfigError(f"{', '.join(paths)}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_topic_path = out_dir / "per_topic.csv"

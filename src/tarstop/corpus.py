@@ -22,11 +22,11 @@ A topic is its labels: the binary relevance of each ranked document, in
 rank order. The doc ids serve only to join the run with the qrels and to
 reject a document ranked twice (:func:`parse_run` is the one place that
 rule lives); no figure needs them afterwards, so a :class:`Topic` does not
-keep them. Its running relevant count :attr:`Topic.gain` is the one source
-of every "relevant documents among the first r" figure: recall, the oracle,
-knee and budget stops. For the stopping task the labels are cut into
-contiguous, near-equal batches (one pass per collection: :func:`batch_topics`);
-the per-batch relevant counts are what the stopping agent gets to observe.
+keep them. A collection's one running relevant count, :func:`running_count`,
+is the source of every "relevant documents among the first r" figure: recall,
+the oracle and budget stops, and the contiguous, near-equal batches the labels
+are cut into for the stopping task (:func:`batch_topics`), whose relevant
+counts the stopping agent observes and the knee baseline reads.
 
 The CLI keeps what :func:`load_run`, :func:`load_qrels` and
 :func:`assemble_topics` make of a pair of files (the topics and the
@@ -42,7 +42,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -79,18 +78,9 @@ class Topic:
     def n_docs(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def gain(self) -> np.ndarray:
-        """Running relevant count: ``gain[r]`` relevant documents among the
-        first ``r``, so ``gain[0] == 0`` and ``gain[n_docs] == n_relevant``.
-        Read-only, since every caller shares the one array."""
-        gain = np.concatenate(([0], np.cumsum(self.labels)))
-        gain.flags.writeable = False
-        return gain
-
     @property
     def n_relevant(self) -> int:
-        return int(self.gain[-1])
+        return int(self.labels.sum())
 
 
 def check_target(target_recall: float, what: str = "target recall") -> float:
@@ -108,16 +98,28 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def first_reaching(topic: Topic, cum_rel: np.ndarray, target_recall: float | np.ndarray):
-    """1-based index of the first entry of ``cum_rel``, a running count of the
-    topic's relevant documents, that meets ``target_recall`` of them (int64s for an array)."""
-    many = isinstance(target_recall, np.ndarray)
-    for target in target_recall.tolist() if many else [target_recall]:
+def running_count(topics: list[Topic]) -> tuple[np.ndarray, np.ndarray]:
+    """Every topic's running relevant count in one pass over their labels, end
+    to end: ``(gain, bounds)`` where topic k holds documents
+    ``bounds[k]:bounds[k + 1]`` and ``gain[bounds[k] + r] - gain[bounds[k]]``
+    of them are relevant among its first r (``gain[0] == 0``)."""
+    bounds = np.cumsum([0, *(t.n_docs for t in topics)], dtype=np.int64)
+    return np.cumsum(np.concatenate([[0], *(t.labels for t in topics)])), bounds
+
+
+def first_reaching(gain: np.ndarray, starts, n_relevant, target_recall):
+    """The one rule for where a target recall is met: for each (broadcast)
+    start, the 1-based index, counted after ``start``, of the first entry of
+    ``gain`` (a running relevant count) at least ``max(ceil(target_recall *
+    n_relevant - TARGET_EPS), 1)`` above ``gain[start]``: an int for scalars,
+    else int64s. That need is 1 to n_relevant, so no search leaves its topic."""
+    for target in np.unique(target_recall).tolist():
         check_target(target)
-    if topic.n_relevant == 0:
-        raise ValueError(f"topic {topic.topic_id!r}: target undefined, no relevant documents")
-    index = np.searchsorted(cum_rel, target_recall * topic.n_relevant - TARGET_EPS, side="left") + 1
-    return index if many else int(index)
+    if np.any(np.asarray(n_relevant) == 0):
+        raise ValueError("target undefined for a topic with no relevant documents")
+    need = np.maximum(np.ceil(np.multiply(target_recall, n_relevant) - TARGET_EPS), 1)
+    index = np.searchsorted(gain, gain[starts] + need.astype(np.int64), side="left") - starts
+    return index if np.ndim(index) else int(index)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class BatchedTopic:
 
     def target_batch(self, target_recall: float) -> int:
         """1-based index of the first batch at which the target recall is met."""
-        return first_reaching(self.topic, self.cum_rel, target_recall)
+        return first_reaching(np.concatenate(([0], self.cum_rel)), 0, self.cum_rel[-1], target_recall)
 
 
 def batch_topics(topics: list[Topic], n_batches: int) -> list[BatchedTopic]:
@@ -151,12 +153,11 @@ def batch_topics(topics: list[Topic], n_batches: int) -> list[BatchedTopic]:
     """
     if n_batches < 1:
         raise ConfigError(f"batch count must be >= 1, got {n_batches}")
-    n_docs = np.array([t.n_docs for t in topics], dtype=np.int64)
-    base, extra = np.divmod(n_docs, n_batches)
-    sizes = base[:, None] + (np.arange(n_batches) < extra[:, None])
-    gain = np.cumsum(np.concatenate([[0], *(t.labels for t in topics)]))  # every topic's, end to end
-    starts = np.cumsum(n_docs) - n_docs
-    cum_rel = gain[starts[:, None] + np.cumsum(sizes, axis=1)] - gain[starts, None]
+    gain, bounds = running_count(topics)
+    starts = bounds[:-1, None]
+    base, extra = np.divmod(np.diff(bounds)[:, None], n_batches)
+    sizes = base + (np.arange(n_batches) < extra)
+    cum_rel = gain[starts + np.cumsum(sizes, axis=1)] - gain[starts]
     return list(map(BatchedTopic, topics, sizes, np.diff(cum_rel, axis=1, prepend=0), cum_rel))
 
 

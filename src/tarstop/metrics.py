@@ -7,7 +7,7 @@ oracle would, positive means overshoot, negative undershoot.
 
 ``eval`` works in columns: each numeric column of a results file is
 matched and converted in one pass, and all rows are checked and scored in
-array passes, with one oracle search per topic over all its targets. Every
+array passes, with one oracle search over all rows at once. Every
 CSV this package writes goes through :func:`write_table`, so they share one
 cell rule: a float is written by ``repr``, ``None`` as an empty cell.
 """
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import DECIMAL, INTEGER, Topic, check_target, first_reaching, read_text
+from .corpus import DECIMAL, INTEGER, Topic, check_target, first_reaching, read_text, running_count
 from .errors import ConfigError, ParseError
 
 PER_TOPIC_HEADER = (
@@ -63,15 +63,16 @@ class StopResult(NamedTuple):
 
 def optimal_stop_rank(topic: Topic, target_recall: float | np.ndarray):
     """Smallest rank whose cumulative recall meets the target (or each of an array of them)."""
-    return first_reaching(topic, topic.gain[1:], target_recall)
+    return first_reaching(running_count([topic])[0], 0, topic.n_relevant, target_recall)
 
 
 class ResultError(ConfigError):
-    """A results row that does not fit the topics; ``result`` is the row."""
+    """Results rows that do not fit the topics or each other; ``results`` are
+    the rows, each with a ``method``, ``target_recall`` and ``topic_id``."""
 
-    def __init__(self, message: str, result: StopResult):
+    def __init__(self, message: str, *results):
         super().__init__(message)
-        self.result = result
+        self.results = results
 
 
 class TopicMetrics(NamedTuple):
@@ -122,19 +123,21 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     A method is Pareto-optimal at a target when no other method reaches at
     least its mean recall at no more than its mean cost, with one strict.
     Means are compared only over one topic set: every method at a target
-    must have rows for the same topics, or this raises :class:`ConfigError`
-    naming the method, the target and a topic it lacks.
+    must have rows for the same topics, or this raises :class:`ResultError`
+    naming the method, the target and a topic it lacks, with a row of that
+    method and another method's row for the topic.
     """
     ids, methods, targets, given_docs, given_found, _ = list(zip(*results)) or [()] * 6
     index = {t.topic_id: k for k, t in enumerate(topics)}
     tix = np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
-    gains = [t.gain for t in topics] + [np.zeros(1, np.int64)]  # index -1: no topic, N = 0
-    lengths = np.array([len(g) for g in gains])
-    n_docs, n_relevant = (lengths - 1)[tix], np.array([g[-1] for g in gains])[tix]
+    running, bounds = running_count(topics)
+    # a row's topic holds documents first:last; index -1, no topic, holds none
+    first, last = (np.append(b, 0)[tix] for b in (bounds[:-1], bounds[1:]))
+    n_docs, n_relevant = last - first, running[last] - running[first]
     # int64 for the checks; a cell past it is clipped to a value failing the same checks
     docs = np.array(given_docs, dtype=object).clip(0, 2**62).astype(np.int64)
     in_range = (docs >= 1) & (docs <= n_docs)
-    gain = np.concatenate(gains)[(np.cumsum(lengths) - lengths)[tix] + np.where(in_range, docs, 0)]
+    gain = running[first + np.where(in_range, docs, 0)] - running[first]
     found = np.array([g if f is None else f for f, g in zip(given_found, gain.tolist())],
                      dtype=object).clip(-1, 2**62).astype(np.int64)
     checks = (  # (rows failing it, its error), in the order a row meets them
@@ -152,11 +155,7 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
         i = int(bad.argmax())
         raise next(error(i) for rows, error in checks if rows[i])
     target_key = np.array(targets, dtype=float)
-    optimal_rank = np.empty(len(ids), np.int64)
-    for k in np.unique(tix).tolist():  # one search per topic, over all its targets
-        rows = tix == k
-        optimal_rank[rows] = optimal_stop_rank(topics[k], target_key[rows])
-    optimal_cost = optimal_rank / n_docs
+    optimal_cost = first_reaching(running, first, n_relevant, target_key) / n_docs
     cost = docs / n_docs
     with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where does not take
         excess = np.where(optimal_cost >= 1.0, np.where(cost >= 1.0, 0.0, cost - 1.0),
@@ -181,11 +180,12 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     for (method, target), topic_ids in covered.items():
         for (other, other_target), other_ids in covered.items():
             if other_target == target and not other_ids <= topic_ids:
-                raise ConfigError(
+                missing, (a, b) = min(other_ids - topic_ids), groups[other, other_target]
+                raise ResultError(
                     f"method {method!r} at target {target:g} has no row for topic "
-                    f"{min(other_ids - topic_ids)!r}, which method {other!r} has; every "
-                    "method at a target must cover the same topics"
-                )
+                    f"{missing!r}, which method {other!r} has; every method at a target "
+                    "must cover the same topics", rows[groups[method, target][0]],
+                    rows[a + columns[2][a:b].index(missing)])
     means = {key: tuple(float(np.mean(metric[a:b])) for metric in metrics[4:])
              for key, (a, b) in groups.items()}
     summaries = []

@@ -4,13 +4,18 @@ from hypothesis import settings
 
 from tarstop.corpus import Topic
 
-# More examples for the run/qrels parse agreement and fuzz tests, whose
-# contract is what numpy's text reader accepts: ``--hypothesis-profile=parsers``.
+# More examples for the run/qrels parse agreement and the input fuzz tests,
+# whose contract is what the parsers accept: ``--hypothesis-profile=parsers``.
 settings.register_profile("parsers", max_examples=2000)
 
 
 def make_topic(labels, topic_id="t1"):
     return Topic(topic_id, labels)
+
+
+def prefix_count(topic):
+    """Relevant documents among the topic's first r, for r = 0..N, by plain cumsum."""
+    return np.concatenate(([0], np.cumsum(topic.labels)))
 
 
 def finite_difference(loss_fn, flats, h=1e-5):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_topic, finite_difference, max_rel_error
+from conftest import make_topic, finite_difference, max_rel_error, prefix_count
 from test_ppo import brute_force_gae, buffer_from_columns
 from tarstop.baselines import budget_stop, oracle_stop
 from tarstop.cli import main
@@ -135,9 +135,8 @@ def test_criterion_5_oracle_and_excess_identities():
     topics = synth_topics(200, 200, 0.1, 40.0, seed=5)
     failures = []
     for topic in topics:
-        g = topic.gain
-        for target in (0.8, 0.9, 1.0):
-            result = oracle_stop(topic, target)
+        g = prefix_count(topic)
+        for target, result in zip((0.8, 0.9, 1.0), oracle_stop([topic], [0.8, 0.9, 1.0])):
             need = target * topic.n_relevant - 1e-9
             if _topic_metrics(result, topic).recall < target - 1e-9:
                 failures.append((topic.topic_id, target, "recall below target"))
@@ -154,7 +153,7 @@ def test_criterion_6_unattainable_target_overshoot():
     labels = np.zeros(20, dtype=int)
     labels[1:18:2] = 1  # 9 relevant documents
     topic = make_topic(labels)
-    result = oracle_stop(topic, 0.8)
+    result, = oracle_stop([topic], [0.8])
     recall = _topic_metrics(result, topic).recall
     report(6, result.relevant_found == 8 and abs(recall - 8 / 9) < 1e-12,
            f"oracle at target 0.8 over 9 relevant found {result.relevant_found}, recall {recall:.4f}")
@@ -166,8 +165,8 @@ def test_criterion_7_end_to_end_training():
     train_topics, held_out = topics[:30], topics[30:]
     oracle_cost = float(np.mean([optimal_stop_rank(t, 0.9) / t.n_docs for t in held_out]))
     assert 0.10 <= oracle_cost <= 0.20, f"synthetic decay mistuned: oracle cost {oracle_cost:.3f}"
-    budget_excess = float(np.mean([_topic_metrics(budget_stop(t, 0.5), t, 0.9).excess
-                                   for t in held_out]))
+    budget_excess = float(np.mean([_topic_metrics(result, t, 0.9).excess
+                                   for result, t in zip(budget_stop(held_out, 0.5), held_out)]))
     passed = 0
     details = []
     for seed in range(4):

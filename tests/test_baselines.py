@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -7,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tarstop.baselines as baselines
-from conftest import make_topic
+from conftest import make_topic, prefix_count
 from tarstop.baselines import (
     KNEE_THRESHOLD_CAP,
     KNEE_THRESHOLD_INTERCEPT,
     KNEE_TRAILING_SMOOTHING,
+    _INT64_MIN,
     budget_stop,
     knee_stop,
     oracle_stop,
 )
-from tarstop.corpus import batch_topic, synth_topics
+from tarstop.corpus import Topic, batch_topic, batch_topics, running_count, synth_topics
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult, _topic_metrics, optimal_stop_rank
 
@@ -29,10 +31,22 @@ def random_topic(rng, n_docs=None, prevalence=0.3):
     return make_topic(labels)
 
 
+def oracle(topic, target):
+    return oracle_stop([topic], [target])[0]
+
+
+def knee(bt):
+    return knee_stop([bt])[0]
+
+
+def budget(topic, fraction):
+    return budget_stop([topic], fraction)[0]
+
+
 class TestGainCurve:
     def test_endpoints_and_monotonicity(self, rng):
         topic = random_topic(rng)
-        g = topic.gain
+        g, _ = running_count([topic])
         assert g[0] == 0
         assert g[-1] == topic.n_relevant
         assert (np.diff(g) >= 0).all()
@@ -41,7 +55,7 @@ class TestGainCurve:
 
 class TestOracle:
     def test_full_recall_stops_at_last_relevant(self):
-        result = oracle_stop(make_topic([0, 1, 0, 1]), 1.0)
+        result = oracle(make_topic([0, 1, 0, 1]), 1.0)
         assert result.docs_examined == 4
         assert result.relevant_found == 2
 
@@ -50,7 +64,7 @@ class TestOracle:
         # so the oracle reads up to the 8th relevant document
         labels = np.zeros(20, dtype=int)
         labels[1:18:2] = 1
-        result = oracle_stop(make_topic(labels), 0.8)
+        result = oracle(make_topic(labels), 0.8)
         assert result.docs_examined == 16
         assert result.relevant_found == 8
         assert abs(result.relevant_found / 9 - 8 / 9) < 1e-12
@@ -59,15 +73,15 @@ class TestOracle:
         for _ in range(30):
             topic = random_topic(rng)
             for target in (0.8, 0.9, 1.0):
-                result = oracle_stop(topic, target)
+                result = oracle(topic, target)
                 assert _topic_metrics(result, topic, target).excess == 0.0
 
     def test_no_earlier_rank_reaches_the_target(self, rng):
         for _ in range(50):
             topic = random_topic(rng)
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
-            rank = oracle_stop(topic, target).docs_examined
-            g = topic.gain
+            rank = oracle(topic, target).docs_examined
+            g = prefix_count(topic)
             need = target * topic.n_relevant - 1e-9
             assert g[rank] >= need
             if rank > 1:
@@ -75,14 +89,23 @@ class TestOracle:
 
     def test_requires_relevant_documents(self):
         with pytest.raises(ValueError):
-            oracle_stop(make_topic([0, 0, 0]), 0.9)
+            oracle(make_topic([0, 0, 0]), 0.9)
+
+    def test_tiny_target_needs_one_relevant_document(self):
+        # target * R - TARGET_EPS <= 0 for every target <= 1e-9: the oracle
+        # still reads up to the first relevant document
+        topic = make_topic([0, 0, 1, 0, 1])
+        for target in (1e-10, 5e-324, 1e-9):
+            assert oracle(topic, target)[3:5] == (3, 1)
+            assert optimal_stop_rank(topic, target) == 3
+        assert batch_topic(topic, 5).target_batch(1e-10) == 3
 
 
 def reference_knee_stop(bt):
     """The knee rule as one Python iteration per batch end, scoring every
     rank below it: the reference knee_stop must match exactly."""
     topic = bt.topic
-    g = topic.gain
+    g = prefix_count(topic)
     ends = np.cumsum(bt.batch_sizes)
     stop_rank = topic.n_docs
     stop_batch = bt.n_batches
@@ -140,7 +163,7 @@ class TestKnee:
         # small blocks split the batch ends many ways
         bt = batch_topic(make_topic(labels), n_batches)
         with mock.patch.object(baselines, "KNEE_BLOCK_CELLS", block_cells):
-            assert knee_stop(bt) == reference_knee_stop(bt)
+            assert knee(bt) == reference_knee_stop(bt)
 
     def test_later_ranks_do_not_move_the_knee(self):
         # the plateau case above plus a burst of relevant documents from
@@ -150,7 +173,7 @@ class TestKnee:
         labels[:40] = 1
         labels[159:] = 1
         bt = batch_topic(make_topic(labels), 100)
-        result = knee_stop(bt)
+        result = knee(bt)
         assert (result.docs_examined, result.stop_batch) == (156, 39)
         assert result == reference_knee_stop(bt)
 
@@ -161,7 +184,7 @@ class TestKnee:
         labels[:10_000] = 1
         bt = batch_topic(make_topic(labels), 100)
         assert 51 * 10_000 > baselines.KNEE_BLOCK_CELLS
-        result = knee_stop(bt)
+        result = knee(bt)
         assert (result.docs_examined, result.stop_batch, result.relevant_found) == (10_200, 51, 10_000)
         assert result == reference_knee_stop(bt)
 
@@ -170,10 +193,9 @@ class TestKnee:
         # so every batch end is scored; one (100 x 30,000) int64 matrix
         # would take 24 MB
         bt = batch_topic(make_topic(np.ones(30_000, dtype=int)), 100)
-        bt.topic.gain  # cached before tracing: the topic's arrays are not working memory
         tracemalloc.start()
         try:
-            result = knee_stop(bt)
+            result = knee(bt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -186,7 +208,7 @@ class TestKnee:
         # threshold 156 - 40 = 116 first holds at i = 156, the end of batch 39
         labels = np.zeros(400, dtype=int)
         labels[:40] = 1
-        result = knee_stop(batch_topic(make_topic(labels), 100))
+        result = knee(batch_topic(make_topic(labels), 100))
         assert result.docs_examined == 156
         assert result.stop_batch == 39
         assert result.relevant_found == 40
@@ -194,7 +216,7 @@ class TestKnee:
     def test_straight_line_gain_never_fires(self):
         labels = np.zeros(100, dtype=int)
         labels[::2] = 1
-        result = knee_stop(batch_topic(make_topic(labels), 100))
+        result = knee(batch_topic(make_topic(labels), 100))
         assert result.docs_examined == 100
         assert result.stop_batch == 100
 
@@ -208,8 +230,8 @@ class TestKnee:
         early[29] = 1
         late = base.copy()
         late[599] = 1
-        r_early = knee_stop(batch_topic(make_topic(early, "early"), 100))
-        r_late = knee_stop(batch_topic(make_topic(late, "late"), 100))
+        r_early = knee(batch_topic(make_topic(early, "early"), 100))
+        r_late = knee(batch_topic(make_topic(late, "late"), 100))
         assert r_early.docs_examined == 427
         assert r_late.docs_examined == 161
 
@@ -218,37 +240,37 @@ class TestKnee:
             topic = random_topic(rng)
             n_batches = int(rng.integers(1, topic.n_docs + 1))
             bt = batch_topic(topic, n_batches)
-            result = knee_stop(bt)
+            result = knee(bt)
             assert result.docs_examined >= int(bt.batch_sizes[0])
             assert result.docs_examined <= topic.n_docs
 
     def test_deterministic(self, rng):
         topic = random_topic(rng, n_docs=200, prevalence=0.1)
         bt = batch_topic(topic, 50)
-        assert knee_stop(bt) == knee_stop(bt)
+        assert knee(bt) == knee(bt)
 
 
 class TestBudget:
     def test_full_budget_reads_everything(self):
         topic = make_topic([1, 0, 1, 0])
-        result = budget_stop(topic, 1.0)
+        result = budget(topic, 1.0)
         assert result.docs_examined == 4
         assert result.relevant_found == 2
 
     def test_half_budget_on_ten_docs(self):
         topic = make_topic([1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
-        result = budget_stop(topic, 0.5)
+        result = budget(topic, 0.5)
         assert result.docs_examined == 5
-        assert result.relevant_found == int(topic.gain[5])
+        assert result.relevant_found == int(prefix_count(topic)[5])
 
     def test_fraction_rounds_up(self):
-        assert budget_stop(make_topic([1, 0, 0]), 0.4).docs_examined == 2
+        assert budget(make_topic([1, 0, 0]), 0.4).docs_examined == 2
 
     def test_invalid_fraction(self):
         with pytest.raises(ConfigError):
-            budget_stop(make_topic([1]), 0.0)
+            budget(make_topic([1]), 0.0)
         with pytest.raises(ConfigError):
-            budget_stop(make_topic([1]), 1.2)
+            budget(make_topic([1]), 1.2)
 
 
 class TestCommonBounds:
@@ -257,9 +279,9 @@ class TestCommonBounds:
             topic = random_topic(rng)
             bt = batch_topic(topic, int(rng.integers(1, topic.n_docs + 1)))
             for result in (
-                oracle_stop(topic, 0.9),
-                knee_stop(bt),
-                budget_stop(topic, float(rng.uniform(0.05, 1.0))),
+                oracle(topic, 0.9),
+                knee(bt),
+                budget(topic, float(rng.uniform(0.05, 1.0))),
             ):
                 assert 1 <= result.docs_examined <= topic.n_docs
                 assert 0 <= result.relevant_found <= topic.n_relevant
@@ -268,4 +290,107 @@ class TestCommonBounds:
         topics = synth_topics(10, 50, 0.2, 10.0, seed=2)
         for topic in topics:
             for target in (0.8, 1.0):
-                assert oracle_stop(topic, target).docs_examined == optimal_stop_rank(topic, target)
+                assert oracle(topic, target).docs_examined == optimal_stop_rank(topic, target)
+
+
+# The per-topic baselines, one topic (and one target) per call, each reading
+# the topic's own prefix count: the references for the collection-wide ones.
+def reference_oracle_stop(topic, target_recall):
+    g = prefix_count(topic)
+    rank = int(np.searchsorted(g[1:], target_recall * topic.n_relevant - 1e-9, side="left")) + 1
+    return StopResult(topic.topic_id, "oracle", target_recall, rank, int(g[rank]))
+
+
+def reference_budget_stop(topic, fraction):
+    g = prefix_count(topic)
+    rank = math.ceil(fraction * topic.n_docs)
+    return StopResult(topic.topic_id, "budget", None, rank, int(g[rank]))
+
+
+def reference_block_knee_stop(bt):
+    """The knee of one topic scored in blocks over its candidates, reading
+    g at every rank from the topic's own prefix count."""
+    topic = bt.topic
+    g = prefix_count(topic)
+    ends = np.cumsum(bt.batch_sizes)
+    candidates = np.concatenate(([1], np.flatnonzero(topic.labels[1:]) + 2))
+    candidate_gain = g[candidates]
+    n_below = np.searchsorted(candidates, ends)
+    stop_rank = topic.n_docs
+    stop_batch = bt.n_batches
+    start = int(np.searchsorted(ends, 2))
+    while start < len(ends):
+        block_cells = np.arange(1, len(ends) - start + 1) * n_below[start:]
+        stop = start + max(1, int(np.searchsorted(block_cells, baselines.KNEE_BLOCK_CELLS,
+                                                  side="right")))
+        i = ends[start:stop]
+        width = n_below[stop - 1]
+        above_chord = candidate_gain[:width] * i[:, None] - g[i, None] * candidates[:width]
+        above_chord[np.arange(width) >= n_below[start:stop, None]] = _INT64_MIN
+        k = candidates[np.argmax(above_chord, axis=1)]
+        lead_slope = g[k] / k
+        trail_slope = (g[i] - g[k] + KNEE_TRAILING_SMOOTHING) / (i - k)
+        rho = lead_slope / trail_slope
+        fires = rho >= KNEE_THRESHOLD_INTERCEPT - np.minimum(g[k].astype(np.float64),
+                                                             KNEE_THRESHOLD_CAP)
+        if fires.any():
+            row = start + int(np.argmax(fires))
+            stop_rank = int(ends[row])
+            stop_batch = row + 1
+            break
+        start = stop
+    return StopResult(topic.topic_id, "knee", None, stop_rank, int(g[stop_rank]), stop_batch)
+
+
+@st.composite
+def topic_collections(draw):
+    """A batch count and 1-8 topics, each with a relevant document: one
+    document long, shorter than, as long as or longer than the batch count;
+    all relevant, only the last relevant, or random labels with rank 1
+    relevant or not."""
+    n_batches = draw(st.integers(1, 40))
+    topics = []
+    for k in range(draw(st.integers(1, 8))):
+        n = draw(st.sampled_from([1, max(1, n_batches - 1), n_batches,
+                                  draw(st.integers(1, 5 * n_batches + 3))]))
+        shape = draw(st.sampled_from(["all", "last", "random"]))
+        labels = np.zeros(n, dtype=int) if shape != "all" else np.ones(n, dtype=int)
+        if shape == "random":
+            labels[:] = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            labels[0] = draw(st.integers(0, 1))
+        if not labels.any():
+            labels[-1] = 1
+        topics.append(Topic(f"t{k}", labels))
+    return n_batches, topics
+
+
+class TestCollectionWide:
+    @settings(max_examples=200, deadline=None)
+    @given(collection=topic_collections())
+    def test_oracle_equals_the_per_topic_reference(self, collection):
+        _, topics = collection
+        targets = [1 / 3, 0.9, 1.0]
+        expected = [reference_oracle_stop(topic, t) for topic in topics for t in targets]
+        assert oracle_stop(topics, targets) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(collection=topic_collections(),
+           fraction=st.one_of(st.just(1.0), st.floats(1e-6, 1.0, exclude_min=False)))
+    def test_budget_equals_the_per_topic_reference(self, collection, fraction):
+        _, topics = collection
+        assert budget_stop(topics, fraction) == [reference_budget_stop(t, fraction) for t in topics]
+
+    @settings(max_examples=200, deadline=None)
+    @given(collection=topic_collections(), block_cells=st.sampled_from([1, 5, 64, baselines.KNEE_BLOCK_CELLS]))
+    def test_knee_equals_the_per_topic_references(self, collection, block_cells):
+        n_batches, topics = collection
+        batched = batch_topics(topics, n_batches)
+        with mock.patch.object(baselines, "KNEE_BLOCK_CELLS", block_cells):
+            got = knee_stop(batched)
+            assert got == [reference_block_knee_stop(bt) for bt in batched]
+        assert got == [reference_knee_stop(bt) for bt in batched]
+
+    def test_no_topics(self):
+        assert oracle_stop([], [0.9]) == []
+        assert budget_stop([], 0.5) == []
+        assert knee_stop([]) == []

@@ -457,6 +457,24 @@ class TestBaseline:
         assert rows
         assert all(float(r["excess"]) == 0.0 for r in rows)
 
+    def test_oracle_at_a_tiny_target_reads_to_the_first_relevant_document(self, tmp_path):
+        # target * R - 1e-9 <= 0 for a target of 1e-10: the oracle must still
+        # find one relevant document, not stop at rank 1 with none
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--count", "3", "--docs", "50", "--seed", "7"]) == 0
+        paths = ["--run", str(data / "synthetic.run"), "--qrels", str(data / "synthetic.qrels")]
+        oracle_csv = tmp_path / "oracle.csv"
+        assert main(["baseline", "--method", "oracle", *paths, "--out", str(oracle_csv),
+                     "--target", "1e-10"]) == 0
+        topics = assemble_topics(load_run(data / "synthetic.run"), load_qrels(data / "synthetic.qrels"))
+        rows = read_rows(oracle_csv)
+        assert [(int(r["docs_examined"]), int(r["relevant_found"])) for r in rows] == [
+            (int(np.flatnonzero(t.labels)[0]) + 1, 1) for t in topics]
+        out = tmp_path / "report"
+        assert main(["eval", "--results", str(oracle_csv), *paths, "--out", str(out)]) == 0
+        assert all(float(r["recall"]) > 0 and float(r["excess"]) == 0.0
+                   for r in read_rows(out / "per_topic.csv"))
+
     def test_full_budget_reaches_full_recall(self, tmp_path, collection):
         run_path, qrels_path = collection
         budget_csv = tmp_path / "budget.csv"
@@ -778,13 +796,13 @@ class TestEvalErrors:
 
     def test_missing_target_names_the_first_method_lacking_one(self, tmp_path, collection,
                                                              capsys):
-        code, _ = self._eval(tmp_path, collection, [
+        code, paths = self._eval(tmp_path, collection, [
             ["synth-0000,zeta,1.0,,5,", "synth-0003,mid,,,20,"],
             ["synth-0000,alpha,,,20,"],
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: results for method 'mid' carry no target recall; pass --target\n")
+            f"error: {paths[0]}: results for method 'mid' carry no target recall; pass --target\n")
 
     def test_repeat_before_a_missing_target_is_named_first(self, tmp_path, collection, capsys):
         code, paths = self._eval(tmp_path, collection, [
@@ -809,13 +827,13 @@ class TestEvalErrors:
 
     def test_unequal_topic_sets_name_the_first_method_in_report_order(self, tmp_path,
                                                                       collection, capsys):
-        code, _ = self._eval(tmp_path, collection, [
+        code, paths = self._eval(tmp_path, collection, [
             ["synth-0000,zeta,0.8,,5,", "synth-0001,zeta,0.8,,5,"],
             ["synth-0002,alpha,0.8,,5,", "synth-0000,alpha,0.8,,5,"],
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: method 'alpha' at target 0.8 has no row for topic 'synth-0001', which "
+            f"error: {paths[1]}, {paths[0]}: method 'alpha' at target 0.8 has no row for topic 'synth-0001', which "
             "method 'zeta' has; every method at a target must cover the same topics\n")
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_topic
+from conftest import make_topic, prefix_count
 from tarstop.corpus import (
     Topic,
     assemble_topics,
@@ -16,6 +16,7 @@ from tarstop.corpus import (
     parse_qrels,
     parse_run,
     rank_relevance_probs,
+    running_count,
     synth_topics,
     write_qrels_file,
     write_run_file,
@@ -291,12 +292,22 @@ class TestTopicInvariants:
         with pytest.raises(ValueError, match="empty"):
             Topic("t", np.array([], dtype=np.int64))
 
-    def test_gain_is_one_shared_read_only_array(self):
-        topic = make_topic([0, 1, 1, 0, 1])
-        assert topic.gain.tolist() == [0, 0, 1, 2, 2, 3]
-        assert topic.gain is topic.gain
-        with pytest.raises(ValueError, match="read-only"):
-            topic.gain[1] = 5
+
+class TestRunningCount:
+    def test_values_per_topic(self):
+        topics = [make_topic([0, 1, 1, 0, 1], "a"), make_topic([1], "b"), make_topic([0, 1], "c")]
+        gain, bounds = running_count(topics)
+        assert gain.tolist() == [0, 0, 1, 2, 2, 3, 4, 4, 5]
+        assert bounds.tolist() == [0, 5, 6, 8]
+        for k, topic in enumerate(topics):
+            own = gain[bounds[k]:bounds[k + 1] + 1] - gain[bounds[k]]
+            assert own.tolist() == prefix_count(topic).tolist()
+        assert gain.dtype == bounds.dtype == np.int64
+
+    def test_no_topics(self):
+        gain, bounds = running_count([])
+        assert gain.tolist() == [0]
+        assert bounds.tolist() == [0]
 
 
 class TestBatchTopic:
@@ -339,7 +350,7 @@ def per_topic_split(topic, n_batches):
     base, extra = divmod(topic.n_docs, n_batches)
     sizes = np.full(n_batches, base, dtype=np.int64)
     sizes[:extra] += 1
-    cum_rel = topic.gain[np.cumsum(sizes)]
+    cum_rel = prefix_count(topic)[np.cumsum(sizes)]
     return sizes, np.diff(cum_rel, prepend=0), cum_rel
 
 
@@ -434,20 +445,37 @@ class TestFirstReachingTargets:
     @given(labels=labels_strategy.filter(lambda ls: sum(ls) > 0),
            targets=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
     def test_array_of_targets_is_each_target_searched_alone(self, labels, targets):
-        topic = make_topic(labels)
-        ranks = first_reaching(topic, topic.gain[1:], np.array(targets))
+        gain = prefix_count(make_topic(labels))
+        ranks = first_reaching(gain, 0, sum(labels), np.array(targets))
         assert ranks.dtype == np.int64
-        assert ranks.tolist() == [first_reaching(topic, topic.gain[1:], t) for t in targets]
+        assert ranks.tolist() == [first_reaching(gain, 0, sum(labels), t) for t in targets]
+
+    @given(topics=st.lists(labels_strategy.filter(lambda ls: sum(ls) > 0), min_size=1, max_size=5),
+           target=st.one_of(st.sampled_from([1e-10, 1 / 3, 0.9, 1.0]), st.floats(0.01, 1.0)))
+    def test_collection_form_is_each_topic_searched_alone(self, topics, target):
+        # the search over every topic's count, end to end, stays inside each topic
+        topics = [make_topic(labels, f"t{k}") for k, labels in enumerate(topics)]
+        gain, bounds = running_count(topics)
+        n_relevant = gain[bounds[1:]] - gain[bounds[:-1]]
+        ranks = first_reaching(gain, bounds[:-1], n_relevant, target)
+        alone = [first_reaching(prefix_count(t), 0, t.n_relevant, target) for t in topics]
+        assert ranks.tolist() == alone
+        assert all(1 <= rank <= t.n_docs for rank, t in zip(alone, topics))
+
+    def test_tiny_target_needs_one_relevant_document(self):
+        gain = prefix_count(make_topic([0, 0, 1, 1]))
+        assert first_reaching(gain, 0, 2, 1e-10) == 3
+        assert first_reaching(gain, 0, 2, np.array([1e-12, 0.5, 1.0])).tolist() == [3, 3, 4]
 
     def test_array_checks_every_target(self):
-        topic = make_topic([1, 0, 1])
+        gain = prefix_count(make_topic([1, 0, 1]))
         with pytest.raises(ConfigError, match="got 1.5"):
-            first_reaching(topic, topic.gain[1:], np.array([0.5, 1.5]))
+            first_reaching(gain, 0, 2, np.array([0.5, 1.5]))
 
     def test_array_on_topic_without_relevant_is_undefined(self):
-        topic = make_topic([0, 0])
+        gain = prefix_count(make_topic([0, 0]))
         with pytest.raises(ValueError, match="undefined"):
-            first_reaching(topic, topic.gain[1:], np.array([0.5, 0.9]))
+            first_reaching(gain, 0, 0, np.array([0.5, 0.9]))
 
 
 class TestBatchingProperties:

@@ -1,7 +1,7 @@
-"""Mutated inputs through ``tarstop.cli.main``: a mutated run or qrels file
-either still works (exit 0) or is an input error that names it (exit 2),
-never an internal fault (exit 1); and a second run, which the input cache
-serves when the first parsed, ends the same way."""
+"""Mutated inputs through ``tarstop.cli.main``: a mutated run, qrels or
+results file either still works (exit 0) or is an input error that names it
+(exit 2), never an internal fault (exit 1); and for a run/qrels pair a second
+run, which the input cache serves when the first parsed, ends the same way."""
 
 import tempfile
 from pathlib import Path
@@ -10,10 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_cli import FAST_TRAIN
 from tarstop.cli import main
 from tarstop.corpus import synth_topics, write_qrels_file, write_run_file
 
-NUMBER_COLUMNS = {"run": (3, 4), "qrels": (3,)}  # rank and score; relevance
+# rank and score; relevance; target, stop_batch, docs_examined and relevant_found
+NUMBER_COLUMNS = {"run": (3, 4), "qrels": (3,), "results": (2, 3, 4, 5)}
+SEPARATORS = {"run": b" ", "qrels": b" ", "results": b","}
 SPOILED_NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "1e400", "-1e400"]),
     st.integers(2**63, 10**30).map(str),
@@ -47,26 +50,37 @@ def insert_a_nul(draw, kind, data):
     return data[:at] + b"\0" + data[at:]
 
 
-def edit_a_field(draw, data, edit, columns=None):
+def edit_a_field(draw, kind, data, edit, columns=None):
     """``data`` with the fields of one line, which has every one of
     ``columns`` (any field if None), replaced by ``edit(fields, column)``."""
-    lines = data.split(b"\n")
+    lines, sep = data.split(b"\n"), SEPARATORS[kind]
     need = max(columns) + 1 if columns else 1
-    rows = [k for k, line in enumerate(lines) if len(line.split(b" ")) >= need and line]
+    rows = [k for k, line in enumerate(lines) if len(line.split(sep)) >= need and line]
     if not rows:
         return data
     row = draw(st.sampled_from(rows))
-    fields = lines[row].split(b" ")
-    lines[row] = b" ".join(edit(fields, draw(st.sampled_from(columns or range(len(fields))))))
+    fields = lines[row].split(sep)
+    lines[row] = sep.join(edit(fields, draw(st.sampled_from(columns or range(len(fields))))))
     return b"\n".join(lines)
 
 
 def delete_a_field(draw, kind, data):
-    return edit_a_field(draw, data, lambda fields, k: fields[:k] + fields[k + 1:])
+    return edit_a_field(draw, kind, data, lambda fields, k: fields[:k] + fields[k + 1:])
 
 
 def duplicate_a_field(draw, kind, data):
-    return edit_a_field(draw, data, lambda fields, k: fields[:k + 1] + fields[k:])
+    return edit_a_field(draw, kind, data, lambda fields, k: fields[:k + 1] + fields[k:])
+
+
+def swap_two_fields(draw, kind, data):
+    """Swap a field with another of its line, so each holds the other's type."""
+
+    def edit(fields, k):
+        other = draw(st.integers(0, len(fields) - 1))
+        fields[k], fields[other] = fields[other], fields[k]
+        return fields
+
+    return edit_a_field(draw, kind, data, edit)
 
 
 def spoil_a_number(draw, kind, data):
@@ -80,7 +94,7 @@ def spoil_a_number(draw, kind, data):
             SPOILED_NUMBERS, INSERTED_INTO_NUMBERS.map(lambda c: token[:at] + c + token[at:])))
         return [*fields[:k], spoiled.encode(), *fields[k + 1:]]
 
-    return edit_a_field(draw, data, edit, NUMBER_COLUMNS[kind])
+    return edit_a_field(draw, kind, data, edit, NUMBER_COLUMNS[kind])
 
 
 @pytest.mark.parametrize("mutate", [flip_a_byte, truncate, insert_a_nul, delete_a_field,
@@ -109,3 +123,49 @@ def test_mutated_run_or_qrels_exits_0_or_2_naming_it(tmp_path, pair, capsys, mon
         assert code == 0 or str(files[kind]) in err, err
         runs.append((code, err, out.read_bytes() if out.exists() else None))
     assert runs[0] == runs[1]
+
+
+@pytest.fixture(scope="module")
+def results_set(tmp_path_factory):
+    """A run/qrels pair of three topics of 30 documents, the input cache that
+    holds it, and the bytes of its policy, oracle, knee and budget results."""
+    directory = tmp_path_factory.mktemp("results")
+    pair = ["--run", str(directory / "synthetic.run"), "--qrels", str(directory / "synthetic.qrels")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TARSTOP_CACHE_DIR", str(directory / "cache"))
+        assert main(["synth", "--out", str(directory), "--count", "3", "--docs", "30",
+                     "--prevalence", "0.2", "--decay", "10", "--seed", "1"]) == 0
+        assert main(["train", *pair, "--out", str(directory), "--target", "0.9",
+                     "--batches", "6", *FAST_TRAIN]) == 0
+        assert main(["stop", "--checkpoint", str(directory / "policy-t0.9.json"), *pair,
+                     "--out", str(directory / "policy.csv")]) == 0
+        for method in ("oracle", "knee", "budget"):
+            assert main(["baseline", "--method", method, *pair, "--target", "0.9",
+                         "--out", str(directory / f"{method}.csv")]) == 0
+    results = {name: (directory / f"{name}.csv").read_bytes()
+               for name in ("policy", "oracle", "knee", "budget")}
+    return pair, directory / "cache", results
+
+
+@pytest.mark.parametrize("mutate", [flip_a_byte, truncate, insert_a_nul, delete_a_field,
+                                    duplicate_a_field, swap_two_fields, spoil_a_number])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_results_exits_0_or_2_naming_it(tmp_path, results_set, capsys, monkeypatch,
+                                                mutate, data):
+    pair, cache, results = results_set
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(cache))  # the unmutated pair's entry
+    example = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
+    mutated = data.draw(st.sampled_from(sorted(results)))
+    files = {name: example / f"{name}.csv" for name in results}
+    for name, content in results.items():
+        if name == mutated:
+            for _ in range(data.draw(st.integers(1, 3))):
+                content = mutate(data.draw, "results", content)
+        files[name].write_bytes(content)
+    capsys.readouterr()
+    code = main(["eval", *[arg for path in files.values() for arg in ("--results", str(path))],
+                 *pair, "--out", str(example / "report")])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert code == 0 or str(files[mutated]) in err, err

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_topic
+from conftest import make_topic, prefix_count
+from test_baselines import topic_collections
 from tarstop.baselines import oracle_stop
 from tarstop.corpus import synth_topics
 from tarstop.errors import ConfigError, ParseError
@@ -52,7 +55,7 @@ class TestPointMetrics:
 
     def test_excess_zero_for_oracle(self):
         topic = make_topic([0, 1, 0, 1, 1, 0])
-        oracle = oracle_stop(topic, 0.9)
+        oracle, = oracle_stop([topic], [0.9])
         assert _topic_metrics(oracle, topic, 0.9).excess == 0.0
 
     def test_degenerate_optimal_cost_of_one(self):
@@ -78,7 +81,7 @@ class TestPointMetrics:
             topic = make_topic(labels)
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
             docs = int(rng.integers(1, n + 1))
-            found = int(topic.gain[docs])
+            found = int(prefix_count(topic)[docs])
             reaches = _topic_metrics(result("t1", docs, found), topic).recall >= target - 1e-9
             assert reaches == (docs >= optimal_stop_rank(topic, target))
 
@@ -98,8 +101,8 @@ class TestAggregate:
     def test_oracle_is_pareto_optimal(self):
         topics = synth_topics(5, 40, 0.2, 8.0, seed=1)
         results = []
-        for topic in topics:
-            results.append(oracle_stop(topic, 0.9))
+        for topic, oracle in zip(topics, oracle_stop(topics, [0.9])):
+            results.append(oracle)
             results.append(result(topic.topic_id, topic.n_docs, topic.n_relevant, method="exhaustive"))
         report = aggregate(results, topics)
         flags = {s.method: s.pareto_optimal for s in report.summaries}
@@ -141,7 +144,7 @@ class TestAggregate:
         results = []
         for topic in topics:
             docs = int(rng.integers(1, topic.n_docs + 1))
-            results.append(result(topic.topic_id, docs, int(topic.gain[docs])))
+            results.append(result(topic.topic_id, docs, int(prefix_count(topic)[docs])))
         report = aggregate(results, topics)
         summary = report.summaries[0]
         assert abs(summary.mean_recall - np.mean([r.recall for r in report.per_topic])) < 1e-12
@@ -155,6 +158,39 @@ class TestAggregate:
     def test_missing_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
             aggregate([result("t1", 1, 1, target=None)], [make_topic([1])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(collection=topic_collections(), data=st.data())
+    def test_oracle_search_equals_the_per_topic_loop(self, collection, data):
+        _, topics = collection
+        rows = [result(t.topic_id, docs, int(prefix_count(t)[docs]), method, target)
+                for method in ("a", "b") for target in (1 / 3, 0.9, 1.0) for t in topics
+                for docs in [data.draw(st.integers(1, t.n_docs))]]
+        optimal_rank = reference_optimal_ranks(rows, topics)
+        n_docs = {t.topic_id: t.n_docs for t in topics}
+        expected = {}
+        for row, rank in zip(rows, optimal_rank.tolist()):
+            optimal_cost, cost = rank / n_docs[row.topic_id], row.docs_examined / n_docs[row.topic_id]
+            excess = ((0.0 if cost >= 1.0 else cost - 1.0) if optimal_cost >= 1.0
+                      else (cost - optimal_cost) / (1.0 - optimal_cost))
+            expected[row.method, row.target_recall, row.topic_id] = excess
+        report = aggregate(rows, topics)
+        assert {m[:3]: m.excess for m in report.per_topic} == expected
+
+
+def reference_optimal_ranks(results, topics):
+    """aggregate's oracle search one topic at a time, over all its rows'
+    targets, as a float search of the topic's own prefix count."""
+    index = {t.topic_id: k for k, t in enumerate(topics)}
+    tix = np.array([index[r.topic_id] for r in results])
+    target_key = np.array([r.target_recall for r in results], dtype=float)
+    optimal_rank = np.empty(len(results), np.int64)
+    for k in np.unique(tix).tolist():
+        rows = tix == k
+        topic = topics[k]
+        optimal_rank[rows] = np.searchsorted(
+            prefix_count(topic)[1:], target_key[rows] * topic.n_relevant - 1e-9, side="left") + 1
+    return optimal_rank
 
 
 class TestCsvIO:
