@@ -6,18 +6,15 @@ baselines, and score everything with recall/cost/excess reports.
 
 from .baselines import budget_stop, knee_stop, oracle_stop
 from .corpus import (
-    BatchedTopic,
-    Topic,
+    Batches,
+    Collection,
     assemble_topics,
-    batch_topic,
-    batch_topics,
     first_reaching,
     load_qrels,
     load_run,
     parse_qrels,
     parse_run,
     rank_relevance_probs,
-    running_count,
     synth_topics,
     write_qrels_file,
     write_run_file,
@@ -30,7 +27,6 @@ from .metrics import (
     StopResult,
     TopicMetrics,
     aggregate,
-    optimal_stop_rank,
     read_results_csv,
     write_aggregate_csv,
     write_per_topic_csv,

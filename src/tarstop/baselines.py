@@ -1,5 +1,6 @@
 """Reference stopping strategies over a whole collection: oracle and fixed
-budget read its one running relevant count, the gain-curve knee its batch counts."""
+budget read its one running relevant count (``Collection.gain``), the
+gain-curve knee its batches' counts (``Batches.cum_rel``)."""
 
 from __future__ import annotations
 
@@ -7,12 +8,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import BatchedTopic, Topic, first_reaching, running_count
-from .errors import ConfigError
+from .corpus import Batches, Collection, check_target, first_reaching
 from .metrics import StopResult
 
 
-def oracle_stop(topics: list[Topic], targets: list[float]) -> list[StopResult]:
+def oracle_stop(topics: Collection, targets: list[float]) -> list[StopResult]:
     """For each topic, then each target: stop at the first rank whose recall
     meets or exceeds the target.
 
@@ -20,12 +20,11 @@ def oracle_stop(topics: list[Topic], targets: list[float]) -> list[StopResult]:
     usable method. When the target is not exactly attainable it overshoots
     to the next relevant document.
     """
-    gain, bounds = running_count(topics)
-    starts = bounds[:-1, None]
+    gain, starts = topics.gain, topics.bounds[:-1, None]
     targets = np.array(targets, dtype=np.float64)
-    rank = first_reaching(gain, starts, gain[bounds[1:, None]] - gain[starts], targets)
+    rank = first_reaching(gain, starts, topics.n_relevant[:, None], targets)
     found = gain[starts + rank] - gain[starts]
-    ids = [t.topic_id for t in topics for _ in targets]
+    ids = [topic_id for topic_id in topics.topic_ids for _ in targets]
     return list(map(StopResult, ids, repeat("oracle"), targets.tolist() * len(topics),
                     rank.ravel().tolist(), found.ravel().tolist()))
 
@@ -44,7 +43,7 @@ KNEE_BLOCK_CELLS = 1 << 16
 _INT64_MIN = np.iinfo(np.int64).min
 
 
-def knee_stop(batched: list[BatchedTopic]) -> list[StopResult]:
+def knee_stop(batched: Batches) -> list[StopResult]:
     """For each topic: stop when the gain curve's knee indicates diminishing returns.
 
     Evaluated at the batch ends so its cost granularity matches the trained
@@ -59,19 +58,21 @@ def knee_stop(batched: list[BatchedTopic]) -> list[StopResult]:
     Only rank 1 and the relevant ranks >= 2 can be that first maximizer: at
     a non-relevant rank k >= 2, g(k) == g(k - 1), so its score is rank
     k - 1's minus g(i), never above it. g at the batch ends is the topic's
-    ``cum_rel``; at the candidates it is ``labels[0]``, then one more at each
+    ``cum_rel``; at the candidates it is its first label, then one more at each
     relevant rank. A topic's batch ends are scored at once over its
     candidates, in blocks of at most ``KNEE_BLOCK_CELLS`` cells, with the
     same int64 and float64 arithmetic at each end, up to its first block
     that fires.
     """
+    labels, bounds = batched.collection.labels, batched.collection.bounds.tolist()
     results = []
-    for bt in batched:
-        ends = np.cumsum(bt.batch_sizes)
-        candidates = np.concatenate(([1], np.flatnonzero(bt.topic.labels[1:]) + 2))
-        candidate_gain = bt.topic.labels[0] + np.arange(len(candidates))
+    for topic_id, first, last, sizes, cum_rel in zip(batched.collection.topic_ids, bounds, bounds[1:],
+                                                     batched.sizes, batched.cum_rel):
+        ends = np.cumsum(sizes)
+        candidates = np.concatenate(([1], np.flatnonzero(labels[first + 1:last]) + 2))
+        candidate_gain = labels[first] + np.arange(len(candidates))
         n_below = np.searchsorted(candidates, ends)  # candidates k < i at each end
-        row = bt.n_batches - 1
+        row = batched.n_batches - 1
         start = int(np.searchsorted(ends, 2))  # ends below 2 have no k in [1, i)
         while start < len(ends):
             # cells of a block of the next 1, 2, ... ends: rows x its last end's candidates
@@ -79,7 +80,7 @@ def knee_stop(batched: list[BatchedTopic]) -> list[StopResult]:
             if (len(ends) - start) * int(n_below[-1]) > KNEE_BLOCK_CELLS:
                 block_cells = np.arange(1, len(ends) - start + 1) * n_below[start:]
                 stop = start + max(1, int(np.searchsorted(block_cells, KNEE_BLOCK_CELLS, side="right")))
-            i, g_i = ends[start:stop], bt.cum_rel[start:stop]
+            i, g_i = ends[start:stop], cum_rel[start:stop]
             width = n_below[stop - 1]
             above_chord = candidate_gain[:width] * i[:, None] - g_i[:, None] * candidates[:width]
             above_chord[np.arange(width) >= n_below[start:stop, None]] = _INT64_MIN
@@ -91,18 +92,20 @@ def knee_stop(batched: list[BatchedTopic]) -> list[StopResult]:
                 row = start + int(np.argmax(fires))
                 break
             start = stop
-        results.append(StopResult(bt.topic.topic_id, "knee", None, int(ends[row]),
-                                  int(bt.cum_rel[row]), row + 1))
+        results.append(StopResult(topic_id, "knee", None, int(ends[row]), int(cum_rel[row]), row + 1))
     return results
 
 
-def budget_stop(topics: list[Topic], fraction: float) -> list[StopResult]:
+def check_fraction(fraction: float) -> float:
+    """``fraction`` itself if it lies in (0, 1]; otherwise a :class:`ConfigError`."""
+    return check_target(fraction, "budget fraction")
+
+
+def budget_stop(topics: Collection, fraction: float) -> list[StopResult]:
     """For each topic: examine a fixed fraction of the ranking, rounded up, and
     stop; no target recall."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"budget fraction must be in (0, 1], got {fraction}")
-    gain, bounds = running_count(topics)
-    rank = np.ceil(fraction * np.diff(bounds)).astype(np.int64)
-    found = gain[bounds[:-1] + rank] - gain[bounds[:-1]]
-    return list(map(StopResult, [t.topic_id for t in topics], repeat("budget"), repeat(None),
+    gain, starts = topics.gain, topics.bounds[:-1]
+    rank = np.ceil(check_fraction(fraction) * topics.n_docs).astype(np.int64)
+    found = gain[starts + rank] - gain[starts]
+    return list(map(StopResult, topics.topic_ids, repeat("budget"), repeat(None),
                     rank.tolist(), found.tolist()))

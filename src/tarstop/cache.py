@@ -4,7 +4,8 @@ The first command to parse an input stores what the parse produced; a
 later command on the same bytes, at any path, loads it and rebuilds the
 value through the same constructors and checks, so outputs are
 byte-identical to an uncached run. :data:`TOPICS` holds a run/qrels pair's
-topic ids, labels (a byte per document) and ingest warnings, which a hit
+collection (topic ids, lengths and a byte per document's label, decoded
+straight into one ``corpus.Collection``) and ingest warnings, which a hit
 logs again; ``tarstop.ppo.CHECKPOINTS`` a checkpoint's weights and fields.
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
@@ -31,7 +32,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import Topic
+from .corpus import Collection
 from .corpus import log as corpus_log
 
 log = logging.getLogger(__name__)
@@ -143,31 +144,31 @@ def cached(kind: Kind, sources, parse: Callable[[], Any]) -> tuple[Any, bool]:
     return value, False
 
 
-def _topics_entry(value: tuple[list[Topic], list[str]]) -> dict[str, np.ndarray] | None:
+def _topics_entry(value: tuple[Collection, list[str]]) -> dict[str, np.ndarray] | None:
     topics, warnings = value
     # A warning logged below the corpus logger's level is never recorded,
     # so such a run cannot know what a hit would have to replay.
     if not topics or not corpus_log.isEnabledFor(logging.WARNING):
         return None
-    ids = np.array([t.topic_id for t in topics], dtype=str)
+    ids = np.array(topics.topic_ids, dtype=str)
     replay = np.array(warnings, dtype=str)
-    if ids.tolist() != [t.topic_id for t in topics] or replay.tolist() != warnings:
+    if ids.tolist() != list(topics.topic_ids) or replay.tolist() != warnings:
         return None  # e.g. a trailing NUL, which numpy's str arrays drop
-    lengths = np.array([t.n_docs for t in topics], dtype=np.int64)
-    labels = np.concatenate([t.labels for t in topics]).astype(np.uint8)
-    return dict(zip(TOPICS.arrays, (ids, lengths, labels, replay)))
+    return dict(zip(TOPICS.arrays, (ids, topics.n_docs, topics.labels.astype(np.uint8), replay)))
 
 
-def _topics_from_entry(arrays: dict[str, np.ndarray]) -> tuple[list[Topic], list[str]]:
+def _topics_from_entry(arrays: dict[str, np.ndarray]) -> tuple[Collection, list[str]]:
     ids, lengths, labels, warnings = arrays.values()
     if not (ids.ndim == lengths.ndim == labels.ndim == warnings.ndim == 1
             and ids.dtype.kind == warnings.dtype.kind == "U"
             and lengths.dtype.kind == "i" and labels.dtype == np.uint8
-            and len(ids) == len(lengths) and len(set(ids.tolist())) == len(ids)
-            and (lengths > 0).all() and int(lengths.sum()) == len(labels)):
+            and len(ids) == len(lengths) and len(set(ids.tolist())) == len(ids)):
         raise ValueError("inconsistent topic entry")
-    parts = np.split(labels, np.cumsum(lengths)[:-1])
-    return [Topic(topic_id, part) for topic_id, part in zip(ids.tolist(), parts)], warnings.tolist()
+    # the constructor checks the lengths against the labels, which must be binary
+    topics = Collection(tuple(ids.tolist()), np.cumsum([0, *lengths.tolist()]), labels)
+    if not (topics.n_relevant > 0).all():  # assemble_topics excludes such a topic
+        raise ValueError("topic entry holds a topic with no relevant document")
+    return topics, warnings.tolist()
 
 
 TOPICS = Kind(b"tarstop-topics-v2", ("topic_ids", "lengths", "labels", "warnings"),
@@ -183,9 +184,9 @@ class _Recorder(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def cached_topics(run_file, qrels_file, ingest: Callable[[], list[Topic]]) -> list[Topic]:
-    """The topics of a run/qrels pair: from the cache on a hit, which logs
-    the warnings ingest logged, else from ``ingest()``."""
+def cached_topics(run_file, qrels_file, ingest: Callable[[], Collection]) -> Collection:
+    """The collection of a run/qrels pair: from the cache on a hit, which
+    logs the warnings ingest logged, else from ``ingest()``."""
 
     def parse():
         recorder = _Recorder()

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import budget_stop, knee_stop, oracle_stop
+from .baselines import budget_stop, check_fraction, knee_stop, oracle_stop
 from .cache import cached_topics
 from .corpus import (
     assemble_topics,
-    batch_topics,
+    check_batches,
     check_seed,
     check_target,
     load_qrels,
@@ -163,7 +163,7 @@ def cmd_synth(args) -> int:
     qrels_path = out_dir / "synthetic.qrels"
     write_run_file(run_path, topics, tag)
     write_qrels_file(qrels_path, topics)
-    mean_prevalence = float(np.mean([t.n_relevant / t.n_docs for t in topics]))
+    mean_prevalence = float(np.mean(topics.n_relevant / topics.n_docs))
     print(f"wrote {len(topics)} topics ({docs} docs each, mean prevalence "
           f"{mean_prevalence:.4f}) to {run_path} and {qrels_path}")
     return 0
@@ -201,8 +201,7 @@ def cmd_stop(args) -> int:
     mode = _resolve(args, config, "mode", "greedy")
     seed = check_seed(_resolve(args, config, "seed", 0))
     topics = _load_topics(args.run, args.qrels)
-    batched = batch_topics(topics, checkpoint.n_batches)
-    results = infer_stop(checkpoint, batched, mode=mode, rng=seed)
+    results = infer_stop(checkpoint, topics.batched(checkpoint.n_batches), mode=mode, rng=seed)
     write_results_csv(args.out, results)
     mean_batch = float(np.mean([r.stop_batch for r in results]))
     print(f"wrote {len(results)} stopping decisions (mean stop batch {mean_batch:.2f}) to {args.out}")
@@ -212,13 +211,14 @@ def cmd_stop(args) -> int:
 def cmd_baseline(args) -> int:
     config = _load_config(args)
     targets = [check_target(t) for t in _resolve(args, config, "target", DEFAULT_TARGETS)]
-    batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
-    fraction = _resolve(args, config, "fraction", 0.5)
+    # range-checked whatever the method: a bad value is an error even where it is ignored
+    batches = check_batches(_resolve(args, config, "batches", DEFAULT_BATCHES))
+    fraction = check_fraction(_resolve(args, config, "fraction", 0.5))
     topics = _load_topics(args.run, args.qrels)
     if args.method == "oracle":
         results = oracle_stop(topics, targets)
     else:
-        bases = (knee_stop(batch_topics(topics, batches)) if args.method == "knee"
+        bases = (knee_stop(topics.batched(batches)) if args.method == "knee"
                  else budget_stop(topics, fraction))
         results = [StopResult(topic_id, method, t, docs, found, batch)
                    for topic_id, method, _, docs, found, batch in bases for t in targets]

@@ -21,15 +21,16 @@ document, and before the reader on any other text.
 A topic is its labels: the binary relevance of each ranked document, in
 rank order. The doc ids serve only to join the run with the qrels and to
 reject a document ranked twice (:func:`parse_run` is the one place that
-rule lives); no figure needs them afterwards, so a :class:`Topic` does not
-keep them. A collection's one running relevant count, :func:`running_count`,
-is the source of every "relevant documents among the first r" figure: recall,
-the oracle and budget stops, and the contiguous, near-equal batches the labels
-are cut into for the stopping task (:func:`batch_topics`), whose relevant
-counts the stopping agent observes and the knee baseline reads.
+rule lives); no figure needs them afterwards, so a :class:`Collection`,
+every topic's labels end to end, does not keep them. Its one running
+relevant count (``gain``) is the source of every "relevant documents among
+the first r" figure: recall, the oracle and budget stops, and the contiguous,
+near-equal batches the labels are cut into for the stopping task
+(:class:`Batches`), whose relevant counts the stopping agent observes and the
+knee baseline reads.
 
 The CLI keeps what :func:`load_run`, :func:`load_qrels` and
-:func:`assemble_topics` make of a pair of files (the topics and the
+:func:`assemble_topics` make of a pair of files (the collection and the
 warnings logged) in a cache keyed by the files' bytes
 (:mod:`tarstop.cache`). A change to what they produce for given bytes must
 change ``tarstop.cache.TOPICS.format``, or old entries would stand in for it.
@@ -41,7 +42,7 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -56,31 +57,62 @@ TARGET_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class Topic:
-    """A topic is its labels: ``labels[r - 1]`` is 1 if the document at
-    rank r is relevant, else 0. Doc ids are not kept."""
+class Collection:
+    """Topics end to end: topic k ranks documents ``bounds[k]:bounds[k + 1]``,
+    and ``labels[bounds[k] + r - 1]`` is 1 if its document at rank r is
+    relevant, else 0. ``gain[bounds[k] + r] - gain[bounds[k]]`` of its first r
+    documents are relevant (``gain[0] == 0``)."""
 
-    topic_id: str
+    topic_ids: tuple[str, ...]
+    bounds: np.ndarray
     labels: np.ndarray
+    gain: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels)
+        labels, bounds = np.asarray(self.labels), np.asarray(self.bounds, dtype=np.int64)
         if labels.ndim != 1:
-            raise ValueError(f"topic {self.topic_id!r}: labels must be a vector")
-        if len(labels) == 0:
-            raise ValueError(f"topic {self.topic_id!r}: empty ranking")
-        # checked before the cast, which would truncate 0.5 to 0
-        if not ((labels == 0) | (labels == 1)).all():  # np.isin costs ~6x as much
-            raise ValueError(f"topic {self.topic_id!r}: labels must be binary")
+            raise ValueError("labels must be a vector")
+        if bounds.shape != (len(self.topic_ids) + 1,) or bounds[0] != 0 or bounds[-1] != len(labels):
+            raise ValueError("bounds must run from 0 to the label count, one per topic and one more")
+        # checked before the cast, which would truncate 0.5 to 0; np.isin costs ~6x as much
+        bad_label = np.append((labels != 0) & (labels != 1), True).argmax()  # len(labels): none
+        k = min(np.append(np.diff(bounds) <= 0, True).argmax(),
+                np.searchsorted(bounds, bad_label, side="right") - 1)
+        if k < len(self.topic_ids):  # the first topic with no label, or with the first bad one
+            problem = "empty ranking" if bounds[k + 1] <= bounds[k] else "labels must be binary"
+            raise ValueError(f"topic {self.topic_ids[k]!r}: {problem}")
+        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
+        object.__setattr__(self, "gain", np.cumsum(np.concatenate(([0], self.labels))))
+
+    @classmethod
+    def of(cls, topic_ids, rankings) -> "Collection":
+        """The collection of these topics, topic k labelled ``rankings[k]``."""
+        rankings = list(rankings)
+        return cls(tuple(topic_ids), np.cumsum([0, *map(len, rankings)]),
+                   np.concatenate([np.zeros(0, np.int64), *rankings]))
+
+    def __len__(self) -> int:
+        return len(self.topic_ids)
 
     @property
-    def n_docs(self) -> int:
-        return len(self.labels)
+    def n_docs(self) -> np.ndarray:
+        return np.diff(self.bounds)
 
     @property
-    def n_relevant(self) -> int:
-        return int(self.labels.sum())
+    def n_relevant(self) -> np.ndarray:
+        return self.gain[self.bounds[1:]] - self.gain[self.bounds[:-1]]
+
+    def batched(self, n_batches: int) -> "Batches":
+        """Each topic split into ``n_batches`` contiguous batches, all in one pass:
+        of its n documents, the first ``n mod n_batches`` batches get
+        ``ceil(n / n_batches)`` (so early stops stay conservative), the rest
+        ``floor(n / n_batches)``, none if ``n < n_batches``."""
+        check_batches(n_batches)
+        starts = self.bounds[:-1, None]
+        base, extra = np.divmod(self.n_docs[:, None], n_batches)
+        sizes = base + (np.arange(n_batches) < extra)
+        return Batches(self, sizes, self.gain[starts + np.cumsum(sizes, axis=1)] - self.gain[starts])
 
 
 def check_target(target_recall: float, what: str = "target recall") -> float:
@@ -98,13 +130,11 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def running_count(topics: list[Topic]) -> tuple[np.ndarray, np.ndarray]:
-    """Every topic's running relevant count in one pass over their labels, end
-    to end: ``(gain, bounds)`` where topic k holds documents
-    ``bounds[k]:bounds[k + 1]`` and ``gain[bounds[k] + r] - gain[bounds[k]]``
-    of them are relevant among its first r (``gain[0] == 0``)."""
-    bounds = np.cumsum([0, *(t.n_docs for t in topics)], dtype=np.int64)
-    return np.cumsum(np.concatenate([[0], *(t.labels for t in topics)])), bounds
+def check_batches(n_batches: int) -> int:
+    """``n_batches`` itself if it is at least 1; otherwise a :class:`ConfigError`."""
+    if n_batches < 1:
+        raise ConfigError(f"batch count must be >= 1, got {n_batches}")
+    return n_batches
 
 
 def first_reaching(gain: np.ndarray, starts, n_relevant, target_recall):
@@ -123,47 +153,34 @@ def first_reaching(gain: np.ndarray, starts, n_relevant, target_recall):
 
 
 @dataclass(frozen=True)
-class BatchedTopic:
-    """A topic split into contiguous batches whose sizes differ by at most one.
+class Batches:
+    """A collection cut into batches: topic k's batch j holds ``sizes[k, j]``
+    documents, and ``cum_rel[k, j]`` of the documents in its first j + 1
+    batches are relevant (both ``(n_topics, n_batches)`` int64)."""
 
-    The leftover of an uneven split goes to the earliest batches, so early
-    stopping points stay conservative and the split is deterministic.
-    """
-
-    topic: Topic
-    batch_sizes: np.ndarray
-    batch_rel: np.ndarray
+    collection: Collection
+    sizes: np.ndarray
     cum_rel: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.collection)
 
     @property
     def n_batches(self) -> int:
-        return len(self.batch_sizes)
+        return self.sizes.shape[1]
 
-    def target_batch(self, target_recall: float) -> int:
-        """1-based index of the first batch at which the target recall is met."""
-        return first_reaching(np.concatenate(([0], self.cum_rel)), 0, self.cum_rel[-1], target_recall)
+    @property
+    def batch_rel(self) -> np.ndarray:
+        return np.diff(self.cum_rel, axis=1, prepend=0)
 
-
-def batch_topics(topics: list[Topic], n_batches: int) -> list[BatchedTopic]:
-    """Split each topic into ``n_batches`` contiguous batches, all in one pass.
-
-    With ``n = n_docs`` the first ``n mod n_batches`` batches get
-    ``ceil(n / n_batches)`` documents, the rest ``floor(n / n_batches)``.
-    So ``n < n_batches`` gives one document to each of the first ``n`` batches, none to the rest.
-    """
-    if n_batches < 1:
-        raise ConfigError(f"batch count must be >= 1, got {n_batches}")
-    gain, bounds = running_count(topics)
-    starts = bounds[:-1, None]
-    base, extra = np.divmod(np.diff(bounds)[:, None], n_batches)
-    sizes = base + (np.arange(n_batches) < extra)
-    cum_rel = gain[starts + np.cumsum(sizes, axis=1)] - gain[starts]
-    return list(map(BatchedTopic, topics, sizes, np.diff(cum_rel, axis=1, prepend=0), cum_rel))
-
-
-def batch_topic(topic: Topic, n_batches: int) -> BatchedTopic:
-    """One topic split as :func:`batch_topics` splits each of its topics."""
-    return batch_topics([topic], n_batches)[0]
+    def target_batch(self, target_recall: float) -> np.ndarray:
+        """For each topic, the 1-based index of the first batch at which the
+        target recall is met: one search over the running count at every
+        batch end, topic after topic after a 0, topic k's from ``k * n_batches``."""
+        before = self.collection.gain[self.collection.bounds[:-1, None]]  # each topic's offset
+        ends = np.concatenate(([0], (before + self.cum_rel).ravel()))
+        return first_reaching(ends, np.arange(len(self)) * self.n_batches, self.cum_rel[:, -1],
+                              target_recall)
 
 
 # The number rule of every file this package reads. A decimal's digits split
@@ -284,8 +301,8 @@ def parse_run(text: str) -> dict[str, list[str]]:
     return run
 
 
-def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]]) -> list[Topic]:
-    """Join a parsed run with qrels into labelled topics.
+def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]]) -> Collection:
+    """Join a parsed run with qrels into a labelled collection.
 
     Documents absent from the qrels are labelled 0. Topics whose ranking
     contains no relevant document are dropped with a warning since recall is
@@ -294,7 +311,7 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
     for topic_id in qrels:
         if topic_id not in run:
             log.warning("qrels topic %s not in run; ignored", topic_id)
-    topics = []
+    kept: dict[str, np.ndarray] = {}
     for topic_id, ranking in run.items():
         if topic_id not in qrels:
             raise ConfigError(f"run topic {topic_id!r} has no qrels entry")
@@ -305,8 +322,8 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
         if labels.sum() == 0:
             log.warning("topic %s: no relevant documents, excluded (recall undefined)", topic_id)
             continue
-        topics.append(Topic(topic_id, labels))
-    return topics
+        kept[topic_id] = labels
+    return Collection.of(kept.keys(), kept.values())
 
 
 def read_text(path, newline=None) -> str:
@@ -378,7 +395,7 @@ def _logsumexp(x: np.ndarray) -> float:
     return m + math.log(float(np.exp(x - m).sum()))
 
 
-def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed: int) -> list[Topic]:
+def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed: int) -> Collection:
     """Generate ``count`` front-loaded synthetic topics, deterministically per seed.
 
     Each document at rank r is relevant independently with the probability
@@ -389,8 +406,8 @@ def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed:
         raise ConfigError(f"topic count must be >= 1, got {count}")
     probs = rank_relevance_probs(n_docs, prevalence, decay)
     rng = np.random.default_rng(check_seed(seed))
-    topics = []
-    for k in range(count):
+    rankings = []
+    for _ in range(count):
         for _ in range(1000):
             labels = (rng.random(n_docs) < probs).astype(np.int64)
             if labels.any():
@@ -400,35 +417,37 @@ def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed:
                 f"could not sample a topic with any relevant document "
                 f"(prevalence {prevalence}, n_docs {n_docs})"
             )
-        topics.append(Topic(f"synth-{k:04d}", labels))
-    return topics
+        rankings.append(labels)
+    return Collection.of([f"synth-{k:04d}" for k in range(count)], rankings)
 
 
-def _doc_ids(topic: Topic) -> list[str]:
-    """Generated doc ids of a topic's documents in rank order: ``<topic>-d<rank:06d>``."""
-    return [f"{topic.topic_id}-d{r:06d}" for r in range(1, topic.n_docs + 1)]
+def _topics(collection: Collection):
+    """Each topic's id, generated doc ids (``<topic>-d<rank:06d>``, in rank order) and labels."""
+    labels, bounds = collection.labels.tolist(), collection.bounds.tolist()
+    for topic_id, start, stop in zip(collection.topic_ids, bounds, bounds[1:]):
+        yield topic_id, [f"{topic_id}-d{r:06d}" for r in range(1, stop - start + 1)], labels[start:stop]
 
 
-def write_run_file(path, topics: list[Topic], tag: str = "tarstop") -> None:
+def write_run_file(path, topics: Collection, tag: str = "tarstop") -> None:
     """Write topics as a run file; scores descend so rank order round-trips.
 
     Doc ids are generated as ``<topic>-d<rank:06d>``, so writing a parsed
     topic does not restore its original ids.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for topic in topics:
-            n = topic.n_docs
-            for rank, doc in enumerate(_doc_ids(topic), start=1):
-                fh.write(f"{topic.topic_id} Q0 {doc} {rank} {float(n - rank + 1)!r} {tag}\n")
+        for topic_id, docs, _ in _topics(topics):
+            n = len(docs)
+            for rank, doc in enumerate(docs, start=1):
+                fh.write(f"{topic_id} Q0 {doc} {rank} {float(n - rank + 1)!r} {tag}\n")
 
 
-def write_qrels_file(path, topics: list[Topic]) -> None:
+def write_qrels_file(path, topics: Collection) -> None:
     """Write full judgements (including non-relevant) so parsing round-trips.
 
     Doc ids are generated as in :func:`write_run_file`, ``<topic>-d<rank:06d>``,
     so writing a parsed topic does not restore its original ids.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for topic in topics:
-            for doc, label in zip(_doc_ids(topic), topic.labels):
-                fh.write(f"{topic.topic_id} 0 {doc} {int(label)}\n")
+        for topic_id, docs, labels in _topics(topics):
+            for doc, label in zip(docs, labels):
+                fh.write(f"{topic_id} 0 {doc} {label}\n")

@@ -9,9 +9,9 @@ the target batch and negative beyond it, so the episode return is largest
 when the agent stops where the target recall is reached.
 
 Training and inference build observations the same way: a precomputed
-``(n_topics, B)`` table of what each batch reveals (:func:`observation_table`)
-plus, per episode, a topic index and the number of batches examined
-(:func:`observe`). Training steps a fixed set of such episodes
+``(n_topics, B)`` table of what each batch reveals (:func:`observation_table`,
+from a collection's ``corpus.Batches``) plus, per episode, a topic index and
+the number of batches examined (:func:`observe`). Training steps a fixed set of such episodes
 (:class:`VecStoppingEnv`); inference advances every topic of a collection
 at once (``ppo.infer_stop``).
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import BatchedTopic
+from .corpus import Batches
 from .errors import ConfigError
 
 STOP = 0
@@ -48,7 +48,7 @@ def reward(batches_examined, target, n_batches):
     return float(r) if r.ndim == 0 else r
 
 
-def observation_table(pool: list[BatchedTopic], normalize: str) -> np.ndarray:
+def observation_table(pool: Batches, normalize: str) -> np.ndarray:
     """``(n_topics, B)`` matrix of what each batch reveals once examined.
 
     Every observation a network sees is built from such a table, so this is
@@ -57,12 +57,9 @@ def observation_table(pool: list[BatchedTopic], normalize: str) -> np.ndarray:
     """
     if normalize not in NORMALIZE_MODES:
         raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {normalize!r}")
-    widths = {bt.n_batches for bt in pool}
-    if len(widths) > 1:
-        raise ConfigError(f"all pooled topics must share one batch count, got {sorted(widths)}")
-    table = np.array([bt.batch_rel for bt in pool], dtype=np.float64)
+    table = pool.batch_rel.astype(np.float64)
     if normalize == "ratio":  # an empty batch reveals 0
-        table /= np.maximum([bt.batch_sizes for bt in pool], 1)
+        table /= np.maximum(pool.sizes, 1)
     if not np.isfinite(table).all():
         raise ValueError("non-finite values in observation table")
     return table
@@ -88,7 +85,7 @@ class VecStoppingEnv:
 
     def __init__(
         self,
-        pool: list[BatchedTopic],
+        pool: Batches,
         target_recall: float,
         n_envs: int,
         seed,
@@ -98,10 +95,10 @@ class VecStoppingEnv:
             raise ConfigError("topic pool is empty")
         if n_envs < 1:
             raise ConfigError(f"n_envs must be >= 1, got {n_envs}")
-        self.pool = pool
+        self.topic_ids = pool.collection.topic_ids
         self.table = observation_table(pool, normalize)
-        self.n_batches = self.table.shape[1]
-        targets = np.array([bt.target_batch(target_recall) for bt in pool])
+        self.n_batches = pool.n_batches
+        targets = pool.target_batch(target_recall)
         # reward of every (topic, batches examined) state, row per topic
         self.rewards = reward(np.arange(1, self.n_batches + 1), targets[:, None], self.n_batches)
         self.n_envs = n_envs
@@ -113,7 +110,7 @@ class VecStoppingEnv:
     def _draw(self) -> int:
         # one scalar draw per slot keeps the generator stream, and so every
         # checkpoint, independent of how many slots finish together
-        return int(self.rng.integers(len(self.pool)))
+        return int(self.rng.integers(len(self.topic_ids)))
 
     def current_obs(self) -> np.ndarray:
         return observe(self.table, self.topic_idx, self.examined)
@@ -141,7 +138,7 @@ class VecStoppingEnv:
             infos.append(
                 {
                     "env": int(k),
-                    "topic_id": self.pool[self.topic_idx[k]].topic.topic_id,
+                    "topic_id": self.topic_ids[self.topic_idx[k]],
                     "episode_reward": float(self.episode_rewards[k]),
                     "stop_batch": int(self.examined[k]),
                 }

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import DECIMAL, INTEGER, Topic, check_target, first_reaching, read_text, running_count
+from .corpus import DECIMAL, INTEGER, Collection, check_target, first_reaching, read_text
 from .errors import ConfigError, ParseError
 
 PER_TOPIC_HEADER = (
@@ -59,11 +59,6 @@ class StopResult(NamedTuple):
     docs_examined: int
     relevant_found: int | None
     stop_batch: int | None = None
-
-
-def optimal_stop_rank(topic: Topic, target_recall: float | np.ndarray):
-    """Smallest rank whose cumulative recall meets the target (or each of an array of them)."""
-    return first_reaching(running_count([topic])[0], 0, topic.n_relevant, target_recall)
 
 
 class ResultError(ConfigError):
@@ -105,14 +100,7 @@ class MetricsReport:
     summaries: tuple[MethodSummary, ...]
 
 
-def _topic_metrics(result: StopResult, topic: Topic | None, target_recall=None) -> TopicMetrics:
-    """:func:`aggregate` of one row, at ``target_recall`` if given."""
-    if target_recall is not None:
-        result = result._replace(target_recall=target_recall)
-    return aggregate([result], [] if topic is None else [topic]).per_topic[0]
-
-
-def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
+def aggregate(results: list[StopResult], topics: Collection) -> MetricsReport:
     """Per-topic metrics plus per-(method, target) means and Pareto flags.
 
     Rows are scored together in array passes. The first row in input order
@@ -128,9 +116,9 @@ def aggregate(results: list[StopResult], topics: list[Topic]) -> MetricsReport:
     method and another method's row for the topic.
     """
     ids, methods, targets, given_docs, given_found, _ = list(zip(*results)) or [()] * 6
-    index = {t.topic_id: k for k, t in enumerate(topics)}
+    index = {topic_id: k for k, topic_id in enumerate(topics.topic_ids)}
     tix = np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
-    running, bounds = running_count(topics)
+    running, bounds = topics.gain, topics.bounds
     # a row's topic holds documents first:last; index -1, no topic, holds none
     first, last = (np.append(b, 0)[tix] for b in (bounds[:-1], bounds[1:]))
     n_docs, n_relevant = last - first, running[last] - running[first]

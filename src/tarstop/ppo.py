@@ -13,11 +13,12 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
 from .cache import Kind, cached
-from .corpus import BatchedTopic, Topic, batch_topics, check_seed, check_target
+from .corpus import Batches, Collection, check_seed, check_target
 from .env import CONTINUE, NORMALIZE_MODES, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
 from .metrics import StopResult, write_table
@@ -323,7 +324,7 @@ class Checkpoint:
 
 
 def train(
-    topics: list[Topic],
+    topics: Collection,
     target_recall: float,
     hyper: Hyperparams = Hyperparams(),
     n_batches: int = 100,
@@ -338,7 +339,7 @@ def train(
     hyper.validate()
     if not topics:
         raise ConfigError("no training topics")
-    pool = batch_topics(topics, n_batches)
+    pool = topics.batched(n_batches)
     seeds = np.random.SeedSequence(hyper.seed).spawn(5)
     venv = VecStoppingEnv(pool, target_recall, hyper.n_envs, seeds[0], normalize)
     params, (actor, critic) = joint_params(
@@ -381,7 +382,7 @@ def train(
 
 def infer_stop(
     checkpoint: Checkpoint,
-    topics: list[BatchedTopic],
+    topics: Batches,
     mode: str = "greedy",
     rng=None,
 ) -> list[StopResult]:
@@ -394,12 +395,10 @@ def infer_stop(
     unexamined labels. Greedy mode takes the argmax action, STOP winning
     exact ties; sample mode draws one uniform per live topic per step.
     """
-    for bt in topics:
-        if bt.n_batches != checkpoint.n_batches:
-            raise ConfigError(
-                f"checkpoint expects {checkpoint.n_batches} batches, "
-                f"topic {bt.topic.topic_id!r} has {bt.n_batches}"
-            )
+    if topics.n_batches != checkpoint.n_batches:
+        raise ConfigError(
+            f"checkpoint expects {checkpoint.n_batches} batches, the topics are cut into {topics.n_batches}"
+        )
     if mode not in ("greedy", "sample"):
         raise ConfigError(f"mode must be 'greedy' or 'sample', got {mode!r}")
     if mode == "sample" and not isinstance(rng, np.random.Generator):
@@ -407,7 +406,7 @@ def infer_stop(
     table = observation_table(topics, checkpoint.normalize_obs)
     examined = np.full(len(topics), checkpoint.n_batches)  # until a topic stops earlier
     live = np.arange(len(topics))
-    obs = observe(table, live, np.ones_like(live)) if topics else None
+    obs = observe(table, live, np.ones_like(live))
     step = 1  # batches examined by every live topic
     while live.size:
         logits, _ = forward(checkpoint.actor, obs)
@@ -422,17 +421,10 @@ def infer_stop(
             live, obs = live[~stop], obs[~stop]
         obs[:, step] = table[live, step]
         step += 1
-    return [
-        StopResult(
-            topic_id=bt.topic.topic_id,
-            method=POLICY_METHOD,
-            target_recall=checkpoint.target_recall,
-            docs_examined=int(bt.batch_sizes[:n].sum()),
-            relevant_found=int(bt.cum_rel[n - 1]),
-            stop_batch=int(n),
-        )
-        for bt, n in zip(topics, examined)
-    ]
+    last = (np.arange(len(topics)), examined - 1)  # each topic's last batch read
+    docs, found = np.cumsum(topics.sizes, axis=1)[last].tolist(), topics.cum_rel[last].tolist()
+    return list(map(StopResult, topics.collection.topic_ids, repeat(POLICY_METHOD),
+                    repeat(checkpoint.target_recall), docs, found, examined.tolist()))
 
 
 def _payload(checkpoint: Checkpoint) -> dict:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tarstop.corpus import Topic
+from tarstop.corpus import Collection, first_reaching
+from tarstop.metrics import aggregate
 
 # More examples for the run/qrels parse agreement and the input fuzz tests,
 # whose contract is what the parsers accept: ``--hypothesis-profile=parsers``.
@@ -10,12 +11,41 @@ settings.register_profile("parsers", max_examples=2000)
 
 
 def make_topic(labels, topic_id="t1"):
-    return Topic(topic_id, labels)
+    """A collection of one topic."""
+    return Collection.of([topic_id], [labels])
 
 
-def prefix_count(topic):
-    """Relevant documents among the topic's first r, for r = 0..N, by plain cumsum."""
-    return np.concatenate(([0], np.cumsum(topic.labels)))
+def make_collection(*rankings):
+    """A collection of these rankings' topics, named t0, t1, ..."""
+    return Collection.of([f"t{k}" for k in range(len(rankings))], rankings)
+
+
+def subset(collection, keep):
+    """A collection of the topics at indices ``keep``, in that order."""
+    parts = topic_labels(collection)
+    return Collection.of([collection.topic_ids[k] for k in keep], [parts[k] for k in keep])
+
+
+def topic_labels(collection):
+    """Each topic's labels, cut from the collection's vector at its bounds."""
+    return np.split(collection.labels, collection.bounds[1:-1])
+
+
+def prefix_count(labels):
+    """Relevant documents among the first r of ``labels``, for r = 0..N, by plain cumsum."""
+    return np.concatenate(([0], np.cumsum(labels)))
+
+
+def oracle_rank(labels, target_recall):
+    """The first rank of ``labels`` meeting the target, by the one rule over their own prefix count."""
+    return first_reaching(prefix_count(labels), 0, int(np.sum(labels)), target_recall)
+
+
+def topic_metrics(result, topics, target_recall=None):
+    """``aggregate``'s metrics of one result row, at ``target_recall`` if given."""
+    if target_recall is not None:
+        result = result._replace(target_recall=target_recall)
+    return aggregate([result], topics).per_topic[0]
 
 
 def finite_difference(loss_fn, flats, h=1e-5):

@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_topic, finite_difference, max_rel_error, prefix_count
+from conftest import (finite_difference, make_topic, max_rel_error, oracle_rank, prefix_count, subset,
+                      topic_labels, topic_metrics)
 from test_ppo import brute_force_gae, buffer_from_columns
 from tarstop.baselines import budget_stop, oracle_stop
 from tarstop.cli import main
-from tarstop.corpus import assemble_topics, batch_topic, load_qrels, load_run, synth_topics
+from tarstop.corpus import assemble_topics, load_qrels, load_run, synth_topics
 from tarstop.env import reward
-from tarstop.metrics import _topic_metrics, optimal_stop_rank
+from tarstop.metrics import aggregate
 from tarstop.nets import chosen_and_entropy, forward, init_params, joint_params, log_softmax
 from tarstop.ppo import Hyperparams, Minibatch, compute_gae, infer_stop, ppo_loss, train
 
@@ -133,17 +134,20 @@ def test_criterion_4_gae_matches_brute_force():
 
 def test_criterion_5_oracle_and_excess_identities():
     topics = synth_topics(200, 200, 0.1, 40.0, seed=5)
+    targets = (0.8, 0.9, 1.0)
+    results = oracle_stop(topics, list(targets))
+    metrics = {(m.topic_id, m.target_recall): m for m in aggregate(results, topics).per_topic}
     failures = []
-    for topic in topics:
-        g = prefix_count(topic)
-        for target, result in zip((0.8, 0.9, 1.0), oracle_stop([topic], [0.8, 0.9, 1.0])):
-            need = target * topic.n_relevant - 1e-9
-            if _topic_metrics(result, topic).recall < target - 1e-9:
-                failures.append((topic.topic_id, target, "recall below target"))
+    for k, (topic_id, labels) in enumerate(zip(topics.topic_ids, topic_labels(topics))):
+        g = prefix_count(labels)
+        for target, result in zip(targets, results[3 * k:3 * k + 3]):
+            need = target * g[-1] - 1e-9
+            if metrics[topic_id, target].recall < target - 1e-9:
+                failures.append((topic_id, target, "recall below target"))
             if result.docs_examined > 1 and g[result.docs_examined - 1] >= need:
-                failures.append((topic.topic_id, target, "earlier rank reaches target"))
-            if _topic_metrics(result, topic, target).excess != 0.0:
-                failures.append((topic.topic_id, target, "nonzero oracle excess"))
+                failures.append((topic_id, target, "earlier rank reaches target"))
+            if metrics[topic_id, target].excess != 0.0:
+                failures.append((topic_id, target, "nonzero oracle excess"))
     report(5, not failures,
            f"{len(failures)} violations over 200 topics x 3 targets" +
            (f", first {failures[0]}" if failures else ""))
@@ -153,8 +157,8 @@ def test_criterion_6_unattainable_target_overshoot():
     labels = np.zeros(20, dtype=int)
     labels[1:18:2] = 1  # 9 relevant documents
     topic = make_topic(labels)
-    result, = oracle_stop([topic], [0.8])
-    recall = _topic_metrics(result, topic).recall
+    result, = oracle_stop(topic, [0.8])
+    recall = topic_metrics(result, topic).recall
     report(6, result.relevant_found == 8 and abs(recall - 8 / 9) < 1e-12,
            f"oracle at target 0.8 over 9 relevant found {result.relevant_found}, recall {recall:.4f}")
 
@@ -162,19 +166,20 @@ def test_criterion_6_unattainable_target_overshoot():
 def test_criterion_7_end_to_end_training():
     start = time.perf_counter()
     topics = synth_topics(45, 2000, 0.02, 100.0, seed=7)
-    train_topics, held_out = topics[:30], topics[30:]
-    oracle_cost = float(np.mean([optimal_stop_rank(t, 0.9) / t.n_docs for t in held_out]))
+    train_topics, held_out = subset(topics, range(30)), subset(topics, range(30, 45))
+    oracle_cost = float(np.mean([oracle_rank(labels, 0.9) / len(labels)
+                                 for labels in topic_labels(held_out)]))
     assert 0.10 <= oracle_cost <= 0.20, f"synthetic decay mistuned: oracle cost {oracle_cost:.3f}"
-    budget_excess = float(np.mean([_topic_metrics(result, t, 0.9).excess
-                                   for result, t in zip(budget_stop(held_out, 0.5), held_out)]))
+    budget_excess = float(np.mean([topic_metrics(result, held_out, 0.9).excess
+                                   for result in budget_stop(held_out, 0.5)]))
     passed = 0
     details = []
     for seed in range(4):
         checkpoint, _ = train(train_topics, 0.9, Hyperparams(seed=seed), n_batches=100)
         recalls, costs, excesses = [], [], []
-        results = infer_stop(checkpoint, [batch_topic(topic, 100) for topic in held_out])
-        for topic, result in zip(held_out, results):
-            metrics = _topic_metrics(result, topic, 0.9)
+        results = infer_stop(checkpoint, held_out.batched(100))
+        for result in results:
+            metrics = topic_metrics(result, held_out, 0.9)
             recalls.append(metrics.recall)
             costs.append(metrics.cost)
             excesses.append(metrics.excess)

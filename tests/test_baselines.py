@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tarstop.baselines as baselines
-from conftest import make_topic, prefix_count
+from conftest import make_topic, prefix_count, topic_labels, topic_metrics
 from tarstop.baselines import (
     KNEE_THRESHOLD_CAP,
     KNEE_THRESHOLD_INTERCEPT,
@@ -18,9 +18,9 @@ from tarstop.baselines import (
     knee_stop,
     oracle_stop,
 )
-from tarstop.corpus import Topic, batch_topic, batch_topics, running_count, synth_topics
+from tarstop.corpus import Collection, first_reaching, synth_topics
 from tarstop.errors import ConfigError
-from tarstop.metrics import StopResult, _topic_metrics, optimal_stop_rank
+from tarstop.metrics import StopResult, aggregate
 
 
 def random_topic(rng, n_docs=None, prevalence=0.3):
@@ -32,25 +32,25 @@ def random_topic(rng, n_docs=None, prevalence=0.3):
 
 
 def oracle(topic, target):
-    return oracle_stop([topic], [target])[0]
+    return oracle_stop(topic, [target])[0]
 
 
 def knee(bt):
-    return knee_stop([bt])[0]
+    return knee_stop(bt)[0]
 
 
 def budget(topic, fraction):
-    return budget_stop([topic], fraction)[0]
+    return budget_stop(topic, fraction)[0]
 
 
 class TestGainCurve:
     def test_endpoints_and_monotonicity(self, rng):
         topic = random_topic(rng)
-        g, _ = running_count([topic])
+        g = topic.gain
         assert g[0] == 0
-        assert g[-1] == topic.n_relevant
+        assert g[-1] == topic.n_relevant[0]
         assert (np.diff(g) >= 0).all()
-        assert len(g) == topic.n_docs + 1
+        assert len(g) == topic.n_docs[0] + 1
 
 
 class TestOracle:
@@ -74,15 +74,15 @@ class TestOracle:
             topic = random_topic(rng)
             for target in (0.8, 0.9, 1.0):
                 result = oracle(topic, target)
-                assert _topic_metrics(result, topic, target).excess == 0.0
+                assert topic_metrics(result, topic, target).excess == 0.0
 
     def test_no_earlier_rank_reaches_the_target(self, rng):
         for _ in range(50):
             topic = random_topic(rng)
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
             rank = oracle(topic, target).docs_examined
-            g = prefix_count(topic)
-            need = target * topic.n_relevant - 1e-9
+            g = prefix_count(topic.labels)
+            need = target * topic.n_relevant[0] - 1e-9
             assert g[rank] >= need
             if rank > 1:
                 assert g[rank - 1] < need
@@ -97,17 +97,17 @@ class TestOracle:
         topic = make_topic([0, 0, 1, 0, 1])
         for target in (1e-10, 5e-324, 1e-9):
             assert oracle(topic, target)[3:5] == (3, 1)
-            assert optimal_stop_rank(topic, target) == 3
-        assert batch_topic(topic, 5).target_batch(1e-10) == 3
+            assert first_reaching(topic.gain, 0, 2, target) == 3
+        assert topic.batched(5).target_batch(1e-10).tolist() == [3]
 
 
-def reference_knee_stop(bt):
-    """The knee rule as one Python iteration per batch end, scoring every
-    rank below it: the reference knee_stop must match exactly."""
-    topic = bt.topic
-    g = prefix_count(topic)
-    ends = np.cumsum(bt.batch_sizes)
-    stop_rank = topic.n_docs
+def reference_knee_stop(bt, topic=0):
+    """The knee rule on one topic as one Python iteration per batch end,
+    scoring every rank below it: the reference knee_stop must match exactly."""
+    labels = topic_labels(bt.collection)[topic]
+    g = prefix_count(labels)
+    ends = np.cumsum(bt.sizes[topic])
+    stop_rank = len(labels)
     stop_batch = bt.n_batches
     for batch_index, i in enumerate(ends, start=1):
         if i < 2:
@@ -123,7 +123,7 @@ def reference_knee_stop(bt):
             stop_batch = batch_index
             break
     return StopResult(
-        topic_id=topic.topic_id,
+        topic_id=bt.collection.topic_ids[topic],
         method="knee",
         target_recall=None,
         docs_examined=stop_rank,
@@ -161,7 +161,7 @@ class TestKnee:
     def test_matches_the_reference_loop(self, labels, n_batches, block_cells):
         # batch counts above the length leave the trailing batches empty;
         # small blocks split the batch ends many ways
-        bt = batch_topic(make_topic(labels), n_batches)
+        bt = make_topic(labels).batched(n_batches)
         with mock.patch.object(baselines, "KNEE_BLOCK_CELLS", block_cells):
             assert knee(bt) == reference_knee_stop(bt)
 
@@ -172,7 +172,7 @@ class TestKnee:
         labels = np.zeros(400, dtype=int)
         labels[:40] = 1
         labels[159:] = 1
-        bt = batch_topic(make_topic(labels), 100)
+        bt = make_topic(labels).batched(100)
         result = knee(bt)
         assert (result.docs_examined, result.stop_batch) == (156, 39)
         assert result == reference_knee_stop(bt)
@@ -182,7 +182,7 @@ class TestKnee:
         # the stop score up to 10,000 candidates each, more than one block
         labels = np.zeros(20_000, dtype=int)
         labels[:10_000] = 1
-        bt = batch_topic(make_topic(labels), 100)
+        bt = make_topic(labels).batched(100)
         assert 51 * 10_000 > baselines.KNEE_BLOCK_CELLS
         result = knee(bt)
         assert (result.docs_examined, result.stop_batch, result.relevant_found) == (10_200, 51, 10_000)
@@ -192,7 +192,7 @@ class TestKnee:
         # all relevant: every rank is a candidate and the rule never fires,
         # so every batch end is scored; one (100 x 30,000) int64 matrix
         # would take 24 MB
-        bt = batch_topic(make_topic(np.ones(30_000, dtype=int)), 100)
+        bt = make_topic(np.ones(30_000, dtype=int)).batched(100)
         tracemalloc.start()
         try:
             result = knee(bt)
@@ -208,7 +208,7 @@ class TestKnee:
         # threshold 156 - 40 = 116 first holds at i = 156, the end of batch 39
         labels = np.zeros(400, dtype=int)
         labels[:40] = 1
-        result = knee(batch_topic(make_topic(labels), 100))
+        result = knee(make_topic(labels).batched(100))
         assert result.docs_examined == 156
         assert result.stop_batch == 39
         assert result.relevant_found == 40
@@ -216,7 +216,7 @@ class TestKnee:
     def test_straight_line_gain_never_fires(self):
         labels = np.zeros(100, dtype=int)
         labels[::2] = 1
-        result = knee(batch_topic(make_topic(labels), 100))
+        result = knee(make_topic(labels).batched(100))
         assert result.docs_examined == 100
         assert result.stop_batch == 100
 
@@ -230,23 +230,23 @@ class TestKnee:
         early[29] = 1
         late = base.copy()
         late[599] = 1
-        r_early = knee(batch_topic(make_topic(early, "early"), 100))
-        r_late = knee(batch_topic(make_topic(late, "late"), 100))
+        r_early = knee(make_topic(early, "early").batched(100))
+        r_late = knee(make_topic(late, "late").batched(100))
         assert r_early.docs_examined == 427
         assert r_late.docs_examined == 161
 
     def test_never_stops_before_first_batch_end(self, rng):
         for _ in range(40):
             topic = random_topic(rng)
-            n_batches = int(rng.integers(1, topic.n_docs + 1))
-            bt = batch_topic(topic, n_batches)
+            n_batches = int(rng.integers(1, topic.n_docs[0] + 1))
+            bt = topic.batched(n_batches)
             result = knee(bt)
-            assert result.docs_examined >= int(bt.batch_sizes[0])
-            assert result.docs_examined <= topic.n_docs
+            assert result.docs_examined >= int(bt.sizes[0, 0])
+            assert result.docs_examined <= topic.n_docs[0]
 
     def test_deterministic(self, rng):
         topic = random_topic(rng, n_docs=200, prevalence=0.1)
-        bt = batch_topic(topic, 50)
+        bt = topic.batched(50)
         assert knee(bt) == knee(bt)
 
 
@@ -261,7 +261,7 @@ class TestBudget:
         topic = make_topic([1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
         result = budget(topic, 0.5)
         assert result.docs_examined == 5
-        assert result.relevant_found == int(prefix_count(topic)[5])
+        assert result.relevant_found == int(prefix_count(topic.labels)[5])
 
     def test_fraction_rounds_up(self):
         assert budget(make_topic([1, 0, 0]), 0.4).docs_examined == 2
@@ -277,46 +277,50 @@ class TestCommonBounds:
     def test_all_baselines_stay_within_the_ranking(self, rng):
         for _ in range(30):
             topic = random_topic(rng)
-            bt = batch_topic(topic, int(rng.integers(1, topic.n_docs + 1)))
+            bt = topic.batched(int(rng.integers(1, topic.n_docs[0] + 1)))
             for result in (
                 oracle(topic, 0.9),
                 knee(bt),
                 budget(topic, float(rng.uniform(0.05, 1.0))),
             ):
-                assert 1 <= result.docs_examined <= topic.n_docs
-                assert 0 <= result.relevant_found <= topic.n_relevant
+                assert 1 <= result.docs_examined <= topic.n_docs[0]
+                assert 0 <= result.relevant_found <= topic.n_relevant[0]
 
     def test_oracle_rank_agrees_with_metrics_helper(self, rng):
+        # eval's oracle search scores the oracle's own rows at zero excess
         topics = synth_topics(10, 50, 0.2, 10.0, seed=2)
-        for topic in topics:
-            for target in (0.8, 1.0):
-                assert oracle(topic, target).docs_examined == optimal_stop_rank(topic, target)
+        results = oracle_stop(topics, [0.8, 1.0])
+        for result, row in zip(results, aggregate(results, topics).per_topic):
+            labels = topic_labels(topics)[topics.topic_ids.index(result.topic_id)]
+            rank = first_reaching(prefix_count(labels), 0, sum(labels), result.target_recall)
+            assert result.docs_examined == rank
+            assert row.excess == 0.0
 
 
 # The per-topic baselines, one topic (and one target) per call, each reading
 # the topic's own prefix count: the references for the collection-wide ones.
-def reference_oracle_stop(topic, target_recall):
-    g = prefix_count(topic)
-    rank = int(np.searchsorted(g[1:], target_recall * topic.n_relevant - 1e-9, side="left")) + 1
-    return StopResult(topic.topic_id, "oracle", target_recall, rank, int(g[rank]))
+def reference_oracle_stop(topic_id, labels, target_recall):
+    g = prefix_count(labels)
+    rank = int(np.searchsorted(g[1:], target_recall * g[-1] - 1e-9, side="left")) + 1
+    return StopResult(topic_id, "oracle", target_recall, rank, int(g[rank]))
 
 
-def reference_budget_stop(topic, fraction):
-    g = prefix_count(topic)
-    rank = math.ceil(fraction * topic.n_docs)
-    return StopResult(topic.topic_id, "budget", None, rank, int(g[rank]))
+def reference_budget_stop(topic_id, labels, fraction):
+    g = prefix_count(labels)
+    rank = math.ceil(fraction * len(labels))
+    return StopResult(topic_id, "budget", None, rank, int(g[rank]))
 
 
-def reference_block_knee_stop(bt):
+def reference_block_knee_stop(bt, topic):
     """The knee of one topic scored in blocks over its candidates, reading
     g at every rank from the topic's own prefix count."""
-    topic = bt.topic
-    g = prefix_count(topic)
-    ends = np.cumsum(bt.batch_sizes)
-    candidates = np.concatenate(([1], np.flatnonzero(topic.labels[1:]) + 2))
+    labels = topic_labels(bt.collection)[topic]
+    g = prefix_count(labels)
+    ends = np.cumsum(bt.sizes[topic])
+    candidates = np.concatenate(([1], np.flatnonzero(labels[1:]) + 2))
     candidate_gain = g[candidates]
     n_below = np.searchsorted(candidates, ends)
-    stop_rank = topic.n_docs
+    stop_rank = len(labels)
     stop_batch = bt.n_batches
     start = int(np.searchsorted(ends, 2))
     while start < len(ends):
@@ -339,18 +343,19 @@ def reference_block_knee_stop(bt):
             stop_batch = row + 1
             break
         start = stop
-    return StopResult(topic.topic_id, "knee", None, stop_rank, int(g[stop_rank]), stop_batch)
+    return StopResult(bt.collection.topic_ids[topic], "knee", None, stop_rank, int(g[stop_rank]),
+                      stop_batch)
 
 
 @st.composite
 def topic_collections(draw):
-    """A batch count and 1-8 topics, each with a relevant document: one
+    """A batch count and a collection of 1-8 topics, each with a relevant document: one
     document long, shorter than, as long as or longer than the batch count;
     all relevant, only the last relevant, or random labels with rank 1
     relevant or not."""
     n_batches = draw(st.integers(1, 40))
-    topics = []
-    for k in range(draw(st.integers(1, 8))):
+    rankings = []
+    for _ in range(draw(st.integers(1, 8))):
         n = draw(st.sampled_from([1, max(1, n_batches - 1), n_batches,
                                   draw(st.integers(1, 5 * n_batches + 3))]))
         shape = draw(st.sampled_from(["all", "last", "random"]))
@@ -360,8 +365,8 @@ def topic_collections(draw):
             labels[0] = draw(st.integers(0, 1))
         if not labels.any():
             labels[-1] = 1
-        topics.append(Topic(f"t{k}", labels))
-    return n_batches, topics
+        rankings.append(labels)
+    return n_batches, Collection.of([f"t{k}" for k in range(len(rankings))], rankings)
 
 
 class TestCollectionWide:
@@ -370,7 +375,8 @@ class TestCollectionWide:
     def test_oracle_equals_the_per_topic_reference(self, collection):
         _, topics = collection
         targets = [1 / 3, 0.9, 1.0]
-        expected = [reference_oracle_stop(topic, t) for topic in topics for t in targets]
+        expected = [reference_oracle_stop(topic_id, labels, t)
+                    for topic_id, labels in zip(topics.topic_ids, topic_labels(topics)) for t in targets]
         assert oracle_stop(topics, targets) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -378,19 +384,22 @@ class TestCollectionWide:
            fraction=st.one_of(st.just(1.0), st.floats(1e-6, 1.0, exclude_min=False)))
     def test_budget_equals_the_per_topic_reference(self, collection, fraction):
         _, topics = collection
-        assert budget_stop(topics, fraction) == [reference_budget_stop(t, fraction) for t in topics]
+        assert budget_stop(topics, fraction) == [
+            reference_budget_stop(topic_id, labels, fraction)
+            for topic_id, labels in zip(topics.topic_ids, topic_labels(topics))]
 
     @settings(max_examples=200, deadline=None)
     @given(collection=topic_collections(), block_cells=st.sampled_from([1, 5, 64, baselines.KNEE_BLOCK_CELLS]))
     def test_knee_equals_the_per_topic_references(self, collection, block_cells):
         n_batches, topics = collection
-        batched = batch_topics(topics, n_batches)
+        batched = topics.batched(n_batches)
         with mock.patch.object(baselines, "KNEE_BLOCK_CELLS", block_cells):
             got = knee_stop(batched)
-            assert got == [reference_block_knee_stop(bt) for bt in batched]
-        assert got == [reference_knee_stop(bt) for bt in batched]
+            assert got == [reference_block_knee_stop(batched, k) for k in range(len(topics))]
+        assert got == [reference_knee_stop(batched, k) for k in range(len(topics))]
 
     def test_no_topics(self):
-        assert oracle_stop([], [0.9]) == []
-        assert budget_stop([], 0.5) == []
-        assert knee_stop([]) == []
+        topics = Collection.of([], [])
+        assert oracle_stop(topics, [0.9]) == []
+        assert budget_stop(topics, 0.5) == []
+        assert knee_stop(topics.batched(5)) == []

@@ -12,7 +12,8 @@ import tarstop.cache as cache
 import tarstop.cli as cli
 from tarstop.cache import TOPICS, Kind, cache_dir, file_sha256, read_entry, write_entry
 from tarstop.cli import main
-from tarstop.corpus import Topic, assemble_topics, load_qrels, load_run
+from conftest import make_topic, topic_labels
+from tarstop.corpus import assemble_topics, load_qrels, load_run
 from tarstop.errors import ConfigError
 
 
@@ -44,7 +45,7 @@ def entries(directory):
 
 
 def as_pairs(topics):
-    return [(t.topic_id, t.labels.tolist()) for t in topics]
+    return [(topic_id, labels.tolist()) for topic_id, labels in zip(topics.topic_ids, topic_labels(topics))]
 
 
 def cold(run, qrels):
@@ -107,7 +108,7 @@ def test_hit_equals_a_cold_parse(tmp_path, topic_cache_dir, texts):
     assert entry.is_file()
     second = cli._load_topics(run, qrels)  # a hit
     assert as_pairs(first) == as_pairs(second) == expected
-    assert all(t.labels.dtype == np.int64 for t in second)
+    assert second.labels.dtype == second.bounds.dtype == second.gain.dtype == np.int64
 
 
 def test_second_command_on_the_same_bytes_does_not_parse(tmp_path, collection, topic_cache_dir,
@@ -168,6 +169,16 @@ def _damage_non_binary(path):
     _rewrite(path, **arrays)
 
 
+def _damage_no_relevant(path):
+    # a well-formed entry whose middle topic holds no relevant label, which
+    # assemble_topics would have excluded
+    with np.load(path) as data:
+        arrays = dict(data)
+    start, stop = np.cumsum(arrays["lengths"])[:2]
+    arrays["labels"][start:stop] = 0
+    _rewrite(path, **arrays)
+
+
 def _damage_flip_label_byte(path):
     data = bytearray(path.read_bytes())
     index = data.index(b"labels.npy")  # the member's local header, then its data
@@ -184,6 +195,7 @@ DAMAGE = {
     "missing-array": lambda p: _rewrite(p, topic_ids=np.array(["a"])),
     "inconsistent-lengths": _damage_inconsistent,
     "non-binary-label": _damage_non_binary,
+    "topic-without-relevant": _damage_no_relevant,
 }
 
 
@@ -284,7 +296,7 @@ def test_entry_of_the_first_format_is_never_served(tmp_path, topic_cache_dir, ca
     qrels.write_text("t1 0 d1 1\n")
     v1_key = hashlib.sha256(b"tarstop-topics-v1" + file_sha256(run) + file_sha256(qrels))
     v1_entry = topic_cache_dir / f"{v1_key.hexdigest()}.npz"
-    write_entry(v1_entry, TOPICS.encode(([Topic("t1", [0, 1])], [])))
+    write_entry(v1_entry, TOPICS.encode((make_topic([0, 1]), [])))
     assert read_entry(v1_entry, TOPICS) is not None  # a usable entry, under the old key
     for _ in range(2):
         assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_topic
+from conftest import make_topic, topic_labels
 from tarstop.cli import main
-from tarstop.corpus import assemble_topics, load_qrels, load_run, synth_topics, write_qrels_file, write_run_file
+from tarstop.corpus import (Collection, assemble_topics, load_qrels, load_run, synth_topics,
+                            write_qrels_file, write_run_file)
 
 FAST_TRAIN = ["--timesteps", "200", "--n-steps", "10", "--n-envs", "2", "--minibatch-size", "20"]
 
@@ -35,10 +36,9 @@ class TestSynth:
         run_path, qrels_path = collection
         topics = assemble_topics(load_run(run_path), load_qrels(qrels_path))
         reference = synth_topics(4, 60, 0.2, 12.0, seed=3)
-        assert len(topics) == len(reference)
-        for parsed, original in zip(topics, reference):
-            assert parsed.topic_id == original.topic_id
-            assert np.array_equal(parsed.labels, original.labels)
+        assert topics.topic_ids == reference.topic_ids
+        assert np.array_equal(topics.bounds, reference.bounds)
+        assert np.array_equal(topics.labels, reference.labels)
         doc_ids = [line.split()[2] for line in run_path.read_text().splitlines()]
         assert doc_ids == [f"synth-{k:04d}-d{r:06d}" for k in range(4) for r in range(1, 61)]
 
@@ -410,9 +410,10 @@ def test_topic_shorter_than_the_batch_count(tmp_path, caplog):
     """A 50-document topic beside longer ones at the default 100 batches:
     every command runs, and the other topics' decisions do not move."""
     long_topics = synth_topics(3, 120, 0.1, 30.0, seed=5)
-    short = make_topic([0, 1, 0, 0, 1] + [0] * 45, topic_id="short")
+    mixed = Collection.of([*long_topics.topic_ids, "short"],
+                          [*topic_labels(long_topics), [0, 1, 0, 0, 1] + [0] * 45])
     inputs = {}
-    for name, topics in (("long", long_topics), ("mixed", [*long_topics, short])):
+    for name, topics in (("long", long_topics), ("mixed", mixed)):
         write_run_file(tmp_path / f"{name}.run", topics)
         write_qrels_file(tmp_path / f"{name}.qrels", topics)
         inputs[name] = ["--run", str(tmp_path / f"{name}.run"),
@@ -469,7 +470,7 @@ class TestBaseline:
         topics = assemble_topics(load_run(data / "synthetic.run"), load_qrels(data / "synthetic.qrels"))
         rows = read_rows(oracle_csv)
         assert [(int(r["docs_examined"]), int(r["relevant_found"])) for r in rows] == [
-            (int(np.flatnonzero(t.labels)[0]) + 1, 1) for t in topics]
+            (int(np.flatnonzero(labels)[0]) + 1, 1) for labels in topic_labels(topics)]
         out = tmp_path / "report"
         assert main(["eval", "--results", str(oracle_csv), *paths, "--out", str(out)]) == 0
         assert all(float(r["recall"]) > 0 and float(r["excess"]) == 0.0
@@ -492,14 +493,47 @@ class TestBaseline:
         topic = make_topic(labels, topic_id="flat")
         run_path = tmp_path / "flat.run"
         qrels_path = tmp_path / "flat.qrels"
-        write_run_file(run_path, [topic])
-        write_qrels_file(qrels_path, [topic])
+        write_run_file(run_path, topic)
+        write_qrels_file(qrels_path, topic)
         knee_csv = tmp_path / "knee.csv"
         assert main(["baseline", "--method", "knee", "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(knee_csv),
                      "--target", "0.9", "--batches", "100"]) == 0
         rows = read_rows(knee_csv)
         assert rows[0]["docs_examined"] == "100"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("method, option, value, message", [
+        ("oracle", "batches", 0, "batch count must be >= 1, got 0"),
+        ("knee", "fraction", 7.0, "budget fraction must be in (0, 1], got 7.0"),
+        ("budget", "batches", -3, "batch count must be >= 1, got -3"),
+        ("oracle", "fraction", 0.0, "budget fraction must be in (0, 1], got 0.0"),
+    ])
+    def test_out_of_range_option_exits_2_whatever_the_method(self, tmp_path, collection, capsys,
+                                                             source, method, option, value,
+                                                             message):
+        # a method that ignores an option still checks it, so one config file
+        # serves all three methods only if every value in it is valid
+        run_path, qrels_path = collection
+        args = ["baseline", "--method", method, "--run", str(run_path), "--qrels", str(qrels_path),
+                "--out", str(tmp_path / "o.csv")]
+        if source == "flag":
+            args += [f"--{option}", str(value)]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({option: value}))
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("method", ["oracle", "knee", "budget"])
+    def test_valid_options_a_method_ignores_are_accepted(self, tmp_path, collection, method):
+        run_path, qrels_path = collection
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"batches": 7, "fraction": 0.25, "target": [0.9]}))
+        assert main(["baseline", "--method", method, "--run", str(run_path), "--qrels",
+                     str(qrels_path), "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 0
 
     @pytest.mark.parametrize("kind", ["run", "qrels"])
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, collection, capsys, kind):
@@ -879,9 +913,9 @@ class TestGoldenBytes:
         # stamped by --target; the last document of synth-0007 is made
         # relevant, so its oracle stop at target 1.0 is the whole collection.
         topics = synth_topics(60, 150, 0.05, 20.0, seed=5)
-        labels = topics[7].labels.copy()
-        labels[-1] = 1
-        topics[7] = make_topic(labels, topics[7].topic_id)
+        labels = topics.labels.copy()
+        labels[topics.bounds[8] - 1] = 1
+        topics = Collection(topics.topic_ids, topics.bounds, labels)
         write_run_file(tmp_path / "wide.run", topics)
         write_qrels_file(tmp_path / "wide.qrels", topics)
         inputs = ["--run", str(tmp_path / "wide.run"), "--qrels", str(tmp_path / "wide.qrels")]
@@ -892,8 +926,8 @@ class TestGoldenBytes:
                          "--out", str(tmp_path / f"{method}.csv"), "--batches", "20"]) == 0
         external = tmp_path / "sampler.csv"
         external.write_text("topic_id,method,docs_examined\n" + "".join(
-            f"{t.topic_id},sampler,{t.n_docs if k % 3 == 0 else 1 + (37 * k) % t.n_docs}\n"
-            for k, t in enumerate(topics)))
+            f"{topic_id},sampler,{n if k % 3 == 0 else 1 + (37 * k) % n}\n"
+            for k, (topic_id, n) in enumerate(zip(topics.topic_ids, topics.n_docs.tolist()))))
         results = [arg for m in (*methods, "sampler")
                    for arg in ("--results", str(tmp_path / f"{m}.csv"))]
         assert main(["eval", *results, *inputs, *targets, "--out", str(tmp_path)]) == 0

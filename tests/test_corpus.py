@@ -6,23 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_topic, prefix_count
+from conftest import make_collection, make_topic, prefix_count, topic_labels
 from tarstop.corpus import (
-    Topic,
+    Collection,
     assemble_topics,
-    batch_topic,
-    batch_topics,
     first_reaching,
     parse_qrels,
     parse_run,
     rank_relevance_probs,
-    running_count,
     synth_topics,
     write_qrels_file,
     write_run_file,
 )
 from tarstop.errors import ConfigError, ParseError
-from tarstop.metrics import optimal_stop_rank
 
 # Differential inputs: well-formed lines over few topics and docs (so ties,
 # repeated docs and non-contiguous topics are common), with up to two odd
@@ -241,14 +237,14 @@ class TestAssembleTopics:
     def test_missing_judgements_default_to_zero(self):
         topics = assemble_topics({"t1": ["d2", "d5"]}, {"t1": {"d2": 1}})
         assert len(topics) == 1
-        assert topics[0].topic_id == "t1"
-        assert topics[0].labels.tolist() == [1, 0]
-        assert topics[0].n_relevant == 1
+        assert topics.topic_ids == ("t1",)
+        assert topics.labels.tolist() == [1, 0]
+        assert topics.n_relevant.tolist() == [1]
 
     def test_zero_relevant_topic_excluded_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             topics = assemble_topics({"t1": ["d1"], "t2": ["d2"]}, {"t1": {"d1": 0}, "t2": {"d2": 1}})
-        assert [t.topic_id for t in topics] == ["t2"]
+        assert topics.topic_ids == ("t2",)
         assert "t1" in caplog.text
 
     def test_run_topic_without_qrels_is_an_error(self):
@@ -258,7 +254,7 @@ class TestAssembleTopics:
     def test_qrels_only_topic_warned_and_ignored(self, caplog):
         with caplog.at_level("WARNING"):
             topics = assemble_topics({"t1": ["d1"]}, {"t1": {"d1": 1}, "t5": {"dx": 1}})
-        assert [t.topic_id for t in topics] == ["t1"]
+        assert topics.topic_ids == ("t1",)
         assert "t5" in caplog.text
 
 
@@ -267,123 +263,154 @@ class TestTopicInvariants:
                              ids=["scalar", "matrix"])
     def test_non_vector_labels(self, labels):
         with pytest.raises(ValueError, match="vector"):
-            Topic("t", labels)
+            Collection(("t",), [0, labels.size], labels)
 
     def test_non_binary_labels(self):
         with pytest.raises(ValueError, match="binary"):
-            Topic("t", np.array([1, 2]))
+            make_topic(np.array([1, 2]), "t")
 
     @pytest.mark.parametrize("labels", [[0.5, 1.0, 1.7], [1.0, 1.7], [np.nan, 1]],
                              ids=["half", "fraction-above-one", "nan"])
     def test_non_integer_labels_rejected_not_truncated(self, labels):
         with pytest.raises(ValueError, match="topic 't': labels must be binary"):
-            Topic("t", labels)
+            make_topic(labels, "t")
 
     @pytest.mark.parametrize("labels", [np.array([True, False, True]),
                                         np.array([1, 0, 1], dtype=np.uint8),
                                         np.array([1.0, 0.0, 1.0])],
                              ids=["bool", "uint8", "float"])
     def test_binary_labels_of_any_dtype_become_int64(self, labels):
-        topic = Topic("t", labels)
+        topic = Collection(("t",), [0, 3], labels)
         assert topic.labels.dtype == np.int64
         assert topic.labels.tolist() == [1, 0, 1]
 
     def test_empty_ranking(self):
         with pytest.raises(ValueError, match="empty"):
-            Topic("t", np.array([], dtype=np.int64))
+            make_topic(np.array([], dtype=np.int64), "t")
+
+    # one check runs over every topic's labels at once, so the topic it names
+    # comes from the bounds: a bad label on a topic's first or last rank, or
+    # an empty topic, in the first, a middle or the last topic
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("ranking, problem", [([], "empty ranking"),
+                                                  ([2, 1], "labels must be binary"),
+                                                  ([1, 0, 0.5], "labels must be binary")],
+                             ids=["empty", "bad-first-rank", "bad-last-rank"])
+    def test_error_names_the_topic_that_holds_it(self, position, ranking, problem):
+        rankings = [[1, 0], [0, 1, 1], [1]]
+        rankings[position] = ranking
+        with pytest.raises(ValueError, match=f"^topic 't{position}': {problem}$"):
+            make_collection(*rankings)
+
+    def test_first_topic_with_a_problem_is_named(self):
+        with pytest.raises(ValueError, match="^topic 't1': empty ranking$"):
+            make_collection([1], [], [2])
+        with pytest.raises(ValueError, match="^topic 't1': labels must be binary$"):
+            make_collection([1], [0, 2], [], [3])
+
+    @pytest.mark.parametrize("bounds", [[0, 2], [1, 3], [0, 3, 3], [0]])
+    def test_bounds_must_span_the_labels(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            Collection(("a",), bounds, [1, 0, 1])
 
 
 class TestRunningCount:
     def test_values_per_topic(self):
-        topics = [make_topic([0, 1, 1, 0, 1], "a"), make_topic([1], "b"), make_topic([0, 1], "c")]
-        gain, bounds = running_count(topics)
+        rankings = [[0, 1, 1, 0, 1], [1], [0, 1]]
+        topics = Collection.of(["a", "b", "c"], rankings)
+        gain, bounds = topics.gain, topics.bounds
         assert gain.tolist() == [0, 0, 1, 2, 2, 3, 4, 4, 5]
         assert bounds.tolist() == [0, 5, 6, 8]
-        for k, topic in enumerate(topics):
+        for k, labels in enumerate(rankings):
             own = gain[bounds[k]:bounds[k + 1] + 1] - gain[bounds[k]]
-            assert own.tolist() == prefix_count(topic).tolist()
+            assert own.tolist() == prefix_count(labels).tolist()
         assert gain.dtype == bounds.dtype == np.int64
 
     def test_no_topics(self):
-        gain, bounds = running_count([])
-        assert gain.tolist() == [0]
-        assert bounds.tolist() == [0]
+        topics = make_collection()
+        assert topics.gain.tolist() == [0]
+        assert topics.bounds.tolist() == [0]
 
 
 class TestBatchTopic:
     def test_even_split_counts(self):
         # hand prefix-count over pairs: (1,1) (0,0) (1,0) (0,0) (1,0)
-        bt = batch_topic(make_topic([1, 1, 0, 0, 1, 0, 0, 0, 1, 0]), 5)
-        assert bt.batch_sizes.tolist() == [2, 2, 2, 2, 2]
-        assert bt.batch_rel.tolist() == [2, 0, 1, 0, 1]
-        assert bt.cum_rel.tolist() == [2, 2, 3, 3, 4]
+        bt = make_topic([1, 1, 0, 0, 1, 0, 0, 0, 1, 0]).batched(5)
+        assert bt.sizes.tolist() == [[2, 2, 2, 2, 2]]
+        assert bt.batch_rel.tolist() == [[2, 0, 1, 0, 1]]
+        assert bt.cum_rel.tolist() == [[2, 2, 3, 3, 4]]
 
     def test_remainder_goes_to_earliest_batches(self):
-        bt = batch_topic(make_topic([0] * 9 + [1]), 3)
-        assert bt.batch_sizes.tolist() == [4, 3, 3]
+        bt = make_topic([0] * 9 + [1]).batched(3)
+        assert bt.sizes.tolist() == [[4, 3, 3]]
 
     def test_short_topic_gets_empty_trailing_batches(self, caplog):
         labels = np.zeros(50, dtype=int)
         labels[[3, 20, 41]] = 1
         with caplog.at_level("DEBUG"):
-            bt = batch_topic(make_topic(labels), 100)
+            bt = make_topic(labels).batched(100)
         assert caplog.records == []
-        assert bt.batch_sizes.tolist() == [1] * 50 + [0] * 50
-        assert bt.batch_rel.tolist() == labels.tolist() + [0] * 50
-        assert (bt.cum_rel[49:] == 3).all()
-        assert all(bt.target_batch(t) <= 50 for t in (0.5, 0.9, 1.0))
-        assert bt.target_batch(1.0) == 42
+        assert bt.sizes.tolist() == [[1] * 50 + [0] * 50]
+        assert bt.batch_rel.tolist() == [labels.tolist() + [0] * 50]
+        assert (bt.cum_rel[0, 49:] == 3).all()
+        assert all(bt.target_batch(t)[0] <= 50 for t in (0.5, 0.9, 1.0))
+        assert bt.target_batch(1.0).tolist() == [42]
 
     def test_single_batch(self):
-        bt = batch_topic(make_topic([1, 0, 1]), 1)
-        assert bt.batch_sizes.tolist() == [3]
-        assert bt.batch_rel.tolist() == [2]
+        bt = make_topic([1, 0, 1]).batched(1)
+        assert bt.sizes.tolist() == [[3]]
+        assert bt.batch_rel.tolist() == [[2]]
 
     def test_invalid_batch_count(self):
         with pytest.raises(ConfigError):
-            batch_topic(make_topic([1]), 0)
+            make_topic([1]).batched(0)
 
 
-def per_topic_split(topic, n_batches):
-    """Reference for ``batch_topics``: one topic split by itself, its
-    counts read from the topic's own running count."""
-    base, extra = divmod(topic.n_docs, n_batches)
+def per_topic_split(labels, n_batches):
+    """Reference for ``Collection.batched``: one topic's labels split by
+    themselves, their counts read from their own running count."""
+    base, extra = divmod(len(labels), n_batches)
     sizes = np.full(n_batches, base, dtype=np.int64)
     sizes[:extra] += 1
-    cum_rel = prefix_count(topic)[np.cumsum(sizes)]
+    cum_rel = prefix_count(labels)[np.cumsum(sizes)]
     return sizes, np.diff(cum_rel, prepend=0), cum_rel
 
 
 @st.composite
 def batched_collections(draw):
-    """A batch count and 1-6 topics of lengths below, at and above it."""
+    """A batch count and the labels of 1-6 topics of lengths below, at and above it."""
     n_batches = draw(st.integers(1, 12))
     length = st.one_of(st.just(1), st.just(n_batches), st.integers(1, 3 * n_batches + 2))
     labels = length.flatmap(lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    topics = draw(st.lists(labels, min_size=1, max_size=6))
-    return n_batches, [make_topic(ls, f"t{k}") for k, ls in enumerate(topics)]
+    return n_batches, draw(st.lists(labels, min_size=1, max_size=6))
 
 
 class TestBatchTopics:
     @given(collection=batched_collections())
     def test_matches_per_topic_split(self, collection):
-        n_batches, topics = collection
-        batched = batch_topics(topics, n_batches)
-        assert len(batched) == len(topics)
-        for bt, topic in zip(batched, topics):
-            assert bt.topic is topic
-            got = (bt.batch_sizes, bt.batch_rel, bt.cum_rel)
-            for array, expected in zip(got, per_topic_split(topic, n_batches)):
-                assert array.dtype == np.int64
+        n_batches, rankings = collection
+        topics = make_collection(*rankings)
+        batched = topics.batched(n_batches)
+        assert batched.collection is topics
+        assert len(batched) == len(rankings)
+        for arrays in (batched.sizes, batched.batch_rel, batched.cum_rel):
+            assert arrays.dtype == np.int64
+            assert arrays.shape == (len(rankings), n_batches)
+        for k, labels in enumerate(rankings):
+            got = (batched.sizes[k], batched.batch_rel[k], batched.cum_rel[k])
+            for array, expected in zip(got, per_topic_split(labels, n_batches)):
                 assert array.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("n_batches", [0, -3])
     def test_invalid_batch_count(self, n_batches):
         with pytest.raises(ConfigError, match="batch count must be >= 1"):
-            batch_topics([make_topic([1, 0])], n_batches)
+            make_topic([1, 0]).batched(n_batches)
 
     def test_no_topics(self):
-        assert batch_topics([], 5) == []
+        batched = make_collection().batched(5)
+        assert len(batched) == 0
+        assert batched.sizes.shape == batched.cum_rel.shape == (0, 5)
+        assert batched.target_batch(0.9).tolist() == []
 
 
 def scan_target_batch(cum_rel, n_relevant, target):
@@ -395,43 +422,72 @@ def scan_target_batch(cum_rel, n_relevant, target):
     raise AssertionError("target never reached")
 
 
+class TestCollection:
+    @given(collection=batched_collections(), target=st.floats(0.05, 1.0))
+    def test_every_figure_equals_plain_numpy_per_topic(self, collection, target):
+        # ragged topics, some shorter than the batch count, each against its
+        # own block of labels alone
+        n_batches, rankings = collection
+        topics = make_collection(*rankings)
+        batched = topics.batched(n_batches)
+        assert topics.n_docs.tolist() == [len(labels) for labels in rankings]
+        assert topics.n_relevant.tolist() == [sum(labels) for labels in rankings]
+        for k, labels in enumerate(rankings):
+            start, stop = topics.bounds[k], topics.bounds[k + 1]
+            assert (topics.gain[start:stop + 1] - topics.gain[start]).tolist() == prefix_count(labels).tolist()
+            expected = per_topic_split(labels, n_batches)
+            assert batched.sizes[k].tolist() == expected[0].tolist()
+            assert batched.cum_rel[k].tolist() == expected[2].tolist()
+        judged = [labels for labels in rankings if sum(labels)]
+        if judged:
+            assert make_collection(*judged).batched(n_batches).target_batch(target).tolist() == [
+                scan_target_batch(per_topic_split(labels, n_batches)[2], sum(labels), target)
+                for labels in judged]
+
+    def test_target_batch_on_topics_end_to_end(self):
+        # the second topic's search starts where the first's batch ends stop
+        batched = make_collection([1, 1, 0, 0], [0, 0, 0, 1], [1]).batched(2)
+        assert batched.target_batch(1.0).tolist() == [1, 2, 1]
+        assert batched.target_batch(0.5).tolist() == [1, 2, 1]
+
+
 class TestTargetBatch:
     def test_linear_scan_example(self):
         # batch_rel [2,1,0,1,1], R=5, target 0.8 -> need 4, cum [2,3,3,4,5] -> batch 4
         labels = [1, 1, 1, 0, 0, 0, 1, 0, 1, 0]
-        bt = batch_topic(make_topic(labels), 5)
-        assert bt.batch_rel.tolist() == [2, 1, 0, 1, 1]
-        expected = scan_target_batch(bt.cum_rel, 5, 0.8)
+        bt = make_topic(labels).batched(5)
+        assert bt.batch_rel.tolist() == [[2, 1, 0, 1, 1]]
+        expected = scan_target_batch(bt.cum_rel[0], 5, 0.8)
         assert expected == 4
-        assert bt.target_batch(0.8) == 4
+        assert bt.target_batch(0.8).tolist() == [4]
 
     def test_full_recall_is_last_relevant_batch(self):
         labels = np.zeros(10, dtype=int)
         labels[0] = 1
         labels[6] = 1  # batch 7 of 10 single-doc batches
-        bt = batch_topic(make_topic(labels), 10)
-        assert bt.target_batch(1.0) == 7
+        bt = make_topic(labels).batched(10)
+        assert bt.target_batch(1.0).tolist() == [7]
 
     def test_unattainable_target_overshoots(self):
         # 9 relevant docs, target 0.8: 7.2 relevant are needed, so the first
         # batch with 8 found is the answer.
         labels = [1] * 9 + [0]
-        bt = batch_topic(make_topic(labels), 10)
-        assert bt.cum_rel[bt.target_batch(0.8) - 1] == 8
+        bt = make_topic(labels).batched(10)
+        assert bt.cum_rel[0, bt.target_batch(0.8)[0] - 1] == 8
 
     def test_decimal_target_not_lost_to_float_noise(self):
         # 0.9 * 10 must hit exactly 9, not demand a 10th document
         labels = [1] * 10
-        bt = batch_topic(make_topic(labels), 10)
-        assert bt.target_batch(0.9) == 9
+        bt = make_topic(labels).batched(10)
+        assert bt.target_batch(0.9).tolist() == [9]
 
     def test_zero_relevant_is_undefined(self):
-        bt = batch_topic(make_topic([0, 0]), 2)
+        bt = make_topic([0, 0]).batched(2)
         with pytest.raises(ValueError, match="undefined"):
             bt.target_batch(0.9)
 
     def test_invalid_target(self):
-        bt = batch_topic(make_topic([1, 0]), 2)
+        bt = make_topic([1, 0]).batched(2)
         with pytest.raises(ConfigError):
             bt.target_batch(0.0)
         with pytest.raises(ConfigError):
@@ -445,7 +501,7 @@ class TestFirstReachingTargets:
     @given(labels=labels_strategy.filter(lambda ls: sum(ls) > 0),
            targets=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
     def test_array_of_targets_is_each_target_searched_alone(self, labels, targets):
-        gain = prefix_count(make_topic(labels))
+        gain = prefix_count(labels)
         ranks = first_reaching(gain, 0, sum(labels), np.array(targets))
         assert ranks.dtype == np.int64
         assert ranks.tolist() == [first_reaching(gain, 0, sum(labels), t) for t in targets]
@@ -454,26 +510,25 @@ class TestFirstReachingTargets:
            target=st.one_of(st.sampled_from([1e-10, 1 / 3, 0.9, 1.0]), st.floats(0.01, 1.0)))
     def test_collection_form_is_each_topic_searched_alone(self, topics, target):
         # the search over every topic's count, end to end, stays inside each topic
-        topics = [make_topic(labels, f"t{k}") for k, labels in enumerate(topics)]
-        gain, bounds = running_count(topics)
-        n_relevant = gain[bounds[1:]] - gain[bounds[:-1]]
-        ranks = first_reaching(gain, bounds[:-1], n_relevant, target)
-        alone = [first_reaching(prefix_count(t), 0, t.n_relevant, target) for t in topics]
+        collection = make_collection(*topics)
+        gain, bounds = collection.gain, collection.bounds
+        ranks = first_reaching(gain, bounds[:-1], collection.n_relevant, target)
+        alone = [first_reaching(prefix_count(labels), 0, sum(labels), target) for labels in topics]
         assert ranks.tolist() == alone
-        assert all(1 <= rank <= t.n_docs for rank, t in zip(alone, topics))
+        assert all(1 <= rank <= len(labels) for rank, labels in zip(alone, topics))
 
     def test_tiny_target_needs_one_relevant_document(self):
-        gain = prefix_count(make_topic([0, 0, 1, 1]))
+        gain = prefix_count([0, 0, 1, 1])
         assert first_reaching(gain, 0, 2, 1e-10) == 3
         assert first_reaching(gain, 0, 2, np.array([1e-12, 0.5, 1.0])).tolist() == [3, 3, 4]
 
     def test_array_checks_every_target(self):
-        gain = prefix_count(make_topic([1, 0, 1]))
+        gain = prefix_count([1, 0, 1])
         with pytest.raises(ConfigError, match="got 1.5"):
             first_reaching(gain, 0, 2, np.array([0.5, 1.5]))
 
     def test_array_on_topic_without_relevant_is_undefined(self):
-        gain = prefix_count(make_topic([0, 0]))
+        gain = prefix_count([0, 0])
         with pytest.raises(ValueError, match="undefined"):
             first_reaching(gain, 0, 0, np.array([0.5, 0.9]))
 
@@ -481,25 +536,25 @@ class TestFirstReachingTargets:
 class TestBatchingProperties:
     @given(labels=labels_strategy, n_batches=st.integers(1, 70))
     def test_round_trip_relevant_count(self, labels, n_batches):
-        bt = batch_topic(make_topic(labels), n_batches)
+        bt = make_topic(labels).batched(n_batches)
         assert int(bt.batch_rel.sum()) == sum(labels)
-        assert int(bt.cum_rel[-1]) == sum(labels)
+        assert int(bt.cum_rel[0, -1]) == sum(labels)
 
     @given(labels=labels_strategy, n_batches=st.integers(1, 70))
     def test_counts_equal_batch_slice_sums(self, labels, n_batches):
-        bt = batch_topic(make_topic(labels), n_batches)
-        ends = list(accumulate(bt.batch_sizes.tolist()))
+        bt = make_topic(labels).batched(n_batches)
+        ends = list(accumulate(bt.sizes[0].tolist()))
         sums = [sum(labels[start:end]) for start, end in zip([0, *ends], ends)]
-        assert bt.batch_rel.tolist() == sums
-        assert bt.cum_rel.tolist() == list(accumulate(sums))
+        assert bt.batch_rel[0].tolist() == sums
+        assert bt.cum_rel[0].tolist() == list(accumulate(sums))
         assert bt.batch_rel.dtype == bt.cum_rel.dtype == np.int64
 
     @given(labels=labels_strategy, n_batches=st.integers(1, 70))
     def test_sizes_differ_by_at_most_one_and_preserve_order(self, labels, n_batches):
         topic = make_topic(labels)
-        bt = batch_topic(topic, n_batches)
-        sizes = bt.batch_sizes
-        assert int(sizes.sum()) == topic.n_docs
+        bt = topic.batched(n_batches)
+        sizes = bt.sizes[0]
+        assert int(sizes.sum()) == len(labels)
         assert int(sizes.max() - sizes.min()) <= 1
         # concatenation of batch slices reproduces the labels in rank order
         ends = np.cumsum(sizes)
@@ -515,9 +570,9 @@ class TestBatchingProperties:
         t2=st.floats(0.05, 1.0),
     )
     def test_target_batch_monotone_in_target(self, labels, n_batches, t1, t2):
-        bt = batch_topic(make_topic(labels), n_batches)
+        bt = make_topic(labels).batched(n_batches)
         lo, hi = min(t1, t2), max(t1, t2)
-        assert bt.target_batch(lo) <= bt.target_batch(hi)
+        assert bt.target_batch(lo)[0] <= bt.target_batch(hi)[0]
 
     @given(
         labels=labels_strategy.filter(lambda ls: sum(ls) > 0),
@@ -525,12 +580,12 @@ class TestBatchingProperties:
         target=st.floats(0.05, 1.0),
     )
     def test_target_batch_equals_linear_scan(self, labels, n_batches, target):
-        bt = batch_topic(make_topic(labels), n_batches)
-        assert bt.target_batch(target) == scan_target_batch(bt.cum_rel, sum(labels), target)
+        topic = make_topic(labels)
+        bt = topic.batched(n_batches)
+        assert bt.target_batch(target)[0] == scan_target_batch(bt.cum_rel[0], sum(labels), target)
         # the unbatched oracle rank follows the same rule over per-document counts
-        topic = bt.topic
-        assert optimal_stop_rank(topic, target) == scan_target_batch(
-            np.cumsum(topic.labels), sum(labels), target
+        assert first_reaching(topic.gain, 0, sum(labels), target) == scan_target_batch(
+            np.cumsum(labels), sum(labels), target
         )
 
 
@@ -538,21 +593,19 @@ class TestSynthTopics:
     def test_deterministic_per_seed(self, tmp_path):
         a = synth_topics(3, 50, 0.2, 10.0, seed=9)
         b = synth_topics(3, 50, 0.2, 10.0, seed=9)
-        assert [t.topic_id for t in a] == [t.topic_id for t in b] == [
-            "synth-0000", "synth-0001", "synth-0002"]
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.labels, tb.labels)
+        assert a.topic_ids == b.topic_ids == ("synth-0000", "synth-0001", "synth-0002")
+        assert np.array_equal(a.bounds, b.bounds)
+        assert np.array_equal(a.labels, b.labels)
         write_run_file(tmp_path / "x.run", a)
         assert_generated_doc_ids(tmp_path / "x.run", a)
 
     def test_seed_changes_output(self):
         a = synth_topics(3, 200, 0.2, 10.0, seed=1)
         b = synth_topics(3, 200, 0.2, 10.0, seed=2)
-        assert any(not np.array_equal(ta.labels, tb.labels) for ta, tb in zip(a, b))
+        assert any(not np.array_equal(la, lb) for la, lb in zip(topic_labels(a), topic_labels(b)))
 
     def test_every_topic_has_a_relevant_document(self):
-        for topic in synth_topics(20, 30, 0.05, 5.0, seed=3):
-            assert topic.n_relevant >= 1
+        assert (synth_topics(20, 30, 0.05, 5.0, seed=3).n_relevant >= 1).all()
 
     def test_probabilities_sum_to_expected_count(self):
         probs = rank_relevance_probs(1000, 0.05, 120.0)
@@ -566,7 +619,7 @@ class TestSynthTopics:
     def test_mean_relevant_count_matches_expectation(self):
         probs = rank_relevance_probs(1000, 0.05, 150.0)
         topics = synth_topics(1000, 1000, 0.05, 150.0, seed=4)
-        mean_r = np.mean([t.n_relevant for t in topics])
+        mean_r = np.mean(topics.n_relevant)
         se = np.sqrt((probs * (1 - probs)).sum() / len(topics))
         assert abs(mean_r - 50.0) <= 3.0 * se
 
@@ -588,7 +641,8 @@ ID = st.text(alphabet="abXY019-_.#:\u00e9", min_size=1, max_size=6)
 
 def assert_generated_doc_ids(run_path, topics):
     """The run file's doc-id column reads ``<topic>-d<rank:06d>`` in rank order."""
-    expected = [f"{t.topic_id}-d{r:06d}" for t in topics for r in range(1, t.n_docs + 1)]
+    expected = [f"{topic_id}-d{r:06d}" for topic_id, n in zip(topics.topic_ids, topics.n_docs)
+                for r in range(1, n + 1)]
     assert [line.split()[2] for line in run_path.read_text().splitlines()] == expected
 
 
@@ -619,9 +673,9 @@ class TestFileRoundTrip:
             for doc, label in zip(docs, labels)
         )
         rebuilt = assemble_topics(parse_run(run_text), parse_qrels(qrels_text))
-        assert [t.topic_id for t in rebuilt] == list(topics)
-        for parsed, (_, labels) in zip(rebuilt, topics.values()):
-            assert parsed.labels.tolist() == labels
+        assert rebuilt.topic_ids == tuple(topics)
+        for parsed, (_, labels) in zip(topic_labels(rebuilt), topics.values()):
+            assert parsed.tolist() == labels
 
     def test_synthetic_dump_reparses_identically(self, tmp_path):
         topics = synth_topics(4, 40, 0.2, 8.0, seed=5)
@@ -632,8 +686,7 @@ class TestFileRoundTrip:
         rebuilt = assemble_topics(
             parse_run(run_path.read_text()), parse_qrels(qrels_path.read_text())
         )
-        assert len(rebuilt) == len(topics)
-        for original, parsed in zip(topics, rebuilt):
-            assert parsed.topic_id == original.topic_id
-            assert np.array_equal(parsed.labels, original.labels)
+        assert rebuilt.topic_ids == topics.topic_ids
+        assert np.array_equal(rebuilt.bounds, topics.bounds)
+        assert np.array_equal(rebuilt.labels, topics.labels)
         assert_generated_doc_ids(run_path, topics)

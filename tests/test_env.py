@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_topic
-from tarstop.corpus import batch_topic
+from conftest import make_collection, make_topic
 from tarstop.env import CONTINUE, STOP, VecStoppingEnv, observation_table, observe, reward
 from tarstop.errors import ConfigError
 
@@ -65,12 +64,12 @@ def four_batch_topic(first_batch_relevant=2):
     for i in range(first_batch_relevant):
         labels[i] = 1
     labels[-1] = 1  # keeps the target definable
-    return batch_topic(make_topic(labels), 4)
+    return make_topic(labels).batched(4)
 
 
 def one_topic_env(bt, target_recall, normalize="ratio"):
     """A single slot over a one-topic pool: every episode reads ``bt``."""
-    return VecStoppingEnv([bt], target_recall, n_envs=1, seed=0, normalize=normalize)
+    return VecStoppingEnv(bt, target_recall, n_envs=1, seed=0, normalize=normalize)
 
 
 def run_episode(env, stop_at):
@@ -107,9 +106,9 @@ class TestStoppingEnv:
     @pytest.mark.parametrize("normalize", ["ratio", "count"])
     def test_empty_batch_observes_zero(self, normalize):
         # 3 documents in 5 batches: batches 4 and 5 hold none
-        bt = batch_topic(make_topic([0, 1, 1]), 5)
-        assert bt.batch_sizes.tolist() == [1, 1, 1, 0, 0]
-        table = observation_table([bt], normalize)
+        bt = make_topic([0, 1, 1]).batched(5)
+        assert bt.sizes.tolist() == [[1, 1, 1, 0, 0]]
+        table = observation_table(bt, normalize)
         assert table.tolist() == [[0.0, 1.0, 1.0, 0.0, 0.0]]
         assert observe(table, np.array([0]), np.array([4])).tolist() == [[0.0, 1.0, 1.0, 0.0, -1.0]]
 
@@ -117,13 +116,13 @@ class TestStoppingEnv:
         with pytest.raises(ConfigError):
             one_topic_env(four_batch_topic(), 1.0, normalize="z-score")
         with pytest.raises(ConfigError):
-            observation_table([four_batch_topic()], "z-score")
+            observation_table(four_batch_topic(), "z-score")
 
     def test_continue_credits_current_state(self):
         # T=2 with B=4: relevant in batches 1 and 2 only, target 1.0
-        bt = batch_topic(make_topic([1, 0, 0, 1, 0, 0, 0, 0]), 4)
+        bt = make_topic([1, 0, 0, 1, 0, 0, 0, 0]).batched(4)
         env = one_topic_env(bt, 1.0)
-        assert bt.target_batch(1.0) == 2
+        assert bt.target_batch(1.0).tolist() == [2]
         obs, r, done, _ = env.step([CONTINUE])
         assert r[0] == 0.5  # reward of the state acted in, 1 - 1/2
         assert not done[0]
@@ -136,7 +135,7 @@ class TestStoppingEnv:
         before = env.step([CONTINUE])[0]
         obs, r, done, infos = env.step([STOP])
         assert done[0]
-        assert r[0] == reward(3, four_batch_topic(1).target_batch(1.0), 4)
+        assert r[0] == reward(3, four_batch_topic(1).target_batch(1.0)[0], 4)
         assert infos[0]["stop_batch"] == 3
         # STOP reveals nothing: the stop point reproduces the observation acted on
         assert np.array_equal(observe(env.table, np.array([0]), np.array([3])), before)
@@ -151,7 +150,7 @@ class TestStoppingEnv:
         assert env.examined[0] == 4
         _, r, done, infos = env.step([CONTINUE])
         assert done[0]  # CONTINUE at the final batch still ends the episode
-        assert r[0] == reward(4, four_batch_topic(1).target_batch(1.0), 4)
+        assert r[0] == reward(4, four_batch_topic(1).target_batch(1.0)[0], 4)
         assert infos[0]["stop_batch"] == 4
 
     def test_invalid_action(self):
@@ -164,7 +163,7 @@ class TestStoppingEnv:
         # accrues sum over i of (1 - i/B) = (B - 1) / 2
         n_batches = 8
         labels = [0] * (n_batches - 1) + [1]
-        env = one_topic_env(batch_topic(make_topic(labels), n_batches), 1.0)
+        env = one_topic_env(make_topic(labels).batched(n_batches), 1.0)
         total, info = run_episode(env, stop_at=n_batches + 1)
         assert abs(total - (n_batches - 1) / 2) < 1e-12
         assert abs(info["episode_reward"] - (n_batches - 1) / 2) < 1e-12
@@ -175,19 +174,18 @@ class TestStoppingEnv:
             labels = (rng.random(n_docs) < 0.3).astype(int)
             if labels.sum() == 0:
                 labels[int(rng.integers(n_docs))] = 1
-            bt = batch_topic(make_topic(labels), int(rng.integers(1, n_docs + 1)))
+            bt = make_topic(labels).batched(int(rng.integers(1, n_docs + 1)))
             env = one_topic_env(bt, 0.8)
             total, info = run_episode(env, stop_at=int(rng.integers(1, bt.n_batches + 1)))
             stop = info["stop_batch"]
-            direct = sum(reward(i, bt.target_batch(0.8), bt.n_batches) for i in range(1, stop + 1))
+            direct = sum(reward(i, bt.target_batch(0.8)[0], bt.n_batches) for i in range(1, stop + 1))
             assert abs(total - direct) < 1e-12
             assert abs(info["episode_reward"] - direct) < 1e-12
 
     def test_observation_prefix_property(self, rng):
         labels = (rng.random(60) < 0.4).astype(int)
         labels[0] = 1
-        bt = batch_topic(make_topic(labels), 12)
-        env = one_topic_env(bt, 1.0)
+        env = one_topic_env(make_topic(labels).batched(12), 1.0)
         obs = env.current_obs()[0]
         for k in range(1, 13):
             revealed = obs != -1.0
@@ -207,13 +205,13 @@ class TestOptimalStopProperty:
 
 
 def small_pool(rng, n_topics=5, n_docs=30, n_batches=6):
-    pool = []
+    rankings = []
     for _ in range(n_topics):
         labels = (rng.random(n_docs) < 0.4).astype(int)
         if labels.sum() == 0:
             labels[0] = 1
-        pool.append(batch_topic(make_topic(labels, topic_id=f"p{_}"), n_batches))
-    return pool
+        rankings.append(labels)
+    return make_collection(*rankings).batched(n_batches)
 
 
 class TestVecStoppingEnv:
@@ -231,26 +229,26 @@ class TestVecStoppingEnv:
         seen = []
         for _ in range(2):
             venv = VecStoppingEnv(pool, 0.9, n_envs=3, seed=42)
-            ids = [pool[i].topic.topic_id for i in venv.topic_idx]
+            ids = [pool.collection.topic_ids[i] for i in venv.topic_idx]
             for _ in range(20):
                 _, _, _, infos = venv.step([STOP] * 3)
-                ids.extend(pool[i].topic.topic_id for i in venv.topic_idx)
+                assert [info["topic_id"] for info in infos] == ids[-3:]
+                ids.extend(pool.collection.topic_ids[i] for i in venv.topic_idx)
             seen.append(ids)
         assert seen[0] == seen[1]
         # one scalar draw per slot, in slot order, from the seeded stream
         reference = np.random.default_rng(42)
-        expected = [pool[int(reference.integers(len(pool)))].topic.topic_id for _ in range(63)]
+        expected = [pool.collection.topic_ids[int(reference.integers(len(pool)))] for _ in range(63)]
         assert seen[0] == expected
 
     def test_single_env_matches_plain_stepping(self, rng):
-        pool = small_pool(rng, n_topics=1)
-        bt = pool[0]
-        venv = VecStoppingEnv(pool, 0.9, n_envs=1, seed=0)
-        target = bt.target_batch(0.9)
+        bt = small_pool(rng, n_topics=1)
+        venv = VecStoppingEnv(bt, 0.9, n_envs=1, seed=0)
+        target = bt.target_batch(0.9)[0]
         for examined in range(1, bt.n_batches):
             expected = [-1.0] * bt.n_batches
             for j in range(examined):
-                expected[j] = bt.batch_rel[j] / bt.batch_sizes[j]
+                expected[j] = bt.batch_rel[0, j] / bt.sizes[0, j]
             assert venv.current_obs()[0].tolist() == expected
             _, r, done, _ = venv.step([CONTINUE])
             assert r[0] == reward(examined, target, bt.n_batches)
@@ -270,10 +268,4 @@ class TestVecStoppingEnv:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
-            VecStoppingEnv([], 0.9, n_envs=1, seed=0)
-
-    def test_mixed_widths_rejected(self, rng):
-        pool = small_pool(rng, n_topics=2, n_batches=6)
-        pool.append(batch_topic(make_topic([1, 0, 1, 0]), 2))
-        with pytest.raises(ConfigError, match="batch count"):
-            VecStoppingEnv(pool, 0.9, n_envs=1, seed=0)
+            VecStoppingEnv(make_collection().batched(6), 0.9, n_envs=1, seed=0)

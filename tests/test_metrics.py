@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_topic, prefix_count
+from conftest import make_topic, oracle_rank, prefix_count, topic_labels, topic_metrics
 from test_baselines import topic_collections
 from tarstop.baselines import oracle_stop
 from tarstop.corpus import synth_topics
 from tarstop.errors import ConfigError, ParseError
 from tarstop.metrics import (
     StopResult,
-    _topic_metrics,
     aggregate,
-    optimal_stop_rank,
     read_results_csv,
     write_aggregate_csv,
     write_per_topic_csv,
@@ -27,50 +25,50 @@ def result(topic_id, docs, found, method="m", target=0.9, stop_batch=None):
 class TestPointMetrics:
     def test_recall(self):
         topic = make_topic([0, 1, 1, 1, 1, 0, 0, 0, 0, 1])
-        assert _topic_metrics(result("t1", 8, 4), topic).recall == 0.8
-        assert _topic_metrics(result("t1", 10, 5), topic).recall == 1.0
-        assert _topic_metrics(result("t1", 1, 0), topic).recall == 0.0
+        assert topic_metrics(result("t1", 8, 4), topic).recall == 0.8
+        assert topic_metrics(result("t1", 10, 5), topic).recall == 1.0
+        assert topic_metrics(result("t1", 1, 0), topic).recall == 0.0
 
     def test_cost(self):
         topic = make_topic([1] + [0] * 999)
-        assert _topic_metrics(result("t1", 50, 1), topic).cost == 0.05
-        assert _topic_metrics(result("t1", 1000, 1), topic).cost == 1.0
-        assert _topic_metrics(result("t1", 10, 1), topic).cost == 0.01
+        assert topic_metrics(result("t1", 50, 1), topic).cost == 0.05
+        assert topic_metrics(result("t1", 1000, 1), topic).cost == 1.0
+        assert topic_metrics(result("t1", 10, 1), topic).cost == 0.01
 
     def test_bounds_are_enforced(self):
         topic = make_topic([1, 0])
         with pytest.raises(ValueError, match="docs_examined"):
-            _topic_metrics(result("t1", 3, 1), topic)
+            topic_metrics(result("t1", 3, 1), topic)
         with pytest.raises(ValueError, match="relevant_found"):
-            _topic_metrics(result("t1", 2, 5), topic)
+            topic_metrics(result("t1", 2, 5), topic)
         with pytest.raises(ValueError, match="t2"):
-            _topic_metrics(result("t2", 1, 1), topic)
+            topic_metrics(result("t2", 1, 1), topic)
 
     def test_excess_direct_values(self):
         # relevant doc at rank 2 of 10 with target 1.0: optimal cost is 0.2
         topic = make_topic([0, 1] + [0] * 8)
-        assert optimal_stop_rank(topic, 1.0) == 2
-        assert abs(_topic_metrics(result("t1", 5, 1), topic, 1.0).excess - 0.375) < 1e-12
-        assert abs(_topic_metrics(result("t1", 1, 0), topic, 1.0).excess - (-0.125)) < 1e-12
+        assert oracle_rank(topic.labels, 1.0) == 2
+        assert abs(topic_metrics(result("t1", 5, 1), topic, 1.0).excess - 0.375) < 1e-12
+        assert abs(topic_metrics(result("t1", 1, 0), topic, 1.0).excess - (-0.125)) < 1e-12
 
     def test_excess_zero_for_oracle(self):
         topic = make_topic([0, 1, 0, 1, 1, 0])
-        oracle, = oracle_stop([topic], [0.9])
-        assert _topic_metrics(oracle, topic, 0.9).excess == 0.0
+        oracle, = oracle_stop(topic, [0.9])
+        assert topic_metrics(oracle, topic, 0.9).excess == 0.0
 
     def test_degenerate_optimal_cost_of_one(self):
         # last doc relevant and target 1.0: the optimal stop is the whole
         # collection, so the ratio convention applies
         topic = make_topic([1, 0, 0, 0, 1])
-        assert _topic_metrics(result("t1", 5, 2), topic, 1.0).excess == 0.0
-        assert abs(_topic_metrics(result("t1", 3, 1), topic, 1.0).excess - (-0.4)) < 1e-12
+        assert topic_metrics(result("t1", 5, 2), topic, 1.0).excess == 0.0
+        assert abs(topic_metrics(result("t1", 3, 1), topic, 1.0).excess - (-0.4)) < 1e-12
 
     def test_resolve_relevant_found_from_labels(self):
         topic = make_topic([1, 0, 1, 0])
-        assert _topic_metrics(result("t1", 3, None), topic).relevant_found == 2
-        assert _topic_metrics(result("t1", 3, 2), topic).relevant_found == 2
+        assert topic_metrics(result("t1", 3, None), topic).relevant_found == 2
+        assert topic_metrics(result("t1", 3, 2), topic).relevant_found == 2
         with pytest.raises(ValueError, match="relevant_found 1, but the first 3 documents hold 2"):
-            _topic_metrics(result("t1", 3, 1), topic)
+            topic_metrics(result("t1", 3, 1), topic)
 
     def test_recall_meets_target_iff_rank_reaches_oracle_rank(self, rng):
         for _ in range(100):
@@ -81,15 +79,15 @@ class TestPointMetrics:
             topic = make_topic(labels)
             target = float(rng.choice([0.5, 0.8, 0.9, 1.0]))
             docs = int(rng.integers(1, n + 1))
-            found = int(prefix_count(topic)[docs])
-            reaches = _topic_metrics(result("t1", docs, found), topic).recall >= target - 1e-9
-            assert reaches == (docs >= optimal_stop_rank(topic, target))
+            found = int(prefix_count(labels)[docs])
+            reaches = topic_metrics(result("t1", docs, found), topic).recall >= target - 1e-9
+            assert reaches == (docs >= oracle_rank(labels, target))
 
 
 class TestAggregate:
     def test_single_topic_means_equal_topic_values(self):
         topic = make_topic([1, 0, 1, 0])
-        report = aggregate([result("t1", 2, 1, target=1.0)], [topic])
+        report = aggregate([result("t1", 2, 1, target=1.0)], topic)
         assert len(report.per_topic) == 1
         summary = report.summaries[0]
         row = report.per_topic[0]
@@ -101,9 +99,11 @@ class TestAggregate:
     def test_oracle_is_pareto_optimal(self):
         topics = synth_topics(5, 40, 0.2, 8.0, seed=1)
         results = []
-        for topic, oracle in zip(topics, oracle_stop(topics, [0.9])):
+        for topic_id, n_docs, n_relevant, oracle in zip(topics.topic_ids, topics.n_docs.tolist(),
+                                                        topics.n_relevant.tolist(),
+                                                        oracle_stop(topics, [0.9])):
             results.append(oracle)
-            results.append(result(topic.topic_id, topic.n_docs, topic.n_relevant, method="exhaustive"))
+            results.append(result(topic_id, n_docs, n_relevant, method="exhaustive"))
         report = aggregate(results, topics)
         flags = {s.method: s.pareto_optimal for s in report.summaries}
         assert flags["oracle"] is True
@@ -114,7 +114,7 @@ class TestAggregate:
             result("t1", 5, 5, method="lean"),
             result("t1", 6, 5, method="wasteful"),  # same recall, higher cost
         ]
-        report = aggregate(results, [topic])
+        report = aggregate(results, topic)
         flags = {s.method: s.pareto_optimal for s in report.summaries}
         assert flags == {"lean": True, "wasteful": False}
 
@@ -124,7 +124,7 @@ class TestAggregate:
             result("t1", 9, 9, method="cheap"),
             result("t1", 10, 10, method="thorough"),
         ]
-        report = aggregate(results, [topic])
+        report = aggregate(results, topic)
         assert all(s.pareto_optimal for s in report.summaries)
 
     def test_pareto_is_per_target(self):
@@ -134,7 +134,7 @@ class TestAggregate:
             result("t1", 6, 5, method="b", target=0.8),
             result("t1", 6, 5, method="b", target=0.9),
         ]
-        report = aggregate(results, [topic])
+        report = aggregate(results, topic)
         flags = {(s.method, s.target_recall): s.pareto_optimal for s in report.summaries}
         assert flags[("b", 0.8)] is False
         assert flags[("b", 0.9)] is True
@@ -142,9 +142,9 @@ class TestAggregate:
     def test_means_match_arithmetic_means(self, rng):
         topics = synth_topics(8, 30, 0.3, 8.0, seed=3)
         results = []
-        for topic in topics:
-            docs = int(rng.integers(1, topic.n_docs + 1))
-            results.append(result(topic.topic_id, docs, int(prefix_count(topic)[docs])))
+        for topic_id, labels in zip(topics.topic_ids, topic_labels(topics)):
+            docs = int(rng.integers(1, len(labels) + 1))
+            results.append(result(topic_id, docs, int(prefix_count(labels)[docs])))
         report = aggregate(results, topics)
         summary = report.summaries[0]
         assert abs(summary.mean_recall - np.mean([r.recall for r in report.per_topic])) < 1e-12
@@ -153,21 +153,22 @@ class TestAggregate:
 
     def test_unknown_topic_rejected(self):
         with pytest.raises(ConfigError, match="unknown topic"):
-            aggregate([result("ghost", 1, 0)], [make_topic([1])])
+            aggregate([result("ghost", 1, 0)], make_topic([1]))
 
     def test_missing_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
-            aggregate([result("t1", 1, 1, target=None)], [make_topic([1])])
+            aggregate([result("t1", 1, 1, target=None)], make_topic([1]))
 
     @settings(max_examples=200, deadline=None)
     @given(collection=topic_collections(), data=st.data())
     def test_oracle_search_equals_the_per_topic_loop(self, collection, data):
         _, topics = collection
-        rows = [result(t.topic_id, docs, int(prefix_count(t)[docs]), method, target)
-                for method in ("a", "b") for target in (1 / 3, 0.9, 1.0) for t in topics
-                for docs in [data.draw(st.integers(1, t.n_docs))]]
+        rows = [result(topic_id, docs, int(prefix_count(labels)[docs]), method, target)
+                for method in ("a", "b") for target in (1 / 3, 0.9, 1.0)
+                for topic_id, labels in zip(topics.topic_ids, topic_labels(topics))
+                for docs in [data.draw(st.integers(1, len(labels)))]]
         optimal_rank = reference_optimal_ranks(rows, topics)
-        n_docs = {t.topic_id: t.n_docs for t in topics}
+        n_docs = dict(zip(topics.topic_ids, topics.n_docs.tolist()))
         expected = {}
         for row, rank in zip(rows, optimal_rank.tolist()):
             optimal_cost, cost = rank / n_docs[row.topic_id], row.docs_examined / n_docs[row.topic_id]
@@ -181,15 +182,15 @@ class TestAggregate:
 def reference_optimal_ranks(results, topics):
     """aggregate's oracle search one topic at a time, over all its rows'
     targets, as a float search of the topic's own prefix count."""
-    index = {t.topic_id: k for k, t in enumerate(topics)}
+    index = {topic_id: k for k, topic_id in enumerate(topics.topic_ids)}
     tix = np.array([index[r.topic_id] for r in results])
     target_key = np.array([r.target_recall for r in results], dtype=float)
     optimal_rank = np.empty(len(results), np.int64)
     for k in np.unique(tix).tolist():
         rows = tix == k
-        topic = topics[k]
+        labels = topic_labels(topics)[k]
         optimal_rank[rows] = np.searchsorted(
-            prefix_count(topic)[1:], target_key[rows] * topic.n_relevant - 1e-9, side="left") + 1
+            prefix_count(labels)[1:], target_key[rows] * labels.sum() - 1e-9, side="left") + 1
     return optimal_rank
 
 
@@ -232,7 +233,7 @@ class TestCsvIO:
         ]
         paths = {name: tmp_path / f"{name}.csv" for name in ("results", "per_topic", "aggregate")}
         write_results_csv(paths["results"], results)
-        report = aggregate([results[0], result("t1", 6, 3, method="ext"), *results[2:]], [topic])
+        report = aggregate([results[0], result("t1", 6, 3, method="ext"), *results[2:]], topic)
         write_per_topic_csv(paths["per_topic"], report)
         write_aggregate_csv(paths["aggregate"], report)
         assert paths["results"].read_bytes() == (
@@ -261,7 +262,7 @@ class TestCsvIO:
 
     def test_report_files_have_fixed_headers(self, tmp_path):
         topic = make_topic([1, 0, 1, 0])
-        report = aggregate([result("t1", 2, 1, target=1.0)], [topic])
+        report = aggregate([result("t1", 2, 1, target=1.0)], topic)
         per_topic = tmp_path / "per_topic.csv"
         agg = tmp_path / "aggregate.csv"
         write_per_topic_csv(per_topic, report)

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_difference, make_topic, max_rel_error
-from tarstop.corpus import batch_topic
+from conftest import finite_difference, make_collection, max_rel_error
 from tarstop.env import NORMALIZE_MODES, observation_table
 from tarstop.nets import (
     MlpParams,
@@ -90,12 +89,12 @@ class TestForward:
     def test_non_finite_input_rejected(self):
         # every network input is a row of an observation table, which is
         # where a non-finite value is rejected
-        batched = batch_topic(make_topic([1, 0, 0, 1, 1, 0]), 3)
+        batched = make_collection([1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0]).batched(3)
         for bad in (np.nan, np.inf):
-            broken = dataclasses.replace(batched, batch_rel=np.array([1.0, bad, 0.0]))
+            broken = dataclasses.replace(batched, cum_rel=np.array([[1, 1, 2], [1.0, bad, 1.0]]))
             for mode in NORMALIZE_MODES:
                 with pytest.raises(ValueError, match="non-finite values in observation table"):
-                    observation_table([batched, broken], mode)
+                    observation_table(broken, mode)
 
     def test_width_mismatch_rejected(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)

@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_topic
-from tarstop.corpus import batch_topic, batch_topics, synth_topics
+from conftest import make_collection, make_topic, topic_metrics
+from tarstop.corpus import Collection, synth_topics
 from tarstop.env import STOP, VecStoppingEnv, observation_table, observe
 from tarstop.cache import entry_path, read_entry
 from tarstop.errors import ConfigError
-from tarstop.metrics import StopResult, _topic_metrics
+from tarstop.metrics import StopResult
 from tarstop import cache, nets, ppo
 from tarstop.nets import HIDDEN_SIZES, MlpParams, adam_init, forward, init_params, joint_params, softmax
 from tarstop.ppo import (
@@ -147,8 +147,7 @@ class TestComputeGae:
 
 
 def small_pool(seed=0, n_topics=6, n_docs=40, n_batches=8):
-    topics = synth_topics(n_topics, n_docs, 0.25, 10.0, seed=seed)
-    return [batch_topic(t, n_batches) for t in topics]
+    return synth_topics(n_topics, n_docs, 0.25, 10.0, seed=seed).batched(n_batches)
 
 
 def fresh_nets(width, seed=0):
@@ -364,7 +363,7 @@ class TestTrain:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError, match="topics"):
-            train([], 0.9, Hyperparams(total_timesteps=100, n_steps=5, n_envs=2))
+            train(make_collection(), 0.9, Hyperparams(total_timesteps=100, n_steps=5, n_envs=2))
 
     def test_too_few_timesteps_rejected(self):
         topics = synth_topics(2, 20, 0.3, 5.0, seed=0)
@@ -376,7 +375,7 @@ class TestTrain:
         # return-optimal stop is batch 10
         labels = np.zeros(100, dtype=int)
         labels[45:50] = 1  # batch 10 covers ranks 46..50
-        topics = [make_topic(labels, topic_id=f"t{k}") for k in range(4)]
+        topics = make_collection(*[labels] * 4)
         hyper = Hyperparams(total_timesteps=24_000, seed=0)
         _, rows = train(topics, 1.0, hyper, n_batches=20)
         tail = [r["mean_stop_batch"] for r in rows[-3:]]
@@ -398,9 +397,9 @@ def per_step_observe_infer(checkpoint, topics, mode="greedy", rng=None):
         live = live[~stop & (examined[live] < checkpoint.n_batches)]
         examined[live] += 1
     return [
-        StopResult(bt.topic.topic_id, "policy", checkpoint.target_recall,
-                   int(bt.batch_sizes[:n].sum()), int(bt.cum_rel[n - 1]), int(n))
-        for bt, n in zip(topics, examined)
+        StopResult(topic_id, "policy", checkpoint.target_recall,
+                   int(topics.sizes[k, :n].sum()), int(topics.cum_rel[k, n - 1]), int(n))
+        for k, (topic_id, n) in enumerate(zip(topics.collection.topic_ids, examined))
     ]
 
 
@@ -410,12 +409,12 @@ def random_policy_collection(seed, n_batches=16, normalize="ratio", count=40):
     rng = np.random.default_rng(seed)
     actor = init_params(rng, (n_batches, *HIDDEN_SIZES, 2), out_gain=1.0)
     critic = init_params(rng, (n_batches, *HIDDEN_SIZES, 1), out_gain=1.0)
-    topics = []
-    for k in range(count):
+    rankings = []
+    for _ in range(count):
         labels = (rng.random(int(rng.integers(1, 3 * n_batches))) < rng.uniform(0.05, 0.5))
-        topics.append(make_topic(labels.astype(int), topic_id=f"r{k}"))
+        rankings.append(labels.astype(int))
     checkpoint = Checkpoint(actor, critic, 0.9, n_batches, normalize, Hyperparams())
-    return checkpoint, batch_topics(topics, n_batches)
+    return checkpoint, Collection.of([f"r{k}" for k in range(count)], rankings).batched(n_batches)
 
 
 class TestInferStop:
@@ -456,37 +455,36 @@ class TestInferStop:
         return Checkpoint(actor, critic, 0.9, width, "ratio", Hyperparams())
 
     def test_always_stop_policy(self):
-        bt = batch_topic(make_topic([1, 0, 1, 0, 1, 0]), 3)
-        [result] = infer_stop(self._checkpoint(3, stop_bias=5.0), [bt])
+        bt = make_topic([1, 0, 1, 0, 1, 0]).batched(3)
+        [result] = infer_stop(self._checkpoint(3, stop_bias=5.0), bt)
         assert result.stop_batch == 1
-        assert result.docs_examined == int(bt.batch_sizes[0])
-        assert result.relevant_found == int(bt.cum_rel[0])
+        assert result.docs_examined == int(bt.sizes[0, 0])
+        assert result.relevant_found == int(bt.cum_rel[0, 0])
 
     def test_never_stop_policy_reads_everything(self):
         topic = make_topic([1, 0, 1, 0, 1, 0])
-        bt = batch_topic(topic, 3)
-        [result] = infer_stop(self._checkpoint(3, stop_bias=-5.0), [bt])
+        [result] = infer_stop(self._checkpoint(3, stop_bias=-5.0), topic.batched(3))
         assert result.stop_batch == 3
-        assert result.docs_examined == topic.n_docs
-        assert _topic_metrics(result, topic).recall == 1.0
-        assert _topic_metrics(result, topic).cost == 1.0
+        assert result.docs_examined == topic.n_docs[0]
+        assert topic_metrics(result, topic).recall == 1.0
+        assert topic_metrics(result, topic).cost == 1.0
 
     def test_greedy_is_deterministic(self):
         topics = synth_topics(1, 60, 0.2, 10.0, seed=0)
         hyper = Hyperparams(total_timesteps=400, n_steps=10, n_envs=4, minibatch_size=40, seed=0)
         ckpt, _ = train(topics, 0.9, hyper, n_batches=6)
-        bt = batch_topic(topics[0], 6)
-        assert infer_stop(ckpt, [bt]) == infer_stop(ckpt, [bt])
+        bt = topics.batched(6)
+        assert infer_stop(ckpt, bt) == infer_stop(ckpt, bt)
 
     def test_sample_mode_is_seeded(self):
-        bt = batch_topic(make_topic([1, 0, 1, 0, 1, 0]), 3)
+        bts = make_collection([1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0]).batched(3)
         ckpt = self._checkpoint(3, stop_bias=0.0)
-        a = infer_stop(ckpt, [bt, bt], mode="sample", rng=np.random.default_rng(5))
-        b = infer_stop(ckpt, [bt, bt], mode="sample", rng=np.random.default_rng(5))
+        a = infer_stop(ckpt, bts, mode="sample", rng=np.random.default_rng(5))
+        b = infer_stop(ckpt, bts, mode="sample", rng=np.random.default_rng(5))
         assert a == b
 
     def test_sample_mode_draws_at_the_last_batch_too(self):
-        bts = batch_topics([make_topic([1, 0, 1, 0, 1]), make_topic([0, 1])], 3)
+        bts = make_collection([1, 0, 1, 0, 1], [0, 1]).batched(3)
         ckpt = self._checkpoint(3, stop_bias=-5.0)
         ours, reference = np.random.default_rng(2), np.random.default_rng(2)
         sampled = infer_stop(ckpt, bts, mode="sample", rng=ours)
@@ -504,36 +502,36 @@ class TestInferStop:
         critic = MlpParams([np.zeros((n_batches, 1))], [np.zeros(1)])
         ckpt = Checkpoint(actor, critic, 0.9, n_batches, "count", Hyperparams())
         rng = np.random.default_rng(3)
-        bts = []
-        for k in range(12):
+        rankings = []
+        for _ in range(12):
             labels = (rng.random(30) < rng.uniform(0.0, 0.5)).astype(int)
             labels[-1] = 1
-            bts.append(batch_topic(make_topic(labels, topic_id=f"m{k}"), n_batches))
+            rankings.append(labels)
+        bts = Collection.of([f"m{k}" for k in range(12)], rankings).batched(n_batches)
 
-        def one_topic(bt):
+        def one_topic(k):
             examined = 1
             while True:
-                obs = [float(c) if j < examined else -1.0 for j, c in enumerate(bt.batch_rel)]
+                obs = [float(c) if j < examined else -1.0 for j, c in enumerate(bts.batch_rel[k])]
                 logits, _ = forward(actor, np.array(obs))
                 if int(np.argmax(logits)) == STOP or examined == n_batches:
-                    return StopResult(bt.topic.topic_id, "policy", 0.9,
-                                      int(bt.batch_sizes[:examined].sum()),
-                                      int(bt.cum_rel[examined - 1]), examined)
+                    return StopResult(f"m{k}", "policy", 0.9, int(bts.sizes[k, :examined].sum()),
+                                      int(bts.cum_rel[k, examined - 1]), examined)
                 examined += 1
 
-        expected = [one_topic(bt) for bt in bts]
+        expected = [one_topic(k) for k in range(12)]
         assert len({r.stop_batch for r in expected}) >= 3  # mixed stop points
         assert infer_stop(ckpt, bts) == expected
 
     def test_width_mismatch_rejected(self):
-        bt = batch_topic(make_topic([1, 0, 1, 0]), 4)
-        with pytest.raises(ConfigError, match="batches"):
-            infer_stop(self._checkpoint(3, 0.0), [bt])
+        bt = make_topic([1, 0, 1, 0]).batched(4)
+        with pytest.raises(ConfigError, match="checkpoint expects 3 batches, the topics are cut into 4"):
+            infer_stop(self._checkpoint(3, 0.0), bt)
 
     def test_bad_mode_rejected(self):
-        bt = batch_topic(make_topic([1, 0, 1]), 3)
+        bt = make_topic([1, 0, 1]).batched(3)
         with pytest.raises(ConfigError, match="mode"):
-            infer_stop(self._checkpoint(3, 0.0), [bt], mode="argmax")
+            infer_stop(self._checkpoint(3, 0.0), bt, mode="argmax")
 
 
 class TestCheckpointIO:
