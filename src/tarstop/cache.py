@@ -10,15 +10,17 @@ logs again; ``tarstop.ppo.CHECKPOINTS`` a checkpoint's weights and fields.
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
 sha256 (a checkpoint is read once, and those bytes are both hashed and
-parsed; a run/qrels pair's files are hashed again after the parse, and
-nothing is stored if one changed); its value is one ``.npz``, read with
-``allow_pickle=False``. It lives in ``$TARSTOP_CACHE_DIR`` if set (set but
-empty turns the cache off), else ``$XDG_CACHE_HOME/tarstop``, else
-``~/.cache/tarstop``, and is never evicted. A missing, unreadable or
-inconsistent entry is a miss: the input is parsed and the entry rewritten,
-through a temporary file renamed into place. A directory that cannot be
-written only costs a warning. Parse and configuration errors are never
-stored.
+parsed; a run/qrels pair's files are hashed at once, one on a second
+thread, and again after the parse, and nothing is stored if one changed);
+its value is one ``.npz``, read with ``allow_pickle=False``. It lives in
+``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache off), else
+``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``. A missing,
+unreadable or inconsistent entry is a miss: the input is parsed and the
+entry rewritten, through a temporary file renamed into place. Once a miss
+has stored its entry, the oldest entries by modification time are removed
+until the directory's entries hold less than :data:`MAX_BYTES`, never the
+one just written. A directory that cannot be written only costs a warning.
+Parse and configuration errors are never stored.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
+import threading
 import zipfile
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -39,6 +42,7 @@ log = logging.getLogger(__name__)
 
 ENV_VAR = "TARSTOP_CACHE_DIR"
 _CHUNK = 1 << 18
+MAX_BYTES = 512 << 20  # the entries a cache directory keeps, in bytes
 
 
 class Kind(NamedTuple):
@@ -80,6 +84,40 @@ def file_sha256(path) -> bytes:
     return digest.digest()
 
 
+def _sha256(source) -> bytes:
+    import hashlib  # see entry_path
+
+    return hashlib.sha256(source).digest() if isinstance(source, bytes) else file_sha256(source)
+
+
+def _digests(sources) -> list[bytes]:
+    """Each source's sha256, all hashed at once: the calling thread takes the
+    largest source and one thread each other (hashlib and file reads release
+    the GIL). A worker's exception is raised here, once every worker ended."""
+    sizes = [len(s) if isinstance(s, bytes) else os.stat(s).st_size for s in sources]
+    largest = sizes.index(max(sizes))
+    digests: list = [None] * len(sources)
+
+    def work(k):
+        try:
+            digests[k] = _sha256(sources[k])
+        except BaseException as exc:  # raised on the calling thread below
+            digests[k] = exc
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(sources)) if k != largest]
+    for thread in threads:
+        thread.start()
+    try:
+        digests[largest] = _sha256(sources[largest])
+    finally:
+        for thread in threads:
+            thread.join()
+    for digest in digests:
+        if isinstance(digest, BaseException):
+            raise digest
+    return digests
+
+
 def entry_path(kind: Kind, sources) -> Path | None:
     """Where the entry of ``kind`` for these sources lives, or None when the
     cache is off. A source is a file's path, or ``bytes`` already read from
@@ -91,9 +129,7 @@ def entry_path(kind: Kind, sources) -> Path | None:
     # a command that uses the cache imports it.
     import hashlib
 
-    digests = (hashlib.sha256(source).digest() if isinstance(source, bytes) else file_sha256(source)
-               for source in sources)
-    key = hashlib.sha256(kind.format + b"".join(digests))
+    key = hashlib.sha256(kind.format + b"".join(_digests(sources)))
     return directory / f"{key.hexdigest()}.npz"
 
 
@@ -114,8 +150,8 @@ def read_entry(path: Path, kind: Kind):
 
 
 def write_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Store ``arrays`` at ``path``; a directory that cannot be written costs
-    a warning, not the command."""
+    """Store ``arrays`` at ``path``, then trim the directory (:func:`evict`);
+    a directory that cannot be written costs a warning, not the command."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,6 +163,32 @@ def write_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
         log.warning("input cache %s not written, running uncached: %s", path.parent, exc)
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
+        return
+    evict(path)
+
+
+def evict(keep: Path) -> None:
+    """Remove the oldest entries beside ``keep`` by modification time until
+    those left, ``keep`` among them, hold less than :data:`MAX_BYTES`."""
+    try:
+        entries = []
+        with os.scandir(keep.parent) as listing:
+            for entry in listing:
+                if entry.name.endswith(".npz"):
+                    try:
+                        stat = entry.stat()
+                    except FileNotFoundError:  # removed by another command meanwhile
+                        continue
+                    entries.append((stat.st_mtime_ns, stat.st_size, entry.name))
+        total = sum(size for _, size, _ in entries)
+        for _, size, name in sorted(entries):
+            if total < MAX_BYTES:
+                break
+            if name != keep.name:
+                (keep.parent / name).unlink(missing_ok=True)
+                total -= size
+    except OSError as exc:
+        log.warning("input cache %s not trimmed: %s", keep.parent, exc)
 
 
 def cached(kind: Kind, sources, parse: Callable[[], Any]) -> tuple[Any, bool]:

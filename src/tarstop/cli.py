@@ -277,17 +277,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tarstop",
-        description="Train and evaluate stopping rules for ranked document review.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with key/value defaults")
-
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic run/qrels pair")
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--count", type=int, help="number of topics (default 20)")
     p.add_argument("--docs", type=int, help="documents per topic (default 1000)")
@@ -295,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay", type=float, help="rank decay of relevance density (default 100)")
     p.add_argument("--seed", type=int, help="generator seed (default 0)")
     p.add_argument("--tag", help="run tag column value")
-    p.set_defaults(func=cmd_synth, config_keys=_config_keys(p))
 
-    p = sub.add_parser("train", parents=[common], help="train one policy per target recall")
+
+def _train_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output directory for checkpoints and logs")
@@ -319,18 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-coef", dest="value_coef", type=float)
     p.add_argument("--n-envs", dest="n_envs", type=int)
     p.add_argument("--max-grad-norm", dest="max_grad_norm", type=float)
-    p.set_defaults(func=cmd_train, config_keys=_config_keys(p))
 
-    p = sub.add_parser("stop", parents=[common], help="apply a trained policy to a collection")
+
+def _stop_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--mode", choices=["greedy", "sample"])
     p.add_argument("--seed", type=int, help="seed for sample mode")
-    p.set_defaults(func=cmd_stop, config_keys=_config_keys(p))
 
-    p = sub.add_parser("baseline", parents=[common], help="run a reference stopping strategy")
+
+def _baseline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", required=True, choices=["oracle", "knee", "budget"])
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
@@ -339,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target recall label(s) for the rows (default 0.8 0.9 1.0)")
     p.add_argument("--batches", type=int, help="knee evaluation schedule (default 100)")
     p.add_argument("--fraction", type=float, help="budget fraction (default 0.5)")
-    p.set_defaults(func=cmd_baseline, config_keys=_config_keys(p))
 
-    p = sub.add_parser("eval", parents=[common], help="score stopping results against qrels")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--results", action="append", required=True,
                    help="stopping-results CSV, repeatable; minimal schema "
                         "(topic_id, method, docs_examined) is accepted")
@@ -350,13 +340,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for report CSVs")
     p.add_argument("--target", type=float, action="append",
                    help="target(s) stamped onto imported rows that lack one")
-    p.set_defaults(func=cmd_eval, config_keys=_config_keys(p))
 
+
+# each subcommand's help, what runs it and what declares its arguments
+SUBCOMMANDS = {
+    "synth": ("generate a synthetic run/qrels pair", cmd_synth, _synth_arguments),
+    "train": ("train one policy per target recall", cmd_train, _train_arguments),
+    "stop": ("apply a trained policy to a collection", cmd_stop, _stop_arguments),
+    "baseline": ("run a reference stopping strategy", cmd_baseline, _baseline_arguments),
+    "eval": ("score stopping results against qrels", cmd_eval, _eval_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser. Every subcommand is listed with its help,
+    but only ``command``'s arguments are declared, or all when it is None: a
+    parser built for the subcommand an argv names parses it as the full one."""
+    parser = argparse.ArgumentParser(
+        prog="tarstop",
+        description="Train and evaluate stopping rules for ranked document review.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            p.add_argument("--config", help="JSON file with key/value defaults")
+            add_arguments(p)
+            p.set_defaults(func=func, config_keys=_config_keys(p))
     return parser
 
 
+def _named_command(argv) -> str | None:
+    """The subcommand ``argv`` names, the first argument not an option, if it is one."""
+    first = next((arg for arg in argv if not arg.startswith("-")), None)
+    return first if first in SUBCOMMANDS else None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_named_command(argv)).parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)

@@ -74,8 +74,13 @@ class Collection:
             raise ValueError("labels must be a vector")
         if bounds.shape != (len(self.topic_ids) + 1,) or bounds[0] != 0 or bounds[-1] != len(labels):
             raise ValueError("bounds must run from 0 to the label count, one per topic and one more")
-        # checked before the cast, which would truncate 0.5 to 0; np.isin costs ~6x as much
-        bad_label = np.append((labels != 0) & (labels != 1), True).argmax()  # len(labels): none
+        # checked before the cast, which would truncate 0.5 to 0: bool or integer labels by
+        # their range, and only labels outside it (or of another dtype) one by one, to name
+        # the first bad one's topic; np.isin costs ~6x as much as that search
+        if labels.dtype.kind in "biu" and (not labels.size or 0 <= labels.min() <= labels.max() <= 1):
+            bad_label = len(labels)  # none
+        else:
+            bad_label = np.append((labels != 0) & (labels != 1), True).argmax()
         k = min(np.append(np.diff(bounds) <= 0, True).argmax(),
                 np.searchsorted(bounds, bad_label, side="right") - 1)
         if k < len(self.topic_ids):  # the first topic with no label, or with the first bad one
@@ -83,7 +88,9 @@ class Collection:
             raise ValueError(f"topic {self.topic_ids[k]!r}: {problem}")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
-        object.__setattr__(self, "gain", np.cumsum(np.concatenate(([0], self.labels))))
+        gain = np.zeros(len(labels) + 1, np.int64)
+        np.cumsum(self.labels, out=gain[1:])
+        object.__setattr__(self, "gain", gain)
 
     @classmethod
     def of(cls, topic_ids, rankings) -> "Collection":

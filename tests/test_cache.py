@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import tarstop.cache as cache
 import tarstop.cli as cli
-from tarstop.cache import TOPICS, Kind, cache_dir, file_sha256, read_entry, write_entry
+from tarstop.cache import TOPICS, Kind, cache_dir, entry_path, file_sha256, read_entry, write_entry
 from tarstop.cli import main
 from conftest import make_topic, topic_labels
 from tarstop.corpus import assemble_topics, load_qrels, load_run
@@ -360,6 +362,130 @@ def test_file_hash_streams_in_chunks(tmp_path):
     data = np.random.default_rng(0).bytes(3 * (1 << 18) + 12345)
     path.write_bytes(data)
     assert file_sha256(path) == hashlib.sha256(data).digest()
+
+
+def test_key_of_fixed_bytes(tmp_path, topic_cache_dir):
+    run, qrels = tmp_path / "k.run", tmp_path / "k.qrels"
+    run.write_bytes(b"t1 Q0 d1 1 2.0 x\nt1 Q0 d2 2 1.0 x\n")
+    qrels.write_bytes(b"t1 0 d2 1\n")
+    key = "3df93e62e69b743e4a5e149592d5dda80734141c50c200933b1acd137b5e10c4"
+    assert entry_path(TOPICS, (run, qrels)) == topic_cache_dir / f"{key}.npz"
+
+
+@pytest.mark.parametrize("shape", [("file",), ("bytes",), ("file", "file"), ("bytes", "file"),
+                                   ("file", "bytes", "file")])
+def test_key_of_sources_hashed_at_once_equals_one_after_another(tmp_path, topic_cache_dir, shape):
+    rng = np.random.default_rng(len(shape))
+    contents = [rng.bytes(size) for size in (3 * (1 << 18) + 7, 1000, 5 * (1 << 18))[:len(shape)]]
+    sources = []
+    for k, (what, data) in enumerate(zip(shape, contents)):
+        path = tmp_path / f"source-{k}"
+        path.write_bytes(data)
+        sources.append(data if what == "bytes" else path)
+    kind = Kind(b"test-format", (), None, None)
+    expected = hashlib.sha256(kind.format + b"".join(hashlib.sha256(d).digest() for d in contents))
+    assert entry_path(kind, sources) == topic_cache_dir / f"{expected.hexdigest()}.npz"
+
+
+def test_largest_file_is_hashed_on_the_calling_thread(collection, monkeypatch):
+    run, qrels = collection
+    assert run.stat().st_size > qrels.stat().st_size
+    hashed_on = {}
+    original = cache.file_sha256
+
+    def recorded(path):
+        hashed_on[path] = threading.current_thread()
+        return original(path)
+
+    monkeypatch.setattr(cache, "file_sha256", recorded)
+    before = threading.active_count()
+    entry_path(TOPICS, (qrels, run))
+    assert hashed_on[run] is threading.current_thread()
+    assert hashed_on[qrels] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("when", ["before-hashing", "while-hashing"])
+def test_file_vanishing_after_its_check_exits_2_naming_it(tmp_path, collection, topic_cache_dir,
+                                                          monkeypatch, capsys, when):
+    """A file removed between ``_require_file`` and the key: either its size
+    cannot be read on the calling thread, or its worker thread cannot open it
+    and the calling thread raises that error once every worker ended."""
+    run, qrels = collection
+    before = threading.active_count()
+    if when == "before-hashing":
+        require = cli._require_file
+
+        def vanish_after_check(path, what):
+            checked = require(path, what)
+            if what == "qrels file":
+                checked.unlink()
+            return checked
+
+        monkeypatch.setattr(cli, "_require_file", vanish_after_check)
+    else:
+        original = cache.file_sha256
+
+        def vanish_then_hash(path):
+            if path == qrels:
+                assert threading.current_thread() is not threading.main_thread()
+                qrels.unlink()
+            return original(path)
+
+        monkeypatch.setattr(cache, "file_sha256", vanish_then_hash)
+    assert main(["baseline", "--method", "budget", "--run", str(run), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "b.csv")]) == 2
+    assert f"No such file or directory: '{qrels}'" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert entries(topic_cache_dir) == []
+
+
+def _age(path, seconds):
+    os.utime(path, ns=(seconds * 10**9, seconds * 10**9))
+
+
+def synth_pair(tmp_path, seed):
+    out = tmp_path / f"pair-{seed}"
+    assert main(["synth", "--out", str(out), "--count", "3", "--docs", "80", "--prevalence", "0.1",
+                 "--decay", "30", "--seed", str(seed)]) == 0
+    return out / "synthetic.run", out / "synthetic.qrels"
+
+
+def test_oldest_entries_are_evicted_past_the_cap(tmp_path, topic_cache_dir, monkeypatch):
+    pairs = [synth_pair(tmp_path, seed) for seed in (1, 2, 3)]
+    names = []
+    for age, pair in enumerate(pairs[:2], start=1):
+        cli._load_topics(*pair)
+        (name,) = set(entries(topic_cache_dir)) - set(names)
+        _age(name, 1_000_000 * age)  # the first pair's entry is the oldest
+        names.append(name)
+    size = names[0].stat().st_size
+    assert names[1].stat().st_size == size  # same shapes, same entry size
+    monkeypatch.setattr(cache, "MAX_BYTES", 2 * size + 1)  # room for two entries
+    cli._load_topics(*pairs[2])
+    kept = entries(topic_cache_dir)
+    assert names[0] not in kept and names[1] in kept and len(kept) == 2
+    calls = count_parses(monkeypatch)
+    evictions = []
+    monkeypatch.setattr(cache, "evict", lambda keep: evictions.append(keep))
+    for pair in pairs[1:]:  # kept entries still serve hits, which scan nothing
+        assert as_pairs(cli._load_topics(*pair)) == cold(*pair)
+    assert calls == [] and evictions == []
+
+
+def test_entry_just_written_is_never_evicted(tmp_path, collection, topic_cache_dir, monkeypatch):
+    topic_cache_dir.joinpath("notes.txt").write_bytes(b"x" * 10_000)  # not an entry
+    older = synth_pair(tmp_path, 9)
+    cli._load_topics(*older)
+    (old,) = entries(topic_cache_dir)
+    _age(old, 4_000_000_000)  # newer than the entry about to be written
+    monkeypatch.setattr(cache, "MAX_BYTES", 1)
+    cli._load_topics(*collection)
+    assert [p.name for p in entries(topic_cache_dir)] == [f"{entry_key(*collection)}.npz"]
+    assert topic_cache_dir.joinpath("notes.txt").exists()
+    calls = count_parses(monkeypatch)
+    cli._load_topics(*collection)
+    assert calls == []
 
 
 def test_only_an_inconsistency_in_decode_is_a_miss(tmp_path):

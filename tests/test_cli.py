@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic, topic_labels
-from tarstop.cli import main
+from tarstop.cli import SUBCOMMANDS, _named_command, build_parser, main
 from tarstop.corpus import (Collection, assemble_topics, load_qrels, load_run, synth_topics,
                             write_qrels_file, write_run_file)
 
@@ -198,6 +198,73 @@ def test_config_keys_are_per_subcommand(tmp_path, collection, capsys):
     assert main(["eval", "--results", str(tmp_path / "b.csv"), "--out", str(tmp_path / "r"),
                  *args]) == 2
     assert "unknown key 'fraction' for 'eval' (accepted: target)" in capsys.readouterr().err
+
+
+DATA = ["--run", "r", "--qrels", "q", "--out", "o"]
+PARSER_CASES = {  # each subcommand's valid argv first, then ones that exit 2
+    "synth": [["--out", "o"],
+              ["--out", "o", "--count", "3", "--docs", "9", "--prevalence", "0.1", "--decay", "5",
+               "--seed", "2", "--tag", "x", "--config", "c.json"],
+              ["--ou", "o", "--coun", "4"],
+              [], ["--out", "o", "--count", "x"], ["--out", "o", "--run", "r"], ["extra", "--out", "o"]],
+    "train": [[*DATA, "--target", "0.8", "--target", "0.9", "--batches", "5", "--timesteps", "9",
+               "--normalize-obs", "count", "--n-envs", "2", "--gamma", "0.9"],
+              [*DATA, "--config", "c.json", "--learning-rate", "1e-3"],
+              [*DATA[:4]], [*DATA, "--normalize-obs", "log"], [*DATA, "--n-steps", "1.5"]],
+    "stop": [["--checkpoint", "c", *DATA, "--mode", "sample", "--seed", "3"],
+             ["--checkpoint", "c", *DATA],
+             [*DATA], ["--checkpoint", "c", *DATA, "--mode", "best"],
+             ["--checkpoint", "c", *DATA, "--batches", "3"]],
+    "baseline": [["--method", "knee", *DATA, "--batches", "10", "--fraction", "0.3", "--target", "1"],
+                 ["--method=oracle", *DATA, "--config", "c.json"],
+                 [*DATA], ["--method", "nosuch", *DATA], ["--method", "budget", *DATA, "--mode", "x"]],
+    "eval": [["--results", "a", "--results", "b", *DATA, "--target", "1"],
+             ["--results", "a", *DATA, "--config", "c.json"],
+             [*DATA], ["--results", "a", *DATA, "--target", "x"], ["--results", "a", *DATA, "-x"]],
+}
+
+
+def parse(parser, argv, capsys):
+    """What ``parser`` makes of ``argv``: the namespace (its config keys by
+    name), or the exit code and what was printed."""
+    try:
+        values = vars(parser.parse_args(argv))
+    except SystemExit as exit_:
+        printed = capsys.readouterr()
+        return exit_.code, printed.out, printed.err
+    values["config_keys"] = sorted(values["config_keys"])
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_CASES))
+def test_parser_of_one_subcommand_parses_as_the_full_one(name, capsys):
+    assert sorted(PARSER_CASES) == sorted(SUBCOMMANDS)
+    for argv in [[name, "--help"], [name, "-h"]] + [[name, *rest] for rest in PARSER_CASES[name]]:
+        full = parse(build_parser(), argv, capsys)
+        assert parse(build_parser(name), argv, capsys) == full
+        assert parse(build_parser(_named_command(argv)), argv, capsys) == full
+        if isinstance(full, tuple):
+            assert full[0] in (0, 2)
+            assert (full[0] == 0) == ("-h" in argv or "--help" in argv)
+    assert isinstance(parse(build_parser(name), [name, *PARSER_CASES[name][0]], capsys), dict)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["nosuch"], [], ["--help", "stop"],
+                                  ["-", "stop", "--out", "o"], ["--", "eval"], ["--bogus", "stop"]])
+def test_top_level_help_and_errors_are_the_full_parsers(argv, capsys):
+    full = parse(build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    printed = capsys.readouterr()
+    assert (exit_.value.code, printed.out, printed.err) == full
+    if argv[:1] in (["--help"], ["-h"]):
+        assert exit_.value.code == 0
+        for help_text, _, _ in SUBCOMMANDS.values():  # every subcommand is listed with its help
+            assert help_text in printed.out
+    else:
+        assert exit_.value.code == 2
+    if argv == ["nosuch"]:
+        assert "argument command: invalid choice: 'nosuch'" in printed.err
 
 
 @pytest.fixture

@@ -302,6 +302,42 @@ class TestTopicInvariants:
         with pytest.raises(ValueError, match=f"^topic 't{position}': {problem}$"):
             make_collection(*rankings)
 
+    # bool and integer labels are checked by their range first, and searched
+    # one by one only when it fails: the error must name the same topic
+    @staticmethod
+    def of_dtype(rankings, dtype):
+        """A collection whose label vector keeps ``dtype``, topics t0, t1, ..."""
+        labels = np.concatenate([np.array(r, dtype=dtype) for r in rankings])
+        assert labels.dtype == dtype
+        return Collection(tuple(f"t{k}" for k in range(len(rankings))),
+                          np.cumsum([0, *map(len, rankings)]), labels)
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("dtype, bad", [(np.uint8, 2), (np.int8, 2), (np.int8, -1),
+                                            (np.int64, -1)],
+                             ids=["uint8-2", "int8-2", "int8-minus-1", "int64-minus-1"])
+    def test_narrow_integer_label_out_of_range_names_its_topic(self, position, dtype, bad):
+        rankings = [[1, 0], [0, 1, 1, 0], [1, 1]]
+        rankings[position][-1] = bad
+        with pytest.raises(ValueError, match=f"^topic 't{position}': labels must be binary$"):
+            self.of_dtype(rankings, dtype)
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_bool_labels_with_an_empty_topic_name_it(self, position):
+        rankings = [[1, 0], [0, 1, 1], [1]]
+        rankings[position] = []
+        with pytest.raises(ValueError, match=f"^topic 't{position}': empty ranking$"):
+            self.of_dtype(rankings, bool)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int32, np.int64, np.float64])
+    def test_binary_labels_give_int64_labels_and_gain_of_any_dtype(self, dtype):
+        rankings = [[0, 1, 1, 0, 1], [1], [0, 0, 1], [1, 1]]
+        topics = self.of_dtype(rankings, dtype)
+        flat = np.concatenate(rankings).astype(np.int64)
+        assert topics.labels.dtype == topics.gain.dtype == np.int64
+        assert topics.labels.tolist() == flat.tolist()
+        assert topics.gain.tolist() == np.cumsum(np.concatenate(([0], flat))).tolist()
+
     def test_first_topic_with_a_problem_is_named(self):
         with pytest.raises(ValueError, match="^topic 't1': empty ranking$"):
             make_collection([1], [], [2])
