@@ -45,7 +45,7 @@ from .nets import (
 from .ppo import (
     Checkpoint,
     Hyperparams,
-    RolloutBuffer,
+    Rollout,
     collect_rollout,
     compute_gae,
     infer_stop,

@@ -28,6 +28,7 @@ from .corpus import (
     assemble_topics,
     check_batches,
     check_seed,
+    check_synth,
     check_target,
     load_qrels,
     load_run,
@@ -115,13 +116,39 @@ def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     }
 
 
-def _resolve(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _resolve(args, config: dict, key: str, default, check=None):
+    """``key``'s value from its flag, else from the config file, else ``default``.
+
+    ``check``, the value's range rule, runs on a flag's or the config file's
+    value; an error from the config file's names the file and the key.
+    """
+    flag = getattr(args, key, None)
+    value = flag if flag is not None else config.get(key, default)
+    if check is not None and (flag is not None or key in config):
+        try:
+            check(value)
+        except ConfigError as exc:
+            if flag is not None:
+                raise
+            raise ConfigError(f"config file {Path(args.config)}: key {key!r}: {exc}") from None
+    return value
+
+
+def _check_targets(targets, file_name=None) -> None:
+    """Each target in (0, 1] and none given twice; with ``file_name``, no two
+    either whose output files would share a name."""
+    seen = {}
+    for target in targets:
+        check_target(target)
+        name = target if file_name is None else file_name(target)
+        if name in seen:
+            raise ConfigError(f"target {target!r} is given twice" if seen[name] == target else
+                              f"targets {seen[name]!r} and {target!r} would both write {name}")
+        seen[name] = target
+
+
+def _policy_file(target: float) -> str:
+    return f"policy-t{target:g}.json"
 
 
 def _require_file(path, what: str) -> Path:
@@ -150,11 +177,11 @@ def _load_topics(run_path, qrels_path):
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
-    count = _resolve(args, config, "count", 20)
-    docs = _resolve(args, config, "docs", 1000)
-    prevalence = _resolve(args, config, "prevalence", 0.02)
-    decay = _resolve(args, config, "decay", 100.0)
-    seed = _resolve(args, config, "seed", 0)
+    count = _resolve(args, config, "count", 20, lambda v: check_synth(count=v))
+    docs = _resolve(args, config, "docs", 1000, lambda v: check_synth(n_docs=v))
+    prevalence = _resolve(args, config, "prevalence", 0.02, lambda v: check_synth(prevalence=v))
+    decay = _resolve(args, config, "decay", 100.0, lambda v: check_synth(decay=v))
+    seed = _resolve(args, config, "seed", 0, check_seed)
     tag = _resolve(args, config, "tag", "tarstop-synth")
     topics = synth_topics(count, docs, prevalence, decay, seed)
     out_dir = Path(args.out)
@@ -172,26 +199,27 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     topics = _load_topics(args.run, args.qrels)
-    targets = [check_target(t) for t in _resolve(args, config, "target", DEFAULT_TARGETS)]
-    batches = _resolve(args, config, "batches", DEFAULT_BATCHES)
+    targets = _resolve(args, config, "target", DEFAULT_TARGETS,
+                       lambda ts: _check_targets(ts, _policy_file))
     normalize = _resolve(args, config, "normalize_obs", "ratio")
     hyper = Hyperparams(**{  # each field's flag has its name, except --timesteps
         f.name: _resolve(args, config, "timesteps" if f.name == "total_timesteps" else f.name,
-                         f.default)
+                         f.default, lambda v, name=f.name: Hyperparams(**{name: v}).validate())
         for f in dataclasses.fields(Hyperparams)
     })
+    batches = _resolve(args, config, "batches", DEFAULT_BATCHES, check_batches)
     out_dir = Path(args.out)
     for target in targets:
         checkpoint, rows = train(topics, target, hyper, n_batches=batches, normalize=normalize)
         out_dir.mkdir(parents=True, exist_ok=True)  # only once train() accepted the settings
-        ckpt_path = out_dir / f"policy-t{target:g}.json"
+        ckpt_path = out_dir / _policy_file(target)
         log_path = out_dir / f"train-log-t{target:g}.csv"
         save_checkpoint(checkpoint, ckpt_path)
         write_training_log(log_path, rows)
         last = rows[-1]
         print(f"target {target:g}: {len(rows)} iterations, "
-              f"final mean stop batch {last['mean_stop_batch']:.2f}, "
-              f"mean episode reward {last['mean_ep_reward']:.3f} -> {ckpt_path}")
+              f"final mean stop batch {last.mean_stop_batch:.2f}, "
+              f"mean episode reward {last.mean_ep_reward:.3f} -> {ckpt_path}")
     return 0
 
 
@@ -199,7 +227,7 @@ def cmd_stop(args) -> int:
     config = _load_config(args)
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     mode = _resolve(args, config, "mode", "greedy")
-    seed = check_seed(_resolve(args, config, "seed", 0))
+    seed = _resolve(args, config, "seed", 0, check_seed)
     topics = _load_topics(args.run, args.qrels)
     results = infer_stop(checkpoint, topics.batched(checkpoint.n_batches), mode=mode, rng=seed)
     write_results_csv(args.out, results)
@@ -210,10 +238,10 @@ def cmd_stop(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _load_config(args)
-    targets = [check_target(t) for t in _resolve(args, config, "target", DEFAULT_TARGETS)]
+    targets = _resolve(args, config, "target", DEFAULT_TARGETS, _check_targets)
     # range-checked whatever the method: a bad value is an error even where it is ignored
-    batches = check_batches(_resolve(args, config, "batches", DEFAULT_BATCHES))
-    fraction = check_fraction(_resolve(args, config, "fraction", 0.5))
+    batches = _resolve(args, config, "batches", DEFAULT_BATCHES, check_batches)
+    fraction = _resolve(args, config, "fraction", 0.5, check_fraction)
     topics = _load_topics(args.run, args.qrels)
     if args.method == "oracle":
         results = oracle_stop(topics, targets)
@@ -230,9 +258,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    targets = _resolve(args, config, "target", None)
-    if targets is not None:
-        targets = [check_target(t) for t in targets]
+    targets = _resolve(args, config, "target", None, _check_targets)
     topics = _load_topics(args.run, args.qrels)
     results = []
     given_in = {}  # (method, target, topic) -> the results file that gave it

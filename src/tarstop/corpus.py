@@ -359,6 +359,19 @@ def load_run(path) -> dict[str, list[str]]:
     return _load(path, parse_run)
 
 
+def check_synth(count: int = 1, n_docs: int = 1, prevalence: float = 0.5, decay: float = 1.0):
+    """The synthetic generator's range rules. Every default passes them, so a
+    call that names one setting checks that setting alone."""
+    if count < 1:
+        raise ConfigError(f"topic count must be >= 1, got {count}")
+    if n_docs < 1:
+        raise ConfigError(f"n_docs must be >= 1, got {n_docs}")
+    if not 0.0 < prevalence < 1.0:
+        raise ConfigError(f"prevalence must be in (0, 1), got {prevalence}")
+    if decay <= 0.0:
+        raise ConfigError(f"decay must be positive, got {decay}")
+
+
 def rank_relevance_probs(n_docs: int, prevalence: float, decay: float) -> np.ndarray:
     """Per-rank relevance probabilities for the synthetic generator.
 
@@ -367,12 +380,7 @@ def rank_relevance_probs(n_docs: int, prevalence: float, decay: float) -> np.nda
     strongly front-loaded relevance; decay >> n_docs approaches a uniform
     ``prevalence`` everywhere.
     """
-    if n_docs < 1:
-        raise ConfigError(f"n_docs must be >= 1, got {n_docs}")
-    if not 0.0 < prevalence < 1.0:
-        raise ConfigError(f"prevalence must be in (0, 1), got {prevalence}")
-    if decay <= 0.0:
-        raise ConfigError(f"decay must be positive, got {decay}")
+    check_synth(n_docs=n_docs, prevalence=prevalence, decay=decay)
     ranks = np.arange(1, n_docs + 1, dtype=np.float64)
     expected = prevalence * n_docs
     # Uncapped solution saturating the whole list means the decay shape is
@@ -409,8 +417,7 @@ def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed:
     from :func:`rank_relevance_probs`. Topics that come out with zero
     relevant documents are resampled.
     """
-    if count < 1:
-        raise ConfigError(f"topic count must be >= 1, got {count}")
+    check_synth(count=count)
     probs = rank_relevance_probs(n_docs, prevalence, decay)
     rng = np.random.default_rng(check_seed(seed))
     rankings = []

@@ -109,19 +109,17 @@ def init_params(seed, sizes: tuple[int, ...], out_gain: float) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Affine + tanh stack; returns (output, cache of per-layer inputs).
+def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Affine + tanh stack over the rows of ``x``, a 2-D float64 array;
+    returns (output rows, cache of per-layer inputs).
 
-    Accepts a single observation (1-D) or a batch (2-D); the output matches.
     Inputs are not checked to be finite here: observations are, once, when
     ``env.observation_table`` builds them.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    h = np.atleast_2d(arr)
-    if h.shape[1] != params.weights[0].shape[0]:
-        raise ValueError(f"input width {h.shape[1]} != network width {params.weights[0].shape[0]}")
-    cache = [h]
+    width = params.weights[0].shape[0]
+    if x.shape[1:] != (width,):
+        raise ValueError(f"input of shape {x.shape} does not fit network width {width}")
+    h, cache = x, [x]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         h = h @ w
         h += b
@@ -129,18 +127,18 @@ def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
         cache.append(h)
     out = h @ params.weights[-1]
     out += params.biases[-1]
-    return (out[0] if single else out), cache
+    return out, cache
 
 
 def backward(params: MlpParams, cache: list[np.ndarray], grad_out, out=None) -> MlpParams:
-    """Exact gradients for the scalar loss whose output gradient is ``grad_out``.
+    """Exact gradients for the scalar loss whose output gradient is ``grad_out``,
+    2-D float64 rows like :func:`forward`'s output.
 
     ``cache`` must come from a matching :func:`forward` call; gradients are
     summed over the batch dimension and written into ``out``, a flat buffer
     laid out like ``params.flat`` (a new one if not given).
     """
-    g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-    n_layers = len(params.weights)
+    g, n_layers = grad_out, len(params.weights)
     if len(cache) != n_layers:
         raise ValueError(f"cache has {len(cache)} entries for {n_layers} layers")
     if g.shape != (cache[-1].shape[0], params.weights[-1].shape[1]):

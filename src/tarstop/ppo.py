@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +45,6 @@ from .nets import (
 
 CHECKPOINT_VERSION = 1
 POLICY_METHOD = "policy"
-
-TRAINING_LOG_HEADER = (
-    "iteration",
-    "timesteps",
-    "mean_ep_reward",
-    "mean_stop_batch",
-    "policy_loss",
-    "value_loss",
-    "entropy",
-    "clip_fraction",
-    "approx_kl",
-)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -110,8 +99,7 @@ class Hyperparams:
             raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
 
 
-@dataclass
-class RolloutBuffer:
+class Rollout(NamedTuple):
     """Fixed-horizon trajectories, time-major over (n_steps, n_envs)."""
 
     obs: np.ndarray
@@ -121,16 +109,30 @@ class RolloutBuffer:
     values: np.ndarray
     dones: np.ndarray
     bootstrap_values: np.ndarray
-    advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
 
-    @property
-    def n_steps(self) -> int:
-        return self.obs.shape[0]
 
-    @property
-    def n_envs(self) -> int:
-        return self.obs.shape[1]
+class LossStats(NamedTuple):
+    """A minibatch's loss terms and diagnostics, or their mean over an update."""
+
+    policy_loss: float
+    value_loss: float
+    entropy: float
+    clip_fraction: float
+    approx_kl: float
+
+
+class LogRow(NamedTuple):
+    """One training iteration's line of the training log; the fields are its columns."""
+
+    iteration: int
+    timesteps: int
+    mean_ep_reward: float
+    mean_stop_batch: float
+    policy_loss: float
+    value_loss: float
+    entropy: float
+    clip_fraction: float
+    approx_kl: float
 
 
 def collect_rollout(
@@ -139,7 +141,7 @@ def collect_rollout(
     venv: VecStoppingEnv,
     n_steps: int,
     rng: np.random.Generator,
-) -> tuple[RolloutBuffer, list[dict]]:
+) -> tuple[Rollout, list[dict]]:
     """Roll the current policy for ``n_steps`` across all slots.
 
     Actions are sampled from the actor's softmax; finished episodes are
@@ -169,83 +171,67 @@ def collect_rollout(
         buf_dones[t] = dones
         episodes.extend(infos)
     bootstrap, _ = forward(critic, obs)
-    buffer = RolloutBuffer(
-        buf_obs, buf_actions, buf_logp, buf_rewards, buf_values, buf_dones, bootstrap[:, 0]
-    )
-    return buffer, episodes
+    return Rollout(buf_obs, buf_actions, buf_logp, buf_rewards, buf_values, buf_dones,
+                   bootstrap[:, 0]), episodes
 
 
-def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float) -> RolloutBuffer:
-    """Fill advantages and returns with truncated GAE.
+def compute_gae(rollout: Rollout, gamma: float, gae_lambda: float) -> np.ndarray:
+    """The rollout's advantages by truncated GAE, shaped like its rewards.
 
     The recursion stops at episode boundaries; episodes still open at the
     end of the rollout bootstrap with the critic value of the post-rollout
     state.
     """
-    n_steps = buffer.n_steps
-    advantages = np.zeros_like(buffer.rewards)
-    carry = np.zeros(buffer.n_envs)
-    for t in reversed(range(n_steps)):
-        next_values = buffer.bootstrap_values if t == n_steps - 1 else buffer.values[t + 1]
-        nonterminal = 1.0 - buffer.dones[t]
-        delta = buffer.rewards[t] + gamma * next_values * nonterminal - buffer.values[t]
+    advantages = np.zeros_like(rollout.rewards)
+    next_values, carry = rollout.bootstrap_values, np.zeros_like(rollout.bootstrap_values)
+    for t in reversed(range(len(rollout.rewards))):
+        nonterminal = 1.0 - rollout.dones[t]
+        delta = rollout.rewards[t] + gamma * next_values * nonterminal - rollout.values[t]
         carry = delta + gamma * gae_lambda * nonterminal * carry
         advantages[t] = carry
-    buffer.advantages = advantages
-    buffer.returns = advantages + buffer.values
-    return buffer
-
-
-@dataclass
-class Minibatch:
-    obs: np.ndarray
-    actions: np.ndarray
-    log_probs_old: np.ndarray
-    advantages: np.ndarray
-    returns: np.ndarray
+        next_values = rollout.values[t]
+    return advantages
 
 
 def ppo_loss(
     actor: MlpParams,
     critic: MlpParams,
-    batch: Minibatch,
+    obs: np.ndarray,
+    actions: np.ndarray,
+    log_probs_old: np.ndarray,
+    advantages: np.ndarray,
+    returns: np.ndarray,
     hyper: Hyperparams,
-) -> tuple[float, dict, np.ndarray]:
-    """Clipped-surrogate loss on one minibatch (advantages already normalized).
+) -> tuple[float, LossStats, np.ndarray]:
+    """Clipped-surrogate loss on one minibatch of rows (advantages already normalized).
 
     Returns ``(loss, stats, grads)``: ``grads`` holds the exact gradient for
     the actor's ``flat`` followed by the critic's, in one vector.
     """
-    logits, actor_cache = forward(actor, batch.obs)
-    values_2d, critic_cache = forward(critic, batch.obs)
+    logits, actor_cache = forward(actor, obs)
+    values_2d, critic_cache = forward(critic, obs)
     values = values_2d[:, 0]
     lp_all = log_softmax(logits)
-    logp, entropy = chosen_and_entropy(lp_all, batch.actions)
-    log_ratio = logp - batch.log_probs_old
+    logp, entropy = chosen_and_entropy(lp_all, actions)
+    log_ratio = logp - log_probs_old
     ratio = np.exp(log_ratio)
-    adv = batch.advantages
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * adv
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * advantages
     policy_loss = -np.minimum(unclipped, clipped).mean()
-    value_err = values - batch.returns
+    value_err = values - returns
     value_loss = float(np.mean(value_err**2))
     entropy_mean = float(entropy.mean())
     loss = float(policy_loss + hyper.value_coef * value_loss - hyper.entropy_coef * entropy_mean)
-    stats = {
-        "policy_loss": float(policy_loss),
-        "value_loss": value_loss,
-        "entropy": entropy_mean,
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > hyper.clip_range)),
-        "approx_kl": float(np.mean(ratio - 1.0 - log_ratio)),
-        "loss": loss,
-    }
-    n = len(adv)
+    stats = LossStats(float(policy_loss), value_loss, entropy_mean,
+                      float(np.mean(np.abs(ratio - 1.0) > hyper.clip_range)),
+                      float(np.mean(ratio - 1.0 - log_ratio)))
+    n = len(advantages)
     # The clipped branch has zero gradient wherever it is the strict minimum.
     active = unclipped <= clipped
-    d_logp = np.where(active, ratio * adv, 0.0) * (-1.0 / n)
+    d_logp = np.where(active, ratio * advantages, 0.0) * (-1.0 / n)
     probs = softmax(logits)
     one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), batch.actions] = 1.0
+    one_hot[np.arange(n), actions] = 1.0
     d_logits = d_logp[:, None] * (one_hot - probs)
     d_entropy = -probs * (lp_all + entropy[:, None])
     d_logits += (-hyper.entropy_coef / n) * d_entropy
@@ -265,50 +251,42 @@ def ppo_update(
     critic: MlpParams,
     params: np.ndarray,
     opt: AdamState,
-    buffer: RolloutBuffer,
+    rollout: Rollout,
+    advantages: np.ndarray,
     hyper: Hyperparams,
     rng: np.random.Generator,
-) -> dict:
-    """Run ``n_epochs`` of shuffled minibatch updates over one rollout.
+) -> LossStats:
+    """Run ``n_epochs`` of shuffled minibatch updates over one rollout and
+    its :func:`compute_gae` advantages; the stats are the minibatches' mean.
 
     ``params`` is the one vector that ``actor`` and ``critic`` view, as
     made by :func:`joint_params`; ``opt`` is its Adam state.
     """
-    if buffer.advantages is None or buffer.returns is None:
-        raise ValueError("compute_gae() must run before ppo_update()")
-    n = buffer.n_steps * buffer.n_envs
+    n = advantages.size
     flat = (
-        buffer.obs.reshape(n, -1),
-        buffer.actions.reshape(n),
-        buffer.log_probs.reshape(n),
-        buffer.advantages.reshape(n),
-        buffer.returns.reshape(n),
+        rollout.obs.reshape(n, -1),
+        rollout.actions.reshape(n),
+        rollout.log_probs.reshape(n),
+        advantages.reshape(n),
+        (advantages + rollout.values).reshape(n),  # the returns
     )
-    totals: dict[str, float] = {}
-    n_updates = 0
+    starts = range(0, n, hyper.minibatch_size)
+    totals = np.zeros(len(LossStats._fields))
     for _ in range(hyper.n_epochs):
         # one gather per epoch; each minibatch is then a contiguous slice
         perm = rng.permutation(n)
-        obs, actions, log_probs, advantages, returns = (a[perm] for a in flat)
-        for start in range(0, n, hyper.minibatch_size):
+        obs, actions, log_probs, adv, returns = (a[perm] for a in flat)
+        for start in starts:
             mb = slice(start, start + hyper.minibatch_size)
-            batch = Minibatch(
-                obs=obs[mb],
-                actions=actions[mb],
-                log_probs_old=log_probs[mb],
-                advantages=normalize_advantages(advantages[mb]),
-                returns=returns[mb],
-            )
-            loss, stats, grads = ppo_loss(actor, critic, batch, hyper)
+            loss, stats, grads = ppo_loss(actor, critic, obs[mb], actions[mb], log_probs[mb],
+                                          normalize_advantages(adv[mb]), returns[mb], hyper)
             if not np.isfinite(loss):
-                raise NonFiniteLossError(f"non-finite loss during update: {stats}")
+                raise NonFiniteLossError(f"non-finite loss {loss} during update: {stats}")
             if hyper.max_grad_norm is not None:
                 clip_grads(grads, hyper.max_grad_norm)
             adam_step(params, grads, opt, hyper.learning_rate)
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0.0) + value
-            n_updates += 1
-    return {key: value / n_updates for key, value in totals.items()}
+            totals += stats
+    return LossStats(*(totals / (hyper.n_epochs * len(starts))).tolist())
 
 
 @dataclass
@@ -329,7 +307,7 @@ def train(
     hyper: Hyperparams = Hyperparams(),
     n_batches: int = 100,
     normalize: str = "ratio",
-) -> tuple[Checkpoint, list[dict]]:
+) -> tuple[Checkpoint, list[LogRow]]:
     """Train one stopping policy for one target recall.
 
     Consumes ``total_timesteps // (n_steps * n_envs)`` full iterations of
@@ -356,26 +334,16 @@ def train(
             f"total_timesteps {hyper.total_timesteps} is less than one rollout "
             f"({hyper.n_steps} steps x {hyper.n_envs} envs)"
         )
-    rows: list[dict] = []
+    rows: list[LogRow] = []
     for iteration in range(1, iterations + 1):
-        buffer, episodes = collect_rollout(actor, critic, venv, hyper.n_steps, action_rng)
-        compute_gae(buffer, hyper.gamma, hyper.gae_lambda)
-        stats = ppo_update(actor, critic, params, opt, buffer, hyper, shuffle_rng)
+        rollout, episodes = collect_rollout(actor, critic, venv, hyper.n_steps, action_rng)
+        advantages = compute_gae(rollout, hyper.gamma, hyper.gae_lambda)
+        stats = ppo_update(actor, critic, params, opt, rollout, advantages, hyper, shuffle_rng)
         rewards = [e["episode_reward"] for e in episodes]
         stops = [e["stop_batch"] for e in episodes]
-        rows.append(
-            {
-                "iteration": iteration,
-                "timesteps": iteration * per_iteration,
-                "mean_ep_reward": float(np.mean(rewards)) if rewards else float("nan"),
-                "mean_stop_batch": float(np.mean(stops)) if stops else float("nan"),
-                "policy_loss": stats["policy_loss"],
-                "value_loss": stats["value_loss"],
-                "entropy": stats["entropy"],
-                "clip_fraction": stats["clip_fraction"],
-                "approx_kl": stats["approx_kl"],
-            }
-        )
+        rows.append(LogRow(iteration, iteration * per_iteration,
+                           float(np.mean(rewards)) if rewards else float("nan"),
+                           float(np.mean(stops)) if stops else float("nan"), *stats))
     checkpoint = Checkpoint(actor, critic, target_recall, n_batches, normalize, hyper)
     return checkpoint, rows
 
@@ -558,5 +526,5 @@ CHECKPOINTS = Kind(b"tarstop-checkpoint-v1", ("actor", "critic", "fields"),
                    _checkpoint_entry, _checkpoint_from_entry)
 
 
-def write_training_log(path, rows: list[dict]) -> None:
-    write_table(path, TRAINING_LOG_HEADER, ([row[k] for k in TRAINING_LOG_HEADER] for row in rows))
+def write_training_log(path, rows: list[LogRow]) -> None:
+    write_table(path, LogRow._fields, rows)

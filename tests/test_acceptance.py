@@ -14,14 +14,14 @@ import pytest
 
 from conftest import (finite_difference, make_topic, max_rel_error, oracle_rank, prefix_count, subset,
                       topic_labels, topic_metrics)
-from test_ppo import brute_force_gae, buffer_from_columns
+from test_ppo import brute_force_gae, rollout_from_columns
 from tarstop.baselines import budget_stop, oracle_stop
 from tarstop.cli import main
 from tarstop.corpus import assemble_topics, load_qrels, load_run, synth_topics
 from tarstop.env import reward
 from tarstop.metrics import aggregate
 from tarstop.nets import chosen_and_entropy, forward, init_params, joint_params, log_softmax
-from tarstop.ppo import Hyperparams, Minibatch, compute_gae, infer_stop, ppo_loss, train
+from tarstop.ppo import Hyperparams, compute_gae, infer_stop, ppo_loss, train
 
 
 def report(number, ok, detail):
@@ -61,16 +61,16 @@ def test_criterion_2_optimal_stop_property():
            f"{failures} mismatches over 1000 random (batches, target) pairs in {elapsed:.2f}s")
 
 
-def surrogate_loss(actor, critic, batch, hyper):
+def surrogate_loss(actor, critic, obs, actions, log_probs_old, advantages, returns, hyper):
     """ppo_loss's loss alone, with the same arithmetic; finite differences
     call it thousands of times and need no gradient."""
-    logits, _ = forward(actor, batch.obs)
-    values = forward(critic, batch.obs)[0][:, 0]
-    logp, entropy = chosen_and_entropy(log_softmax(logits), batch.actions)
-    ratio = np.exp(logp - batch.log_probs_old)
-    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * batch.advantages
-    policy_loss = -np.minimum(ratio * batch.advantages, clipped).mean()
-    value_loss = float(np.mean((values - batch.returns) ** 2))
+    logits, _ = forward(actor, obs)
+    values = forward(critic, obs)[0][:, 0]
+    logp, entropy = chosen_and_entropy(log_softmax(logits), actions)
+    ratio = np.exp(logp - log_probs_old)
+    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * advantages
+    policy_loss = -np.minimum(ratio * advantages, clipped).mean()
+    value_loss = float(np.mean((values - returns) ** 2))
     return float(policy_loss + hyper.value_coef * value_loss - hyper.entropy_coef * float(entropy.mean()))
 
 
@@ -87,25 +87,19 @@ def test_criterion_3_gradient_fidelity():
         obs = rng.uniform(-1.0, 1.0, (n, width))
         actions = rng.integers(0, 2, n)
         logits, _ = forward(actor, obs)
-        logp_now, _ = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), actions)
+        logp_now, _ = chosen_and_entropy(log_softmax(logits), actions)
         # log-ratio offsets keep every sample away from the clip kinks at
         # ratio 0.8 and 1.2: half near 1, half deep inside the clipped zone
         offsets = np.where(rng.random(n) < 0.5,
                            rng.uniform(-0.05, 0.05, n),
                            rng.choice([-1.0, 1.0], n) * rng.uniform(0.35, 0.6, n))
-        batch = Minibatch(
-            obs=obs,
-            actions=actions,
-            log_probs_old=logp_now - offsets,
-            advantages=rng.standard_normal(n),
-            returns=rng.standard_normal(n),
-        )
+        batch = (obs, actions, logp_now - offsets, rng.standard_normal(n), rng.standard_normal(n))
         hyper = Hyperparams()
-        loss, _, grads = ppo_loss(actor, critic, batch, hyper)
-        assert loss == surrogate_loss(actor, critic, batch, hyper)
+        loss, _, grads = ppo_loss(actor, critic, *batch, hyper)
+        assert loss == surrogate_loss(actor, critic, *batch, hyper)
 
         def loss_at_params():
-            return surrogate_loss(actor, critic, batch, hyper)
+            return surrogate_loss(actor, critic, *batch, hyper)
 
         numeric = finite_difference(loss_at_params, [params], h=1e-5)
         worst = max(worst, max_rel_error([grads], numeric))
@@ -125,10 +119,10 @@ def test_criterion_4_gae_matches_brute_force():
         bootstrap = float(rng.standard_normal())
         gamma = float(rng.uniform(0.5, 1.0))
         lam = float(rng.uniform(0.5, 1.0))
-        buf = buffer_from_columns(rewards, values, dones, bootstrap)
-        compute_gae(buf, gamma, lam)
+        rollout = rollout_from_columns(rewards, values, dones, bootstrap)
+        advantages = compute_gae(rollout, gamma, lam)
         expected = brute_force_gae(rewards, values, dones, bootstrap, gamma, lam)
-        worst = max(worst, float(np.abs(buf.advantages[:, 0] - expected).max()))
+        worst = max(worst, float(np.abs(advantages[:, 0] - expected).max()))
     report(4, worst <= 1e-10, f"max advantage deviation {worst:.2e} over 100 buffers")
 
 

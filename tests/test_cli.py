@@ -148,6 +148,20 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
 
+    def test_non_finite_loss_exits_1_naming_the_loss_and_every_stat(self, tmp_path, collection,
+                                                                    capsys):
+        run_path, qrels_path = collection
+        with np.errstate(all="ignore"):  # the overflow is the point
+            code = main(["train", "--run", str(run_path), "--qrels", str(qrels_path),
+                         "--out", str(tmp_path / "m"), "--learning-rate", "1e300",
+                         "--timesteps", "1600"])
+        assert code == 1
+        [line] = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert re.fullmatch(r"error: non-finite loss (inf|-inf|nan) during update: "
+                            r"LossStats\(policy_loss=\S+, value_loss=\S+, entropy=\S+, "
+                            r"clip_fraction=\S+, approx_kl=\S+\)", line), line
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "nan"), ("value_coef", "inf"), ("max_grad_norm", "nan"),
@@ -187,6 +201,87 @@ def test_negative_seed_exits_2(tmp_path, trained, capsys, command, source):
         args += ["--config", str(config)]
     assert main(args) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def command_args(command, tmp_path, trained):
+    """A valid command line for ``command`` that writes under ``tmp_path / "o"``."""
+    run_path, qrels_path, ckpt = trained
+    data = ["--run", str(run_path), "--qrels", str(qrels_path)]
+    out = str(tmp_path / "o")
+    return {
+        "synth": ["synth", "--out", out, "--count", "2", "--docs", "30"],
+        "train": ["train", *data, "--out", out, "--batches", "6", *FAST_TRAIN],
+        "stop": ["stop", "--checkpoint", str(ckpt), *data, "--out", out],
+        "baseline": ["baseline", "--method", "budget", *data, "--out", out],
+        "eval": ["eval", "--results", str(tmp_path / "r.csv"), *data, "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value, message", [
+    ("baseline", "target", [0.0], "target recall must be in (0, 1], got 0.0"),
+    ("eval", "target", [0.5, 1.5], "target recall must be in (0, 1], got 1.5"),
+    ("train", "batches", 0, "batch count must be >= 1, got 0"),
+    ("baseline", "fraction", 1.5, "budget fraction must be in (0, 1], got 1.5"),
+    ("stop", "seed", -2, "seed must be >= 0, got -2"),
+    ("train", "gamma", 1.5, "gamma must be in (0, 1], got 1.5"),
+    ("train", "n_envs", 0, "n_envs must be >= 1, got 0"),
+    ("synth", "count", 0, "topic count must be >= 1, got 0"),
+    ("synth", "docs", 0, "n_docs must be >= 1, got 0"),
+    ("synth", "prevalence", 1.0, "prevalence must be in (0, 1), got 1.0"),
+    ("synth", "decay", -1.0, "decay must be positive, got -1.0"),
+])
+def test_out_of_range_config_value_names_the_file_and_key(tmp_path, trained, capsys, source,
+                                                          command, key, value, message):
+    args = command_args(command, tmp_path, trained)
+    flag = f"--{key.replace('_', '-')}"
+    if flag in args:  # a base flag would override the config file
+        del args[args.index(flag) : args.index(flag) + 2]
+    if source == "flag":  # today's text
+        args += [a for v in (value if isinstance(value, list) else [value]) for a in (flag, str(v))]
+        expected = f"error: {message}\n"
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        args += ["--config", str(config)]
+        expected = f"error: config file {config}: key '{key}': {message}\n"
+    assert main(args) == 2
+    assert capsys.readouterr().err.endswith(expected)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, targets, message", [
+    ("train", [0.9, 0.8, 0.9], "target 0.9 is given twice"),
+    ("train", [0.9, 0.9000001], "targets 0.9 and 0.9000001 would both write policy-t0.9.json"),
+    ("train", [1, 1.0], "target 1.0 is given twice"),
+    ("baseline", [0.9, 0.9], "target 0.9 is given twice"),
+    ("eval", [0.5, 0.7, 0.5], "target 0.5 is given twice"),
+])
+def test_repeated_target_exits_2_naming_it(tmp_path, trained, capsys, source, command, targets,
+                                           message):
+    args = command_args(command, tmp_path, trained)
+    if source == "flag":
+        args += [a for t in targets for a in ("--target", str(t))]
+        expected = f"error: {message}\n"
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"target": targets}))
+        args += ["--config", str(config)]
+        expected = f"error: config file {config}: key 'target': {message}\n"
+    assert main(args) == 2
+    assert capsys.readouterr().err.endswith(expected)
+    assert not (tmp_path / "o").exists()
+
+
+def test_near_equal_targets_are_distinct_outside_train(tmp_path, trained):
+    run_path, qrels_path, _ = trained
+    data = ["--run", str(run_path), "--qrels", str(qrels_path)]
+    results = tmp_path / "oracle.csv"
+    assert main(["baseline", "--method", "oracle", *data, "--out", str(results),
+                 "--target", "0.9", "--target", "0.9000001"]) == 0
+    assert main(["eval", "--results", str(results), *data, "--out", str(tmp_path / "r")]) == 0
+    assert len(read_rows(tmp_path / "r" / "aggregate.csv")) == 2
 
 
 def test_config_keys_are_per_subcommand(tmp_path, collection, capsys):
@@ -750,12 +845,19 @@ class TestEval:
     def test_row_stamped_twice_with_one_target_exits_2(self, tmp_path, collection, capsys):
         run_path, qrels_path = collection
         external = tmp_path / "external.csv"
-        external.write_text("topic_id,method,docs_examined\nsynth-0000,sampler,30\n")
+        external.write_text("topic_id,method,docs_examined\nsynth-0000,sampler,30\n"
+                            "synth-0000,sampler,31\n")
+        assert main(["eval", "--results", str(external), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "r"),
+                     "--target", "0.9"]) == 2
+        assert (f"{external}: method 'sampler' at target 0.9 repeats topic 'synth-0000'"
+                in capsys.readouterr().err)
+        # a target given twice would stamp every row twice: it is refused before any row
         assert main(["eval", "--results", str(external), "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "r"),
                      "--target", "0.9", "--target", "0.9"]) == 2
-        assert (f"{external}: method 'sampler' at target 0.9 repeats topic 'synth-0000'"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == "error: target 0.9 is given twice\n"
+        assert not (tmp_path / "r").exists()
 
     def test_bad_row_names_the_file_that_gave_it(self, tmp_path, collection, capsys):
         run_path, qrels_path = collection

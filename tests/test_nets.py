@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,29 +63,31 @@ class TestForward:
             [np.zeros((4, 8)), np.zeros((8, 2))],
             [np.zeros(8), np.zeros(2)],
         )
-        out, _ = forward(params, np.ones(4))
-        assert out.tolist() == [0.0, 0.0]
-        assert softmax(out).tolist() == [0.5, 0.5]
+        out, _ = forward(params, np.ones((1, 4)))
+        assert out.tolist() == [[0.0, 0.0]]
+        assert softmax(out).tolist() == [[0.5, 0.5]]
 
     def test_zero_value_head(self):
         params = MlpParams([np.zeros((4, 8)), np.zeros((8, 1))], [np.zeros(8), np.zeros(1)])
-        out, _ = forward(params, np.ones(4))
-        assert out.tolist() == [0.0]
+        out, _ = forward(params, np.ones((1, 4)))
+        assert out.tolist() == [[0.0]]
 
     def test_pure(self, rng):
         params = init_params(2, (6, 16, 16, 2), out_gain=0.01)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
         out1, _ = forward(params, x)
         out2, _ = forward(params, x)
         assert np.array_equal(out1, out2)
 
-    def test_batched_matches_single(self, rng):
+    def test_batched_matches_single_rows(self, rng):
         params = init_params(2, (6, 16, 16, 2), out_gain=0.01)
         xs = rng.standard_normal((5, 6))
-        batched, _ = forward(params, xs)
+        batched, cache = forward(params, xs)
+        assert cache[0] is xs  # the input rows themselves, neither copied nor converted
         for k in range(5):
-            single, _ = forward(params, xs[k])
-            assert np.allclose(batched[k], single, atol=1e-15)
+            single, _ = forward(params, xs[k : k + 1])
+            assert single.shape == (1, 2)
+            assert np.allclose(batched[k], single[0], atol=1e-15)
 
     def test_non_finite_input_rejected(self):
         # every network input is a row of an observation table, which is
@@ -98,8 +101,9 @@ class TestForward:
 
     def test_width_mismatch_rejected(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)
-        with pytest.raises(ValueError, match="width"):
-            forward(params, np.zeros(5))
+        for bad in (np.zeros((1, 5)), np.zeros((2, 2)), np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(ValueError, match=f"shape {re.escape(str(bad.shape))} .* width 3"):
+                forward(params, bad)
 
 
 class TestLogProbAndEntropy:

@@ -16,8 +16,9 @@ from tarstop.ppo import (
     CHECKPOINTS,
     Checkpoint,
     Hyperparams,
-    Minibatch,
-    RolloutBuffer,
+    LogRow,
+    LossStats,
+    Rollout,
     collect_rollout,
     compute_gae,
     infer_stop,
@@ -51,12 +52,12 @@ def brute_force_gae(rewards, values, dones, bootstrap, gamma, lam):
     return adv
 
 
-def buffer_from_columns(rewards, values, dones, bootstrap):
+def rollout_from_columns(rewards, values, dones, bootstrap):
     rewards = np.asarray(rewards, dtype=float)[:, None]
     values = np.asarray(values, dtype=float)[:, None]
     dones = np.asarray(dones, dtype=bool)[:, None]
     n = len(rewards)
-    return RolloutBuffer(
+    return Rollout(
         obs=np.zeros((n, 1, 2)),
         actions=np.zeros((n, 1), dtype=np.int64),
         log_probs=np.zeros((n, 1)),
@@ -103,26 +104,28 @@ class TestComputeGae:
         # lambda=1 with zero values and one terminated episode: advantages
         # are plain discounted returns from each step
         gamma = 0.9
-        buf = buffer_from_columns([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [False, False, True], 0.0)
-        compute_gae(buf, gamma, 1.0)
+        rollout = rollout_from_columns([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [False, False, True], 0.0)
+        advantages = compute_gae(rollout, gamma, 1.0)
         expected = [1 + 2 * gamma + 3 * gamma**2, 2 + 3 * gamma, 3.0]
-        assert np.allclose(buf.advantages[:, 0], expected, atol=1e-12)
+        assert np.allclose(advantages[:, 0], expected, atol=1e-12)
 
     def test_gamma_zero_is_one_step_error(self, rng):
         rewards = rng.standard_normal(5)
         values = rng.standard_normal(5)
-        buf = buffer_from_columns(rewards, values, [False] * 5, 0.3)
-        compute_gae(buf, 0.0, 0.95)
+        rollout = rollout_from_columns(rewards, values, [False] * 5, 0.3)
         # hyperparams forbid gamma=0 but the estimator itself degrades cleanly
-        assert np.allclose(buf.advantages[:, 0], rewards - values, atol=1e-12)
+        assert np.allclose(compute_gae(rollout, 0.0, 0.95)[:, 0], rewards - values, atol=1e-12)
 
-    def test_returns_are_advantages_plus_values(self, rng):
+    def test_leaves_the_rollout_unchanged(self, rng):
         rewards = rng.standard_normal(8)
         values = rng.standard_normal(8)
         dones = rng.random(8) < 0.3
-        buf = buffer_from_columns(rewards, values, dones, 0.7)
-        compute_gae(buf, 0.99, 0.95)
-        assert np.allclose(buf.returns, buf.advantages + buf.values, atol=1e-15)
+        rollout = rollout_from_columns(rewards, values, dones, 0.7)
+        before = [a.copy() for a in rollout]
+        advantages = compute_gae(rollout, 0.99, 0.95)
+        assert advantages.shape == rollout.rewards.shape
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(rollout, before))
+        assert not any(np.shares_memory(advantages, a) for a in rollout)
 
     def test_matches_brute_force_on_random_buffers(self, rng):
         for _ in range(100):
@@ -133,17 +136,16 @@ class TestComputeGae:
             bootstrap = float(rng.standard_normal())
             gamma = float(rng.uniform(0.5, 1.0))
             lam = float(rng.uniform(0.5, 1.0))
-            buf = buffer_from_columns(rewards, values, dones, bootstrap)
-            compute_gae(buf, gamma, lam)
+            advantages = compute_gae(rollout_from_columns(rewards, values, dones, bootstrap),
+                                     gamma, lam)
             expected = brute_force_gae(rewards, values, dones, bootstrap, gamma, lam)
-            assert np.allclose(buf.advantages[:, 0], expected, atol=1e-10)
+            assert np.allclose(advantages[:, 0], expected, atol=1e-10)
 
     def test_boundary_blocks_value_leakage(self):
         # with a terminal at step 0, the bootstrap and later values must not
         # flow into the first advantage
-        buf = buffer_from_columns([1.0, 5.0], [0.5, 9.0], [True, False], 100.0)
-        compute_gae(buf, 0.99, 0.95)
-        assert abs(buf.advantages[0, 0] - (1.0 - 0.5)) < 1e-12
+        rollout = rollout_from_columns([1.0, 5.0], [0.5, 9.0], [True, False], 100.0)
+        assert abs(compute_gae(rollout, 0.99, 0.95)[0, 0] - (1.0 - 0.5)) < 1e-12
 
 
 def small_pool(seed=0, n_topics=6, n_docs=40, n_batches=8):
@@ -166,7 +168,6 @@ class TestCollectRollout:
         assert buf.actions.shape == (100, 8)
         assert buf.rewards.shape == (100, 8)
         assert buf.bootstrap_values.shape == (8,)
-        assert buf.n_steps * buf.n_envs == 800
 
     def test_deterministic(self):
         pool = small_pool()
@@ -196,25 +197,20 @@ class TestPpoLoss:
         venv = VecStoppingEnv(pool, 0.9, n_envs=4, seed=seed)
         actor, critic = fresh_nets(venv.n_batches, seed)
         buf, _ = collect_rollout(actor, critic, venv, 20, np.random.default_rng(seed))
-        compute_gae(buf, 0.99, 0.95)
-        n = buf.n_steps * buf.n_envs
-        batch = Minibatch(
-            obs=buf.obs.reshape(n, -1),
-            actions=buf.actions.reshape(n),
-            log_probs_old=buf.log_probs.reshape(n),
-            advantages=normalize_advantages(buf.advantages.reshape(n)),
-            returns=buf.returns.reshape(n),
-        )
+        advantages = compute_gae(buf, 0.99, 0.95)
+        n = advantages.size
+        batch = (buf.obs.reshape(n, -1), buf.actions.reshape(n), buf.log_probs.reshape(n),
+                 normalize_advantages(advantages.reshape(n)), (advantages + buf.values).reshape(n))
         return actor, critic, batch
 
     def test_unchanged_policy_has_unit_ratio(self):
         actor, critic, batch = self._batch_from_rollout()
         hyper = Hyperparams()
-        _, stats, _ = ppo_loss(actor, critic, batch, hyper)
-        assert stats["clip_fraction"] == 0.0
+        _, stats, _ = ppo_loss(actor, critic, *batch, hyper)
+        assert stats.clip_fraction == 0.0
         # -mean(normalized advantages), which is zero up to float error
-        assert abs(stats["policy_loss"]) < 1e-12
-        assert abs(stats["approx_kl"]) < 1e-12
+        assert abs(stats.policy_loss) < 1e-12
+        assert abs(stats.approx_kl) < 1e-12
 
     def test_clipped_branch_value(self):
         # two samples with ratio exactly 1.5 and positive advantage: the
@@ -222,48 +218,40 @@ class TestPpoLoss:
         actor = MlpParams([np.zeros((3, 2))], [np.zeros(2)])
         critic = MlpParams([np.zeros((3, 1))], [np.zeros(1)])
         logp_now = np.log(0.5)
-        batch = Minibatch(
-            obs=np.zeros((2, 3)),
-            actions=np.array([0, 1]),
-            log_probs_old=np.array([logp_now - np.log(1.5)] * 2),
-            advantages=np.array([1.0, 1.0]),
-            returns=np.zeros(2),
-        )
-        _, stats, _ = ppo_loss(actor, critic, batch, Hyperparams(clip_range=0.2))
-        assert abs(stats["policy_loss"] - (-1.2)) < 1e-12
-        assert stats["clip_fraction"] == 1.0
+        batch = (np.zeros((2, 3)), np.array([0, 1]), np.array([logp_now - np.log(1.5)] * 2),
+                 np.array([1.0, 1.0]), np.zeros(2))
+        _, stats, _ = ppo_loss(actor, critic, *batch, Hyperparams(clip_range=0.2))
+        assert abs(stats.policy_loss - (-1.2)) < 1e-12
+        assert stats.clip_fraction == 1.0
 
     def test_negative_advantage_clips_low_side(self):
         actor = MlpParams([np.zeros((3, 2))], [np.zeros(2)])
         critic = MlpParams([np.zeros((3, 1))], [np.zeros(1)])
         logp_now = np.log(0.5)
-        batch = Minibatch(
-            obs=np.zeros((2, 3)),
-            actions=np.array([0, 1]),
-            log_probs_old=np.array([logp_now - np.log(0.5)] * 2),  # ratio 0.5
-            advantages=np.array([-1.0, -1.0]),
-            returns=np.zeros(2),
-        )
-        _, stats, _ = ppo_loss(actor, critic, batch, Hyperparams(clip_range=0.2))
+        batch = (np.zeros((2, 3)), np.array([0, 1]),
+                 np.array([logp_now - np.log(0.5)] * 2),  # ratio 0.5
+                 np.array([-1.0, -1.0]), np.zeros(2))
+        _, stats, _ = ppo_loss(actor, critic, *batch, Hyperparams(clip_range=0.2))
         # min(0.5 * -1, 0.8 * -1) = -0.8 -> loss +0.8
-        assert abs(stats["policy_loss"] - 0.8) < 1e-12
+        assert abs(stats.policy_loss - 0.8) < 1e-12
 
     def test_stats_bounds(self):
         actor, critic, batch = self._batch_from_rollout(seed=2)
         actor2 = MlpParams([w + 0.01 for w in actor.weights], [b + 0.01 for b in actor.biases])
-        _, stats, _ = ppo_loss(actor2, critic, batch, Hyperparams())
-        assert 0.0 <= stats["clip_fraction"] <= 1.0
-        assert stats["approx_kl"] >= -1e-12
-        assert 0.0 <= stats["entropy"] <= np.log(2.0) + 1e-12
+        _, stats, _ = ppo_loss(actor2, critic, *batch, Hyperparams())
+        assert 0.0 <= stats.clip_fraction <= 1.0
+        assert stats.approx_kl >= -1e-12
+        assert 0.0 <= stats.entropy <= np.log(2.0) + 1e-12
 
     def test_entropy_term_vanishes_for_deterministic_policy(self):
         actor, critic, batch = self._batch_from_rollout(seed=3)
         actor.biases[-1][:] = [30.0, -30.0]
-        batch = dataclasses.replace(batch, log_probs_old=np.full_like(batch.log_probs_old, -1e-13))
+        obs, actions, log_probs_old, advantages, returns = batch
+        batch = (obs, actions, np.full_like(log_probs_old, -1e-13), advantages, returns)
         h_on = Hyperparams(entropy_coef=0.1)
         h_off = Hyperparams(entropy_coef=0.0)
-        _, _, grads_on = ppo_loss(actor, critic, batch, h_on)
-        _, _, grads_off = ppo_loss(actor, critic, batch, h_off)
+        _, _, grads_on = ppo_loss(actor, critic, *batch, h_on)
+        _, _, grads_off = ppo_loss(actor, critic, *batch, h_off)
         assert np.allclose(grads_on, grads_off, atol=1e-8)
 
     def test_gradient_vector_is_both_backward_passes_bitwise(self, monkeypatch):
@@ -277,7 +265,7 @@ class TestPpoLoss:
             return nets.backward(params, cache, grad_out, out=out)
 
         monkeypatch.setattr(ppo, "backward", recording_backward)
-        _, _, grads = ppo_loss(actor, critic, batch, Hyperparams())
+        _, _, grads = ppo_loss(actor, critic, *batch, Hyperparams())
         assert [g.size for g in separate] == [actor.flat.size, critic.flat.size]
         assert np.array_equal(grads, np.concatenate(separate))
 
@@ -294,31 +282,61 @@ class TestPpoLoss:
 
 
 class TestPpoUpdate:
-    def test_requires_gae(self):
-        pool = small_pool()
-        venv = VecStoppingEnv(pool, 0.9, n_envs=2, seed=0)
-        params, (actor, critic) = joint_params(*fresh_nets(venv.n_batches))
-        buf, _ = collect_rollout(actor, critic, venv, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="compute_gae"):
-            ppo_update(actor, critic, params, adam_init(params), buf,
-                       Hyperparams(), np.random.default_rng(0))
-
     def test_update_changes_params_and_reports_stats(self):
         pool = small_pool()
         venv = VecStoppingEnv(pool, 0.9, n_envs=4, seed=0)
         params, (actor, critic) = joint_params(*fresh_nets(venv.n_batches))
         before = [net.flat.copy() for net in (actor, critic)]
         buf, _ = collect_rollout(actor, critic, venv, 25, np.random.default_rng(0))
-        compute_gae(buf, 0.99, 0.95)
+        advantages = compute_gae(buf, 0.99, 0.95)
         hyper = Hyperparams(minibatch_size=20, n_epochs=2)
         opt = adam_init(params)
-        stats = ppo_update(actor, critic, params, opt, buf, hyper, np.random.default_rng(0))
+        stats = ppo_update(actor, critic, params, opt, buf, advantages, hyper,
+                           np.random.default_rng(0))
         # both networks move, through their views of the one vector
         assert all(not np.array_equal(net.flat, b) for net, b in zip((actor, critic), before))
         assert opt.step == 2 * (100 // 20)
-        assert 0.0 <= stats["clip_fraction"] <= 1.0
-        assert stats["approx_kl"] >= -1e-12
-        assert np.isfinite(stats["loss"])
+        assert 0.0 <= stats.clip_fraction <= 1.0
+        assert stats.approx_kl >= -1e-12
+        assert all(np.isfinite(stats))
+
+    def test_stats_are_the_python_float_mean_of_its_minibatches(self, monkeypatch):
+        pool = small_pool()
+        venv = VecStoppingEnv(pool, 0.9, n_envs=4, seed=0)
+        params, (actor, critic) = joint_params(*fresh_nets(venv.n_batches))
+        rollout, _ = collect_rollout(actor, critic, venv, 25, np.random.default_rng(0))
+        advantages = compute_gae(rollout, 0.99, 0.95)
+        calls = []
+
+        def recording_loss(*args):
+            result = ppo_loss(*args)
+            calls.append((args[2:7], result[1]))
+            return result
+
+        monkeypatch.setattr(ppo, "ppo_loss", recording_loss)
+        hyper = Hyperparams(minibatch_size=30, n_epochs=3)  # 100 rows: a short last minibatch
+        stats = ppo_update(actor, critic, params, adam_init(params), rollout, advantages, hyper,
+                           np.random.default_rng(4))
+        assert type(stats) is LossStats and len(calls) == 3 * 4
+        totals = [0.0] * len(LossStats._fields)
+        for _, each in calls:
+            assert type(each) is LossStats
+            totals = [total + value for total, value in zip(totals, each)]
+        assert [s.hex() for s in stats] == [(t / len(calls)).hex() for t in totals]
+        # each minibatch is a slice of one permutation per epoch, its returns advantages + values
+        rng = np.random.default_rng(4)
+        rows = (rollout.obs.reshape(100, -1), rollout.actions.reshape(100),
+                rollout.log_probs.reshape(100), advantages.reshape(100),
+                (advantages + rollout.values).reshape(100))
+        for epoch in range(3):
+            perm = rng.permutation(100)
+            for k, start in enumerate(range(0, 100, 30)):
+                (obs, actions, log_probs, adv, returns), _ = calls[4 * epoch + k]
+                mb = perm[start : start + 30]
+                assert np.array_equal(obs, rows[0][mb]) and np.array_equal(actions, rows[1][mb])
+                assert np.array_equal(log_probs, rows[2][mb])
+                assert np.array_equal(adv, normalize_advantages(rows[3][mb]))
+                assert np.array_equal(returns, rows[4][mb])
 
 
 class TestTrain:
@@ -327,8 +345,8 @@ class TestTrain:
         hyper = Hyperparams(total_timesteps=4000, n_steps=10, n_envs=4, minibatch_size=40, seed=0)
         _, rows = train(topics, 0.9, hyper, n_batches=8)
         assert len(rows) == 100  # 4000 / (10 * 4)
-        assert rows[-1]["timesteps"] == 4000
-        assert [r["iteration"] for r in rows[:3]] == [1, 2, 3]
+        assert rows[-1].timesteps == 4000
+        assert [r.iteration for r in rows[:3]] == [1, 2, 3]
 
     def test_deterministic_given_seed(self):
         topics = synth_topics(4, 40, 0.25, 10.0, seed=0)
@@ -378,7 +396,7 @@ class TestTrain:
         topics = make_collection(*[labels] * 4)
         hyper = Hyperparams(total_timesteps=24_000, seed=0)
         _, rows = train(topics, 1.0, hyper, n_batches=20)
-        tail = [r["mean_stop_batch"] for r in rows[-3:]]
+        tail = [r.mean_stop_batch for r in rows[-3:]]
         assert 8.0 <= float(np.mean(tail)) <= 12.0
 
 
@@ -513,8 +531,8 @@ class TestInferStop:
             examined = 1
             while True:
                 obs = [float(c) if j < examined else -1.0 for j, c in enumerate(bts.batch_rel[k])]
-                logits, _ = forward(actor, np.array(obs))
-                if int(np.argmax(logits)) == STOP or examined == n_batches:
+                logits, _ = forward(actor, np.array([obs]))
+                if int(np.argmax(logits[0])) == STOP or examined == n_batches:
                     return StopResult(f"m{k}", "policy", 0.9, int(bts.sizes[k, :examined].sum()),
                                       int(bts.cum_rel[k, examined - 1]), examined)
                 examined += 1
@@ -612,16 +630,20 @@ class TestCheckpointIO:
         write_training_log(path, rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,timesteps,mean_ep_reward,mean_stop_batch,policy_loss,value_loss,entropy,clip_fraction,approx_kl"
+        assert lines[0] == ",".join(LogRow._fields)
         assert len(lines) == len(rows) + 1
+        assert all(type(row) is LogRow for row in rows)
+        # a row ends with its iteration's update stats, field for field
+        assert LogRow._fields[-len(LossStats._fields):] == LossStats._fields
 
     def test_training_log_golden_text(self, tmp_path):
         rows = [
-            {"iteration": 1, "timesteps": 20, "mean_ep_reward": 0.1 + 0.2,
-             "mean_stop_batch": float("nan"), "policy_loss": -1e-17, "value_loss": 2.5,
-             "entropy": 0.6931471805599453, "clip_fraction": 0.0, "approx_kl": 1 / 3},
-            {"iteration": 2, "timesteps": 40, "mean_ep_reward": -0.5, "mean_stop_batch": 3.0,
-             "policy_loss": 1e22, "value_loss": 0.0, "entropy": 0.1, "clip_fraction": 0.25,
-             "approx_kl": 2e-05},
+            LogRow(iteration=1, timesteps=20, mean_ep_reward=0.1 + 0.2,
+                   mean_stop_batch=float("nan"), policy_loss=-1e-17, value_loss=2.5,
+                   entropy=0.6931471805599453, clip_fraction=0.0, approx_kl=1 / 3),
+            LogRow(iteration=2, timesteps=40, mean_ep_reward=-0.5, mean_stop_batch=3.0,
+                   policy_loss=1e22, value_loss=0.0, entropy=0.1, clip_fraction=0.25,
+                   approx_kl=2e-05),
         ]
         path = tmp_path / "log.csv"
         write_training_log(path, rows)
