@@ -3,10 +3,10 @@
 The first command to parse an input stores what the parse produced; a
 later command on the same bytes, at any path, loads it and rebuilds the
 value through the same constructors and checks, so outputs are
-byte-identical to an uncached run. :data:`TOPICS` holds a run/qrels pair's
-collection (topic ids, lengths and a byte per document's label, decoded
-straight into one ``corpus.Collection``) and ingest warnings, which a hit
-logs again; ``tarstop.ppo.CHECKPOINTS`` a checkpoint's weights and fields.
+byte-identical to an uncached run. It knows nothing of what it stores: a
+:class:`Kind`, declared beside its parser, says how (``tarstop.corpus.TOPICS``
+a run/qrels pair's collection and ingest warnings, ``tarstop.ppo.CHECKPOINTS``
+a checkpoint's weights and fields).
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
 sha256 (a checkpoint is read once, and those bytes are both hashed and
@@ -34,9 +34,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-
-from .corpus import Collection
-from .corpus import log as corpus_log
 
 log = logging.getLogger(__name__)
 
@@ -191,75 +188,16 @@ def evict(keep: Path) -> None:
         log.warning("input cache %s not trimmed: %s", keep.parent, exc)
 
 
-def cached(kind: Kind, sources, parse: Callable[[], Any]) -> tuple[Any, bool]:
-    """The value of ``kind`` for these sources (see :func:`entry_path`), and
-    whether it is a hit: loaded from the cache, else ``parse()``, whose value
-    is then stored if the sources still hash to the same key."""
+def cached(kind: Kind, sources, parse: Callable[[], Any]) -> Any:
+    """The value of ``kind`` for these sources (see :func:`entry_path`):
+    loaded from the cache, else ``parse()``, whose value is then stored if
+    the sources still hash to the same key."""
     path = entry_path(kind, sources)
     value = read_entry(path, kind) if path is not None else None
     if value is not None:
-        return value, True
+        return value
     value = parse()
     arrays = kind.encode(value) if path is not None else None
     if arrays is not None and entry_path(kind, sources) == path:
         write_entry(path, arrays)
-    return value, False
-
-
-def _topics_entry(value: tuple[Collection, list[str]]) -> dict[str, np.ndarray] | None:
-    topics, warnings = value
-    # A warning logged below the corpus logger's level is never recorded,
-    # so such a run cannot know what a hit would have to replay.
-    if not topics or not corpus_log.isEnabledFor(logging.WARNING):
-        return None
-    ids = np.array(topics.topic_ids, dtype=str)
-    replay = np.array(warnings, dtype=str)
-    if ids.tolist() != list(topics.topic_ids) or replay.tolist() != warnings:
-        return None  # e.g. a trailing NUL, which numpy's str arrays drop
-    return dict(zip(TOPICS.arrays, (ids, topics.n_docs, topics.labels.astype(np.uint8), replay)))
-
-
-def _topics_from_entry(arrays: dict[str, np.ndarray]) -> tuple[Collection, list[str]]:
-    ids, lengths, labels, warnings = arrays.values()
-    if not (ids.ndim == lengths.ndim == labels.ndim == warnings.ndim == 1
-            and ids.dtype.kind == warnings.dtype.kind == "U"
-            and lengths.dtype.kind == "i" and labels.dtype == np.uint8
-            and len(ids) == len(lengths) and len(set(ids.tolist())) == len(ids)):
-        raise ValueError("inconsistent topic entry")
-    # the constructor checks the lengths against the labels, which must be binary
-    topics = Collection(tuple(ids.tolist()), np.cumsum([0, *lengths.tolist()]), labels)
-    if not (topics.n_relevant > 0).all():  # assemble_topics excludes such a topic
-        raise ValueError("topic entry holds a topic with no relevant document")
-    return topics, warnings.tolist()
-
-
-TOPICS = Kind(b"tarstop-topics-v2", ("topic_ids", "lengths", "labels", "warnings"),
-              _topics_entry, _topics_from_entry)
-
-
-class _Recorder(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages: list[str] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.messages.append(record.getMessage())
-
-
-def cached_topics(run_file, qrels_file, ingest: Callable[[], Collection]) -> Collection:
-    """The collection of a run/qrels pair: from the cache on a hit, which
-    logs the warnings ingest logged, else from ``ingest()``."""
-
-    def parse():
-        recorder = _Recorder()
-        corpus_log.addHandler(recorder)
-        try:
-            return ingest(), recorder.messages
-        finally:
-            corpus_log.removeHandler(recorder)
-
-    (topics, warnings), hit = cached(TOPICS, (run_file, qrels_file), parse)
-    if hit:
-        for message in warnings:
-            corpus_log.warning("%s", message)
-    return topics
+    return value

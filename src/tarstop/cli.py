@@ -23,12 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import budget_stop, check_fraction, knee_stop, oracle_stop
-from .cache import cached_topics
+from .cache import cached
 from .corpus import (
+    TOPICS,
     assemble_topics,
     check_batches,
     check_seed,
     check_synth,
+    check_tag,
     check_target,
     load_qrels,
     load_run,
@@ -48,6 +50,8 @@ from .metrics import (
 )
 from .ppo import Hyperparams, infer_stop, load_checkpoint, save_checkpoint, train, write_training_log
 
+log = logging.getLogger(__name__)
+
 DEFAULT_TARGETS = [0.8, 0.9, 1.0]
 DEFAULT_BATCHES = 100
 
@@ -65,7 +69,8 @@ def _load_config(args) -> dict:
     config_path = _require_file(args.config, "config file")
     try:
         data = json.loads(config_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # not JSON or UTF-8, an integer past int()'s digit limit, or nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {config_path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {config_path}: expected a JSON object")
@@ -120,18 +125,30 @@ def _resolve(args, config: dict, key: str, default, check=None):
     """``key``'s value from its flag, else from the config file, else ``default``.
 
     ``check``, the value's range rule, runs on a flag's or the config file's
-    value; an error from the config file's names the file and the key.
+    value (see :func:`_checked`), after the rule every integer meets: to fit
+    in 64 bits, as numpy holds it.
     """
     flag = getattr(args, key, None)
     value = flag if flag is not None else config.get(key, default)
     if check is not None and (flag is not None or key in config):
-        try:
+        def rule():
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise ConfigError(f"{key} must fit in 64 bits, got {value}")
             check(value)
-        except ConfigError as exc:
-            if flag is not None:
-                raise
-            raise ConfigError(f"config file {Path(args.config)}: key {key!r}: {exc}") from None
+        _checked(args, config, [key], rule)
     return value
+
+
+def _checked(args, config: dict, keys, rule):
+    """``rule()``, over the settings ``keys``; if the config file gave any of
+    them, its error names the file and those keys."""
+    try:
+        return rule()
+    except ConfigError as exc:
+        given = ", ".join(repr(key) for key in keys if getattr(args, key) is None and key in config)
+        if not given:
+            raise
+        raise ConfigError(f"config file {Path(args.config)}: key {given}: {exc}") from None
 
 
 def _check_targets(targets, file_name=None) -> None:
@@ -159,15 +176,17 @@ def _require_file(path, what: str) -> Path:
 
 
 def _load_topics(run_path, qrels_path):
-    """The usable topics of a run/qrels pair, through the topic cache
-    (:mod:`tarstop.cache`): parsed on a miss, loaded on a hit."""
+    """The usable topics of a run/qrels pair, through the input cache
+    (:mod:`tarstop.cache`): parsed on a miss, loaded on a hit; logs their warnings."""
     run_file = _require_file(run_path, "run file")
     qrels_file = _require_file(qrels_path, "qrels file")
     # The parse goes through this module's names, so wrappers installed on
     # them see every parse a command makes.
     try:
-        topics = cached_topics(run_file, qrels_file,
-                               lambda: assemble_topics(load_run(run_file), load_qrels(qrels_file)))
+        topics = cached(TOPICS, (run_file, qrels_file),
+                        lambda: assemble_topics(load_run(run_file), load_qrels(qrels_file)))
+        for message in topics.warnings:
+            log.warning("%s", message)
         if not topics:
             raise ConfigError("no usable topics (all empty or without relevant documents)")
     except ConfigError as exc:  # name the pair, which assemble_topics cannot
@@ -182,8 +201,9 @@ def cmd_synth(args) -> int:
     prevalence = _resolve(args, config, "prevalence", 0.02, lambda v: check_synth(prevalence=v))
     decay = _resolve(args, config, "decay", 100.0, lambda v: check_synth(decay=v))
     seed = _resolve(args, config, "seed", 0, check_seed)
-    tag = _resolve(args, config, "tag", "tarstop-synth")
-    topics = synth_topics(count, docs, prevalence, decay, seed)
+    tag = _resolve(args, config, "tag", "tarstop-synth", check_tag)
+    topics = _checked(args, config, ("count", "docs", "prevalence", "decay", "seed"),
+                      lambda: synth_topics(count, docs, prevalence, decay, seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_path = out_dir / "synthetic.run"
@@ -207,6 +227,8 @@ def cmd_train(args) -> int:
                          f.default, lambda v, name=f.name: Hyperparams(**{name: v}).validate())
         for f in dataclasses.fields(Hyperparams)
     })
+    # the settings' joint rule, checked before any topic is batched
+    _checked(args, config, ("timesteps", "n_steps", "n_envs"), hyper.iterations)
     batches = _resolve(args, config, "batches", DEFAULT_BATCHES, check_batches)
     out_dir = Path(args.out)
     for target in targets:
@@ -276,7 +298,7 @@ def cmd_eval(args) -> int:
                 key = (row.method, row.target_recall, row.topic_id)
                 if key in given_in:
                     raise ConfigError(
-                        f"{path}: method {row.method!r} at target {row.target_recall:g} repeats "
+                        f"{path}: method {row.method!r} at target {row.target_recall!r} repeats "
                         f"topic {row.topic_id!r}, already given in {given_in[key]}"
                     )
                 given_in[key] = path
@@ -297,7 +319,7 @@ def cmd_eval(args) -> int:
     write_aggregate_csv(aggregate_path, report)
     for s in report.summaries:
         flag = " pareto" if s.pareto_optimal else ""
-        print(f"{s.method:>10s} @ {s.target_recall:g}: recall {s.mean_recall:.3f}, "
+        print(f"{s.method:>10s} @ {s.target_recall!r}: recall {s.mean_recall:.3f}, "
               f"cost {s.mean_cost:.3f}, excess {s.mean_excess:+.3f}{flag}")
     print(f"wrote {per_topic_path} and {aggregate_path}")
     return 0

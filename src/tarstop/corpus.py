@@ -29,16 +29,15 @@ near-equal batches the labels are cut into for the stopping task
 (:class:`Batches`), whose relevant counts the stopping agent observes and the
 knee baseline reads.
 
-The CLI keeps what :func:`load_run`, :func:`load_qrels` and
-:func:`assemble_topics` make of a pair of files (the collection and the
-warnings logged) in a cache keyed by the files' bytes
-(:mod:`tarstop.cache`). A change to what they produce for given bytes must
-change ``tarstop.cache.TOPICS.format``, or old entries would stand in for it.
+:func:`assemble_topics` logs nothing: the topics it left out, and why, are
+its collection's ``warnings``. The CLI caches what :func:`load_run`,
+:func:`load_qrels` and :func:`assemble_topics` make of a pair of files as a
+:data:`TOPICS` entry (:mod:`tarstop.cache`). A change to what they produce
+for given bytes must change ``TOPICS.format``, or old entries would stand in.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 import warnings
@@ -47,9 +46,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .cache import Kind
 from .errors import ConfigError, ParseError
-
-log = logging.getLogger(__name__)
 
 # Slack applied to target_recall * n_relevant so decimal targets (0.9, ...)
 # don't miss an exact threshold through float rounding.
@@ -61,11 +59,13 @@ class Collection:
     """Topics end to end: topic k ranks documents ``bounds[k]:bounds[k + 1]``,
     and ``labels[bounds[k] + r - 1]`` is 1 if its document at rank r is
     relevant, else 0. ``gain[bounds[k] + r] - gain[bounds[k]]`` of its first r
-    documents are relevant (``gain[0] == 0``)."""
+    documents are relevant (``gain[0] == 0``). ``warnings`` say what the
+    ingest that made it left out, and why."""
 
     topic_ids: tuple[str, ...]
     bounds: np.ndarray
     labels: np.ndarray
+    warnings: tuple[str, ...] = ()
     gain: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -93,11 +93,11 @@ class Collection:
         object.__setattr__(self, "gain", gain)
 
     @classmethod
-    def of(cls, topic_ids, rankings) -> "Collection":
+    def of(cls, topic_ids, rankings, warnings=()) -> "Collection":
         """The collection of these topics, topic k labelled ``rankings[k]``."""
         rankings = list(rankings)
         return cls(tuple(topic_ids), np.cumsum([0, *map(len, rankings)]),
-                   np.concatenate([np.zeros(0, np.int64), *rankings]))
+                   np.concatenate([np.zeros(0, np.int64), *rankings]), tuple(warnings))
 
     def __len__(self) -> int:
         return len(self.topic_ids)
@@ -312,12 +312,11 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
     """Join a parsed run with qrels into a labelled collection.
 
     Documents absent from the qrels are labelled 0. Topics whose ranking
-    contains no relevant document are dropped with a warning since recall is
-    undefined for them.
+    contains no relevant document are dropped (recall is undefined). Its
+    ``warnings`` name each qrels-only topic, then each dropped run topic.
     """
-    for topic_id in qrels:
-        if topic_id not in run:
-            log.warning("qrels topic %s not in run; ignored", topic_id)
+    notes = [f"qrels topic {topic_id} not in run; ignored" for topic_id in qrels
+             if topic_id not in run]
     kept: dict[str, np.ndarray] = {}
     for topic_id, ranking in run.items():
         if topic_id not in qrels:
@@ -327,10 +326,37 @@ def assemble_topics(run: dict[str, list[str]], qrels: dict[str, dict[str, int]])
             map(judged.get, ranking, repeat(0)), dtype=np.int64, count=len(ranking)
         )
         if labels.sum() == 0:
-            log.warning("topic %s: no relevant documents, excluded (recall undefined)", topic_id)
+            notes.append(f"topic {topic_id}: no relevant documents, excluded (recall undefined)")
             continue
         kept[topic_id] = labels
-    return Collection.of(kept.keys(), kept.values())
+    return Collection.of(kept.keys(), kept.values(), notes)
+
+
+def _topics_entry(topics: Collection) -> dict[str, np.ndarray] | None:
+    ids, notes = np.array(topics.topic_ids, dtype=str), np.array(topics.warnings, dtype=str)
+    if not topics or ids.tolist() + notes.tolist() != [*topics.topic_ids, *topics.warnings]:
+        return None  # empty, or text a str array cannot hold, e.g. a trailing NUL
+    return dict(zip(TOPICS.arrays, (ids, topics.n_docs, topics.labels.astype(np.uint8), notes)))
+
+
+def _topics_from_entry(arrays: dict[str, np.ndarray]) -> Collection:
+    ids, lengths, labels, notes = arrays.values()
+    if not (ids.ndim == lengths.ndim == labels.ndim == notes.ndim == 1
+            and ids.dtype.kind == notes.dtype.kind == "U"
+            and lengths.dtype.kind == "i" and labels.dtype == np.uint8
+            and len(ids) == len(lengths) and len(set(ids.tolist())) == len(ids)):
+        raise ValueError("inconsistent topic entry")
+    # the constructor checks the lengths against the labels, which must be binary
+    topics = Collection(tuple(ids.tolist()), np.cumsum([0, *lengths.tolist()]), labels,
+                        tuple(notes.tolist()))
+    if not (topics.n_relevant > 0).all():  # assemble_topics excludes such a topic
+        raise ValueError("topic entry holds a topic with no relevant document")
+    return topics
+
+
+# A cached run/qrels pair: what assemble_topics made of its files.
+TOPICS = Kind(b"tarstop-topics-v2", ("topic_ids", "lengths", "labels", "warnings"),
+              _topics_entry, _topics_from_entry)
 
 
 def read_text(path, newline=None) -> str:
@@ -370,6 +396,14 @@ def check_synth(count: int = 1, n_docs: int = 1, prevalence: float = 0.5, decay:
         raise ConfigError(f"prevalence must be in (0, 1), got {prevalence}")
     if decay <= 0.0:
         raise ConfigError(f"decay must be positive, got {decay}")
+
+
+def check_tag(tag: str) -> str:
+    """``tag`` itself if it is UTF-8 text on one line, not all whitespace; else a ConfigError."""
+    if (tag.isspace() or tag.splitlines() != [tag]
+            or tag.encode("utf-8", "replace").decode("utf-8") != tag):  # a lone surrogate
+        raise ConfigError(f"run tag must be one line of UTF-8 text, not all whitespace, got {tag!r}")
+    return tag
 
 
 def rank_relevance_probs(n_docs: int, prevalence: float, decay: float) -> np.ndarray:
@@ -448,6 +482,7 @@ def write_run_file(path, topics: Collection, tag: str = "tarstop") -> None:
     Doc ids are generated as ``<topic>-d<rank:06d>``, so writing a parsed
     topic does not restore its original ids.
     """
+    check_tag(tag)
     with open(path, "w", encoding="utf-8") as fh:
         for topic_id, docs, _ in _topics(topics):
             n = len(docs)

@@ -170,7 +170,7 @@ def aggregate(results: list[StopResult], topics: Collection) -> MetricsReport:
             if other_target == target and not other_ids <= topic_ids:
                 missing, (a, b) = min(other_ids - topic_ids), groups[other, other_target]
                 raise ResultError(
-                    f"method {method!r} at target {target:g} has no row for topic "
+                    f"method {method!r} at target {target!r} has no row for topic "
                     f"{missing!r}, which method {other!r} has; every method at a target "
                     "must cover the same topics", rows[groups[method, target][0]],
                     rows[a + columns[2][a:b].index(missing)])

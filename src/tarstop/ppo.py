@@ -98,6 +98,13 @@ class Hyperparams:
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
 
+    def iterations(self) -> int:
+        """The full rollouts in ``total_timesteps``, at least one, or a :class:`ConfigError`."""
+        if (n := self.total_timesteps // (self.n_steps * self.n_envs)) < 1:
+            raise ConfigError(f"total_timesteps {self.total_timesteps} is less than one rollout "
+                              f"({self.n_steps} steps x {self.n_envs} envs)")
+        return n
+
 
 class Rollout(NamedTuple):
     """Fixed-horizon trajectories, time-major over (n_steps, n_envs)."""
@@ -315,6 +322,7 @@ def train(
     per iteration.
     """
     hyper.validate()
+    iterations, per_iteration = hyper.iterations(), hyper.n_steps * hyper.n_envs
     if not topics:
         raise ConfigError("no training topics")
     pool = topics.batched(n_batches)
@@ -327,23 +335,18 @@ def train(
     opt = adam_init(params)
     action_rng = np.random.default_rng(seeds[3])
     shuffle_rng = np.random.default_rng(seeds[4])
-    per_iteration = hyper.n_steps * hyper.n_envs
-    iterations = hyper.total_timesteps // per_iteration
-    if iterations < 1:
-        raise ConfigError(
-            f"total_timesteps {hyper.total_timesteps} is less than one rollout "
-            f"({hyper.n_steps} steps x {hyper.n_envs} envs)"
-        )
     rows: list[LogRow] = []
-    for iteration in range(1, iterations + 1):
-        rollout, episodes = collect_rollout(actor, critic, venv, hyper.n_steps, action_rng)
-        advantages = compute_gae(rollout, hyper.gamma, hyper.gae_lambda)
-        stats = ppo_update(actor, critic, params, opt, rollout, advantages, hyper, shuffle_rng)
-        rewards = [e["episode_reward"] for e in episodes]
-        stops = [e["stop_batch"] for e in episodes]
-        rows.append(LogRow(iteration, iteration * per_iteration,
-                           float(np.mean(rewards)) if rewards else float("nan"),
-                           float(np.mean(stops)) if stops else float("nan"), *stats))
+    # a diverging update overflows before NonFiniteLossError reports it: no numpy warnings
+    with np.errstate(all="ignore"):
+        for iteration in range(1, iterations + 1):
+            rollout, episodes = collect_rollout(actor, critic, venv, hyper.n_steps, action_rng)
+            advantages = compute_gae(rollout, hyper.gamma, hyper.gae_lambda)
+            stats = ppo_update(actor, critic, params, opt, rollout, advantages, hyper, shuffle_rng)
+            rewards = [e["episode_reward"] for e in episodes]
+            stops = [e["stop_batch"] for e in episodes]
+            rows.append(LogRow(iteration, iteration * per_iteration,
+                               float(np.mean(rewards)) if rewards else float("nan"),
+                               float(np.mean(stops)) if stops else float("nan"), *stats))
     checkpoint = Checkpoint(actor, critic, target_recall, n_batches, normalize, hyper)
     return checkpoint, rows
 
@@ -433,7 +436,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         return _checked(path, data, lambda network: MlpParams(network["weights"], network["biases"]))
 
-    return cached(CHECKPOINTS, (raw,), parse)[0]
+    return cached(CHECKPOINTS, (raw,), parse)
 
 
 def _checked(path, data, network) -> Checkpoint:

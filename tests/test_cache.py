@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import io
 import json
+import logging
 import os
 import shutil
 import threading
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 
 import tarstop.cache as cache
 import tarstop.cli as cli
-from tarstop.cache import TOPICS, Kind, cache_dir, entry_path, file_sha256, read_entry, write_entry
+from tarstop.cache import Kind, cache_dir, entry_path, file_sha256, read_entry, write_entry
 from tarstop.cli import main
 from conftest import make_topic, topic_labels
-from tarstop.corpus import assemble_topics, load_qrels, load_run
+from tarstop.corpus import TOPICS, assemble_topics, load_qrels, load_run
 from tarstop.errors import ConfigError
 
 
@@ -30,7 +32,7 @@ def collection(tmp_path):
 @pytest.fixture
 def odd_collection(tmp_path):
     """Two usable topics, one without relevant documents and a qrels-only
-    topic, so ingest logs both kinds of warning."""
+    topic, so ingest gives both kinds of warning."""
     run = tmp_path / "odd.run"
     qrels = tmp_path / "odd.qrels"
     lines = []
@@ -253,12 +255,59 @@ def test_warnings_replay_on_a_hit_with_identical_text(tmp_path, odd_collection, 
     logged.append(baseline("hit"))
     assert calls == []
     assert logged[0] == logged[1] == [
-        ("tarstop.corpus", "WARNING", "qrels topic ghost not in run; ignored"),
-        ("tarstop.corpus", "WARNING", "qrels topic spook not in run; ignored"),
-        ("tarstop.corpus", "WARNING",
+        ("tarstop.cli", "WARNING", "qrels topic ghost not in run; ignored"),
+        ("tarstop.cli", "WARNING", "qrels topic spook not in run; ignored"),
+        ("tarstop.cli", "WARNING",
          "topic empty: no relevant documents, excluded (recall undefined)"),
     ]
     assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "hit.csv").read_bytes()
+
+
+@pytest.mark.parametrize("silence", ["level", "disable"])
+def test_silenced_warnings_still_store_the_entry_and_its_warnings(odd_collection, topic_cache_dir,
+                                                                  monkeypatch, caplog, silence):
+    run, qrels = odd_collection
+    calls = count_parses(monkeypatch)
+    logger = logging.getLogger("tarstop")
+    try:
+        if silence == "level":
+            logger.setLevel(logging.ERROR)
+        else:
+            logging.disable(logging.WARNING)
+        for _ in range(2):
+            assert cli._load_topics(run, qrels).topic_ids == ("t2", "t1")
+    finally:
+        logger.setLevel(logging.NOTSET)
+        logging.disable(logging.NOTSET)
+    assert calls == ["load_run", "load_qrels", "assemble_topics"]  # one parse
+    assert len(entries(topic_cache_dir)) == 1
+    with caplog.at_level("WARNING"):
+        cli._load_topics(run, qrels)  # a hit, no longer silenced
+    assert calls == ["load_run", "load_qrels", "assemble_topics"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "qrels topic ghost not in run; ignored", "qrels topic spook not in run; ignored",
+        "topic empty: no relevant documents, excluded (recall undefined)"]
+
+
+def test_ingest_error_prints_only_its_error_line(tmp_path, odd_collection, capsys, caplog):
+    """Warnings are part of what ingest returns, so one that raises shows
+    none of those it found first, such as the qrels-only topics here."""
+    run, qrels = odd_collection
+    unjudged = tmp_path / "unjudged.run"
+    unjudged.write_text(run.read_text() + "nojudge Q0 n1 1 1.0 x\n")
+    for _ in range(2):
+        with caplog.at_level("WARNING"):
+            assert main(["baseline", "--method", "oracle", "--run", str(unjudged),
+                         "--qrels", str(qrels), "--out", str(tmp_path / "o.csv")]) == 2
+        assert caplog.records == []
+        assert capsys.readouterr().err == (
+            f"error: {unjudged} with {qrels}: run topic 'nojudge' has no qrels entry\n")
+
+
+def test_the_cache_imports_nothing_of_what_it_stores():
+    tree = ast.parse(open(cache.__file__, encoding="utf-8").read())
+    imported = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert all(node.level == 0 and not node.module.startswith("tarstop") for node in imported)
 
 
 def test_unwritable_cache_directory_still_exits_0(tmp_path, collection, monkeypatch, caplog):
@@ -298,7 +347,7 @@ def test_entry_of_the_first_format_is_never_served(tmp_path, topic_cache_dir, ca
     qrels.write_text("t1 0 d1 1\n")
     v1_key = hashlib.sha256(b"tarstop-topics-v1" + file_sha256(run) + file_sha256(qrels))
     v1_entry = topic_cache_dir / f"{v1_key.hexdigest()}.npz"
-    write_entry(v1_entry, TOPICS.encode((make_topic([0, 1]), [])))
+    write_entry(v1_entry, TOPICS.encode(make_topic([0, 1])))
     assert read_entry(v1_entry, TOPICS) is not None  # a usable entry, under the old key
     for _ in range(2):
         assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,39 @@ class TestSynth:
 
     def test_zero_count_is_a_config_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x"), "--count", "0"]) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("tag", ["", " ", "x\n", "a\x0bb", "a\x1cb", "a\u2028b"])
+    def test_tag_a_run_line_cannot_end_in_exits_2(self, tmp_path, capsys, source, tag):
+        args = ["synth", "--out", str(tmp_path / "x"), "--count", "2", "--docs", "30"]
+        message = f"run tag must be one line of UTF-8 text, not all whitespace, got {tag!r}"
+        if source == "flag":
+            args += ["--tag", tag]
+            expected = f"error: {message}\n"
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"tag": tag}))
+            args += ["--config", str(config)]
+            expected = f"error: config file {config}: key 'tag': {message}\n"
+        assert main(args) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("tag", ["my run", "a\tb", "\u00fc", " x"])
+    def test_tag_on_one_line_round_trips(self, tmp_path, source, tag):
+        out = tmp_path / "x"
+        args = ["synth", "--out", str(out), "--count", "2", "--docs", "30"]
+        if source == "flag":
+            args += ["--tag", tag]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"tag": tag}))
+            args += ["--config", str(tmp_path / "c.json")]
+        assert main(args) == 0
+        assert all(line.endswith(f" {tag}")
+                   for line in (out / "synthetic.run").read_text(encoding="utf-8").splitlines())
+        topics = assemble_topics(load_run(out / "synthetic.run"), load_qrels(out / "synthetic.qrels"))
+        assert np.array_equal(topics.labels, synth_topics(2, 30, 0.02, 100.0, seed=0).labels)
 
 
 class TestTrain:
@@ -151,12 +185,16 @@ class TestTrain:
     def test_non_finite_loss_exits_1_naming_the_loss_and_every_stat(self, tmp_path, collection,
                                                                     capsys):
         run_path, qrels_path = collection
-        with np.errstate(all="ignore"):  # the overflow is the point
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["train", "--run", str(run_path), "--qrels", str(qrels_path),
                          "--out", str(tmp_path / "m"), "--learning-rate", "1e300",
                          "--timesteps", "1600"])
         assert code == 1
-        [line] = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert caught == []  # numpy's overflow warnings would only repeat the error
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert err == line + "\n"
         assert re.fullmatch(r"error: non-finite loss (inf|-inf|nan) during update: "
                             r"LossStats\(policy_loss=\S+, value_loss=\S+, entropy=\S+, "
                             r"clip_fraction=\S+, approx_kl=\S+\)", line), line
@@ -251,6 +289,62 @@ def test_out_of_range_config_value_names_the_file_and_key(tmp_path, trained, cap
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "batches", 2**63), ("baseline", "batches", 10**30), ("synth", "docs", -(2**63) - 1),
+    ("stop", "seed", 2**64), ("train", "n_epochs", 2**63),
+])
+def test_integer_past_64_bits_exits_2(tmp_path, trained, capsys, source, command, key, value):
+    args = command_args(command, tmp_path, trained)
+    flag = f"--{key.replace('_', '-')}"
+    if flag in args:
+        del args[args.index(flag) : args.index(flag) + 2]
+    message = f"{key} must fit in 64 bits, got {value}"
+    if source == "flag":
+        args += [flag, str(value)]
+        expected = f"error: {message}\n"
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        args += ["--config", str(config)]
+        expected = f"error: config file {config}: key '{key}': {message}\n"
+    assert main(args) == 2
+    assert capsys.readouterr().err.endswith(expected)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # 2**40 envs: the rule is checked before any environment is built
+    ("train", {"n_envs": 2**40}, f"total_timesteps 200 is less than one rollout "
+                                 f"(10 steps x {2**40} envs)"),
+    ("train", {"timesteps": 19}, "total_timesteps 19 is less than one rollout (10 steps x 2 envs)"),
+    ("synth", {"docs": 1, "prevalence": 1e-9},
+     "could not sample a topic with any relevant document (prevalence 1e-09, n_docs 1)"),
+])
+def test_joint_rule_error_names_the_config_file(tmp_path, trained, capsys, command, config,
+                                                message):
+    args = command_args(command, tmp_path, trained)
+    for key in config:
+        flag = f"--{key.replace('_', '-')}"
+        if flag in args:
+            del args[args.index(flag) : args.index(flag) + 2]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([*args, "--config", str(path)]) == 2
+    keys = ", ".join(map(repr, config))  # those the config file gave
+    assert capsys.readouterr().err == f"error: config file {path}: key {keys}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ['{"seed": ' + "9" * 5000 + "}", "[" * 100_000])
+def test_config_json_python_cannot_read_exits_2(tmp_path, trained, capsys, text):
+    """An integer past int()'s digit limit, or arrays nested past the recursion limit."""
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main([*command_args("stop", tmp_path, trained), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, targets, message", [
     ("train", [0.9, 0.8, 0.9], "target 0.9 is given twice"),
     ("train", [0.9, 0.9000001], "targets 0.9 and 0.9000001 would both write policy-t0.9.json"),
@@ -274,14 +368,18 @@ def test_repeated_target_exits_2_naming_it(tmp_path, trained, capsys, source, co
     assert not (tmp_path / "o").exists()
 
 
-def test_near_equal_targets_are_distinct_outside_train(tmp_path, trained):
+def test_near_equal_targets_are_distinct_outside_train(tmp_path, trained, capsys):
     run_path, qrels_path, _ = trained
     data = ["--run", str(run_path), "--qrels", str(qrels_path)]
     results = tmp_path / "oracle.csv"
     assert main(["baseline", "--method", "oracle", *data, "--out", str(results),
                  "--target", "0.9", "--target", "0.9000001"]) == 0
+    capsys.readouterr()
     assert main(["eval", "--results", str(results), *data, "--out", str(tmp_path / "r")]) == 0
-    assert len(read_rows(tmp_path / "r" / "aggregate.csv")) == 2
+    rows = read_rows(tmp_path / "r" / "aggregate.csv")
+    assert [row["target"] for row in rows] == ["0.9", "0.9000001"]
+    # each summary line names its target as the CSV holds it
+    assert re.findall(r"oracle @ (\S+):", capsys.readouterr().out) == ["0.9", "0.9000001"]
 
 
 def test_config_keys_are_per_subcommand(tmp_path, collection, capsys):
@@ -1013,7 +1111,7 @@ class TestEvalErrors:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {paths[0]}: method 'zeta' at target 1 repeats topic 'synth-0000', "
+            f"error: {paths[0]}: method 'zeta' at target 1.0 repeats topic 'synth-0000', "
             f"already given in {paths[0]}\n")
 
     def test_repeat_across_files_is_named_before_a_misfit_row(self, tmp_path, collection,
@@ -1025,7 +1123,7 @@ class TestEvalErrors:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {paths[1]}: method 'zeta' at target 1 repeats topic 'synth-0003', "
+            f"error: {paths[1]}: method 'zeta' at target 1.0 repeats topic 'synth-0003', "
             f"already given in {paths[0]}\n")
 
     def test_unequal_topic_sets_name_the_first_method_in_report_order(self, tmp_path,

@@ -10,6 +10,7 @@ from conftest import make_collection, make_topic, prefix_count, topic_labels
 from tarstop.corpus import (
     Collection,
     assemble_topics,
+    check_tag,
     first_reaching,
     parse_qrels,
     parse_run,
@@ -242,20 +243,35 @@ class TestAssembleTopics:
         assert topics.n_relevant.tolist() == [1]
 
     def test_zero_relevant_topic_excluded_with_warning(self, caplog):
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             topics = assemble_topics({"t1": ["d1"], "t2": ["d2"]}, {"t1": {"d1": 0}, "t2": {"d2": 1}})
         assert topics.topic_ids == ("t2",)
-        assert "t1" in caplog.text
+        assert topics.warnings == ("topic t1: no relevant documents, excluded (recall undefined)",)
+        assert caplog.records == []  # the caller logs them
 
     def test_run_topic_without_qrels_is_an_error(self):
         with pytest.raises(ConfigError, match="t9"):
             assemble_topics({"t9": ["d1"]}, {"t1": {"d1": 1}})
 
     def test_qrels_only_topic_warned_and_ignored(self, caplog):
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             topics = assemble_topics({"t1": ["d1"]}, {"t1": {"d1": 1}, "t5": {"dx": 1}})
         assert topics.topic_ids == ("t1",)
-        assert "t5" in caplog.text
+        assert topics.warnings == ("qrels topic t5 not in run; ignored",)
+        assert caplog.records == []
+
+    def test_warnings_list_qrels_only_topics_then_excluded_run_topics(self):
+        run = {"r2": ["a"], "r1": ["b"], "ok": ["c"]}
+        qrels = {"q2": {}, "ok": {"c": 1}, "r1": {"b": 0}, "q1": {}, "r2": {}}
+        assert assemble_topics(run, qrels).warnings == (
+            "qrels topic q2 not in run; ignored",
+            "qrels topic q1 not in run; ignored",
+            "topic r2: no relevant documents, excluded (recall undefined)",
+            "topic r1: no relevant documents, excluded (recall undefined)",
+        )
+
+    def test_a_clean_pair_has_no_warnings(self):
+        assert assemble_topics({"t1": ["d1"]}, {"t1": {"d1": 1}}).warnings == ()
 
 
 class TestTopicInvariants:
@@ -726,3 +742,13 @@ class TestFileRoundTrip:
         assert np.array_equal(rebuilt.bounds, topics.bounds)
         assert np.array_equal(rebuilt.labels, topics.labels)
         assert_generated_doc_ids(run_path, topics)
+
+    @pytest.mark.parametrize("tag", ["", " ", "\t", "x\n", "a\nb", "a\rb", "a\x0bb", "a\x1cb",
+                                     "a\x85b", "a\u2028b", "a\u2029b", "a\ud800"])
+    def test_a_tag_a_run_line_cannot_end_in_writes_nothing(self, tmp_path, tag):
+        with pytest.raises(ConfigError, match=re.escape(f"run tag must be one line of UTF-8 text, "
+                                                        f"not all whitespace, got {tag!r}")):
+            write_run_file(tmp_path / "x.run", synth_topics(1, 5, 0.5, 5.0, seed=1), tag)
+        assert not (tmp_path / "x.run").exists()
+        with pytest.raises(ConfigError):
+            check_tag(tag)

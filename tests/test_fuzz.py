@@ -3,6 +3,8 @@ results file either still works (exit 0) or is an input error that names it
 (exit 2), never an internal fault (exit 1); and for a run/qrels pair a second
 run, which the input cache serves when the first parsed, ends the same way."""
 
+import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_cli import FAST_TRAIN
-from tarstop.cli import main
+from tarstop.cli import build_parser, main
 from tarstop.corpus import synth_topics, write_qrels_file, write_run_file
 
 # rank and score; relevance; target, stop_batch, docs_examined and relevant_found
@@ -169,3 +171,149 @@ def test_mutated_results_exits_0_or_2_naming_it(tmp_path, results_set, capsys, m
     err = capsys.readouterr().err
     assert code in (0, 2), err
     assert code == 0 or str(files[mutated]) in err, err
+
+
+def below(bound, inclusive):
+    """Finite floats under ``bound``, or at it if ``inclusive``."""
+    return st.floats(max_value=bound, exclude_max=not inclusive, allow_nan=False,
+                     allow_infinity=False)
+
+
+def above(bound, inclusive):
+    """Finite floats over ``bound``, or at it if ``inclusive``."""
+    return st.floats(min_value=bound, exclude_min=not inclusive, allow_nan=False,
+                     allow_infinity=False)
+
+
+NOT_POSITIVE = st.integers(-(10**6), 0)
+OUTSIDE_UNIT = below(0.0, True) | above(1.0, False)  # outside (0, 1]
+# Each config key: a value small enough to run in well under a second, and a
+# value of its type that its range rule rejects. ``timesteps`` is always
+# ``n_steps * n_envs``, one rollout (see config_text).
+CONFIG_KEYS = {
+    "count": (st.integers(1, 8), NOT_POSITIVE),
+    "docs": (st.integers(1, 200), NOT_POSITIVE),
+    "prevalence": (st.floats(0.001, 0.999), below(0.0, True) | above(1.0, True)),
+    "decay": (st.floats(0.001, 1e4), below(0.0, True)),
+    "seed": (st.integers(0, 2**63 - 1), st.integers(-(10**6), -1)),
+    "tag": (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1,
+                    max_size=8).filter(lambda tag: not tag.isspace()),
+            st.sampled_from(["", " ", "x\n", "a\x0bb", "a\u2028b", "a\ud800"])),
+    "target": (st.lists(st.floats(0.001, 1.0), min_size=1, max_size=2),
+               st.lists(OUTSIDE_UNIT, min_size=1, max_size=2)),
+    "batches": (st.integers(1, 10), NOT_POSITIVE),
+    "fraction": (st.floats(0.001, 1.0), OUTSIDE_UNIT),
+    "mode": (st.sampled_from(["greedy", "sample"]),
+             st.text(max_size=6).filter(lambda mode: mode not in ("greedy", "sample"))),
+    "normalize_obs": (st.sampled_from(["ratio", "count"]),
+                      st.text(max_size=6).filter(lambda form: form not in ("ratio", "count"))),
+    "timesteps": (st.just(None), NOT_POSITIVE),
+    "n_steps": (st.integers(1, 16), NOT_POSITIVE),
+    "n_envs": (st.integers(1, 16), NOT_POSITIVE),
+    "minibatch_size": (st.integers(1, 64), NOT_POSITIVE),
+    "n_epochs": (st.integers(1, 2), NOT_POSITIVE),
+    "learning_rate": (st.floats(0.0, 0.01), below(0.0, False)),
+    "entropy_coef": (st.floats(0.0, 1.0), below(0.0, False)),
+    "value_coef": (st.floats(0.0, 1.0), below(0.0, False)),
+    "gamma": (st.floats(0.001, 1.0), OUTSIDE_UNIT),
+    "gae_lambda": (st.floats(0.001, 1.0), OUTSIDE_UNIT),
+    "clip_range": (st.floats(0.001, 0.999), below(0.0, True) | above(1.0, True)),
+    "max_grad_norm": (st.floats(0.001, 1e3), below(0.0, True)),
+}
+WRONG_TYPES = st.one_of(st.booleans(), st.text(max_size=5), st.none(),
+                        st.lists(st.one_of(st.booleans(), st.text(max_size=3), st.none()),
+                                 max_size=2),
+                        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+# past int64 for an integer key, past the float range for any number
+HUGE = {int: st.integers(2**63, 10**30) | st.integers(-(10**30), -(2**63) - 1),
+        float: st.tuples(st.sampled_from([-1, 1]), st.integers(1, 9), st.integers(309, 400))
+                 .map(lambda t: t[0] * t[1] * 10**t[2])}
+PAST_DIGIT_LIMIT = "9" * 5000  # more digits than int() converts from text by default
+
+
+def command_line(command, directory, results_set, draw):
+    """``command``'s arguments but its config file, writing under ``directory``."""
+    pair, _, _ = results_set
+    out = str(directory / "out")
+    data = Path(pair[1]).parent  # the run file's, which holds the checkpoint and results too
+    return {
+        "synth": ["synth", "--out", out],
+        "train": ["train", *pair, "--out", out],
+        "stop": ["stop", "--checkpoint", str(data / "policy-t0.9.json"), *pair, "--out", out],
+        "baseline": ["baseline", "--method", draw(st.sampled_from(["oracle", "knee", "budget"])),
+                     *pair, "--out", out],
+        "eval": ["eval", "--results", str(data / "oracle.csv"), *pair, "--out", out],
+    }[command]
+
+
+def config_text(draw, keys) -> bytes:
+    """A config file's bytes: a valid object over every one of ``keys``, with
+    one mutation or none, so that any exit 2 is the file's doing."""
+    config = {key: draw(CONFIG_KEYS[key][0]) for key in keys}
+    if "timesteps" in config:
+        config["timesteps"] = config["n_steps"] * config["n_envs"]
+    mutation = draw(st.sampled_from([None, "wrong type", "out of range", "non-finite", "huge",
+                                     "unknown key", "top level", "truncated", "not UTF-8"]))
+    key = draw(st.sampled_from(sorted(keys)))
+    as_list = (lambda value: [value]) if isinstance(config[key], list) else (lambda value: value)
+    literal = None
+    if mutation == "wrong type":
+        config[key] = draw(WRONG_TYPES)
+    elif mutation == "out of range":
+        config[key] = draw(CONFIG_KEYS[key][1])
+    elif mutation == "non-finite":
+        config[key] = as_list(draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    elif mutation == "huge":
+        kind = keys[key].type or str
+        if draw(st.booleans()):
+            config[key] = as_list(draw(HUGE[int if kind is int else float]))
+        else:  # spliced into the text: json.dumps cannot write it either
+            literal, config[key] = PAST_DIGIT_LIMIT, as_list("__huge__")
+    elif mutation == "unknown key":
+        config[draw(st.text(max_size=8).filter(lambda name: name not in keys))] = 1
+    elif mutation == "top level":
+        config = draw(st.sampled_from([[config], list(config), 3, "config", None, True]))
+    text = json.dumps(config).encode()
+    if literal is not None:
+        text = text.replace(b'"__huge__"', literal.encode())
+    if mutation == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif mutation == "not UTF-8":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"])) + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "stop", "baseline", "eval"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_exits_0_or_2_naming_it(tmp_path, results_set, capsys, monkeypatch,
+                                               command, data):
+    """A valid config file, or one mutation of it, for every key each command
+    accepts: a wrong type (bool, string, null, list or object), a number its
+    rule rejects, a NaN or Infinity literal, an integer past int64 (an
+    integer key) or past the float range (a number key) or past int()'s 4300
+    digits, an unknown key, a top level that is not an object, or text cut
+    short or made invalid UTF-8. Valid values are bounded so that a command
+    runs in well under a second: count <= 8, docs <= 200, batches <= 10,
+    n_steps and n_envs <= 16 (rollout buffers of at most 256 transitions),
+    timesteps one rollout of them, n_epochs <= 2,
+    minibatch_size <= 64, learning_rate <= 0.01. A run file synth writes is
+    then read back."""
+    pair, cache, _ = results_set
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(cache))  # the unmutated pair's entry
+    example = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
+    args = command_line(command, example, results_set, data.draw)
+    keys = build_parser(command).parse_args(args).config_keys
+    assert set(keys) <= set(CONFIG_KEYS)  # a new key is fuzzed too
+    config = example / "config.json"
+    config.write_bytes(config_text(data.draw, keys))
+    capsys.readouterr()
+    code = main([*args, "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert code == 0 or str(config) in err, err
+    if command == "synth" and code == 0:
+        out = example / "out"
+        assert main(["baseline", "--method", "budget", "--run", str(out / "synthetic.run"),
+                     "--qrels", str(out / "synthetic.qrels"), "--out", str(example / "b.csv")]) == 0
