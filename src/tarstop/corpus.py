@@ -417,14 +417,6 @@ def rank_relevance_probs(n_docs: int, prevalence: float, decay: float) -> np.nda
     check_synth(n_docs=n_docs, prevalence=prevalence, decay=decay)
     ranks = np.arange(1, n_docs + 1, dtype=np.float64)
     expected = prevalence * n_docs
-    # Uncapped solution saturating the whole list means the decay shape is
-    # meaningless at this prevalence.
-    log_c0 = math.log(expected) - _logsumexp(-ranks / decay)
-    if log_c0 - n_docs / decay > 0.0:
-        raise ConfigError(
-            f"prevalence {prevalence} infeasible for decay {decay}: "
-            "relevance probability would exceed 1 at every rank"
-        )
 
     def expected_count(log_c: float) -> float:
         return float(np.exp(np.minimum(0.0, log_c - ranks / decay)).sum())
@@ -437,11 +429,6 @@ def rank_relevance_probs(n_docs: int, prevalence: float, decay: float) -> np.nda
         else:
             hi = mid
     return np.exp(np.minimum(0.0, hi - ranks / decay))
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(x.max())
-    return m + math.log(float(np.exp(x - m).sum()))
 
 
 def synth_topics(count: int, n_docs: int, prevalence: float, decay: float, seed: int) -> Collection:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import Batches
 from .errors import ConfigError
+from .nets import DTYPE
 
 STOP = 0
 CONTINUE = 1
@@ -49,11 +50,12 @@ def reward(batches_examined, target, n_batches):
 
 
 def observation_table(pool: Batches, normalize: str) -> np.ndarray:
-    """``(n_topics, B)`` matrix of what each batch reveals once examined.
+    """``(n_topics, B)`` matrix of what each batch reveals once examined,
+    in the networks' ``nets.DTYPE``.
 
     Every observation a network sees is built from such a table, so this is
     where a non-finite value is rejected, once per table rather than once
-    per forward pass.
+    per forward pass. The ratios are computed in float64 and rounded once.
     """
     if normalize not in NORMALIZE_MODES:
         raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {normalize!r}")
@@ -62,7 +64,7 @@ def observation_table(pool: Batches, normalize: str) -> np.ndarray:
         table /= np.maximum(pool.sizes, 1)
     if not np.isfinite(table).all():
         raise ValueError("non-finite values in observation table")
-    return table
+    return table.astype(DTYPE)
 
 
 def observe(table: np.ndarray, topic_idx: np.ndarray, examined: np.ndarray) -> np.ndarray:

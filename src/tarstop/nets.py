@@ -2,10 +2,16 @@
 
 The policy and value heads are small enough (input -> 64 -> 64 -> out,
 tanh hidden activations) that a tensor framework buys nothing here:
-forward, backward and the optimizer fit in a page of numpy, run in float64
-and stay bit-reproducible across runs.
+forward, backward and the optimizer fit in a page of numpy and stay
+bit-reproducible across runs.
 
-Each network's parameters live in one contiguous float64 buffer,
+Forward, backward and Adam compute in their inputs' dtype. Training and
+inference run in :data:`DTYPE` (float32): the networks are small matrix
+products on 100-row minibatches, bound by arithmetic, and float32 about
+halves their cost. The gradient checks run the same code on float64
+networks.
+
+Each network's parameters live in one contiguous buffer,
 ``MlpParams.flat``: every weight matrix, then every bias vector, in layer
 order. ``weights`` and ``biases`` are views into it, so writing through a
 view changes ``flat`` and the reverse. Gradients use the same layout.
@@ -24,18 +30,21 @@ import numpy as np
 HIDDEN_SIZES = (64, 64)
 ACTIVATION = "tanh"
 INIT_SCHEME = "orthogonal"
+# The float type of the networks, observations, rollouts, gradients and Adam
+# state in ``train`` and of inference in ``stop``; checkpoint format 2.
+DTYPE = np.float32
 
 
 class MlpParams:
     """Per-layer weight matrices (in x out) and bias vectors over one buffer.
 
-    The constructor copies its arguments into a new buffer; ``flat`` is that
-    buffer and ``arrays()`` its views in buffer order.
+    The constructor copies its arguments into a new buffer of ``dtype``;
+    ``flat`` is that buffer and ``arrays()`` its views in buffer order.
     """
 
-    def __init__(self, weights, biases):
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    def __init__(self, weights, biases, dtype=np.float64):
+        weights = [np.asarray(w, dtype=dtype) for w in weights]
+        biases = [np.asarray(b, dtype=dtype) for b in biases]
         if not weights or len(weights) != len(biases):
             raise ValueError(f"{len(weights)} weight matrices for {len(biases)} bias vectors")
         if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
@@ -52,7 +61,7 @@ class MlpParams:
         for a in arrays:
             layout.append((offset, offset + a.size, a.shape))
             offset += a.size
-        self._bind(np.empty(offset), tuple(layout))
+        self._bind(np.empty(offset, dtype), tuple(layout))
         for view, a in zip(self.arrays(), arrays):
             view[...] = a
 
@@ -97,21 +106,22 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
     return np.ascontiguousarray(gain * q)
 
 
-def init_params(seed, sizes: tuple[int, ...], out_gain: float) -> MlpParams:
+def init_params(seed, sizes: tuple[int, ...], out_gain: float, dtype=np.float64) -> MlpParams:
     """Orthogonal initialization: gain sqrt(2) on hidden layers, ``out_gain``
-    on the output layer, zero biases. Deterministic per seed."""
+    on the output layer, zero biases. Deterministic per seed; computed in
+    float64, then rounded once to ``dtype``."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     weights, biases = [], []
     for k, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         gain = out_gain if k == len(sizes) - 2 else np.sqrt(2.0)
         weights.append(_orthogonal(rng, n_in, n_out, gain))
         biases.append(np.zeros(n_out))
-    return MlpParams(weights, biases)
+    return MlpParams(weights, biases, dtype)
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Affine + tanh stack over the rows of ``x``, a 2-D float64 array;
-    returns (output rows, cache of per-layer inputs).
+    """Affine + tanh stack over the rows of ``x``, a 2-D float array of the
+    parameters' dtype; returns (output rows, cache of per-layer inputs).
 
     Inputs are not checked to be finite here: observations are, once, when
     ``env.observation_table`` builds them.
@@ -132,7 +142,7 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
 
 def backward(params: MlpParams, cache: list[np.ndarray], grad_out, out=None) -> MlpParams:
     """Exact gradients for the scalar loss whose output gradient is ``grad_out``,
-    2-D float64 rows like :func:`forward`'s output.
+    2-D rows like :func:`forward`'s output.
 
     ``cache`` must come from a matching :func:`forward` call; gradients are
     summed over the batch dimension and written into ``out``, a flat buffer
@@ -226,10 +236,10 @@ def params_to_jsonable(params: MlpParams) -> dict:
 
 
 def params_from_flat(flat: np.ndarray, sizes: list[int]) -> MlpParams:
-    """The params with layer ``sizes`` whose ``flat`` buffer equals ``flat``."""
+    """The :data:`DTYPE` params with layer ``sizes`` whose ``flat`` buffer equals ``flat``."""
     shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
     ends = np.cumsum([0, *map(math.prod, shapes)])
-    if flat.dtype != np.float64 or flat.shape != (ends[-1],) or min(sizes, default=-1) < 0:
-        raise ValueError(f"layer sizes {sizes} do not fit {flat.size} float64 parameters")
+    if flat.dtype != DTYPE or flat.shape != (ends[-1],) or min(sizes, default=-1) < 0:
+        raise ValueError(f"layer sizes {sizes} do not fit {flat.size} {flat.dtype} parameters")
     arrays = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
-    return MlpParams(arrays[: len(sizes) - 1], arrays[len(sizes) - 1:])
+    return MlpParams(arrays[: len(sizes) - 1], arrays[len(sizes) - 1:], DTYPE)

@@ -5,6 +5,10 @@ parallel environments, estimate advantages with GAE, then run several
 epochs of clipped-ratio updates over shuffled minibatches. Everything is
 driven by explicitly seeded generators so identical configs give
 bit-identical checkpoints and logs.
+
+The networks, observations, rollout buffers, gradients and Adam state are
+``nets.DTYPE`` (float32), and so is inference; advantages are estimated in
+float64 from the float64 rewards, then rounded for the update.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import ConfigError
 from .metrics import StopResult, write_table
 from .nets import (
     ACTIVATION,
+    DTYPE,
     HIDDEN_SIZES,
     INIT_SCHEME,
     AdamState,
@@ -43,7 +48,7 @@ from .nets import (
     softmax,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the weights are DTYPE values, and stop runs in DTYPE
 POLICY_METHOD = "policy"
 
 
@@ -157,11 +162,11 @@ def collect_rollout(
     """
     n_envs = venv.n_envs
     obs = venv.current_obs()
-    buf_obs = np.zeros((n_steps, n_envs, venv.n_batches))
+    buf_obs = np.zeros((n_steps, n_envs, venv.n_batches), dtype=obs.dtype)
     buf_actions = np.zeros((n_steps, n_envs), dtype=np.int64)
-    buf_logp = np.zeros((n_steps, n_envs))
+    buf_logp = np.zeros((n_steps, n_envs), dtype=actor.flat.dtype)
     buf_rewards = np.zeros((n_steps, n_envs))
-    buf_values = np.zeros((n_steps, n_envs))
+    buf_values = np.zeros((n_steps, n_envs), dtype=critic.flat.dtype)
     buf_dones = np.zeros((n_steps, n_envs), dtype=bool)
     episodes: list[dict] = []
     for t in range(n_steps):
@@ -243,7 +248,7 @@ def ppo_loss(
     d_entropy = -probs * (lp_all + entropy[:, None])
     d_logits += (-hyper.entropy_coef / n) * d_entropy
     d_values = (2.0 * hyper.value_coef / n) * value_err
-    grads = np.empty(actor.flat.size + critic.flat.size)
+    grads = np.empty(actor.flat.size + critic.flat.size, dtype=actor.flat.dtype)
     backward(actor, actor_cache, d_logits, out=grads[: actor.flat.size])
     backward(critic, critic_cache, d_values[:, None], out=grads[actor.flat.size :])
     return loss, stats, grads
@@ -267,15 +272,16 @@ def ppo_update(
     its :func:`compute_gae` advantages; the stats are the minibatches' mean.
 
     ``params`` is the one vector that ``actor`` and ``critic`` view, as
-    made by :func:`joint_params`; ``opt`` is its Adam state.
+    made by :func:`joint_params`; ``opt`` is its Adam state. Advantages and
+    returns are rounded to the parameters' dtype, so the update runs in it.
     """
     n = advantages.size
     flat = (
         rollout.obs.reshape(n, -1),
         rollout.actions.reshape(n),
         rollout.log_probs.reshape(n),
-        advantages.reshape(n),
-        (advantages + rollout.values).reshape(n),  # the returns
+        advantages.reshape(n).astype(params.dtype),
+        (advantages + rollout.values).reshape(n).astype(params.dtype),  # the returns
     )
     starts = range(0, n, hyper.minibatch_size)
     totals = np.zeros(len(LossStats._fields))
@@ -329,8 +335,8 @@ def train(
     seeds = np.random.SeedSequence(hyper.seed).spawn(5)
     venv = VecStoppingEnv(pool, target_recall, hyper.n_envs, seeds[0], normalize)
     params, (actor, critic) = joint_params(
-        init_params(np.random.default_rng(seeds[1]), (n_batches, *HIDDEN_SIZES, 2), out_gain=0.01),
-        init_params(np.random.default_rng(seeds[2]), (n_batches, *HIDDEN_SIZES, 1), out_gain=1.0),
+        init_params(np.random.default_rng(seeds[1]), (n_batches, *HIDDEN_SIZES, 2), 0.01, DTYPE),
+        init_params(np.random.default_rng(seeds[2]), (n_batches, *HIDDEN_SIZES, 1), 1.0, DTYPE),
     )
     opt = adam_init(params)
     action_rng = np.random.default_rng(seeds[3])
@@ -434,7 +440,8 @@ def load_checkpoint(path) -> Checkpoint:
             data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        return _checked(path, data, lambda network: MlpParams(network["weights"], network["biases"]))
+        return _checked(path, data,
+                        lambda network: MlpParams(network["weights"], network["biases"], DTYPE))
 
     return cached(CHECKPOINTS, (raw,), parse)
 
@@ -486,15 +493,20 @@ def _checked(path, data, network) -> Checkpoint:
 
 
 def _load_network(path, name: str, network, value, n_batches: int, n_out: int) -> MlpParams:
-    """``network(value)``, checked to be finite, chained and ``n_batches -> n_out``."""
+    """``network(value)``, a :data:`DTYPE` network, checked to be finite, chained and
+    ``n_batches -> n_out``."""
     try:
-        params = network(value)  # the MlpParams constructor checks that the layers chain
+        # a value past DTYPE's range becomes inf here, rejected below with the others
+        with np.errstate(over="ignore"):
+            params = network(value)  # the MlpParams constructor checks that the layers chain
     except KeyError as exc:
         raise ConfigError(f"{path}: {name} is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past any float
         raise ConfigError(f"{path}: {name} weights and biases are malformed: {exc}") from None
+    # the check runs on the values inference computes with
     if not np.isfinite(params.flat).all():
-        raise ConfigError(f"{path}: {name} has non-finite weights")
+        raise ConfigError(f"{path}: {name} has non-finite weights as {np.dtype(DTYPE)} "
+                          f"(largest finite: {np.finfo(DTYPE).max})")
     # inference sizes its observations from n_batches, so the networks must agree
     sizes = params.sizes
     if (sizes[0], sizes[-1]) != (n_batches, n_out):
@@ -525,7 +537,7 @@ def _checkpoint_from_entry(arrays: dict[str, np.ndarray]) -> Checkpoint:
 
 # A cached checkpoint: each network's ``flat`` buffer, and the rest as its
 # JSON text, so a hit goes through the same checks as a parse.
-CHECKPOINTS = Kind(b"tarstop-checkpoint-v1", ("actor", "critic", "fields"),
+CHECKPOINTS = Kind(b"tarstop-checkpoint-v2", ("actor", "critic", "fields"),
                    _checkpoint_entry, _checkpoint_from_entry)
 
 

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic, topic_labels
+from tarstop.cache import Kind, entry_path, write_entry
 from tarstop.cli import SUBCOMMANDS, _named_command, build_parser, main
 from tarstop.corpus import (Collection, assemble_topics, load_qrels, load_run, synth_topics,
                             write_qrels_file, write_run_file)
@@ -508,7 +509,7 @@ class TestStop:
     def test_truncated_checkpoint_exits_2(self, tmp_path, trained, capsys):
         run_path, qrels_path, _ = trained
         ckpt = tmp_path / "truncated.json"
-        ckpt.write_text('{"kind": "tarstop-checkpoint", "format_version": 1}')
+        ckpt.write_text('{"kind": "tarstop-checkpoint", "format_version": 2}')
         assert main(["stop", "--checkpoint", str(ckpt), "--run", str(run_path),
                      "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "missing key 'actor'" in capsys.readouterr().err
@@ -536,6 +537,11 @@ class TestStop:
          f"hyperparams key 'learning_rate' must be finite, got {10**400}"),
         (lambda text: re.sub(r'"weights": \[\[\[[-\de.]+', f'"weights": [[[{10**400}', text, 1),
          "actor weights and biases are malformed: int too large to convert to float"),
+        # finite in float64, past float32's largest (3.4028235e38): inference would overflow
+        (lambda text: re.sub(r'"weights": \[\[\[[-\de.]+', '"weights": [[[1e300', text, 1),
+         "actor has non-finite weights as float32"),
+        (lambda text: re.sub(r'("critic": \{"biases": \[\[)[-\de.]+', r'\g<1>3.5e38', text, 1),
+         "critic has non-finite weights as float32"),
         (lambda text: re.sub(r'"gamma": [\d.]+', '"gamma": 2.0', text),
          "hyperparams gamma must be in (0, 1], got 2.0"),
         (lambda text: text.replace('"target_recall": 0.9', '"target_recall": 1.5'),
@@ -547,16 +553,45 @@ class TestStop:
     ], ids=["invalid-json", "top-level-list", "unknown-hyperparam", "non-numeric-weight",
             "ragged-weights", "string-hyperparam", "null-hyperparam", "bool-hyperparam",
             "float-for-int-hyperparam", "non-finite-hyperparam", "huge-int-hyperparam",
-            "huge-int-weight", "invalid-hyperparam",
+            "huge-int-weight", "weight-past-float32", "bias-past-float32", "invalid-hyperparam",
             "out-of-range-target", "nan-target", "bad-normalize-obs"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, trained, capsys, damage, message):
         run_path, qrels_path, ckpt = trained
         broken = tmp_path / "broken.json"
-        broken.write_text(damage(ckpt.read_text()))
-        assert main(["stop", "--checkpoint", str(broken), "--run", str(run_path),
-                     "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
+        text = damage(ckpt.read_text())
+        assert text != ckpt.read_text()
+        broken.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end the command with exit 1
+            assert main(["stop", "--checkpoint", str(broken), "--run", str(run_path),
+                         "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "broken.json" in err and message in err
+
+    @pytest.mark.parametrize("cache_state", ["empty", "warm", "off"])
+    def test_version_1_checkpoint_exits_2(self, tmp_path, trained, capsys, monkeypatch,
+                                          topic_cache_dir, cache_state):
+        run_path, qrels_path, ckpt = trained
+        data = json.loads(ckpt.read_text())
+        data["format_version"] = 1  # float64 weights, inferred in float64
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data, sort_keys=True) + "\n")
+        if cache_state == "warm":  # the entry a version-1 tarstop stored for these bytes
+            arrays = {name: np.concatenate([np.ravel(a) for a in (*data[name]["weights"],
+                                                                  *data[name]["biases"])])
+                      for name in ("actor", "critic")}
+            fields = {k: v for k, v in data.items() if k not in arrays}
+            v1 = Kind(b"tarstop-checkpoint-v1", ("actor", "critic", "fields"), None, None)
+            write_entry(entry_path(v1, (old.read_bytes(),)),
+                        {**arrays, "fields": np.array(json.dumps(fields))})
+        elif cache_state == "off":
+            monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+        before = sorted(topic_cache_dir.iterdir())
+        assert main(["stop", "--checkpoint", str(old), "--run", str(run_path),
+                     "--qrels", str(qrels_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {old}: unsupported checkpoint version 1\n"
+        assert sorted(topic_cache_dir.iterdir()) == before  # a refused checkpoint is not stored
+        assert not (tmp_path / "x.csv").exists()
 
     def test_qrels_only_topic_warns(self, tmp_path, trained, caplog):
         run_path, qrels_path, ckpt = trained

@@ -659,9 +659,14 @@ class TestSynthTopics:
     def test_every_topic_has_a_relevant_document(self):
         assert (synth_topics(20, 30, 0.05, 5.0, seed=3).n_relevant >= 1).all()
 
-    def test_probabilities_sum_to_expected_count(self):
-        probs = rank_relevance_probs(1000, 0.05, 120.0)
-        assert abs(probs.sum() - 50.0) < 1e-6
+    @pytest.mark.parametrize("n_docs", [1, 30, 1000])
+    @pytest.mark.parametrize("prevalence", [0.05, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("decay", [0.1, 12.0, 120.0, 1e9])
+    def test_probabilities_sum_to_expected_count(self, n_docs, prevalence, decay):
+        # every prevalence below 1 is feasible at any decay: the cap at 1 absorbs the excess
+        probs = rank_relevance_probs(n_docs, prevalence, decay)
+        assert abs(probs.sum() - prevalence * n_docs) <= 1e-9 * prevalence * n_docs
+        assert ((0.0 <= probs) & (probs <= 1.0)).all()
         assert (probs[:-1] >= probs[1:]).all()  # front-loaded
 
     def test_large_decay_limit_is_uniform_prevalence(self):

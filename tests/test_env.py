@@ -247,8 +247,8 @@ class TestVecStoppingEnv:
         target = bt.target_batch(0.9)[0]
         for examined in range(1, bt.n_batches):
             expected = [-1.0] * bt.n_batches
-            for j in range(examined):
-                expected[j] = bt.batch_rel[0, j] / bt.sizes[0, j]
+            for j in range(examined):  # the float64 ratio, rounded once to float32
+                expected[j] = float(np.float32(bt.batch_rel[0, j] / bt.sizes[0, j]))
             assert venv.current_obs()[0].tolist() == expected
             _, r, done, _ = venv.step([CONTINUE])
             assert r[0] == reward(examined, target, bt.n_batches)

@@ -579,7 +579,7 @@ class TestCheckpointIO:
 
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "truncated.json"
-        path.write_text('{"kind": "tarstop-checkpoint", "format_version": 1}')
+        path.write_text('{"kind": "tarstop-checkpoint", "format_version": 2}')
         with pytest.raises(ConfigError, match="truncated.json.*missing key 'actor'"):
             load_checkpoint(path)
 
@@ -785,3 +785,52 @@ class TestCheckpointCache:
         copy.write_bytes(saved.read_bytes())
         monkeypatch.setattr(json, "load", None)  # a parse would fail
         assert _same_checkpoint(load_checkpoint(copy), load_checkpoint(saved))
+
+
+def float_dtypes(value) -> set[str]:
+    """The dtype names of every float array in ``value``, through containers,
+    parameter buffers and Adam state."""
+    if isinstance(value, np.ndarray):
+        return {value.dtype.name} if value.dtype.kind == "f" else set()
+    if isinstance(value, MlpParams):
+        return float_dtypes(value.flat)
+    if isinstance(value, nets.AdamState):
+        return float_dtypes([value.m, value.v])
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(float_dtypes, value))
+    return set()
+
+
+class TestFloat32Throughout:
+    """Training and inference compute in float32: a silent promotion to float64
+    (say, of a numpy float64 scalar under NEP 50) keeps outputs deterministic
+    but gives the speed back, so every array in and out of the network code is
+    checked."""
+
+    @staticmethod
+    def spy(monkeypatch, names):
+        seen = {name: set() for name in names}
+        for name in names:
+            def wrapped(*args, _name=name, _fn=getattr(ppo, name), **kwargs):
+                result = _fn(*args, **kwargs)
+                seen[_name] |= float_dtypes([args, kwargs, result])
+                return result
+            monkeypatch.setattr(ppo, name, wrapped)
+        return seen
+
+    def test_train_and_inference_stay_float32(self, tmp_path, monkeypatch):
+        assert nets.DTYPE == np.float32
+        topics = synth_topics(3, 40, 0.3, 8.0, seed=0)
+        hyper = Hyperparams(total_timesteps=400, n_steps=10, n_envs=4, minibatch_size=20, seed=0,
+                            max_grad_norm=0.5)
+        seen = self.spy(monkeypatch, ["forward", "backward", "adam_step"])
+        ckpt, _ = train(topics, 0.9, hyper, n_batches=6)
+        assert seen == {name: {"float32"} for name in seen}
+        path = tmp_path / "policy.json"
+        save_checkpoint(ckpt, path)
+        seen = self.spy(monkeypatch, ["forward"])
+        for mode in ("greedy", "sample"):  # the checkpoint parsed, then from the cache
+            infer_stop(load_checkpoint(path), topics.batched(6), mode=mode, rng=1)
+        assert seen == {"forward": {"float32"}}
