@@ -1,9 +1,11 @@
 """Command-line entry point: synthesize data, train, infer, run baselines, evaluate.
 
-Configuration precedence is CLI flag, then --config JSON file, then the
-built-in defaults; a config file may set only its subcommand's optional
-flags, by their Python names and with their types. Exit codes: 0 success,
-1 runtime failure, 2 usage or configuration error.
+Each option is declared once, as an :class:`Option` in :data:`SUBCOMMANDS`.
+Before a subcommand reads any input file, :func:`resolve` takes each
+setting from its flag, else the --config JSON file (keyed by the optional
+flags' Python names), else its default, checks it and records its source.
+Exit codes: 0 success; 2 usage or configuration error; 1 runtime failure,
+or a fault in tarstop itself (``error: internal error: ...``, and its traceback).
 
 Run/qrels pairs (read through :func:`_load_topics`) and checkpoints go
 through the content-addressed input cache (:mod:`tarstop.cache`), so only
@@ -18,7 +20,9 @@ import dataclasses
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .corpus import (
     write_qrels_file,
     write_run_file,
 )
+from .env import NORMALIZE_MODES
 from .errors import ConfigError, ParseError
 from .metrics import (
     ResultError,
@@ -48,22 +53,98 @@ from .metrics import (
     write_per_topic_csv,
     write_results_csv,
 )
-from .ppo import Hyperparams, infer_stop, load_checkpoint, save_checkpoint, train, write_training_log
+from .nets import HIDDEN_SIZES
+from .ppo import (INFER_MODES, Hyperparams, NonFiniteLossError, infer_stop, load_checkpoint,
+                  save_checkpoint, train, write_training_log)
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TARGETS = [0.8, 0.9, 1.0]
-DEFAULT_BATCHES = 100
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """A subcommand's option: the flag ``--name`` (``-`` for ``_``) and, unless
+    required, the config key ``name``. ``check`` is the range rule of a flag's
+    or the config file's value; a repeatable option's value is a list."""
+
+    name: str
+    type: type = str
+    default: object = None
+    check: Callable | None = None
+    help: str | None = None
+    choices: tuple | None = None
+    repeats: bool = False
+    required: bool = False
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        shown = " ".join(map(str, self.default)) if self.repeats and self.default else self.default
+        help_text = self.help if shown is None else f"{self.help or ''} (default {shown})".lstrip()
+        parser.add_argument("--" + self.name.replace("_", "-"), type=self.type,
+                            choices=self.choices, action="append" if self.repeats else "store",
+                            required=self.required, help=help_text)
+
+    def problem(self, value) -> str | None:
+        """Why ``value``, from a flag or the config file, cannot be this option's, or None."""
+        accepts = (int, float) if self.type is float else self.type
+        one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                     str: ("a string", "strings")}[self.type]
+        values = value if self.repeats and isinstance(value, list) else [value]
+        if (self.repeats and not (isinstance(value, list) and value)
+                or any(isinstance(v, bool) or not isinstance(v, accepts) for v in values)):
+            return f"must be a non-empty list of {many}" if self.repeats else f"must be {one}"
+        if self.type is float and not all(abs(v) <= sys.float_info.max for v in values):
+            return "must be finite"  # nan, inf, or an integer past any float
+        if self.choices is not None and value not in self.choices:
+            return f"must be one of {', '.join(self.choices)}"
+        return None
+
+    def check_range(self, value) -> None:
+        """The range rule, after every integer's: to fit in 64 bits, as numpy holds it."""
+        if isinstance(value, int) and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{self.name} must fit in 64 bits, got {value}")
+        if self.check is not None:
+            self.check(value)
+
+
+class Setting(NamedTuple):
+    value: object
+    source: str  # "flag", "config" or "default"
+
+
+class Settings(dict):
+    """Each resolved setting's :class:`Setting` by name, and the config file's
+    path as ``config``; ``settings.name`` is a value alone."""
+
+    def __getattr__(self, name):
+        try:
+            return self[name].value
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+def resolve(args) -> Settings:
+    """``args.command``'s settings, each from its flag, else the config file, else its default.
+    A given value must have its option's type and choices and be finite; it is held as the flag
+    would parse it (1 as 1.0 for a number), then range-checked (see :func:`_checked`)."""
+    config = _load_config(args)
+    settings = Settings(config=Setting(args.config, "flag" if args.config else "default"))
+    for option in SUBCOMMANDS[args.command][2]:
+        name, flag = option.name, getattr(args, option.name)
+        source = "flag" if flag is not None else "config" if name in config else "default"
+        value = flag if source == "flag" else config.get(name, option.default)
+        if source != "default":
+            if problem := option.problem(value):
+                where = f"config file {Path(args.config)}: " if source == "config" else ""
+                raise ConfigError(f"{where}key {name!r} {problem}, got {value!r}")
+            if option.type is float:
+                value = [float(v) for v in value] if option.repeats else float(value)
+        settings[name] = Setting(value, source)
+        if source != "default":
+            _checked(settings, [name], lambda: option.check_range(value))
+    return settings
 
 
 def _load_config(args) -> dict:
-    """Read ``--config`` and check it against the subcommand's flags.
-
-    A config file may set exactly the keys its subcommand has optional flags
-    for (by their ``dest`` name), each with that flag's type and choices;
-    repeatable flags take a list. Integers given for float flags become
-    floats, so a config file and the same flags write identical outputs.
-    """
+    """The ``--config`` file's JSON object, whose keys must be the subcommand's config keys."""
     if args.config is None:
         return {}
     config_path = _require_file(args.config, "config file")
@@ -74,81 +155,29 @@ def _load_config(args) -> dict:
         raise ConfigError(f"config file {config_path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {config_path}: expected a JSON object")
-    for key, value in data.items():
-        action = args.config_keys.get(key)
-        if action is None:
-            raise ConfigError(
-                f"config file {config_path}: unknown key {key!r} for {args.command!r} "
-                f"(accepted: {', '.join(sorted(args.config_keys))})"
-            )
-        problem = _config_value_problem(action, value)
-        if problem:
-            raise ConfigError(f"config file {config_path}: key {key!r} {problem}, got {value!r}")
-        if action.type is float:  # as the flag would parse it: 1 becomes 1.0
-            data[key] = [float(v) for v in value] if isinstance(value, list) else float(value)
+    unknown = [key for key in data if key not in args.config_keys]
+    if unknown:
+        raise ConfigError(f"config file {config_path}: unknown key {unknown[0]!r} for "
+                          f"{args.command!r} (accepted: {', '.join(sorted(args.config_keys))})")
     return data
 
 
-def _config_value_problem(action: argparse.Action, value) -> str | None:
-    """Why ``value`` cannot stand in for ``action``'s flag, or None if it can."""
-    kind = action.type or str
-    accepts = (int, float) if kind is float else kind
-    one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-                 str: ("a string", "strings")}[kind]
-
-    def fits(item) -> bool:
-        return not isinstance(item, bool) and isinstance(item, accepts)
-
-    if isinstance(action, argparse._AppendAction):
-        if not (isinstance(value, list) and value and all(map(fits, value))):
-            return f"must be a non-empty list of {many}"
-    elif not fits(value):
-        return f"must be {one}"
-    values = value if isinstance(value, list) else [value]
-    if kind is float and not all(abs(v) <= sys.float_info.max for v in values):
-        return "must be finite"  # Hyperparams.validate's rule, before float() meets a huge int
-    if action.choices is not None and value not in action.choices:
-        return f"must be one of {', '.join(action.choices)}"
-    return None
-
-
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """A subcommand's config keys: the ``dest`` of each optional flag."""
-    return {
-        action.dest: action
-        for action in parser._actions
-        if action.option_strings and not action.required and action.dest not in ("help", "config")
-    }
-
-
-def _resolve(args, config: dict, key: str, default, check=None):
-    """``key``'s value from its flag, else from the config file, else ``default``.
-
-    ``check``, the value's range rule, runs on a flag's or the config file's
-    value (see :func:`_checked`), after the rule every integer meets: to fit
-    in 64 bits, as numpy holds it.
-    """
-    flag = getattr(args, key, None)
-    value = flag if flag is not None else config.get(key, default)
-    if check is not None and (flag is not None or key in config):
-        def rule():
-            if isinstance(value, int) and not -(2**63) <= value < 2**63:
-                raise ConfigError(f"{key} must fit in 64 bits, got {value}")
-            check(value)
-        _checked(args, config, [key], rule)
-    return value
-
-
-def _checked(args, config: dict, keys, rule):
+def _checked(settings: Settings, keys, rule):
     """``rule()``, over the settings ``keys``; if the config file gave any of
     them, its error names the file and those keys."""
     try:
         return rule()
     except ConfigError as exc:
-        given = ", ".join(repr(key) for key in keys if getattr(args, key) is None and key in config)
+        given = ", ".join(repr(key) for key in keys if settings[key].source == "config")
         if not given:
             raise
-        raise ConfigError(f"config file {Path(args.config)}: key {given}: {exc}") from None
+        raise ConfigError(f"config file {Path(settings.config)}: key {given}: {exc}") from None
+
+
+def _fits(what: str, count: int) -> None:
+    """A joint rule: the array ``what``, ``count`` 8-byte elements, fits numpy's byte count."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{what} is {count} elements, more than an array can hold")
 
 
 def _check_targets(targets, file_name=None) -> None:
@@ -194,45 +223,35 @@ def _load_topics(run_path, qrels_path):
     return topics
 
 
-def cmd_synth(args) -> int:
-    config = _load_config(args)
-    count = _resolve(args, config, "count", 20, lambda v: check_synth(count=v))
-    docs = _resolve(args, config, "docs", 1000, lambda v: check_synth(n_docs=v))
-    prevalence = _resolve(args, config, "prevalence", 0.02, lambda v: check_synth(prevalence=v))
-    decay = _resolve(args, config, "decay", 100.0, lambda v: check_synth(decay=v))
-    seed = _resolve(args, config, "seed", 0, check_seed)
-    tag = _resolve(args, config, "tag", "tarstop-synth", check_tag)
-    topics = _checked(args, config, ("count", "docs", "prevalence", "decay", "seed"),
-                      lambda: synth_topics(count, docs, prevalence, decay, seed))
-    out_dir = Path(args.out)
+def cmd_synth(s: Settings) -> int:
+    _checked(s, ("count", "docs"), lambda: _fits("count x docs", s.count * s.docs))
+    topics = _checked(s, ("count", "docs", "prevalence", "decay", "seed"),
+                      lambda: synth_topics(s.count, s.docs, s.prevalence, s.decay, s.seed))
+    out_dir = Path(s.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_path = out_dir / "synthetic.run"
     qrels_path = out_dir / "synthetic.qrels"
-    write_run_file(run_path, topics, tag)
+    write_run_file(run_path, topics, s.tag)
     write_qrels_file(qrels_path, topics)
     mean_prevalence = float(np.mean(topics.n_relevant / topics.n_docs))
-    print(f"wrote {len(topics)} topics ({docs} docs each, mean prevalence "
+    print(f"wrote {len(topics)} topics ({s.docs} docs each, mean prevalence "
           f"{mean_prevalence:.4f}) to {run_path} and {qrels_path}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    topics = _load_topics(args.run, args.qrels)
-    targets = _resolve(args, config, "target", DEFAULT_TARGETS,
-                       lambda ts: _check_targets(ts, _policy_file))
-    normalize = _resolve(args, config, "normalize_obs", "ratio")
-    hyper = Hyperparams(**{  # each field's flag has its name, except --timesteps
-        f.name: _resolve(args, config, "timesteps" if f.name == "total_timesteps" else f.name,
-                         f.default, lambda v, name=f.name: Hyperparams(**{name: v}).validate())
-        for f in dataclasses.fields(Hyperparams)
-    })
-    # the settings' joint rule, checked before any topic is batched
-    _checked(args, config, ("timesteps", "n_steps", "n_envs"), hyper.iterations)
-    batches = _resolve(args, config, "batches", DEFAULT_BATCHES, check_batches)
-    out_dir = Path(args.out)
-    for target in targets:
-        checkpoint, rows = train(topics, target, hyper, n_batches=batches, normalize=normalize)
+def cmd_train(s: Settings) -> int:
+    hyper = Hyperparams(*(s[option.name].value for option in HYPER_OPTIONS))
+    # the settings' joint rules, checked before the pair is read
+    _checked(s, ("timesteps", "n_steps", "n_envs"), hyper.iterations)
+    _checked(s, ("batches",), lambda: _fits("batches x hidden units", s.batches * HIDDEN_SIZES[0]))
+    _checked(s, ("n_steps", "n_envs", "batches"), lambda: _fits(
+        "n_steps x n_envs x batches", hyper.n_steps * hyper.n_envs * s.batches))
+    topics = _load_topics(s.run, s.qrels)
+    _checked(s, ("batches",), lambda: _fits("topics x batches", len(topics) * s.batches))
+    out_dir = Path(s.out)
+    for target in s.target:
+        checkpoint, rows = train(topics, target, hyper, n_batches=s.batches,
+                                 normalize=s.normalize_obs)
         out_dir.mkdir(parents=True, exist_ok=True)  # only once train() accepted the settings
         ckpt_path = out_dir / _policy_file(target)
         log_path = out_dir / f"train-log-t{target:g}.csv"
@@ -245,52 +264,44 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_stop(args) -> int:
-    config = _load_config(args)
-    checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    mode = _resolve(args, config, "mode", "greedy")
-    seed = _resolve(args, config, "seed", 0, check_seed)
-    topics = _load_topics(args.run, args.qrels)
-    results = infer_stop(checkpoint, topics.batched(checkpoint.n_batches), mode=mode, rng=seed)
-    write_results_csv(args.out, results)
+def cmd_stop(s: Settings) -> int:
+    checkpoint = load_checkpoint(_require_file(s.checkpoint, "checkpoint"))
+    topics = _load_topics(s.run, s.qrels)
+    results = infer_stop(checkpoint, topics.batched(checkpoint.n_batches), mode=s.mode, rng=s.seed)
+    write_results_csv(s.out, results)
     mean_batch = float(np.mean([r.stop_batch for r in results]))
-    print(f"wrote {len(results)} stopping decisions (mean stop batch {mean_batch:.2f}) to {args.out}")
+    print(f"wrote {len(results)} stopping decisions (mean stop batch {mean_batch:.2f}) to {s.out}")
     return 0
 
 
-def cmd_baseline(args) -> int:
-    config = _load_config(args)
-    targets = _resolve(args, config, "target", DEFAULT_TARGETS, _check_targets)
-    # range-checked whatever the method: a bad value is an error even where it is ignored
-    batches = _resolve(args, config, "batches", DEFAULT_BATCHES, check_batches)
-    fraction = _resolve(args, config, "fraction", 0.5, check_fraction)
-    topics = _load_topics(args.run, args.qrels)
-    if args.method == "oracle":
-        results = oracle_stop(topics, targets)
+def cmd_baseline(s: Settings) -> int:
+    topics = _load_topics(s.run, s.qrels)
+    # like the range rules, whatever the method
+    _checked(s, ("batches",), lambda: _fits("topics x batches", len(topics) * s.batches))
+    if s.method == "oracle":
+        results = oracle_stop(topics, s.target)
     else:
-        bases = (knee_stop(topics.batched(batches)) if args.method == "knee"
-                 else budget_stop(topics, fraction))
+        bases = (knee_stop(topics.batched(s.batches)) if s.method == "knee"
+                 else budget_stop(topics, s.fraction))
         results = [StopResult(topic_id, method, t, docs, found, batch)
-                   for topic_id, method, _, docs, found, batch in bases for t in targets]
-    write_results_csv(args.out, results)
-    print(f"wrote {len(results)} {args.method} decisions "
-          f"({len(topics)} topics x {len(targets)} targets) to {args.out}")
+                   for topic_id, method, _, docs, found, batch in bases for t in s.target]
+    write_results_csv(s.out, results)
+    print(f"wrote {len(results)} {s.method} decisions "
+          f"({len(topics)} topics x {len(s.target)} targets) to {s.out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args)
-    targets = _resolve(args, config, "target", None, _check_targets)
-    topics = _load_topics(args.run, args.qrels)
+def cmd_eval(settings: Settings) -> int:
+    topics = _load_topics(settings.run, settings.qrels)
     results = []
     given_in = {}  # (method, target, topic) -> the results file that gave it
-    for path in args.results:
+    for path in settings.results:
         path = _require_file(path, "results file")
         for result in read_results_csv(path):
             if result.target_recall is not None:
                 stamped = [result]
-            elif targets:
-                stamped = [result._replace(target_recall=t) for t in targets]
+            elif settings.target:
+                stamped = [result._replace(target_recall=t) for t in settings.target]
             else:
                 raise ConfigError(f"{path}: results for method {result.method!r} carry no "
                                   "target recall; pass --target")
@@ -311,7 +322,7 @@ def cmd_eval(args) -> int:
         paths = dict.fromkeys(str(given_in[r.method, r.target_recall, r.topic_id])
                               for r in exc.results)
         raise ConfigError(f"{', '.join(paths)}: {exc}") from None
-    out_dir = Path(args.out)
+    out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_topic_path = out_dir / "per_topic.csv"
     aggregate_path = out_dir / "aggregate.csv"
@@ -325,78 +336,60 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _synth_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=int, help="number of topics (default 20)")
-    p.add_argument("--docs", type=int, help="documents per topic (default 1000)")
-    p.add_argument("--prevalence", type=float, help="expected relevant fraction (default 0.02)")
-    p.add_argument("--decay", type=float, help="rank decay of relevance density (default 100)")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p.add_argument("--tag", help="run tag column value")
+# train's Hyperparams options, in field order and with the fields' types and defaults
+HYPER_OPTIONS = tuple(
+    Option("timesteps" if f.name == "total_timesteps" else f.name,
+           int if f.type == "int" else float, f.default,
+           lambda v, name=f.name: Hyperparams(**{name: v}).validate(),
+           {"total_timesteps": "total training transitions", "seed": "training seed"}.get(f.name))
+    for f in dataclasses.fields(Hyperparams)
+)
+TARGET = Option("target", float, (0.8, 0.9, 1.0), _check_targets,
+                "target recall label(s) for the rows", repeats=True)
+BATCHES = Option("batches", int, 100, check_batches, "knee evaluation schedule")
+RUN, QRELS = Option("run", required=True), Option("qrels", required=True)
 
-
-def _train_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True, help="output directory for checkpoints and logs")
-    p.add_argument("--target", type=float, action="append",
-                   help="target recall, repeatable (default 0.8 0.9 1.0)")
-    p.add_argument("--batches", type=int, help=f"ranking batch count (default {DEFAULT_BATCHES})")
-    p.add_argument("--timesteps", type=int, help="total training transitions (default 100000)")
-    p.add_argument("--seed", type=int, help="training seed (default 0)")
-    p.add_argument("--normalize-obs", dest="normalize_obs", choices=["ratio", "count"],
-                   help="observation entries as per-batch ratios or raw counts (default ratio)")
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--minibatch-size", dest="minibatch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--n-epochs", dest="n_epochs", type=int)
-    p.add_argument("--entropy-coef", dest="entropy_coef", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--clip-range", dest="clip_range", type=float)
-    p.add_argument("--gae-lambda", dest="gae_lambda", type=float)
-    p.add_argument("--value-coef", dest="value_coef", type=float)
-    p.add_argument("--n-envs", dest="n_envs", type=int)
-    p.add_argument("--max-grad-norm", dest="max_grad_norm", type=float)
-
-
-def _stop_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--mode", choices=["greedy", "sample"])
-    p.add_argument("--seed", type=int, help="seed for sample mode")
-
-
-def _baseline_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", required=True, choices=["oracle", "knee", "budget"])
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--target", type=float, action="append",
-                   help="target recall label(s) for the rows (default 0.8 0.9 1.0)")
-    p.add_argument("--batches", type=int, help="knee evaluation schedule (default 100)")
-    p.add_argument("--fraction", type=float, help="budget fraction (default 0.5)")
-
-
-def _eval_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--results", action="append", required=True,
-                   help="stopping-results CSV, repeatable; minimal schema "
-                        "(topic_id, method, docs_examined) is accepted")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True, help="output directory for report CSVs")
-    p.add_argument("--target", type=float, action="append",
-                   help="target(s) stamped onto imported rows that lack one")
-
-
-# each subcommand's help, what runs it and what declares its arguments
+# each subcommand's help, what runs it and its options, in --help order
 SUBCOMMANDS = {
-    "synth": ("generate a synthetic run/qrels pair", cmd_synth, _synth_arguments),
-    "train": ("train one policy per target recall", cmd_train, _train_arguments),
-    "stop": ("apply a trained policy to a collection", cmd_stop, _stop_arguments),
-    "baseline": ("run a reference stopping strategy", cmd_baseline, _baseline_arguments),
-    "eval": ("score stopping results against qrels", cmd_eval, _eval_arguments),
+    "synth": ("generate a synthetic run/qrels pair", cmd_synth, (
+        Option("out", help="output directory", required=True),
+        Option("count", int, 20, lambda v: check_synth(count=v), "number of topics"),
+        Option("docs", int, 1000, lambda v: check_synth(n_docs=v), "documents per topic"),
+        Option("prevalence", float, 0.02, lambda v: check_synth(prevalence=v),
+               "expected relevant fraction"),
+        Option("decay", float, 100.0, lambda v: check_synth(decay=v),
+               "rank decay of relevance density"),
+        Option("seed", int, 0, check_seed, "generator seed"),
+        Option("tag", str, "tarstop-synth", check_tag, "run tag column value"),
+    )),
+    "train": ("train one policy per target recall", cmd_train, (
+        RUN, QRELS, Option("out", help="output directory for checkpoints and logs", required=True),
+        dataclasses.replace(TARGET, check=lambda ts: _check_targets(ts, _policy_file),
+                            help="target recall, repeatable"),
+        dataclasses.replace(BATCHES, help="ranking batch count"),
+        Option("normalize_obs", default="ratio", choices=NORMALIZE_MODES,
+               help="observation entries as per-batch ratios or raw counts"),
+        *HYPER_OPTIONS,
+    )),
+    "stop": ("apply a trained policy to a collection", cmd_stop, (
+        Option("checkpoint", required=True), RUN, QRELS,
+        Option("out", help="output CSV", required=True),
+        Option("mode", default="greedy", choices=INFER_MODES),
+        Option("seed", int, 0, check_seed, "seed for sample mode"),
+    )),
+    "baseline": ("run a reference stopping strategy", cmd_baseline, (
+        Option("method", choices=("oracle", "knee", "budget"), required=True),
+        RUN, QRELS, Option("out", help="output CSV", required=True),
+        TARGET, BATCHES, Option("fraction", float, 0.5, check_fraction, "budget fraction"),
+    )),
+    "eval": ("score stopping results against qrels", cmd_eval, (
+        Option("results", repeats=True, required=True,
+               help="stopping-results CSV, repeatable; minimal schema "
+                    "(topic_id, method, docs_examined) is accepted"),
+        RUN, QRELS, Option("out", help="output directory for report CSVs", required=True),
+        dataclasses.replace(TARGET, default=None,
+                            help="target(s) stamped onto imported rows that lack one"),
+    )),
 }
 
 
@@ -409,12 +402,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Train and evaluate stopping rules for ranked document review.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, add_arguments) in SUBCOMMANDS.items():
+    for name, (help_text, func, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command in (None, name):
             p.add_argument("--config", help="JSON file with key/value defaults")
-            add_arguments(p)
-            p.set_defaults(func=func, config_keys=_config_keys(p))
+            for option in options:
+                option.add_to(p)
+            p.set_defaults(func=func, config_keys={o.name: o for o in options if not o.required})
     return parser
 
 
@@ -429,12 +423,16 @@ def main(argv=None) -> int:
     args = build_parser(_named_command(argv)).parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
-        return args.func(args)
+        return args.func(resolve(args))
     except (ConfigError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (NonFiniteLossError, OSError, MemoryError) as exc:  # expected runtime failures
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a fault in tarstop: the traceback shows where
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

@@ -50,6 +50,7 @@ from .nets import (
 
 CHECKPOINT_VERSION = 2  # 2: the weights are DTYPE values, and stop runs in DTYPE
 POLICY_METHOD = "policy"
+INFER_MODES = ("greedy", "sample")  # how infer_stop picks each action: argmax or a draw
 
 
 class NonFiniteLossError(RuntimeError):
@@ -376,7 +377,7 @@ def infer_stop(
         raise ConfigError(
             f"checkpoint expects {checkpoint.n_batches} batches, the topics are cut into {topics.n_batches}"
         )
-    if mode not in ("greedy", "sample"):
+    if mode not in INFER_MODES:
         raise ConfigError(f"mode must be 'greedy' or 'sample', got {mode!r}")
     if mode == "sample" and not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -12,10 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic, topic_labels
+from tarstop import cli
 from tarstop.cache import Kind, entry_path, write_entry
 from tarstop.cli import SUBCOMMANDS, _named_command, build_parser, main
 from tarstop.corpus import (Collection, assemble_topics, load_qrels, load_run, synth_topics,
                             write_qrels_file, write_run_file)
+from tarstop.ppo import Hyperparams, NonFiniteLossError
 
 FAST_TRAIN = ["--timesteps", "200", "--n-steps", "10", "--n-envs", "2", "--minibatch-size", "20"]
 
@@ -203,13 +206,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key, value", [
-        ("learning_rate", "nan"), ("value_coef", "inf"), ("max_grad_norm", "nan"),
+        ("learning_rate", "nan"), ("value_coef", "inf"), ("max_grad_norm", "nan"), ("decay", "inf"),
     ])
     def test_non_finite_hyperparameter_exits_2(self, tmp_path, collection, capsys,
                                                source, key, value):
         run_path, qrels_path = collection
         args = ["train", "--run", str(run_path), "--qrels", str(qrels_path),
                 "--out", str(tmp_path / "m"), "--batches", "6", *FAST_TRAIN]
+        if key == "decay":  # a synth setting: every float setting has the one finiteness rule
+            args = ["synth", "--out", str(tmp_path / "m"), "--count", "2", "--docs", "30"]
         if source == "flag":
             args += [f"--{key.replace('_', '-')}", value]
         else:
@@ -311,6 +316,92 @@ def test_integer_past_64_bits_exits_2(tmp_path, trained, capsys, source, command
     assert main(args) == 2
     assert capsys.readouterr().err.endswith(expected)
     assert not (tmp_path / "o").exists()
+
+
+def not_built(*args, **kwargs):
+    raise AssertionError("a command built what its settings forbid")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, values, named, what, count", [
+    ("baseline", {"batches": 2**62}, "'batches'", "topics x batches", 4 * 2**62),
+    ("train", {"batches": 2**62}, "'batches'", "batches x hidden units", 64 * 2**62),
+    ("train", {"timesteps": 2**40, "n_steps": 2**20, "n_envs": 2**20, "batches": 2**21},
+     "'n_steps', 'n_envs', 'batches'", "n_steps x n_envs x batches", 2**61),
+    ("synth", {"count": 1, "docs": 2**62}, "'count', 'docs'", "count x docs", 2**62),
+])
+def test_size_numpy_cannot_hold_exits_2_naming_its_keys(tmp_path, trained, capsys, monkeypatch,
+                                                        source, command, values, named, what,
+                                                        count):
+    """Checked before the array is built: nothing the settings size is called."""
+    for name in ("synth_topics", "train", "knee_stop", "budget_stop", "oracle_stop"):
+        monkeypatch.setattr(cli, name, not_built)
+    args = [arg.replace("budget", "knee") for arg in command_args(command, tmp_path, trained)]
+    for key in values:
+        flag = f"--{key.replace('_', '-')}"
+        if flag in args:
+            del args[args.index(flag) : args.index(flag) + 2]
+    message = f"{what} is {count} elements, more than an array can hold"
+    if source == "flag":
+        args += [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}",
+                                                                  str(value))]
+        expected = f"error: {message}\n"
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(values))
+        args += ["--config", str(config)]
+        expected = f"error: config file {config}: key {named}: {message}\n"
+    assert main(args) == 2
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--gamma", "1.5"], "gamma must be in (0, 1], got 1.5"),
+    ("stop", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("baseline", ["--fraction", "2"], "budget fraction must be in (0, 1], got 2.0"),
+    ("eval", ["--target", "0"], "target recall must be in (0, 1], got 0.0"),
+])
+def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, command, flags, message):
+    missing = (tmp_path / "no.run", tmp_path / "no.qrels", tmp_path / "no.json")  # nor results
+    assert main([*command_args(command, tmp_path, missing), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [KeyError("boom"), MemoryError("boom"), OSError("boom"),
+                                   NonFiniteLossError("boom")])
+def test_internal_fault_is_told_from_a_runtime_failure(tmp_path, collection, capsys, monkeypatch,
+                                                       error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "budget_stop", fail)
+    run_path, qrels_path = collection
+    assert main(["baseline", "--method", "budget", "--run", str(run_path), "--qrels",
+                 str(qrels_path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    if isinstance(error, KeyError):  # a fault: named as one, with its traceback
+        first, second, *rest = err.splitlines()
+        assert first == "error: internal error: KeyError: 'boom'"
+        assert second == "Traceback (most recent call last):"
+        assert rest[-1] == "KeyError: 'boom'" and "in fail" in err
+    else:  # an expected runtime failure: one line
+        assert err == "error: boom\n"
+
+
+def test_train_help_shows_each_hyperparameter_default(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # as one line, however argparse wrapped it
+    for field in dataclasses.fields(Hyperparams):
+        name = "timesteps" if field.name == "total_timesteps" else field.name.replace("_", "-")
+        entry = text.split(f" --{name} ")[1].split(" --")[0]  # its metavar and help
+        default = getattr(Hyperparams(), field.name)
+        if default is None:
+            assert "default" not in entry
+        else:
+            assert entry.endswith(f"(default {default})")
 
 
 @pytest.mark.parametrize("command, config, message", [

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_cli import FAST_TRAIN
-from tarstop.cli import build_parser, main
+from tarstop.cli import SUBCOMMANDS, build_parser, main
 from tarstop.corpus import synth_topics, write_qrels_file, write_run_file
 
 # rank and score; relevance; target, stop_batch, docs_examined and relevant_found
@@ -317,3 +317,65 @@ def test_mutated_config_exits_0_or_2_naming_it(tmp_path, results_set, capsys, mo
         out = example / "out"
         assert main(["baseline", "--method", "budget", "--run", str(out / "synthetic.run"),
                      "--qrels", str(out / "synthetic.qrels"), "--out", str(example / "b.csv")]) == 0
+
+
+def flag_or_config_value(draw, key, option):
+    """A value of ``option``'s type for ``key``: in range, out of range, an
+    integer past 64 bits or a non-finite float. Not one the parser rejects:
+    a wrong type, or a choice not offered, is argparse's usage error."""
+    kinds = ["in range"] + ["out of range"] * (option.choices is None)
+    kinds += {int: ["past 64 bits"], float: ["past 64 bits", "non-finite"]}.get(option.type, [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "in range":  # timesteps at least one rollout of FAST_TRAIN's 10 steps x 2 envs
+        return draw(st.integers(20, 200) if key == "timesteps" else CONFIG_KEYS[key][0])
+    if kind == "out of range":
+        return draw(CONFIG_KEYS[key][1])
+    value = draw(HUGE[int] if kind == "past 64 bits" else
+                 st.sampled_from([math.nan, math.inf, -math.inf]))
+    return [value] if option.repeats else value
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "stop", "baseline", "eval"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flag_and_config_give_the_same_outcome(tmp_path, results_set, capsys, monkeypatch,
+                                               command, data):
+    """One setting of ``command``, given once as its flag and once as its
+    config key: the same exit code, the same output bytes on exit 0, and
+    otherwise the same stderr but for the config file's and key's names."""
+    pair, cache, _ = results_set
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(cache))  # the unmutated pair's entry
+    example = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
+    options = {option.name: option for option in SUBCOMMANDS[command][2] if not option.required}
+    key = data.draw(st.sampled_from(sorted(options)))
+    value = flag_or_config_value(data.draw, key, options[key])
+    method = data.draw(st.sampled_from(["oracle", "knee", "budget"]))
+    flag = f"--{key.replace('_', '-')}"
+    config = example / "settings.json"
+    config.write_text(json.dumps({key: value}))
+    runs = {}
+    for source in ("flag", "config"):
+        directory = example / f"by-{source}"
+        args = command_line(command, directory, results_set, lambda _: method)
+        if command == "train":
+            args += ["--target", "0.9", "--batches", "6", *FAST_TRAIN]
+        while flag in args:  # a base flag would override the config file
+            del args[args.index(flag) : args.index(flag) + 2]
+        if source == "flag":  # "=" keeps a value such as -1e-05 from reading as an option
+            args += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+        else:
+            args += ["--config", str(config)]
+        capsys.readouterr()
+        code = main(args)
+        printed = capsys.readouterr()
+        outputs = {str(path.relative_to(directory)): path.read_bytes()
+                   for path in sorted(directory.rglob("*")) if path.is_file()}
+        runs[source] = (code, printed.out.replace(str(directory), "<out>"),
+                        printed.err.replace(str(directory), "<out>"), outputs)
+    (code, out, err, outputs), config_run = runs["flag"], runs["config"]
+    assert code == config_run[0], (err, config_run[2])
+    if code == 0:
+        assert (out, err, outputs) == config_run[1:]
+    else:
+        unnamed = config_run[2].replace(f"config file {config}: ", "").replace(f"key '{key}': ", "")
+        assert err == unnamed
