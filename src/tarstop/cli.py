@@ -204,6 +204,13 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _check_out_dir(path) -> None:
+    """``path`` is a directory, or can be made one: its nearest existing ancestor is one."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"out {path}: {existing} is not a directory")
+
+
 def _load_topics(run_path, qrels_path):
     """The usable topics of a run/qrels pair, through the input cache
     (:mod:`tarstop.cache`): parsed on a miss, loaded on a hit; logs their warnings."""
@@ -363,7 +370,8 @@ SUBCOMMANDS = {
         Option("tag", str, "tarstop-synth", check_tag, "run tag column value"),
     )),
     "train": ("train one policy per target recall", cmd_train, (
-        RUN, QRELS, Option("out", help="output directory for checkpoints and logs", required=True),
+        RUN, QRELS, Option("out", check=_check_out_dir, required=True,
+                           help="output directory for checkpoints and logs"),
         dataclasses.replace(TARGET, check=lambda ts: _check_targets(ts, _policy_file),
                             help="target recall, repeatable"),
         dataclasses.replace(BATCHES, help="ranking batch count"),

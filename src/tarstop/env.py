@@ -13,7 +13,8 @@ Training and inference build observations the same way: a precomputed
 from a collection's ``corpus.Batches``) plus, per episode, a topic index and
 the number of batches examined (:func:`observe`). Training steps a fixed set of such episodes
 (:class:`VecStoppingEnv`); inference advances every topic of a collection
-at once (``ppo.infer_stop``).
+at once (``ppo.infer_stop``). An ended episode is an :data:`EPISODE` record;
+its reward is one lookup in its topic's running sum of state rewards.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ CONTINUE = 1
 OBS_SENTINEL = -1.0
 
 NORMALIZE_MODES = ("ratio", "count")
+
+# an ended episode: its topic's index in the pool, its stop batch and its reward
+EPISODE = np.dtype([("topic", np.int64), ("stop_batch", np.int64), ("episode_reward", np.float64)])
 
 
 def reward(batches_examined, target, n_batches):
@@ -77,12 +81,12 @@ def observe(table: np.ndarray, topic_idx: np.ndarray, examined: np.ndarray) -> n
 class VecStoppingEnv:
     """A fixed number of stopping episodes running over a topic pool.
 
-    The state is three arrays over the slots: the topic each one reads, how
-    many batches it has examined and the reward it has accrued. A finished
-    slot immediately restarts on a topic drawn uniformly from the pool (one
-    shared, explicitly seeded generator, slots resampled in index order), so
-    every step returns a full set of live observations. The done flags mark
-    episode boundaries for advantage masking.
+    The state is two arrays over the slots: the topic each one reads and
+    how many batches it has examined. A finished slot immediately restarts
+    on a topic drawn uniformly from the pool (one shared, explicitly seeded
+    generator, slots resampled in index order), so every step returns a
+    full set of live observations. The done flags mark episode boundaries
+    for advantage masking; ``target_batch`` holds each topic's target batch.
     """
 
     def __init__(
@@ -97,34 +101,34 @@ class VecStoppingEnv:
             raise ConfigError("topic pool is empty")
         if n_envs < 1:
             raise ConfigError(f"n_envs must be >= 1, got {n_envs}")
-        self.topic_ids = pool.collection.topic_ids
         self.table = observation_table(pool, normalize)
         self.n_batches = pool.n_batches
-        targets = pool.target_batch(target_recall)
-        # reward of every (topic, batches examined) state, row per topic
-        self.rewards = reward(np.arange(1, self.n_batches + 1), targets[:, None], self.n_batches)
+        self.target_batch = pool.target_batch(target_recall)
+        # reward of every (topic, batches examined) state, row per topic, and its running sum
+        self.rewards = reward(np.arange(1, self.n_batches + 1), self.target_batch[:, None],
+                              self.n_batches)
+        self.reward_sums = np.cumsum(self.rewards, axis=1)
         self.n_envs = n_envs
         self.rng = np.random.default_rng(seed)
         self.topic_idx = np.array([self._draw() for _ in range(n_envs)])
         self.examined = np.ones(n_envs, dtype=np.int64)
-        self.episode_rewards = np.zeros(n_envs)
 
     def _draw(self) -> int:
         # one scalar draw per slot keeps the generator stream, and so every
         # checkpoint, independent of how many slots finish together
-        return int(self.rng.integers(len(self.topic_ids)))
+        return int(self.rng.integers(len(self.table)))
 
     def current_obs(self) -> np.ndarray:
         return observe(self.table, self.topic_idx, self.examined)
 
-    def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Step every slot; finished slots restart on a new topic.
 
-        The reward credited belongs to the state acted in, so an episode
-        stopping after s batches accrues the sum of the first s state
-        rewards. Returns (observations, rewards, dones, infos) where
+        The reward credited belongs to the state acted in; an episode
+        stopping after s batches earns the running sum of the first s state
+        rewards. Returns (observations, rewards, dones, ended) where
         observations for finished slots already belong to the fresh episode
-        and infos carries one record per finished episode.
+        and ``ended`` holds one :data:`EPISODE` record per finished slot.
         """
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
@@ -133,19 +137,12 @@ class VecStoppingEnv:
         if not (stops | (actions == CONTINUE)).all():
             raise ValueError(f"actions must be STOP (0) or CONTINUE (1), got {actions.tolist()}")
         rewards = self.rewards[self.topic_idx, self.examined - 1]
-        self.episode_rewards += rewards
         dones = stops | (self.examined == self.n_batches)
-        infos: list[dict] = []
-        for k in np.flatnonzero(dones):
-            infos.append(
-                {
-                    "env": int(k),
-                    "topic_id": self.topic_ids[self.topic_idx[k]],
-                    "episode_reward": float(self.episode_rewards[k]),
-                    "stop_batch": int(self.examined[k]),
-                }
-            )
+        slots = np.flatnonzero(dones)
+        ended = np.empty(len(slots), EPISODE)
+        ended["topic"], ended["stop_batch"] = self.topic_idx[slots], self.examined[slots]
+        ended["episode_reward"] = self.reward_sums[ended["topic"], ended["stop_batch"] - 1]
+        for k in slots:
             self.topic_idx[k] = self._draw()
-        self.episode_rewards[dones] = 0.0
         self.examined = np.where(dones, 1, self.examined + 1)
-        return self.current_obs(), rewards, dones, infos
+        return self.current_obs(), rewards, dones, ended

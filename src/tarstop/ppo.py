@@ -113,7 +113,8 @@ class Hyperparams:
 
 
 class Rollout(NamedTuple):
-    """Fixed-horizon trajectories, time-major over (n_steps, n_envs)."""
+    """Fixed-horizon trajectories, time-major over (n_steps, n_envs); ``values`` has
+    ``n_steps + 1`` rows, the last the critic's value of the state after the rollout."""
 
     obs: np.ndarray
     actions: np.ndarray
@@ -121,7 +122,6 @@ class Rollout(NamedTuple):
     rewards: np.ndarray
     values: np.ndarray
     dones: np.ndarray
-    bootstrap_values: np.ndarray
 
 
 class LossStats(NamedTuple):
@@ -154,12 +154,12 @@ def collect_rollout(
     venv: VecStoppingEnv,
     n_steps: int,
     rng: np.random.Generator,
-) -> tuple[Rollout, list[dict]]:
+) -> tuple[Rollout, np.ndarray]:
     """Roll the current policy for ``n_steps`` across all slots.
 
-    Actions are sampled from the actor's softmax; finished episodes are
-    reported in the returned info records while their slots restart
-    mid-rollout.
+    Actions are sampled from the actor's softmax; the episodes that end are
+    returned as one ``env.EPISODE`` array, in the order they ended, while
+    their slots restart mid-rollout.
     """
     n_envs = venv.n_envs
     obs = venv.current_obs()
@@ -167,25 +167,22 @@ def collect_rollout(
     buf_actions = np.zeros((n_steps, n_envs), dtype=np.int64)
     buf_logp = np.zeros((n_steps, n_envs), dtype=actor.flat.dtype)
     buf_rewards = np.zeros((n_steps, n_envs))
-    buf_values = np.zeros((n_steps, n_envs), dtype=critic.flat.dtype)
+    buf_values = np.zeros((n_steps + 1, n_envs), dtype=critic.flat.dtype)
     buf_dones = np.zeros((n_steps, n_envs), dtype=bool)
-    episodes: list[dict] = []
+    episodes = []
     for t in range(n_steps):
         logits, _ = forward(actor, obs)
-        values, _ = forward(critic, obs)
         lp = log_softmax(logits)
         actions = np.where(rng.random(n_envs) < np.exp(lp[:, STOP]), STOP, CONTINUE)
         buf_obs[t] = obs
         buf_actions[t] = actions
         buf_logp[t] = lp[np.arange(n_envs), actions]
-        buf_values[t] = values[:, 0]
-        obs, rewards, dones, infos = venv.step(actions)
-        buf_rewards[t] = rewards
-        buf_dones[t] = dones
-        episodes.extend(infos)
-    bootstrap, _ = forward(critic, obs)
-    return Rollout(buf_obs, buf_actions, buf_logp, buf_rewards, buf_values, buf_dones,
-                   bootstrap[:, 0]), episodes
+        buf_values[t] = forward(critic, obs)[0][:, 0]
+        obs, buf_rewards[t], buf_dones[t], ended = venv.step(actions)
+        episodes.append(ended)
+    buf_values[n_steps] = forward(critic, obs)[0][:, 0]
+    return (Rollout(buf_obs, buf_actions, buf_logp, buf_rewards, buf_values, buf_dones),
+            np.concatenate(episodes))
 
 
 def compute_gae(rollout: Rollout, gamma: float, gae_lambda: float) -> np.ndarray:
@@ -193,16 +190,14 @@ def compute_gae(rollout: Rollout, gamma: float, gae_lambda: float) -> np.ndarray
 
     The recursion stops at episode boundaries; episodes still open at the
     end of the rollout bootstrap with the critic value of the post-rollout
-    state.
+    state, the last row of ``values``.
     """
-    advantages = np.zeros_like(rollout.rewards)
-    next_values, carry = rollout.bootstrap_values, np.zeros_like(rollout.bootstrap_values)
+    advantages, values, carry = np.zeros_like(rollout.rewards), rollout.values, 0.0
     for t in reversed(range(len(rollout.rewards))):
         nonterminal = 1.0 - rollout.dones[t]
-        delta = rollout.rewards[t] + gamma * next_values * nonterminal - rollout.values[t]
+        delta = rollout.rewards[t] + gamma * values[t + 1] * nonterminal - values[t]
         carry = delta + gamma * gae_lambda * nonterminal * carry
         advantages[t] = carry
-        next_values = rollout.values[t]
     return advantages
 
 
@@ -282,7 +277,7 @@ def ppo_update(
         rollout.actions.reshape(n),
         rollout.log_probs.reshape(n),
         advantages.reshape(n).astype(params.dtype),
-        (advantages + rollout.values).reshape(n).astype(params.dtype),  # the returns
+        (advantages + rollout.values[:-1]).reshape(n).astype(params.dtype),  # the returns
     )
     starts = range(0, n, hyper.minibatch_size)
     totals = np.zeros(len(LossStats._fields))
@@ -349,11 +344,9 @@ def train(
             rollout, episodes = collect_rollout(actor, critic, venv, hyper.n_steps, action_rng)
             advantages = compute_gae(rollout, hyper.gamma, hyper.gae_lambda)
             stats = ppo_update(actor, critic, params, opt, rollout, advantages, hyper, shuffle_rng)
-            rewards = [e["episode_reward"] for e in episodes]
-            stops = [e["stop_batch"] for e in episodes]
-            rows.append(LogRow(iteration, iteration * per_iteration,
-                               float(np.mean(rewards)) if rewards else float("nan"),
-                               float(np.mean(stops)) if stops else float("nan"), *stats))
+            means = (float(episodes[name].mean()) if len(episodes) else float("nan")
+                     for name in ("episode_reward", "stop_batch"))
+            rows.append(LogRow(iteration, iteration * per_iteration, *means, *stats))
     checkpoint = Checkpoint(actor, critic, target_recall, n_batches, normalize, hyper)
     return checkpoint, rows
 

@@ -297,7 +297,8 @@ def test_out_of_range_config_value_names_the_file_and_key(tmp_path, trained, cap
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, key, value", [
     ("train", "batches", 2**63), ("baseline", "batches", 10**30), ("synth", "docs", -(2**63) - 1),
-    ("stop", "seed", 2**64), ("train", "n_epochs", 2**63),
+    ("stop", "seed", 2**64), ("train", "n_epochs", 2**63), ("train", "timesteps", 10**30),
+    ("synth", "count", 10**30),
 ])
 def test_integer_past_64_bits_exits_2(tmp_path, trained, capsys, source, command, key, value):
     args = command_args(command, tmp_path, trained)
@@ -320,6 +321,22 @@ def test_integer_past_64_bits_exits_2(tmp_path, trained, capsys, source, command
 
 def not_built(*args, **kwargs):
     raise AssertionError("a command built what its settings forbid")
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "dangling"])
+def test_train_out_that_cannot_be_a_directory_exits_2_before_training(tmp_path, trained, capsys,
+                                                                       monkeypatch, out):
+    monkeypatch.setattr(cli, "train", not_built)
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")  # mkdir would fail on it too
+    before = sorted(tmp_path.rglob("*"))
+    args = command_args("train", tmp_path, trained)
+    args[args.index("--out") + 1] = str(tmp_path / out)
+    assert main(args) == 2
+    ancestor = tmp_path / out.split("/")[0]
+    assert capsys.readouterr().err == f"error: out {tmp_path / out}: {ancestor} is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing made
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -229,17 +229,49 @@ class TestVecStoppingEnv:
         seen = []
         for _ in range(2):
             venv = VecStoppingEnv(pool, 0.9, n_envs=3, seed=42)
-            ids = [pool.collection.topic_ids[i] for i in venv.topic_idx]
+            topics = venv.topic_idx.tolist()
             for _ in range(20):
-                _, _, _, infos = venv.step([STOP] * 3)
-                assert [info["topic_id"] for info in infos] == ids[-3:]
-                ids.extend(pool.collection.topic_ids[i] for i in venv.topic_idx)
-            seen.append(ids)
+                _, _, _, ended = venv.step([STOP] * 3)
+                assert ended["topic"].tolist() == topics[-3:]
+                topics.extend(venv.topic_idx.tolist())
+            seen.append(topics)
         assert seen[0] == seen[1]
         # one scalar draw per slot, in slot order, from the seeded stream
         reference = np.random.default_rng(42)
-        expected = [pool.collection.topic_ids[int(reference.integers(len(pool)))] for _ in range(63)]
+        expected = [int(reference.integers(len(pool))) for _ in range(63)]
         assert seen[0] == expected
+
+    def test_ended_episodes_match_a_per_slot_walk(self, rng):
+        pool = small_pool(rng, n_topics=5, n_batches=6)
+        n_envs, n_batches, targets = 4, pool.n_batches, pool.target_batch(0.9)
+        venv = VecStoppingEnv(pool, 0.9, n_envs=n_envs, seed=11)
+        draws = np.random.default_rng(11)  # the env's stream: one draw per slot, in slot order
+        walks = [[int(draws.integers(len(pool))), 1, 0.0] for _ in range(n_envs)]
+        actions_rng = np.random.default_rng(5)
+        stop_kinds = set()
+        for _ in range(300):
+            actions = np.where(actions_rng.random(n_envs) < 0.3, STOP, CONTINUE)
+            _, _, dones, ended = venv.step(actions)
+            # perfbench's env.episodes counter reads this len as the count of ended episodes
+            assert len(ended) == dones.sum()
+            expected = []  # each slot's walk, in slot order: (topic, stop batch, reward)
+            for k, walk in enumerate(walks):
+                topic, examined, total = walk
+                total += reward(examined, targets[topic], n_batches)  # the direct sum
+                if actions[k] == STOP or examined == n_batches:
+                    assert dones[k]
+                    expected.append((topic, examined, total))
+                    stop_kinds.add(examined == n_batches)
+                    walk[:] = [int(draws.integers(len(pool))), 1, 0.0]
+                else:
+                    assert not dones[k]
+                    walk[1:] = [examined + 1, total]
+            assert ended["topic"].tolist() == [topic for topic, _, _ in expected]
+            assert ended["stop_batch"].tolist() == [stop for _, stop, _ in expected]
+            for record, (_, _, total) in zip(ended, expected):
+                assert abs(record["episode_reward"] - total) < 1e-12
+            assert venv.topic_idx.tolist() == [walk[0] for walk in walks]
+        assert stop_kinds == {False, True}  # STOP and the last batch both ended episodes
 
     def test_single_env_matches_plain_stepping(self, rng):
         bt = small_pool(rng, n_topics=1)

@@ -54,7 +54,7 @@ def brute_force_gae(rewards, values, dones, bootstrap, gamma, lam):
 
 def rollout_from_columns(rewards, values, dones, bootstrap):
     rewards = np.asarray(rewards, dtype=float)[:, None]
-    values = np.asarray(values, dtype=float)[:, None]
+    values = np.append(np.asarray(values, dtype=float), bootstrap)[:, None]  # bootstrap row last
     dones = np.asarray(dones, dtype=bool)[:, None]
     n = len(rewards)
     return Rollout(
@@ -64,7 +64,6 @@ def rollout_from_columns(rewards, values, dones, bootstrap):
         rewards=rewards,
         values=values,
         dones=dones,
-        bootstrap_values=np.array([bootstrap], dtype=float),
     )
 
 
@@ -167,7 +166,9 @@ class TestCollectRollout:
         assert buf.obs.shape == (100, 8, venv.n_batches)
         assert buf.actions.shape == (100, 8)
         assert buf.rewards.shape == (100, 8)
-        assert buf.bootstrap_values.shape == (8,)
+        assert buf.values.shape == (101, 8)
+        # the last row: the critic's value of the state after the rollout
+        assert np.array_equal(buf.values[-1], forward(critic, venv.current_obs())[0][:, 0])
 
     def test_deterministic(self):
         pool = small_pool()
@@ -200,7 +201,7 @@ class TestPpoLoss:
         advantages = compute_gae(buf, 0.99, 0.95)
         n = advantages.size
         batch = (buf.obs.reshape(n, -1), buf.actions.reshape(n), buf.log_probs.reshape(n),
-                 normalize_advantages(advantages.reshape(n)), (advantages + buf.values).reshape(n))
+                 normalize_advantages(advantages.reshape(n)), (advantages + buf.values[:-1]).reshape(n))
         return actor, critic, batch
 
     def test_unchanged_policy_has_unit_ratio(self):
@@ -327,7 +328,7 @@ class TestPpoUpdate:
         rng = np.random.default_rng(4)
         rows = (rollout.obs.reshape(100, -1), rollout.actions.reshape(100),
                 rollout.log_probs.reshape(100), advantages.reshape(100),
-                (advantages + rollout.values).reshape(100))
+                (advantages + rollout.values[:-1]).reshape(100))
         for epoch in range(3):
             perm = rng.permutation(100)
             for k, start in enumerate(range(0, 100, 30)):
