@@ -4,14 +4,12 @@ The first command to parse an input stores what the parse produced; a
 later command on the same bytes, at any path, loads it and rebuilds the
 value through the same constructors and checks, so outputs are
 byte-identical to an uncached run. It knows nothing of what it stores: a
-:class:`Kind`, declared beside its parser, says how (``tarstop.corpus.TOPICS``
-a run/qrels pair's collection and ingest warnings, ``tarstop.ppo.CHECKPOINTS``
-a checkpoint's weights and fields).
+:class:`Kind`, declared beside its parser, says how (``tarstop.corpus.TOPICS``,
+a run/qrels pair's collection and ingest warnings, is the one kind today).
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
-sha256 (a checkpoint is read once, and those bytes are both hashed and
-parsed; a run/qrels pair's files are hashed at once, one on a second
-thread, and again after the parse, and nothing is stored if one changed);
+sha256 (the files are hashed at once, each but the largest on a thread of
+its own, and again after the parse, and nothing is stored if one changed);
 its value is one ``.npz``, read with ``allow_pickle=False``. It lives in
 ``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache off), else
 ``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``. A missing,
@@ -81,23 +79,17 @@ def file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def _sha256(source) -> bytes:
-    import hashlib  # see entry_path
-
-    return hashlib.sha256(source).digest() if isinstance(source, bytes) else file_sha256(source)
-
-
 def _digests(sources) -> list[bytes]:
-    """Each source's sha256, all hashed at once: the calling thread takes the
-    largest source and one thread each other (hashlib and file reads release
+    """Each file's sha256, all hashed at once: the calling thread takes the
+    largest file and one thread each other (hashlib and file reads release
     the GIL). A worker's exception is raised here, once every worker ended."""
-    sizes = [len(s) if isinstance(s, bytes) else os.stat(s).st_size for s in sources]
+    sizes = [os.stat(source).st_size for source in sources]
     largest = sizes.index(max(sizes))
     digests: list = [None] * len(sources)
 
     def work(k):
         try:
-            digests[k] = _sha256(sources[k])
+            digests[k] = file_sha256(sources[k])
         except BaseException as exc:  # raised on the calling thread below
             digests[k] = exc
 
@@ -105,7 +97,7 @@ def _digests(sources) -> list[bytes]:
     for thread in threads:
         thread.start()
     try:
-        digests[largest] = _sha256(sources[largest])
+        digests[largest] = file_sha256(sources[largest])
     finally:
         for thread in threads:
             thread.join()
@@ -116,9 +108,8 @@ def _digests(sources) -> list[bytes]:
 
 
 def entry_path(kind: Kind, sources) -> Path | None:
-    """Where the entry of ``kind`` for these sources lives, or None when the
-    cache is off. A source is a file's path, or ``bytes`` already read from
-    one, so that the key is that of the bytes a parse reads."""
+    """Where the entry of ``kind`` for these files (``sources``, their paths)
+    lives, or None when the cache is off."""
     directory = cache_dir()
     if directory is None:
         return None

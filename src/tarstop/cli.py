@@ -7,10 +7,11 @@ flags' Python names), else its default, checks it and records its source.
 Exit codes: 0 success; 2 usage or configuration error; 1 runtime failure,
 or a fault in tarstop itself (``error: internal error: ...``, and its traceback).
 
-Run/qrels pairs (read through :func:`_load_topics`) and checkpoints go
-through the content-addressed input cache (:mod:`tarstop.cache`), so only
-the first command on the same bytes parses them; ``TARSTOP_CACHE_DIR``
-names the cache directory and an empty value turns the cache off.
+Run/qrels pairs (read through :func:`_load_topics`) go through the
+content-addressed input cache (:mod:`tarstop.cache`), so only the first
+command on the same bytes parses them; ``TARSTOP_CACHE_DIR`` names the
+cache directory and an empty value turns the cache off. A checkpoint is
+read whole by each ``stop``: its weights are base64 float32, quick to decode.
 """
 
 from __future__ import annotations
@@ -211,6 +212,15 @@ def _check_out_dir(path) -> None:
         raise ConfigError(f"out {path}: {existing} is not a directory")
 
 
+def _check_out_file(path) -> None:
+    """``path`` can be written as a file: it is not a directory, and its parent is one
+    (the CSV writers make no directory)."""
+    if Path(path).is_dir():
+        raise ConfigError(f"out {path}: is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"out {path}: {Path(path).parent} is not an existing directory")
+
+
 def _load_topics(run_path, qrels_path):
     """The usable topics of a run/qrels pair, through the input cache
     (:mod:`tarstop.cache`): parsed on a miss, loaded on a hit; logs their warnings."""
@@ -359,7 +369,7 @@ RUN, QRELS = Option("run", required=True), Option("qrels", required=True)
 # each subcommand's help, what runs it and its options, in --help order
 SUBCOMMANDS = {
     "synth": ("generate a synthetic run/qrels pair", cmd_synth, (
-        Option("out", help="output directory", required=True),
+        Option("out", check=_check_out_dir, help="output directory", required=True),
         Option("count", int, 20, lambda v: check_synth(count=v), "number of topics"),
         Option("docs", int, 1000, lambda v: check_synth(n_docs=v), "documents per topic"),
         Option("prevalence", float, 0.02, lambda v: check_synth(prevalence=v),
@@ -381,20 +391,21 @@ SUBCOMMANDS = {
     )),
     "stop": ("apply a trained policy to a collection", cmd_stop, (
         Option("checkpoint", required=True), RUN, QRELS,
-        Option("out", help="output CSV", required=True),
+        Option("out", check=_check_out_file, help="output CSV", required=True),
         Option("mode", default="greedy", choices=INFER_MODES),
         Option("seed", int, 0, check_seed, "seed for sample mode"),
     )),
     "baseline": ("run a reference stopping strategy", cmd_baseline, (
         Option("method", choices=("oracle", "knee", "budget"), required=True),
-        RUN, QRELS, Option("out", help="output CSV", required=True),
+        RUN, QRELS, Option("out", check=_check_out_file, help="output CSV", required=True),
         TARGET, BATCHES, Option("fraction", float, 0.5, check_fraction, "budget fraction"),
     )),
     "eval": ("score stopping results against qrels", cmd_eval, (
         Option("results", repeats=True, required=True,
                help="stopping-results CSV, repeatable; minimal schema "
                     "(topic_id, method, docs_examined) is accepted"),
-        RUN, QRELS, Option("out", help="output directory for report CSVs", required=True),
+        RUN, QRELS, Option("out", check=_check_out_dir, required=True,
+                           help="output directory for report CSVs"),
         dataclasses.replace(TARGET, default=None,
                             help="target(s) stamped onto imported rows that lack one"),
     )),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,7 +32,7 @@ HIDDEN_SIZES = (64, 64)
 ACTIVATION = "tanh"
 INIT_SCHEME = "orthogonal"
 # The float type of the networks, observations, rollouts, gradients and Adam
-# state in ``train`` and of inference in ``stop``; checkpoint format 2.
+# state in ``train`` and of inference in ``stop``; checkpoints store it (format 3).
 DTYPE = np.float32
 
 
@@ -228,18 +229,12 @@ def clip_grads(grads: np.ndarray, max_norm: float) -> None:
         grads *= max_norm / norm
 
 
-def params_to_jsonable(params: MlpParams) -> dict:
-    return {
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-
-
 def params_from_flat(flat: np.ndarray, sizes: list[int]) -> MlpParams:
-    """The :data:`DTYPE` params with layer ``sizes`` whose ``flat`` buffer equals ``flat``."""
+    """The :data:`DTYPE` params with layer ``sizes`` whose ``flat`` buffer holds the
+    values of ``flat``, a 1-D float array of exactly that many parameters."""
     shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
-    ends = np.cumsum([0, *map(math.prod, shapes)])
-    if flat.dtype != DTYPE or flat.shape != (ends[-1],) or min(sizes, default=-1) < 0:
-        raise ValueError(f"layer sizes {sizes} do not fit {flat.size} {flat.dtype} parameters")
+    ends = [0, *accumulate(map(math.prod, shapes))]  # Python ints: no overflow, whatever the sizes
+    if flat.shape != (ends[-1],):
+        raise ValueError(f"layer sizes {sizes} need {ends[-1]} parameters, got {flat.size}")
     arrays = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
     return MlpParams(arrays[: len(sizes) - 1], arrays[len(sizes) - 1:], DTYPE)

@@ -13,7 +13,7 @@ float64 from the float64 rewards, then rounded for the update.
 
 from __future__ import annotations
 
-import io
+import base64
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cache import Kind, cached
 from .corpus import Batches, Collection, check_seed, check_target
 from .env import CONTINUE, NORMALIZE_MODES, STOP, VecStoppingEnv, observation_table, observe
 from .errors import ConfigError
@@ -44,11 +43,10 @@ from .nets import (
     joint_params,
     log_softmax,
     params_from_flat,
-    params_to_jsonable,
     softmax,
 )
 
-CHECKPOINT_VERSION = 2  # 2: the weights are DTYPE values, and stop runs in DTYPE
+CHECKPOINT_VERSION = 3  # 3: each network's ``flat`` as base64 little-endian float32 (DTYPE)
 POLICY_METHOD = "policy"
 INFER_MODES = ("greedy", "sample")  # how infer_stop picks each action: argmax or a draw
 
@@ -417,31 +415,27 @@ def _payload(checkpoint: Checkpoint) -> dict:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Write the checkpoint as versioned JSON; floats round-trip bit-exactly."""
-    payload = {**_payload(checkpoint), "actor": params_to_jsonable(checkpoint.actor),
-               "critic": params_to_jsonable(checkpoint.critic)}
+    """Write the checkpoint as versioned JSON: each network is the base64 text of its
+    ``flat`` buffer as little-endian float32, so weights round-trip bit-exactly."""
+    payload = {**_payload(checkpoint),
+               **{name: base64.b64encode(net.flat.astype("<f4").tobytes()).decode("ascii")
+                  for name, net in (("actor", checkpoint.actor), ("critic", checkpoint.critic))}}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at ``path``, parsed or from the input cache (:mod:`tarstop.cache`)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()  # the key hashes these bytes and a miss parses them
-
-    def parse():
-        try:  # decoded as open(path, encoding="utf-8") would
-            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        return _checked(path, data,
-                        lambda network: MlpParams(network["weights"], network["biases"], DTYPE))
-
-    return cached(CHECKPOINTS, (raw,), parse)
+    """The checkpoint at ``path``, checked; a malformed one is a ConfigError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested past the limit
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    return _checked(path, data)
 
 
-def _checked(path, data, network) -> Checkpoint:
-    """Checkpoint JSON ``data``, its networks made by ``network``, checked; errors name ``path``."""
+def _checked(path, data) -> Checkpoint:
+    """Checkpoint JSON ``data``, its networks decoded, checked; errors name ``path``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if data.get("kind") != "tarstop-checkpoint":
@@ -450,7 +444,7 @@ def _checked(path, data, network) -> Checkpoint:
         raise ConfigError(f"{path}: unsupported checkpoint version {data.get('format_version')}")
     try:
         networks = {name: data[name] for name in ("actor", "critic")}
-        hyper = data["hyperparams"]
+        architecture, hyper = data["architecture"], data["hyperparams"]
         target_recall, n_batches = data["target_recall"], data["n_batches"]
         normalize_obs = data["normalize_obs"]
     except KeyError as exc:
@@ -464,10 +458,12 @@ def _checked(path, data, network) -> Checkpoint:
         raise ConfigError(
             f"{path}: normalize_obs must be one of {NORMALIZE_MODES}, got {normalize_obs!r}"
         )
+    if not isinstance(architecture, dict):
+        raise ConfigError(f"{path}: architecture must be a JSON object")
     if not isinstance(hyper, dict):
         raise ConfigError(f"{path}: hyperparams must be a JSON object")
-    actor = _load_network(path, "actor", network, networks["actor"], n_batches, 2)
-    critic = _load_network(path, "critic", network, networks["critic"], n_batches, 1)
+    actor = _load_network(path, "actor", networks, architecture, n_batches, 2)
+    critic = _load_network(path, "critic", networks, architecture, n_batches, 1)
     for key in hyper:
         if key not in Hyperparams.__dataclass_fields__:
             raise ConfigError(f"{path}: unknown hyperparams key {key!r}")
@@ -486,53 +482,32 @@ def _checked(path, data, network) -> Checkpoint:
     )
 
 
-def _load_network(path, name: str, network, value, n_batches: int, n_out: int) -> MlpParams:
-    """``network(value)``, a :data:`DTYPE` network, checked to be finite, chained and
-    ``n_batches -> n_out``."""
-    try:
-        # a value past DTYPE's range becomes inf here, rejected below with the others
-        with np.errstate(over="ignore"):
-            params = network(value)  # the MlpParams constructor checks that the layers chain
-    except KeyError as exc:
-        raise ConfigError(f"{path}: {name} is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past any float
-        raise ConfigError(f"{path}: {name} weights and biases are malformed: {exc}") from None
-    # the check runs on the values inference computes with
+def _load_network(path, name: str, networks: dict, architecture: dict, n_batches: int,
+                  n_out: int) -> MlpParams:
+    """Network ``name``: its ``flat`` buffer decoded from ``networks[name]`` (see
+    :func:`save_checkpoint`) with the layer sizes ``architecture`` gives it, checked
+    to be finite and ``n_batches -> n_out``."""
+    value, sizes = networks[name], architecture.get(f"{name}_sizes")
+    if not (isinstance(sizes, list) and len(sizes) >= 2
+            and all(type(n) is int and n >= 1 for n in sizes)):
+        raise ConfigError(f"{path}: architecture {name}_sizes must be a list of at least two "
+                          f"integers >= 1, got {sizes!r}")
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: {name} must be a base64 string, got {type(value).__name__}")
+    try:  # binascii.Error, and frombuffer's for a byte count not a multiple of 4, are ValueErrors
+        params = params_from_flat(np.frombuffer(base64.b64decode(value, validate=True), "<f4"),
+                                  sizes)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {name} is malformed: {exc}") from None
     if not np.isfinite(params.flat).all():
-        raise ConfigError(f"{path}: {name} has non-finite weights as {np.dtype(DTYPE)} "
-                          f"(largest finite: {np.finfo(DTYPE).max})")
+        raise ConfigError(f"{path}: {name} has non-finite weights")
     # inference sizes its observations from n_batches, so the networks must agree
-    sizes = params.sizes
     if (sizes[0], sizes[-1]) != (n_batches, n_out):
         raise ConfigError(
             f"{path}: {name} maps {sizes[0]} inputs to {sizes[-1]} outputs, "
             f"expected {n_batches} (n_batches) to {n_out}"
         )
     return params
-
-
-def _checkpoint_entry(checkpoint: Checkpoint) -> dict[str, np.ndarray]:
-    fields = np.array(json.dumps(_payload(checkpoint)))
-    return {"actor": checkpoint.actor.flat, "critic": checkpoint.critic.flat, "fields": fields}
-
-
-def _checkpoint_from_entry(arrays: dict[str, np.ndarray]) -> Checkpoint:
-    fields = arrays["fields"]
-    if fields.shape != () or fields.dtype.kind != "U":
-        raise ValueError("checkpoint entry fields are not one text")
-    data = json.loads(fields.item())
-    try:
-        sizes = {name: data["architecture"][f"{name}_sizes"] for name in ("actor", "critic")}
-    except (KeyError, TypeError):
-        raise ValueError("checkpoint entry fields lack the layer sizes") from None
-    data.update({name: (arrays[name], sizes[name]) for name in sizes})
-    return _checked("cache entry", data, lambda network: params_from_flat(*network))
-
-
-# A cached checkpoint: each network's ``flat`` buffer, and the rest as its
-# JSON text, so a hit goes through the same checks as a parse.
-CHECKPOINTS = Kind(b"tarstop-checkpoint-v2", ("actor", "critic", "fields"),
-                   _checkpoint_entry, _checkpoint_from_entry)
 
 
 def write_training_log(path, rows: list[LogRow]) -> None:

@@ -1,8 +1,10 @@
-"""Mutated inputs through ``tarstop.cli.main``: a mutated run, qrels or
-results file either still works (exit 0) or is an input error that names it
-(exit 2), never an internal fault (exit 1); and for a run/qrels pair a second
-run, which the input cache serves when the first parsed, ends the same way."""
+"""Mutated inputs through ``tarstop.cli.main``: a mutated run, qrels,
+results, checkpoint or config file either still works (exit 0) or is an
+input error that names it (exit 2), never an internal fault (exit 1); and a
+second run, which the input cache serves the run/qrels pair when the first
+parsed it, ends the same way."""
 
+import base64
 import json
 import math
 import tempfile
@@ -171,6 +173,89 @@ def test_mutated_results_exits_0_or_2_naming_it(tmp_path, results_set, capsys, m
     err = capsys.readouterr().err
     assert code in (0, 2), err
     assert code == 0 or str(files[mutated]) in err, err
+
+
+def checkpoint_paths(node, prefix=()):
+    """Paths (tuples of keys and indices) to every value inside a checkpoint's JSON."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from checkpoint_paths(value, (*prefix, key))
+
+
+def at(data, path):
+    for step in path:
+        data = data[step]
+    return data
+
+
+def delete_a_key(draw, kind, data):
+    data = json.loads(data)
+    path = draw(st.sampled_from([p for p in checkpoint_paths(data) if p and isinstance(p[-1], str)]))
+    del at(data, path[:-1])[path[-1]]
+    return json.dumps(data).encode()
+
+
+JSON_VALUES = st.one_of(
+    # JSON integers have no size limit; past about 1e308 they have no float value
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def swap_a_type(draw, kind, data):
+    data = json.loads(data)
+    path = draw(st.sampled_from(list(checkpoint_paths(data))))
+    new = draw(JSON_VALUES.filter(lambda v: type(v) is not type(at(data, path))))
+    if not path:
+        return json.dumps(new).encode()
+    at(data, path[:-1])[path[-1]] = new
+    return json.dumps(data).encode()
+
+
+def resize_a_network(draw, kind, data):
+    """Cut or lengthen a network's bytes (to any count, a multiple of 4 or
+    not), or set one of its ``architecture`` sizes to a small integer."""
+    data = json.loads(data)
+    name = draw(st.sampled_from(["actor", "critic"]))
+    if draw(st.booleans()):
+        raw = base64.b64decode(data[name])
+        data[name] = base64.b64encode((raw * 2)[:draw(st.integers(0, len(raw) + 64))]).decode()
+    else:
+        layer_sizes = data["architecture"][f"{name}_sizes"]
+        layer_sizes[draw(st.integers(0, len(layer_sizes) - 1))] = draw(st.integers(-2, 70))
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("mutate", [delete_a_key, swap_a_type, resize_a_network, truncate,
+                                    flip_a_byte])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoint_exits_0_or_2_naming_it(tmp_path, results_set, capsys, monkeypatch,
+                                                   mutate, data):
+    """Any damage to a trained checkpoint either still loads or is a
+    config error that names the file, never an exit 1; and a second run,
+    which the input cache serves the pair, gives the same exit code and the
+    same CSV bytes."""
+    pair, _, _ = results_set
+    checkpoint = Path(pair[1]).parent / "policy-t0.9.json"
+    example = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", str(example / "cache"))  # cold for each example
+    broken = example / "mutated.json"
+    broken.write_bytes(mutate(data.draw, "checkpoint", checkpoint.read_bytes()))
+    runs = []
+    for run in ("cold", "warm"):
+        out = example / f"{run}.csv"
+        capsys.readouterr()
+        code = main(["stop", "--checkpoint", str(broken), *pair, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert code == 0 or str(broken) in err, err
+        runs.append((code, err, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    if code == 0:  # the run/qrels pair's entry, which the warm run hit; a checkpoint has none
+        assert len(list((example / "cache").glob("*.npz"))) == 1
 
 
 def below(bound, inclusive):

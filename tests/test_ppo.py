@@ -1,5 +1,6 @@
-import dataclasses
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ import pytest
 from conftest import make_collection, make_topic, topic_metrics
 from tarstop.corpus import Collection, synth_topics
 from tarstop.env import STOP, VecStoppingEnv, observation_table, observe
-from tarstop.cache import entry_path, read_entry
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult
-from tarstop import cache, nets, ppo
+from tarstop import nets, ppo
 from tarstop.nets import HIDDEN_SIZES, MlpParams, adam_init, forward, init_params, joint_params, softmax
 from tarstop.ppo import (
-    CHECKPOINTS,
     Checkpoint,
     Hyperparams,
     LogRow,
@@ -580,7 +579,7 @@ class TestCheckpointIO:
 
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "truncated.json"
-        path.write_text('{"kind": "tarstop-checkpoint", "format_version": 2}')
+        path.write_text('{"kind": "tarstop-checkpoint", "format_version": 3}')
         with pytest.raises(ConfigError, match="truncated.json.*missing key 'actor'"):
             load_checkpoint(path)
 
@@ -605,13 +604,14 @@ class TestCheckpointIO:
         (lambda d: d.update(target_recall=1.5), r"target_recall must be in \(0, 1\], got 1.5"),
         (lambda d: d.update(normalize_obs=5), "normalize_obs must be one of .*, got 5"),
         (lambda d: d.update(hyperparams=[]), "hyperparams must be a JSON object"),
-        (lambda d: d["critic"]["biases"][0].__setitem__(0, float("nan")),
-         "critic has non-finite weights"),
-        (lambda d: d["actor"]["weights"].__setitem__(1, [[0.0] * 2] * 3),
-         "actor weights and biases are malformed: layer shapes do not chain"),
-        (lambda d: d["actor"].pop("biases"), "actor is missing key 'biases'"),
+        (lambda d: d.update(architecture=[6, 4, 2]), "architecture must be a JSON object"),
+        (lambda d: d["architecture"].pop("critic_sizes"),
+         r"architecture critic_sizes must be a list of at least two integers >= 1, got None"),
+        (lambda d: d["architecture"].update(actor_sizes=[6, 5, 2]),
+         r"actor is malformed: layer sizes \[6, 5, 2\] need 47 parameters, got 38"),
+        (lambda d: d.update(critic=d["actor"]), "critic is malformed: layer sizes"),
     ], ids=["n_batches", "target_recall", "target_recall-range", "normalize_obs", "hyperparams",
-            "non-finite", "unchained", "missing-biases"])
+            "architecture", "missing-sizes", "unchained", "swapped-networks"])
     def test_malformed_fields_rejected(self, tmp_path, edit, message):
         actor = init_params(0, (6, 4, 2), out_gain=0.01)
         critic = init_params(1, (6, 4, 1), out_gain=1.0)
@@ -620,8 +620,27 @@ class TestCheckpointIO:
         data = json.loads(path.read_text())
         edit(data)
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
+
+    def test_format_decodes_with_base64_and_numpy_alone(self, tmp_path):
+        """Format 3: JSON with sorted keys, each network the padded standard base64
+        of its ``flat`` buffer as little-endian float32, its layer sizes in
+        ``architecture``."""
+        topics = synth_topics(2, 30, 0.3, 8.0, seed=0)
+        hyper = Hyperparams(total_timesteps=400, n_steps=10, n_envs=4, minibatch_size=40, seed=0)
+        ckpt, _ = train(topics, 0.9, hyper, n_batches=6)
+        path = tmp_path / "policy.json"
+        save_checkpoint(ckpt, path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert path.read_text(encoding="utf-8") == json.dumps(data, sort_keys=True) + "\n"
+        assert (data["kind"], data["format_version"]) == ("tarstop-checkpoint", 3)
+        for name in ("actor", "critic"):
+            net = getattr(ckpt, name)
+            flat = np.frombuffer(base64.b64decode(data[name], validate=True), dtype="<f4")
+            assert flat.tobytes() == net.flat.tobytes()  # bit for bit, in flat's layout
+            assert data["architecture"][f"{name}_sizes"] == [6, *HIDDEN_SIZES, net.sizes[-1]]
+            assert flat.size == sum(a * b + b for a, b in zip(net.sizes, net.sizes[1:]))
 
     def test_training_log_format(self, tmp_path):
         topics = synth_topics(2, 30, 0.3, 8.0, seed=0)
@@ -654,138 +673,6 @@ class TestCheckpointIO:
             b"1,20,0.30000000000000004,nan,-1e-17,2.5,0.6931471805599453,0.0,0.3333333333333333\r\n"
             b"2,40,-0.5,3.0,1e+22,0.0,0.1,0.25,2e-05\r\n"
         )
-
-
-def _same_checkpoint(a: Checkpoint, b: Checkpoint) -> bool:
-    """Bitwise-equal networks, and equal fields of equal Python types."""
-    fields = ("target_recall", "n_batches", "normalize_obs")
-    return (
-        all(x.flat.dtype == y.flat.dtype and x.flat.tobytes() == y.flat.tobytes()
-            and x.sizes == y.sizes for x, y in ((a.actor, b.actor), (a.critic, b.critic)))
-        and [(type(getattr(a, f)), getattr(a, f)) for f in fields]
-        == [(type(getattr(b, f)), getattr(b, f)) for f in fields]
-        and [(type(v), v) for v in dataclasses.astuple(a.hyper)]
-        == [(type(v), v) for v in dataclasses.astuple(b.hyper)]
-    )
-
-
-def _rewrite_entry(path, edit):
-    with np.load(path) as data:
-        arrays = dict(data)
-    edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _edit_fields(edit):
-    def apply(arrays):
-        fields = json.loads(arrays["fields"].item())
-        edit(fields)
-        arrays["fields"] = np.array(json.dumps(fields))
-    return apply
-
-
-def _flip_a_weight_byte(path):
-    data = bytearray(path.read_bytes())
-    data[data.index(b"actor.npy") + 400] ^= 0x01  # the member's local header, then its data
-    path.write_bytes(bytes(data))
-
-
-ENTRY_DAMAGE = {
-    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
-    "flipped-byte": _flip_a_weight_byte,
-    "missing-array": lambda p: _rewrite_entry(p, lambda a: a.pop("critic")),
-    "foreign-array": lambda p: _rewrite_entry(p, lambda a: a.update(labels=np.ones(3, np.uint8))),
-    "integer-flat": lambda p: _rewrite_entry(p, lambda a: a.update(actor=a["actor"].astype(int))),
-    "non-finite-flat": lambda p: _rewrite_entry(p, lambda a: a["critic"].__setitem__(0, np.inf)),
-    "sizes-do-not-fit-flat": lambda p: _rewrite_entry(p, _edit_fields(
-        lambda f: f["architecture"].update(actor_sizes=[6, 64, 64, 3]))),
-    "sizes-disagree-with-n_batches": lambda p: _rewrite_entry(p, _edit_fields(
-        lambda f: f.update(n_batches=7))),
-    "fields-not-json": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.array("{"))),
-    "fields-not-an-object": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.array("[]"))),
-    "fields-not-text": lambda p: _rewrite_entry(p, lambda a: a.update(fields=np.arange(3.0))),
-    "bad-hyperparams": lambda p: _rewrite_entry(p, _edit_fields(
-        lambda f: f["hyperparams"].update(gamma=2.0))),
-}
-
-
-class TestCheckpointCache:
-    @pytest.fixture
-    def saved(self, tmp_path):
-        topics = synth_topics(2, 30, 0.3, 8.0, seed=0)
-        hyper = Hyperparams(total_timesteps=400, n_steps=10, n_envs=4, minibatch_size=40, seed=0,
-                            max_grad_norm=0.5)
-        ckpt, _ = train(topics, 1, hyper, n_batches=6)  # an int target stays an int
-        path = tmp_path / "policy.json"
-        save_checkpoint(ckpt, path)
-        return path
-
-    @staticmethod
-    def uncached(path, monkeypatch):
-        with monkeypatch.context() as m:
-            m.setenv("TARSTOP_CACHE_DIR", "")
-            return load_checkpoint(path)
-
-    def test_hit_equals_the_json_load(self, saved, monkeypatch):
-        parses = []
-        monkeypatch.setattr(json, "load", lambda fh, _load=json.load: parses.append(1) or _load(fh))
-        miss = load_checkpoint(saved)
-        entry = entry_path(CHECKPOINTS, [saved])
-        hit = read_entry(entry, CHECKPOINTS)
-        assert parses == [1] and hit is not None
-        assert type(hit.target_recall) is int and hit.hyper.max_grad_norm == 0.5
-        again = load_checkpoint(saved)
-        assert parses == [1]  # served from the entry
-        parsed = self.uncached(saved, monkeypatch)
-        assert parses == [1, 1]
-        assert all(_same_checkpoint(c, parsed) for c in (miss, hit, again))
-
-    @pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGE))
-    def test_damaged_entry_is_a_miss_and_rewritten(self, saved, topic_cache_dir, monkeypatch,
-                                                   damage):
-        load_checkpoint(saved)
-        entry = entry_path(CHECKPOINTS, [saved])
-        ENTRY_DAMAGE[damage](entry)
-        assert read_entry(entry, CHECKPOINTS) is None
-        assert _same_checkpoint(load_checkpoint(saved), self.uncached(saved, monkeypatch))
-        assert _same_checkpoint(read_entry(entry, CHECKPOINTS), self.uncached(saved, monkeypatch))
-        assert [p.name for p in topic_cache_dir.iterdir()] == [entry.name]  # no temp file left
-
-    def test_malformed_checkpoint_is_never_stored(self, saved, topic_cache_dir):
-        saved.write_text(saved.read_text().replace('"gamma": 0.99', '"gamma": 2.0'))
-        for _ in range(2):
-            with pytest.raises(ConfigError, match="policy.json: hyperparams gamma must be in"):
-                load_checkpoint(saved)
-        assert list(topic_cache_dir.iterdir()) == []
-
-    def test_file_rewritten_while_loading_files_no_entry_under_the_old_bytes(self, saved,
-                                                                              monkeypatch):
-        first = saved.read_bytes()
-        data = json.loads(first)
-        data["hyperparams"]["seed"] = 1
-        second = (json.dumps(data, sort_keys=True) + "\n").encode()
-        original = cache.entry_path
-
-        def rewrite_after_hashing(kind, sources):
-            path = original(kind, sources)
-            saved.write_bytes(second)  # e.g. ``train`` overwriting the checkpoint
-            return path
-
-        monkeypatch.setattr(cache, "entry_path", rewrite_after_hashing)
-        loaded = load_checkpoint(saved)
-        monkeypatch.setattr(cache, "entry_path", original)
-        assert loaded.hyper.seed == 0
-        assert read_entry(entry_path(CHECKPOINTS, [first]), CHECKPOINTS).hyper.seed == 0
-        assert read_entry(entry_path(CHECKPOINTS, [second]), CHECKPOINTS) is None
-        assert load_checkpoint(saved).hyper.seed == 1
-
-    def test_same_bytes_at_another_path_hit(self, saved, tmp_path, monkeypatch):
-        load_checkpoint(saved)
-        copy = tmp_path / "elsewhere.json"
-        copy.write_bytes(saved.read_bytes())
-        monkeypatch.setattr(json, "load", None)  # a parse would fail
-        assert _same_checkpoint(load_checkpoint(copy), load_checkpoint(saved))
 
 
 def float_dtypes(value) -> set[str]:
@@ -832,6 +719,6 @@ class TestFloat32Throughout:
         path = tmp_path / "policy.json"
         save_checkpoint(ckpt, path)
         seen = self.spy(monkeypatch, ["forward"])
-        for mode in ("greedy", "sample"):  # the checkpoint parsed, then from the cache
+        for mode in ("greedy", "sample"):
             infer_stop(load_checkpoint(path), topics.batched(6), mode=mode, rng=1)
         assert seen == {"forward": {"float32"}}
