@@ -9,8 +9,10 @@ or a fault in tarstop itself (``error: internal error: ...``, and its traceback)
 
 Run/qrels pairs (read through :func:`_load_topics`) go through the
 content-addressed input cache (:mod:`tarstop.cache`), so only the first
-command on the same bytes parses them; ``TARSTOP_CACHE_DIR`` names the
-cache directory and an empty value turns the cache off. A checkpoint is
+command on the same bytes parses them, and a file whose stat shows it
+unchanged since an earlier command hashed it is not read again to find its
+entry; ``TARSTOP_CACHE_DIR`` names the cache directory and an empty value
+turns the cache off, memo included. A checkpoint is
 read whole by each ``stop``: its weights are base64 float32, quick to decode.
 """
 

@@ -6,6 +6,7 @@ import logging
 import os
 import shutil
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def test_topic_id_a_str_array_cannot_hold_is_not_stored(tmp_path, topic_cache_di
     assert entries(topic_cache_dir) == []
 
 
-def test_empty_cache_dir_variable_writes_nothing(tmp_path, collection, monkeypatch):
+def test_empty_cache_dir_variable_writes_nothing(tmp_path, collection, monkeypatch, later):
     run, qrels = collection
     home, xdg = tmp_path / "home", tmp_path / "xdg"
     home.mkdir()
@@ -388,9 +389,11 @@ def test_empty_cache_dir_variable_writes_nothing(tmp_path, collection, monkeypat
     monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
     assert cache_dir() is None
     before = sorted(p.name for p in run.parent.iterdir())
-    for _ in range(2):
+    hashed = count_hashes(monkeypatch)
+    for _ in range(2):  # the inputs are old enough for digest rows, were the cache on
         assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),
                      "--out", str(tmp_path / "o.csv")]) == 0
+    assert hashed == []
     assert list(home.iterdir()) == [] and list(xdg.iterdir()) == []
     assert sorted(p.name for p in run.parent.iterdir()) == before  # nothing beside the inputs
 
@@ -636,3 +639,209 @@ def test_empty_cache_dir_variable_writes_nothing_for_stop(tmp_path, collection, 
         assert stop(checkpoint, collection, tmp_path / "x.csv") == 0
     assert list(home.iterdir()) == [] and list(xdg.iterdir()) == []
     assert [sorted(p.name for p in d.iterdir()) for d in beside] == before
+
+
+# The digest memo: rows keyed by each file's stat, written only for files
+# older than the racy margin on the clock the memo reads.
+
+
+@pytest.fixture
+def later(monkeypatch):
+    """Run the memo's clock ahead by more than the racy margin, so every file
+    looks old enough for a row."""
+    monkeypatch.setattr(cache, "_now_ns", lambda: time.time_ns() + cache.RACY_NS + 10**9)
+
+
+def rows(directory):
+    memo = directory / cache.MEMO
+    return sorted(p.name for p in memo.iterdir()) if memo.is_dir() else []
+
+
+def row_of(directory, path):
+    return directory / cache.MEMO / cache._row_name(os.stat(path))
+
+
+def count_hashes(monkeypatch):
+    hashed = []
+    original = cache.file_sha256
+
+    def counted(path):
+        hashed.append(os.path.basename(path))
+        return original(path)
+
+    monkeypatch.setattr(cache, "file_sha256", counted)
+    return hashed
+
+
+def oracle(collection, out):
+    run, qrels = collection
+    assert main(["baseline", "--method", "oracle", "--run", str(run), "--qrels", str(qrels),
+                 "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_warm_command_with_rows_hashes_and_scans_nothing(tmp_path, collection, topic_cache_dir,
+                                                        monkeypatch, later):
+    cold_bytes = oracle(collection, tmp_path / "cold.csv")
+    assert rows(topic_cache_dir) == sorted(row_of(topic_cache_dir, p).name for p in collection)
+    hashed = count_hashes(monkeypatch)
+    scans = []
+    monkeypatch.setattr(cache, "_listing", lambda *args: scans.append(args) or [])
+    calls = count_parses(monkeypatch)
+    assert oracle(collection, tmp_path / "warm.csv") == cold_bytes
+    assert hashed == [] and scans == [] and calls == []
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    assert oracle(collection, tmp_path / "off.csv") == cold_bytes
+
+
+def test_file_younger_than_the_margin_gets_no_row(tmp_path, collection, topic_cache_dir,
+                                                 monkeypatch):
+    run, qrels = collection
+    hashed = count_hashes(monkeypatch)
+    for _ in range(2):
+        cli._load_topics(run, qrels)
+    assert rows(topic_cache_dir) == []
+    assert sorted(hashed) == sorted([run.name, qrels.name] * 3)  # key, re-hash, key
+    # the margin is strict: a ctime exactly that old gets no row, an older one does
+    monkeypatch.setattr(cache, "_now_ns", lambda: qrels.stat().st_ctime_ns + cache.RACY_NS)
+    cli._load_topics(run, qrels)
+    older = run.stat().st_ctime_ns < qrels.stat().st_ctime_ns  # synth writes the run first
+    assert rows(topic_cache_dir) == [row_of(topic_cache_dir, run).name] * older
+
+
+@pytest.mark.parametrize("restore_mtime", [False, True])
+def test_same_size_rewrite_in_place_is_rehashed(collection, topic_cache_dir, monkeypatch, later,
+                                                restore_mtime):
+    run, qrels = collection
+    old_pairs = as_pairs(cli._load_topics(run, qrels))
+    before = qrels.stat()
+    assert row_of(topic_cache_dir, qrels).is_file()
+    at = qrels.read_bytes().index(b" 0\n")
+    # The clock is run ahead, so this file got a row while young: write it
+    # again only in a later timestamp tick, as the margin ensures for real.
+    time.sleep(0.02)
+    with open(qrels, "r+b") as fh:  # one judgement flipped: same inode, same size
+        fh.seek(at + 1)
+        fh.write(b"1")
+    if restore_mtime:  # as touch -d would
+        os.utime(qrels, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = qrels.stat()
+    assert (after.st_dev, after.st_ino, after.st_size) == (before.st_dev, before.st_ino, before.st_size)
+    assert after.st_mtime_ns - before.st_mtime_ns < 10**9  # within one second
+    assert (after.st_mtime_ns == before.st_mtime_ns) == restore_mtime
+    hashed = count_hashes(monkeypatch)
+    assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels) != old_pairs
+    assert hashed.count(qrels.name) == 2  # the key, then the re-hash after the parse
+    assert len(entries(topic_cache_dir)) == 2
+
+
+DAMAGED_ROWS = {
+    "empty": lambda row: b"",
+    "short": lambda row: row[:31],
+    "digest-only": lambda row: row[:32],
+    "long": lambda row: row + b"\n",
+    "flipped-digest-byte": lambda row: bytes([row[0] ^ 1]) + row[1:],
+    "flipped-check-byte": lambda row: row[:-1] + bytes([row[-1] ^ 1]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_ROWS))
+def test_damaged_row_is_ignored_and_rewritten(tmp_path, collection, topic_cache_dir, monkeypatch,
+                                              later, damage):
+    run, qrels = collection
+    cold_bytes = oracle(collection, tmp_path / "cold.csv")
+    row = row_of(topic_cache_dir, qrels)
+    good = row.read_bytes()
+    row.write_bytes(DAMAGED_ROWS[damage](good))
+    assert cache._recalled(row.parent, row.name) is None
+    hashed = count_hashes(monkeypatch)
+    assert oracle(collection, tmp_path / "warm.csv") == cold_bytes
+    assert hashed == [qrels.name]  # the run's row still serves
+    assert row.read_bytes() == good
+    monkeypatch.setenv("TARSTOP_CACHE_DIR", "")
+    assert oracle(collection, tmp_path / "off.csv") == cold_bytes
+
+
+def test_file_changed_while_hashed_gets_no_row(collection, topic_cache_dir, monkeypatch, later):
+    run, qrels = collection
+    original = cache.file_sha256
+
+    def hash_then_change(path):
+        digest = original(path)
+        if path == qrels:
+            with open(qrels, "a") as fh:  # a writer appending while the hash ran
+                fh.write("t9 0 late 1\n")
+        return digest
+
+    monkeypatch.setattr(cache, "file_sha256", hash_then_change)
+    entry_path(TOPICS, (run, qrels))
+    assert rows(topic_cache_dir) == [row_of(topic_cache_dir, run).name]
+
+
+def test_hard_link_made_before_the_first_hash_reuses_the_row(tmp_path, collection, topic_cache_dir,
+                                                            monkeypatch, later):
+    run, qrels = collection
+    linked = tmp_path / "linked.qrels"
+    os.link(qrels, linked)  # moves the inode's ctime, so it comes before the row
+    cli._load_topics(run, qrels)
+    assert len(rows(topic_cache_dir)) == 2
+    hashed = count_hashes(monkeypatch)
+    calls = count_parses(monkeypatch)
+    assert as_pairs(cli._load_topics(run, linked)) == cold(run, qrels)
+    assert hashed == [] and calls == []
+    assert len(rows(topic_cache_dir)) == 2
+
+
+def test_file_rewritten_while_loading_with_its_row_present_files_no_entry_under_the_old_bytes(
+        collection, topic_cache_dir, monkeypatch, later):
+    """As the test above, but the key comes from the rows: the re-hash after
+    the parse reads both files' bytes and consults no row."""
+    run, qrels = collection
+    first = qrels.read_text()
+    cli._load_topics(run, qrels)
+    assert len(rows(topic_cache_dir)) == 2
+    (entry,) = entries(topic_cache_dir)
+    entry.unlink()  # a miss whose key comes from the rows
+    original = cache.entry_path
+
+    def rewrite_after_the_key(kind, sources):
+        path = original(kind, sources)
+        qrels.write_text(first.replace(" 0\n", " 1\n", 1))  # another writer, mid-command
+        return path
+
+    monkeypatch.setattr(cache, "entry_path", rewrite_after_the_key)
+    hashed = count_hashes(monkeypatch)
+    assert as_pairs(cli._load_topics(run, qrels)) == cold(run, qrels)
+    assert sorted(hashed) == sorted([run.name, qrels.name])  # the re-hash only
+    assert entries(topic_cache_dir) == []
+
+
+def test_rows_are_pruned_oldest_first_to_the_bound(tmp_path, topic_cache_dir, monkeypatch, later):
+    monkeypatch.setattr(cache, "MAX_ROWS", 3)
+    pairs = [synth_pair(tmp_path, seed) for seed in (1, 2, 3, 4)]
+    for age, pair in enumerate(pairs, start=1):
+        cli._load_topics(*pair)
+        for k, path in enumerate(pair):  # this pair's rows are the newest, the run's older
+            _age(row_of(topic_cache_dir, path), 1_000_000 * age + k)
+        assert len(rows(topic_cache_dir)) == min(2 * age, 3)
+    kept = [row_of(topic_cache_dir, path).name for path in (pairs[2][1], *pairs[3])]
+    assert rows(topic_cache_dir) == sorted(kept)
+
+
+def test_stale_temporary_files_are_removed(tmp_path, collection, topic_cache_dir, later):
+    """A ``.tmp`` file a killed write left behind goes once it is an hour old;
+    a younger one may be a write in flight and stays."""
+    memo = topic_cache_dir / cache.MEMO
+    memo.mkdir()
+    planted = {}
+    for directory in (topic_cache_dir, memo):
+        for name, age in (("stale", cache.STALE_NS + 10**9 * 60), ("fresh", 10**9 * 60)):
+            path = directory / f"{name}-write.tmp"
+            path.write_bytes(b"x" * 100)
+            when = time.time_ns() - age
+            os.utime(path, ns=(when, when))
+            planted[path] = name == "fresh"
+    cli._load_topics(*collection)  # stores an entry and two rows, trimming both directories
+    assert len(entries(topic_cache_dir)) == 1
+    assert len(rows(topic_cache_dir)) == 3  # two rows and the fresh .tmp file
+    assert {path: path.exists() for path in planted} == planted
