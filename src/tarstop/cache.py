@@ -8,17 +8,17 @@ byte-identical to an uncached run. It knows nothing of what it stores: a
 a run/qrels pair's collection and ingest warnings, is the one kind today).
 
 An entry's key is the sha256 over its kind's ``format`` and each file's
-sha256 (the files are hashed at once, each but the largest on a thread of
-its own, and again after the parse, and nothing is stored if one changed);
-its value is one ``.npz``, read with ``allow_pickle=False``. It lives in
-``$TARSTOP_CACHE_DIR`` if set (set but empty turns the cache off), else
-``$XDG_CACHE_HOME/tarstop``, else ``~/.cache/tarstop``. A missing,
-unreadable or inconsistent entry is a miss: the input is parsed and the
-entry rewritten, through a temporary file renamed into place. Once a miss
-has stored its entry, the oldest entries by modification time are removed
-until the directory's entries hold less than :data:`MAX_BYTES`, never the
-one just written. A directory that cannot be written only costs a warning.
-Parse and configuration errors are never stored.
+sha256 (the files are hashed one after another, and again after the parse,
+and nothing is stored if one changed); its value is one ``.npz``, read with
+``allow_pickle=False``. It lives in ``$TARSTOP_CACHE_DIR`` if set (set but
+empty turns the cache off), else ``$XDG_CACHE_HOME/tarstop``, else
+``~/.cache/tarstop``. A missing, unreadable or inconsistent entry is a miss:
+the input is parsed and the entry rewritten, through a temporary file
+renamed into place. Once a miss has stored its entry, the oldest entries by
+modification time are removed until the directory's entries hold less than
+:data:`MAX_BYTES`, never the one just written. A directory that cannot be
+written only costs a warning. Parse and configuration errors are never
+stored.
 
 A file's sha256 is remembered in the directory's ``digests/`` memo: one
 row per file version, named by the file's ``(st_dev, st_ino, st_size,
@@ -41,7 +41,6 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-import threading
 import time
 import zipfile
 from pathlib import Path
@@ -139,50 +138,27 @@ def _remember(memo: Path, rows: dict[str, bytes]) -> None:
 
 
 def _digests(sources, memo: Path | None = None) -> list[bytes]:
-    """Each file's sha256: from its row in the ``memo`` directory if given,
-    else hashed. The files to hash are hashed at once: the calling thread
-    takes the largest and one thread each other (hashlib and file reads
-    release the GIL); a worker's exception is raised here, once every worker
-    ended. Then a hashed file gets a row if the memo is given, its stat did
-    not change while it was hashed and its ctime is older than the clock
-    read before hashing by :data:`RACY_NS`."""
+    """Each file's sha256, one file after another: from its row in the
+    ``memo`` directory if given, else hashed. A hashed file gets a row if the
+    memo is given, its stat did not change while it was hashed and its ctime
+    is older than the clock read before the first stat by :data:`RACY_NS`."""
     now = _now_ns()
-    stats = [os.stat(source) for source in sources]
-    names = [_row_name(stat) for stat in stats]
-    digests: list = [None if memo is None else _recalled(memo, name) for name in names]
-    todo = [k for k, digest in enumerate(digests) if digest is None]
-    if not todo:
-        return digests
-    largest = max(todo, key=lambda k: stats[k].st_size)
-
-    def work(k):
-        try:
-            digests[k] = file_sha256(sources[k])
-        except BaseException as exc:  # raised on the calling thread below
-            digests[k] = exc
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in todo if k != largest]
-    for thread in threads:
-        thread.start()
-    try:
-        digests[largest] = file_sha256(sources[largest])
-    finally:
-        for thread in threads:
-            thread.join()
-    for digest in digests:
-        if isinstance(digest, BaseException):
-            raise digest
-    if memo is not None:
-        rows = {}
-        for k in todo:
-            try:
-                unchanged = _row_name(os.stat(sources[k])) == names[k]
-            except OSError:
-                continue
-            if unchanged and stats[k].st_ctime_ns < now - RACY_NS:
-                rows[names[k]] = digests[k]
-        if rows:
-            _remember(memo, rows)
+    digests, rows = [], {}
+    for source in sources:
+        stat = os.stat(source)
+        name = _row_name(stat)
+        digest = None if memo is None else _recalled(memo, name)
+        if digest is None:
+            digest = file_sha256(source)
+            if memo is not None and stat.st_ctime_ns < now - RACY_NS:
+                try:
+                    if _row_name(os.stat(source)) == name:
+                        rows[name] = digest
+                except OSError:  # gone since it was hashed: no row
+                    pass
+        digests.append(digest)
+    if rows:
+        _remember(memo, rows)
     return digests
 
 

@@ -347,10 +347,16 @@ def cmd_eval(settings: Settings) -> int:
     aggregate_path = out_dir / "aggregate.csv"
     write_per_topic_csv(per_topic_path, report)
     write_aggregate_csv(aggregate_path, report)
+    usable = len(topics)
     for s in report.summaries:
         flag = " pareto" if s.pareto_optimal else ""
-        print(f"{s.method:>10s} @ {s.target_recall!r}: recall {s.mean_recall:.3f}, "
-              f"cost {s.mean_cost:.3f}, excess {s.mean_excess:+.3f}{flag}")
+        print(f"{s.method:>10s} @ {s.target_recall!r}: {s.n_topics} of {usable} topics, "
+              f"recall {s.mean_recall:.3f}, cost {s.mean_cost:.3f}, "
+              f"excess {s.mean_excess:+.3f}{flag}")
+        if s.n_topics < usable:  # a results file cut short, or a method run on fewer topics
+            log.warning("%s @ %r: only %d of %d topics have results; the means leave out "
+                        "the other %d", s.method, s.target_recall, s.n_topics, usable,
+                        usable - s.n_topics)
     print(f"wrote {per_topic_path} and {aggregate_path}")
     return 0
 

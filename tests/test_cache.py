@@ -425,7 +425,7 @@ def test_key_of_fixed_bytes(tmp_path, topic_cache_dir):
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
-def test_key_of_sources_hashed_at_once_equals_one_after_another(tmp_path, topic_cache_dir, count):
+def test_key_of_sources_is_the_sha256_of_their_digests_in_order(tmp_path, topic_cache_dir, count):
     rng = np.random.default_rng(count)
     contents = [rng.bytes(size) for size in (3 * (1 << 18) + 7, 1000, 5 * (1 << 18))[:count]]
     sources = [tmp_path / f"source-{k}" for k in range(count)]
@@ -436,32 +436,32 @@ def test_key_of_sources_hashed_at_once_equals_one_after_another(tmp_path, topic_
     assert entry_path(kind, sources) == topic_cache_dir / f"{expected.hexdigest()}.npz"
 
 
-def test_largest_file_is_hashed_on_the_calling_thread(collection, monkeypatch):
+def test_cold_key_hashes_each_source_once_in_order_on_the_calling_thread(tmp_path, collection,
+                                                                        monkeypatch):
     run, qrels = collection
-    assert run.stat().st_size > qrels.stat().st_size
-    hashed_on = {}
+    hashed = []
     original = cache.file_sha256
 
     def recorded(path):
-        hashed_on[path] = threading.current_thread()
+        hashed.append((path, threading.current_thread()))
         return original(path)
 
     monkeypatch.setattr(cache, "file_sha256", recorded)
     before = threading.active_count()
-    entry_path(TOPICS, (qrels, run))
-    assert hashed_on[run] is threading.current_thread()
-    assert hashed_on[qrels] is not threading.current_thread()
-    assert threading.active_count() == before
+    for k, sources in enumerate([(run, qrels), (qrels, run)]):
+        monkeypatch.setenv("TARSTOP_CACHE_DIR", str(tmp_path / f"cache-{k}"))  # no rows yet
+        hashed.clear()
+        entry_path(TOPICS, sources)
+        assert hashed == [(source, threading.current_thread()) for source in sources]
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("when", ["before-hashing", "while-hashing"])
 def test_file_vanishing_after_its_check_exits_2_naming_it(tmp_path, collection, topic_cache_dir,
                                                           monkeypatch, capsys, when):
-    """A file removed between ``_require_file`` and the key: either its size
-    cannot be read on the calling thread, or its worker thread cannot open it
-    and the calling thread raises that error once every worker ended."""
+    """A file removed between ``_require_file`` and the key: either it cannot
+    be stat'ed, or it is removed after its stat and cannot be opened to hash."""
     run, qrels = collection
-    before = threading.active_count()
     if when == "before-hashing":
         require = cli._require_file
 
@@ -477,7 +477,6 @@ def test_file_vanishing_after_its_check_exits_2_naming_it(tmp_path, collection, 
 
         def vanish_then_hash(path):
             if path == qrels:
-                assert threading.current_thread() is not threading.main_thread()
                 qrels.unlink()
             return original(path)
 
@@ -485,7 +484,6 @@ def test_file_vanishing_after_its_check_exits_2_naming_it(tmp_path, collection, 
     assert main(["baseline", "--method", "budget", "--run", str(run), "--qrels", str(qrels),
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert f"No such file or directory: '{qrels}'" in capsys.readouterr().err
-    assert threading.active_count() == before
     assert entries(topic_cache_dir) == []
 
 

@@ -954,6 +954,27 @@ class TestEval:
         assert {r["method"] for r in agg} == {"policy", "oracle"}
         assert all(r["target"] == "0.9" for r in agg)
 
+    @pytest.mark.parametrize("rows", [4, 2])
+    def test_summary_counts_the_topics_scored_and_warns_of_missing_ones(self, tmp_path, collection,
+                                                                        capsys, caplog, rows):
+        """A results file cut short is still scored, with exit 0, over the
+        topics it holds; its line says how many, and a warning the gap."""
+        run_path, qrels_path = collection
+        data = ["--run", str(run_path), "--qrels", str(qrels_path)]
+        whole = tmp_path / "oracle.csv"
+        assert main(["baseline", "--method", "oracle", *data, "--target", "0.9",
+                     "--out", str(whole)]) == 0
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(whole.read_text().splitlines(keepends=True)[:1 + rows]))
+        capsys.readouterr()
+        with caplog.at_level("WARNING"):
+            assert main(["eval", "--results", str(cut), *data, "--out", str(tmp_path / "r")]) == 0
+        assert f"oracle @ 0.9: {rows} of 4 topics, recall " in capsys.readouterr().out
+        assert len(read_rows(tmp_path / "r" / "per_topic.csv")) == rows
+        missing = [] if rows == 4 else [f"oracle @ 0.9: only {rows} of 4 topics have results; "
+                                        f"the means leave out the other {4 - rows}"]
+        assert caplog.messages == missing
+
     def test_external_minimal_csv_is_stamped_with_targets(self, tmp_path, collection):
         run_path, qrels_path = collection
         external = tmp_path / "external.csv"
