@@ -421,17 +421,19 @@ SUBCOMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line's parser. Every subcommand is listed with its help,
-    but only ``command``'s arguments are declared, or all when it is None: a
-    parser built for the subcommand an argv names parses it as the full one."""
+    """The command line's parser: every subcommand with its help and arguments,
+    or ``command``'s alone, which parses an argv naming it as the full one does."""
     parser = argparse.ArgumentParser(
         prog="tarstop",
         description="Train and evaluate stopping rules for ranked document review.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a lone subparser's usage text still lists all five; the full parser takes no
+    # metavar, which would rename "argument command" in its errors
+    names = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
     for name, (help_text, func, options) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
             p.add_argument("--config", help="JSON file with key/value defaults")
             for option in options:
                 option.add_to(p)
@@ -440,9 +442,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _named_command(argv) -> str | None:
-    """The subcommand ``argv`` names, the first argument not an option, if it is one."""
-    first = next((arg for arg in argv if not arg.startswith("-")), None)
-    return first if first in SUBCOMMANDS else None
+    """The subcommand ``argv`` starts with, if it starts with one. Anything else,
+    such as ``--help stop``, is left to the full parser."""
+    return argv[0] if argv and argv[0] in SUBCOMMANDS else None
 
 
 def main(argv=None) -> int:

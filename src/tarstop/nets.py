@@ -7,9 +7,11 @@ bit-reproducible across runs.
 
 Forward, backward and Adam compute in their inputs' dtype. Training and
 inference run in :data:`DTYPE` (float32): the networks are small matrix
-products on 100-row minibatches, bound by arithmetic, and float32 about
-halves their cost. The gradient checks run the same code on float64
-networks.
+products on 100-row minibatches, and float32 about halves their cost. At
+that size every numpy call also has a fixed cost of a few microseconds,
+so a minibatch is not purely arithmetic: forward, backward and Adam are
+about three quarters of an update, and the rest is per-call cost. The
+gradient checks run the same code on float64 networks.
 
 Each network's parameters live in one contiguous buffer,
 ``MlpParams.flat``: every weight matrix, then every bias vector, in layer
@@ -146,40 +148,44 @@ def backward(params: MlpParams, cache: list[np.ndarray], grad_out, out=None) -> 
     2-D rows like :func:`forward`'s output.
 
     ``cache`` must come from a matching :func:`forward` call; gradients are
-    summed over the batch dimension and written into ``out``, a flat buffer
-    laid out like ``params.flat`` (a new one if not given).
+    summed over the batch dimension and written into ``out``, params laid out
+    like ``params`` (new ones if not given), which is returned.
     """
     g, n_layers = grad_out, len(params.weights)
     if len(cache) != n_layers:
         raise ValueError(f"cache has {len(cache)} entries for {n_layers} layers")
     if g.shape != (cache[-1].shape[0], params.weights[-1].shape[1]):
         raise ValueError(f"grad_out shape {g.shape} does not match network output")
-    grads = MlpParams.over(np.empty_like(params.flat) if out is None else out, params)
+    grads = MlpParams.over(np.empty_like(params.flat), params) if out is None else out
     for k in reversed(range(n_layers)):
         np.matmul(cache[k].T, g, out=grads.weights[k])
         g.sum(axis=0, out=grads.biases[k])
         if k > 0:
             tanh_grad = np.square(cache[k])  # tanh' = 1 - tanh^2
             np.subtract(1.0, tanh_grad, out=tanh_grad)
-            g = g @ params.weights[k].T
+            w = params.weights[k]
+            # from one output column, g @ w.T is an outer product: broadcasting makes the
+            # same products, several times faster
+            g = g * w[:, 0] if w.shape[1] == 1 else g @ w.T
             g *= tanh_grad
     return grads
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
+def log_softmax_and_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-softmax and softmax of 2-D ``logits``, from one ``exp`` pass.
+
+    Both are shifted by the row maximum. ``exp`` of the log-softmax is not
+    the softmax bit for bit; callers use whichever their rule names.
+    """
     z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    return z - np.log(s), e / s
 
 
 def chosen_and_entropy(lp: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log-probability of ``actions`` and entropy, from 2-D log-softmax rows."""
-    acts = np.atleast_1d(np.asarray(actions, dtype=np.int64))
-    return lp[np.arange(len(acts)), acts], -(np.exp(lp) * lp).sum(axis=-1)
+    return lp[np.arange(len(lp)), actions], -(np.exp(lp) * lp).sum(axis=-1)
 
 
 ADAM_BETA1 = 0.9

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
@@ -41,9 +42,8 @@ from .nets import (
     forward,
     init_params,
     joint_params,
-    log_softmax,
+    log_softmax_and_softmax,
     params_from_flat,
-    softmax,
 )
 
 CHECKPOINT_VERSION = 3  # 3: each network's ``flat`` as base64 little-endian float32 (DTYPE)
@@ -170,7 +170,7 @@ def collect_rollout(
     episodes = []
     for t in range(n_steps):
         logits, _ = forward(actor, obs)
-        lp = log_softmax(logits)
+        lp, _ = log_softmax_and_softmax(logits)
         actions = np.where(rng.random(n_envs) < np.exp(lp[:, STOP]), STOP, CONTINUE)
         buf_obs[t] = obs
         buf_actions[t] = actions
@@ -199,6 +199,17 @@ def compute_gae(rollout: Rollout, gamma: float, gae_lambda: float) -> np.ndarray
     return advantages
 
 
+def _mean(x: np.ndarray):
+    """``x.mean()`` bit for bit, at about a quarter of its cost on 100 rows.
+
+    Both are the correctly rounded quotient of the same sum. The count is cast
+    to the sum's float type: under numpy 1.24's scalar rules a float32 sum over
+    a Python int is a float64 quotient, not rounded to float32 as ``mean``'s is.
+    """
+    total = x.sum()
+    return total / type(total)(x.size)
+
+
 def ppo_loss(
     actor: MlpParams,
     critic: MlpParams,
@@ -208,48 +219,53 @@ def ppo_loss(
     advantages: np.ndarray,
     returns: np.ndarray,
     hyper: Hyperparams,
+    grads: tuple[np.ndarray, list[MlpParams]] | None = None,
 ) -> tuple[float, LossStats, np.ndarray]:
     """Clipped-surrogate loss on one minibatch of rows (advantages already normalized).
 
     Returns ``(loss, stats, grads)``: ``grads`` holds the exact gradient for
-    the actor's ``flat`` followed by the critic's, in one vector.
+    the actor's ``flat`` followed by the critic's, in one vector. The ``grads``
+    argument, if given, is such a vector with its two networks' views, as
+    :func:`joint_params` makes them for ``(actor, critic)``; it is overwritten
+    and returned. Without it a new one is made.
     """
+    n = len(advantages)
     logits, actor_cache = forward(actor, obs)
     values_2d, critic_cache = forward(critic, obs)
-    values = values_2d[:, 0]
-    lp_all = log_softmax(logits)
+    lp_all, probs = log_softmax_and_softmax(logits)
     logp, entropy = chosen_and_entropy(lp_all, actions)
     log_ratio = logp - log_probs_old
     ratio = np.exp(log_ratio)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * advantages
-    policy_loss = -np.minimum(unclipped, clipped).mean()
-    value_err = values - returns
-    value_loss = float(np.mean(value_err**2))
-    entropy_mean = float(entropy.mean())
+    low, high = 1.0 - hyper.clip_range, 1.0 + hyper.clip_range
+    clipped = np.minimum(np.maximum(ratio, low), high) * advantages  # np.clip's values, cheaper
+    policy_loss = -_mean(np.minimum(unclipped, clipped))
+    value_err = values_2d[:, 0] - returns
+    value_loss = float(_mean(np.square(value_err)))
+    entropy_mean = float(_mean(entropy))
     loss = float(policy_loss + hyper.value_coef * value_loss - hyper.entropy_coef * entropy_mean)
+    ratio_excess = ratio - 1.0
     stats = LossStats(float(policy_loss), value_loss, entropy_mean,
-                      float(np.mean(np.abs(ratio - 1.0) > hyper.clip_range)),
-                      float(np.mean(ratio - 1.0 - log_ratio)))
-    n = len(advantages)
+                      float(np.count_nonzero(np.abs(ratio_excess) > hyper.clip_range) / n),
+                      float(_mean(ratio_excess - log_ratio)))
     # The clipped branch has zero gradient wherever it is the strict minimum.
-    active = unclipped <= clipped
-    d_logp = np.where(active, ratio * advantages, 0.0) * (-1.0 / n)
-    probs = softmax(logits)
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), actions] = 1.0
+    d_logp = np.where(unclipped <= clipped, unclipped, 0.0) * (-1.0 / n)
+    one_hot = actions[:, None] == np.arange(probs.shape[1])
     d_logits = d_logp[:, None] * (one_hot - probs)
     d_entropy = -probs * (lp_all + entropy[:, None])
     d_logits += (-hyper.entropy_coef / n) * d_entropy
     d_values = (2.0 * hyper.value_coef / n) * value_err
-    grads = np.empty(actor.flat.size + critic.flat.size, dtype=actor.flat.dtype)
-    backward(actor, actor_cache, d_logits, out=grads[: actor.flat.size])
-    backward(critic, critic_cache, d_values[:, None], out=grads[actor.flat.size :])
-    return loss, stats, grads
+    flat, (actor_grads, critic_grads) = joint_params(actor, critic) if grads is None else grads
+    backward(actor, actor_cache, d_logits, out=actor_grads)
+    backward(critic, critic_cache, d_values[:, None], out=critic_grads)
+    return loss, stats, flat
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
-    return (adv - adv.mean()) / max(float(adv.std()), 1e-8)
+    """``(adv - adv.mean()) / max(adv.std(), 1e-8)`` bit for bit, from sums."""
+    centered = adv - _mean(adv)
+    centered /= max(float(np.sqrt(_mean(np.square(centered)))), 1e-8)
+    return centered
 
 
 def ppo_update(
@@ -278,7 +294,8 @@ def ppo_update(
         (advantages + rollout.values[:-1]).reshape(n).astype(params.dtype),  # the returns
     )
     starts = range(0, n, hyper.minibatch_size)
-    totals = np.zeros(len(LossStats._fields))
+    grad_buffer = joint_params(actor, critic)  # laid out like params; each minibatch overwrites it
+    totals = [0.0] * len(LossStats._fields)
     for _ in range(hyper.n_epochs):
         # one gather per epoch; each minibatch is then a contiguous slice
         perm = rng.permutation(n)
@@ -286,14 +303,16 @@ def ppo_update(
         for start in starts:
             mb = slice(start, start + hyper.minibatch_size)
             loss, stats, grads = ppo_loss(actor, critic, obs[mb], actions[mb], log_probs[mb],
-                                          normalize_advantages(adv[mb]), returns[mb], hyper)
-            if not np.isfinite(loss):
+                                          normalize_advantages(adv[mb]), returns[mb], hyper,
+                                          grad_buffer)
+            if not math.isfinite(loss):
                 raise NonFiniteLossError(f"non-finite loss {loss} during update: {stats}")
             if hyper.max_grad_norm is not None:
                 clip_grads(grads, hyper.max_grad_norm)
             adam_step(params, grads, opt, hyper.learning_rate)
-            totals += stats
-    return LossStats(*(totals / (hyper.n_epochs * len(starts))).tolist())
+            totals = [total + value for total, value in zip(totals, stats)]
+    count = hyper.n_epochs * len(starts)
+    return LossStats(*(total / count for total in totals))
 
 
 @dataclass
@@ -382,7 +401,7 @@ def infer_stop(
         if mode == "greedy":
             stop = logits.argmax(axis=1) == STOP
         else:
-            stop = rng.random(live.size) < softmax(logits)[:, STOP]
+            stop = rng.random(live.size) < log_softmax_and_softmax(logits)[1][:, STOP]
         if step == checkpoint.n_batches:
             break
         if stop.any():

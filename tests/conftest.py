@@ -72,6 +72,19 @@ def max_rel_error(analytic, numeric, floor=1e-6):
     return worst
 
 
+def reference_backward(params, cache, grad_out):
+    """Per-layer gradients as separate arrays, in ``arrays()`` order: ``nets.backward``
+    as it was before it wrote into one buffer, one matrix product per layer."""
+    g = np.atleast_2d(grad_out)
+    grad_w, grad_b = [], []
+    for k in reversed(range(len(params.weights))):
+        grad_w.insert(0, cache[k].T @ g)
+        grad_b.insert(0, g.sum(axis=0))
+        if k > 0:
+            g = (g @ params.weights[k].T) * (1.0 - cache[k] ** 2)
+    return [*grad_w, *grad_b]
+
+
 @pytest.fixture(autouse=True)
 def topic_cache_dir(tmp_path_factory, monkeypatch):
     """Each test gets its own empty topic cache, never the user's."""

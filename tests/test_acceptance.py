@@ -20,7 +20,8 @@ from tarstop.cli import main
 from tarstop.corpus import assemble_topics, load_qrels, load_run, synth_topics
 from tarstop.env import reward
 from tarstop.metrics import aggregate
-from tarstop.nets import chosen_and_entropy, forward, init_params, joint_params, log_softmax
+from tarstop.nets import (chosen_and_entropy, forward, init_params, joint_params,
+                          log_softmax_and_softmax)
 from tarstop.ppo import Hyperparams, compute_gae, infer_stop, ppo_loss, train
 
 
@@ -66,7 +67,7 @@ def surrogate_loss(actor, critic, obs, actions, log_probs_old, advantages, retur
     call it thousands of times and need no gradient."""
     logits, _ = forward(actor, obs)
     values = forward(critic, obs)[0][:, 0]
-    logp, entropy = chosen_and_entropy(log_softmax(logits), actions)
+    logp, entropy = chosen_and_entropy(log_softmax_and_softmax(logits)[0], actions)
     ratio = np.exp(logp - log_probs_old)
     clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * advantages
     policy_loss = -np.minimum(ratio * advantages, clipped).mean()
@@ -87,7 +88,7 @@ def test_criterion_3_gradient_fidelity():
         obs = rng.uniform(-1.0, 1.0, (n, width))
         actions = rng.integers(0, 2, n)
         logits, _ = forward(actor, obs)
-        logp_now, _ = chosen_and_entropy(log_softmax(logits), actions)
+        logp_now, _ = chosen_and_entropy(log_softmax_and_softmax(logits)[0], actions)
         # log-ratio offsets keep every sample away from the clip kinks at
         # ratio 0.8 and 1.2: half near 1, half deep inside the clipped zone
         offsets = np.where(rng.random(n) < 0.5,

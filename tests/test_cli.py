@@ -1,3 +1,4 @@
+import argparse
 import base64
 import csv
 import dataclasses
@@ -589,6 +590,33 @@ def test_top_level_help_and_errors_are_the_full_parsers(argv, capsys):
         assert exit_.value.code == 2
     if argv == ["nosuch"]:
         assert "argument command: invalid choice: 'nosuch'" in printed.err
+
+
+def subcommands_of(parser):
+    """The names of the subparsers ``parser`` was built with."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_a_command_named_first_builds_its_subparser_alone(monkeypatch, capsys):
+    built = []
+
+    def recording_build_parser(command=None):
+        built.append(parser := build_parser(command))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    usage = build_parser().format_usage()
+    for name in SUBCOMMANDS:
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert subcommands_of(built[-1]) == [name]
+        assert built[-1].format_usage() == usage  # still lists all five subcommands
+    for argv in (["--help", "stop"], ["--bogus", "stop"], ["nosuch"], ["-", "stop"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert subcommands_of(built[-1]) == list(SUBCOMMANDS)
+    capsys.readouterr()
 
 
 def edited(edit):

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from conftest import finite_difference, make_collection, max_rel_error
+from conftest import finite_difference, make_collection, max_rel_error, reference_backward
 from tarstop.env import NORMALIZE_MODES, observation_table
 from tarstop.nets import (
     MlpParams,
@@ -17,8 +18,7 @@ from tarstop.nets import (
     forward,
     init_params,
     joint_params,
-    log_softmax,
-    softmax,
+    log_softmax_and_softmax,
 )
 
 
@@ -65,7 +65,7 @@ class TestForward:
         )
         out, _ = forward(params, np.ones((1, 4)))
         assert out.tolist() == [[0.0, 0.0]]
-        assert softmax(out).tolist() == [[0.5, 0.5]]
+        assert log_softmax_and_softmax(out)[1].tolist() == [[0.5, 0.5]]
 
     def test_zero_value_head(self):
         params = MlpParams([np.zeros((4, 8)), np.zeros((8, 1))], [np.zeros(8), np.zeros(1)])
@@ -108,7 +108,8 @@ class TestForward:
 
 class TestLogProbAndEntropy:
     def test_uniform_logits(self):
-        (logp,), (entropy,) = chosen_and_entropy(log_softmax(np.atleast_2d(np.zeros(2))), 0)
+        lp, _ = log_softmax_and_softmax(np.zeros((1, 2)))
+        (logp,), (entropy,) = chosen_and_entropy(lp, 0)
         assert abs(logp - math.log(0.5)) < 1e-15
         assert abs(entropy - math.log(2.0)) < 1e-15
 
@@ -116,17 +117,17 @@ class TestLogProbAndEntropy:
         # expected value via an independent formulation: -log1p(exp(-20))
         expected = -math.log1p(math.exp(-20.0))
         with np.errstate(over="raise"):
-            (logp,), (entropy,) = chosen_and_entropy(
-                log_softmax(np.atleast_2d(np.array([10.0, -10.0]))), 0)
+            lp, _ = log_softmax_and_softmax(np.array([[10.0, -10.0]]))
+            (logp,), (entropy,) = chosen_and_entropy(lp, 0)
         assert abs(logp - expected) < 1e-15
         assert 0.0 <= entropy <= math.log(2.0)
-        (logp2,), _ = chosen_and_entropy(log_softmax(np.atleast_2d(np.array([1000.0, -1000.0]))), 1)
+        (logp2,), _ = chosen_and_entropy(log_softmax_and_softmax(np.array([[1000.0, -1000.0]]))[0], 1)
         assert logp2 == -2000.0
 
     def test_entropy_maximal_only_for_equal_logits(self, rng):
         for _ in range(100):
             logits = rng.standard_normal(2) * 3
-            _, (entropy,) = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), 0)
+            _, (entropy,) = chosen_and_entropy(log_softmax_and_softmax(logits[None])[0], 0)
             assert entropy <= math.log(2.0) + 1e-12
             if abs(logits[0] - logits[1]) > 1e-3:
                 assert entropy < math.log(2.0)
@@ -134,12 +135,12 @@ class TestLogProbAndEntropy:
     def test_batched(self, rng):
         logits = rng.standard_normal((6, 2))
         actions = rng.integers(0, 2, size=6)
-        logp, entropy = chosen_and_entropy(log_softmax(np.atleast_2d(logits)), actions)
+        logp, entropy = chosen_and_entropy(log_softmax_and_softmax(logits)[0], actions)
         assert logp.shape == (6,)
         assert entropy.shape == (6,)
         for k in range(6):
             (single_lp,), (single_h,) = chosen_and_entropy(
-                log_softmax(np.atleast_2d(logits[k])), int(actions[k]))
+                log_softmax_and_softmax(logits[k][None])[0], int(actions[k]))
             assert abs(logp[k] - single_lp) < 1e-15
             assert abs(entropy[k] - single_h) < 1e-15
 
@@ -148,13 +149,32 @@ class TestLogProbAndEntropy:
         # probability drops below the smallest representable double
         for scale in (1.0, 50.0, 300.0):
             logits = np.clip(rng.standard_normal((20, 2)) * scale, -350.0, 350.0)
-            p = softmax(logits)
+            lp, p = log_softmax_and_softmax(logits)
             assert np.all(p > 0)
             assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-            assert np.allclose(np.exp(log_softmax(logits)), p, atol=1e-12)
-        extreme = softmax(np.array([[350.0, -350.0]]))
+            assert np.allclose(np.exp(lp), p, atol=1e-12)
+        extreme = log_softmax_and_softmax(np.array([[350.0, -350.0]]))[1]
         assert np.all(extreme > 0)
         assert abs(extreme.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 8, 100])
+    def test_one_pass_has_the_bits_of_two_separate_passes(self, rows, dtype, rng):
+        def log_softmax(logits):  # the two functions the one pass replaced
+            z = logits - logits.max(axis=-1, keepdims=True)
+            return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+        def softmax(logits):
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+
+        for scale in (0.01, 1.0, 30.0, 350.0):
+            logits = (rng.standard_normal((rows, 2)) * scale).astype(dtype)
+            logits[: rows // 2] = np.sign(logits[: rows // 2]) * scale  # equal and opposite logits
+            lp, p = log_softmax_and_softmax(logits)
+            assert lp.dtype == p.dtype == dtype
+            assert lp.tobytes() == log_softmax(logits).tobytes()
+            assert p.tobytes() == softmax(logits).tobytes()
 
 
 class TestBackward:
@@ -237,18 +257,6 @@ class TestAdam:
                 adam_step(params.flat, bad, adam_init(params.flat), lr=0.01)
 
 
-def reference_backward(params, cache, grad_out):
-    """Per-layer gradients as separate arrays, in ``arrays()`` order."""
-    g = np.atleast_2d(grad_out)
-    grad_w, grad_b = [], []
-    for k in reversed(range(len(params.weights))):
-        grad_w.insert(0, cache[k].T @ g)
-        grad_b.insert(0, g.sum(axis=0))
-        if k > 0:
-            g = (g @ params.weights[k].T) * (1.0 - cache[k] ** 2)
-    return [*grad_w, *grad_b]
-
-
 class TestFlatBuffer:
     def test_views_share_the_buffer(self):
         params = init_params(0, (3, 4, 2), out_gain=1.0)
@@ -292,14 +300,30 @@ class TestFlatBuffer:
             MlpParams([np.ones((4, 6)), np.ones((6, 2))], [np.ones(6), np.ones(3)])
 
     def test_backward_fills_one_flat_buffer(self, rng):
-        params = init_params(rng, (5, 7, 6, 2), out_gain=0.5)
-        xs = rng.standard_normal((9, 5))
-        g = rng.standard_normal((9, 2))
-        _, cache = forward(params, xs)
-        grads = backward(params, cache, g)
-        reference = reference_backward(params, cache, g)
-        assert np.array_equal(grads.flat, np.concatenate([a.ravel() for a in reference]))
-        assert not np.shares_memory(grads.flat, params.flat)
+        for dtype, n_out, rows in itertools.product((np.float32, np.float64), (1, 2), (1, 9, 100)):
+            # n_out 1 is a critic, whose single column makes an outer product
+            params = init_params(rng, (5, 7, 6, n_out), out_gain=0.5, dtype=dtype)
+            xs = rng.standard_normal((rows, 5)).astype(dtype)
+            g = rng.standard_normal((rows, n_out)).astype(dtype)
+            _, cache = forward(params, xs)
+            grads = backward(params, cache, g)
+            reference = reference_backward(params, cache, g)
+            assert grads.flat.dtype == dtype
+            assert grads.flat.tobytes() == np.concatenate([a.ravel() for a in reference]).tobytes()
+            assert not np.shares_memory(grads.flat, params.flat)
+
+    def test_backward_writes_into_the_views_it_is_given(self, rng):
+        actor = init_params(rng, (5, 7, 2), out_gain=0.5)
+        critic = init_params(rng, (5, 7, 1), out_gain=0.5)
+        flat, (actor_views, critic_views) = joint_params(actor, critic)
+        flat[:] = np.nan  # every element is overwritten
+        xs = rng.standard_normal((4, 5))
+        for net, views in ((actor, actor_views), (critic, critic_views)):
+            _, cache = forward(net, xs)
+            g = rng.standard_normal((4, net.sizes[-1]))
+            assert backward(net, cache, g, out=views) is views
+            assert np.array_equal(views.flat, backward(net, cache, g).flat)
+        assert np.isfinite(flat).all()
 
 
 class TestAdamFlat:

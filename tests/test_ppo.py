@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_collection, make_topic, topic_metrics
+from conftest import make_collection, make_topic, reference_backward, topic_metrics
 from tarstop.corpus import Collection, synth_topics
 from tarstop.env import STOP, VecStoppingEnv, observation_table, observe
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult
 from tarstop import nets, ppo
-from tarstop.nets import HIDDEN_SIZES, MlpParams, adam_init, forward, init_params, joint_params, softmax
+from tarstop.nets import (HIDDEN_SIZES, MlpParams, adam_init, forward, init_params, joint_params,
+                          log_softmax_and_softmax)
 from tarstop.ppo import (
     Checkpoint,
     Hyperparams,
@@ -339,6 +340,135 @@ class TestPpoUpdate:
                 assert np.array_equal(returns, rows[4][mb])
 
 
+def reference_ppo_loss(actor, critic, obs, actions, log_probs_old, advantages, returns, hyper,
+                       *_grad_buffer):
+    """``ppo_loss`` as it was before its per-minibatch numpy calls were cut,
+    with the log-softmax, softmax and ``chosen_and_entropy`` of then written
+    out: the bits the rewritten one must keep. The gradient buffer that
+    ``ppo_update`` passes is not used."""
+    logits, actor_cache = forward(actor, obs)
+    values_2d, critic_cache = forward(critic, obs)
+    values = values_2d[:, 0]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lp_all = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    acts = np.atleast_1d(np.asarray(actions, dtype=np.int64))
+    logp, entropy = lp_all[np.arange(len(acts)), acts], -(np.exp(lp_all) * lp_all).sum(axis=-1)
+    log_ratio = logp - log_probs_old
+    ratio = np.exp(log_ratio)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - hyper.clip_range, 1.0 + hyper.clip_range) * advantages
+    policy_loss = -np.minimum(unclipped, clipped).mean()
+    value_err = values - returns
+    value_loss = float(np.mean(value_err**2))
+    entropy_mean = float(entropy.mean())
+    loss = float(policy_loss + hyper.value_coef * value_loss - hyper.entropy_coef * entropy_mean)
+    stats = LossStats(float(policy_loss), value_loss, entropy_mean,
+                      float(np.mean(np.abs(ratio - 1.0) > hyper.clip_range)),
+                      float(np.mean(ratio - 1.0 - log_ratio)))
+    n = len(advantages)
+    active = unclipped <= clipped
+    d_logp = np.where(active, ratio * advantages, 0.0) * (-1.0 / n)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(n), actions] = 1.0
+    d_logits = d_logp[:, None] * (one_hot - probs)
+    d_entropy = -probs * (lp_all + entropy[:, None])
+    d_logits += (-hyper.entropy_coef / n) * d_entropy
+    d_values = (2.0 * hyper.value_coef / n) * value_err
+    grads = [*reference_backward(actor, actor_cache, d_logits),
+             *reference_backward(critic, critic_cache, d_values[:, None])]
+    return loss, stats, np.concatenate([g.ravel() for g in grads])
+
+
+def reference_normalize_advantages(adv):
+    """``normalize_advantages`` as it was, with ``mean`` and ``std``."""
+    return (adv - adv.mean()) / max(float(adv.std()), 1e-8)
+
+
+LOSS_CASES = ("random", "all-clipped", "none-clipped", "constant-advantages", "logits-350")
+
+
+def loss_case(case, rows, dtype, seed=0):
+    """Networks of ``dtype`` and a minibatch of ``rows`` made so that ``case`` holds."""
+    rng = np.random.default_rng([seed, rows, LOSS_CASES.index(case)])
+    actor = init_params(rng, (12, *HIDDEN_SIZES, 2), out_gain=0.01, dtype=dtype)
+    critic = init_params(rng, (12, *HIDDEN_SIZES, 1), out_gain=1.0, dtype=dtype)
+    obs = rng.uniform(0.0, 1.0, (rows, 12)).astype(dtype)
+    actions = rng.integers(0, 2, rows)
+    if case == "logits-350":
+        # a policy sure to STOP, as it acts: in float32 every probability is 1 or 0, so
+        # the actor's gradient is zeros whose signs must be kept too
+        actor.biases[-1][:] = [350.0, -350.0]
+        actions[:] = STOP
+    logp_now, _ = nets.chosen_and_entropy(
+        log_softmax_and_softmax(forward(actor, obs)[0])[0], actions)
+    offsets = {"all-clipped": rng.choice([-1.0, 1.0], rows) * rng.uniform(0.3, 0.6, rows),
+               "none-clipped": rng.uniform(-0.05, 0.05, rows)}.get(case, rng.normal(0.0, 0.3, rows))
+    advantages = (np.full(rows, 1.5) if case == "constant-advantages"
+                  else rng.normal(0.0, 2.0, rows)).astype(dtype)
+    returns = rng.normal(0.0, 1.0, rows).astype(dtype)
+    return actor, critic, (obs, actions, (logp_now - offsets).astype(dtype), advantages, returns)
+
+
+class TestLossReference:
+    """The rewritten ``ppo_loss`` and ``normalize_advantages`` give the bits of
+    the references above: every statistic by its hex, every gradient by its bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 30, 100])
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    def test_normalize_advantages_keeps_the_bits(self, case, rows, dtype):
+        adv = loss_case(case, rows, dtype)[2][3]
+        norm, reference = normalize_advantages(adv), reference_normalize_advantages(adv)
+        assert norm.dtype == reference.dtype == dtype
+        assert norm.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("hyper", [Hyperparams(),
+                                       Hyperparams(clip_range=0.1, value_coef=1.0, entropy_coef=0.0)],
+                             ids=["default", "other-coefficients"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 30, 100])
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    def test_loss_keeps_the_bits(self, case, rows, dtype, hyper):
+        actor, critic, (obs, actions, log_probs, adv, returns) = loss_case(case, rows, dtype)
+        batch = (obs, actions, log_probs, reference_normalize_advantages(adv), returns)
+        ref_loss, ref_stats, ref_grads = reference_ppo_loss(actor, critic, *batch, hyper)
+        buffer = joint_params(actor, critic)
+        buffer[0][:] = np.nan  # a reused buffer: every element is overwritten
+        for grads in (None, buffer):
+            loss, stats, flat = ppo_loss(actor, critic, *batch, hyper, grads)
+            assert type(loss) is float and loss.hex() == ref_loss.hex()
+            assert type(stats) is LossStats and all(type(value) is float for value in stats)
+            assert [v.hex() for v in stats] == [v.hex() for v in ref_stats]
+            assert flat.dtype == ref_grads.dtype == dtype
+            assert flat.tobytes() == ref_grads.tobytes()
+        assert flat is buffer[0]
+        if case == "all-clipped":
+            assert ref_stats.clip_fraction == 1.0
+        if case == "none-clipped":
+            assert ref_stats.clip_fraction == 0.0
+
+    @pytest.mark.parametrize("extra", [{}, {"minibatch_size": 33, "max_grad_norm": 0.5}],
+                             ids=["default", "short-minibatch-clipped"])
+    def test_train_writes_the_bytes_of_the_references(self, extra, tmp_path, monkeypatch):
+        topics = synth_topics(6, 120, 0.1, 20.0, seed=3)
+        hyper = Hyperparams(total_timesteps=2400, seed=5, **extra)  # 3 rollouts of 800 rows
+        outputs = []
+        for side in ("rewritten", "reference"):
+            if side == "reference":
+                monkeypatch.setattr(ppo, "ppo_loss", reference_ppo_loss)
+                monkeypatch.setattr(ppo, "normalize_advantages", reference_normalize_advantages)
+            checkpoint, rows = train(topics, 0.9, hyper, n_batches=10)
+            assert checkpoint.actor.flat.dtype == np.float32
+            save_checkpoint(checkpoint, tmp_path / f"{side}.json")
+            write_training_log(tmp_path / f"{side}.csv", rows)
+            outputs.append(((tmp_path / f"{side}.json").read_bytes(),
+                            (tmp_path / f"{side}.csv").read_bytes(),
+                            [list(map(repr, row)) for row in rows]))  # repr tells a float64 apart
+        assert outputs[0] == outputs[1]
+
+
 class TestTrain:
     def test_timestep_accounting(self):
         topics = synth_topics(4, 40, 0.25, 10.0, seed=0)
@@ -411,7 +541,7 @@ def per_step_observe_infer(checkpoint, topics, mode="greedy", rng=None):
         if mode == "greedy":
             stop = logits.argmax(axis=1) == STOP
         else:
-            stop = rng.random(live.size) < softmax(logits)[:, STOP]
+            stop = rng.random(live.size) < log_softmax_and_softmax(logits)[1][:, STOP]
         live = live[~stop & (examined[live] < checkpoint.n_batches)]
         examined[live] += 1
     return [
