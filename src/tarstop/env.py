@@ -13,8 +13,11 @@ Training and inference build observations the same way: a precomputed
 from a collection's ``corpus.Batches``) plus, per episode, a topic index and
 the number of batches examined (:func:`observe`). Training steps a fixed set of such episodes
 (:class:`VecStoppingEnv`); inference advances every topic of a collection
-at once (``ppo.infer_stop``). An ended episode is an :data:`EPISODE` record;
-its reward is one lookup in its topic's running sum of state rewards.
+at once (``ppo.infer_stop``). A training step returns each slot's reward for
+the state it acted in and which slots finished. An ended episode is an
+:data:`EPISODE` record, built by :meth:`VecStoppingEnv.episodes` from the
+topics, examined counts and done flags a caller kept, for a whole rollout
+at once; its reward is one lookup in its topic's running sum of state rewards.
 """
 
 from __future__ import annotations
@@ -124,11 +127,13 @@ class VecStoppingEnv:
     def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Step every slot; finished slots restart on a new topic.
 
-        The reward credited belongs to the state acted in; an episode
-        stopping after s batches earns the running sum of the first s state
-        rewards. Returns (observations, rewards, dones, ended) where
-        observations for finished slots already belong to the fresh episode
-        and ``ended`` holds one :data:`EPISODE` record per finished slot.
+        The reward credited belongs to the state acted in. Returns
+        (observations, rewards, dones, slots) where observations for finished
+        slots already belong to the fresh episode and ``slots`` holds the
+        finished slots' indices, in order. The step builds no episode record:
+        a caller that keeps ``topic_idx`` and ``examined`` from before the step
+        gets the records from :meth:`episodes`, where an episode stopping after
+        s batches earns the running sum of the first s state rewards.
         """
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
@@ -139,10 +144,17 @@ class VecStoppingEnv:
         rewards = self.rewards[self.topic_idx, self.examined - 1]
         dones = stops | (self.examined == self.n_batches)
         slots = np.flatnonzero(dones)
-        ended = np.empty(len(slots), EPISODE)
-        ended["topic"], ended["stop_batch"] = self.topic_idx[slots], self.examined[slots]
-        ended["episode_reward"] = self.reward_sums[ended["topic"], ended["stop_batch"] - 1]
         for k in slots:
             self.topic_idx[k] = self._draw()
         self.examined = np.where(dones, 1, self.examined + 1)
-        return self.current_obs(), rewards, dones, ended
+        return self.current_obs(), rewards, dones, slots
+
+    def episodes(self, topic: np.ndarray, examined: np.ndarray, dones: np.ndarray) -> np.ndarray:
+        """One :data:`EPISODE` record per ``dones`` flag set, from the ``topic_idx`` and
+        ``examined`` the slots held when they acted; any block of them, such as a
+        rollout's ``(steps, slots)``, in row-major (step-major, slot-minor) order."""
+        topic, stop = topic[dones], examined[dones]
+        ended = np.empty(len(topic), EPISODE)
+        ended["topic"], ended["stop_batch"] = topic, stop
+        ended["episode_reward"] = self.reward_sums[topic, stop - 1]
+        return ended

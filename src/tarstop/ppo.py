@@ -155,9 +155,13 @@ def collect_rollout(
 ) -> tuple[Rollout, np.ndarray]:
     """Roll the current policy for ``n_steps`` across all slots.
 
-    Actions are sampled from the actor's softmax; the episodes that end are
-    returned as one ``env.EPISODE`` array, in the order they ended, while
-    their slots restart mid-rollout.
+    Actions are sampled from the actor's softmax, each step against its row
+    of uniforms drawn for the whole rollout at once (the numbers a draw per
+    step would give); ``venv.step`` gives each step's rewards and done flags.
+    The slots' topics and examined counts are kept step by step, and the
+    episodes that end, while their slots restart mid-rollout, are built from
+    them once by ``venv.episodes``: one ``env.EPISODE`` array in the order
+    they ended (step by step, slots in index order).
     """
     n_envs = venv.n_envs
     obs = venv.current_obs()
@@ -167,20 +171,23 @@ def collect_rollout(
     buf_rewards = np.zeros((n_steps, n_envs))
     buf_values = np.zeros((n_steps + 1, n_envs), dtype=critic.flat.dtype)
     buf_dones = np.zeros((n_steps, n_envs), dtype=bool)
-    episodes = []
+    buf_topic = np.empty((n_steps, n_envs), dtype=np.int64)  # each slot's state when it acted
+    buf_examined = np.empty((n_steps, n_envs), dtype=np.int64)
+    slots = np.arange(n_envs)
+    uniforms = rng.random((n_steps, n_envs))
     for t in range(n_steps):
         logits, _ = forward(actor, obs)
         lp, _ = log_softmax_and_softmax(logits)
-        actions = np.where(rng.random(n_envs) < np.exp(lp[:, STOP]), STOP, CONTINUE)
+        actions = np.where(uniforms[t] < np.exp(lp[:, STOP]), STOP, CONTINUE)
         buf_obs[t] = obs
         buf_actions[t] = actions
-        buf_logp[t] = lp[np.arange(n_envs), actions]
+        buf_logp[t] = lp[slots, actions]
         buf_values[t] = forward(critic, obs)[0][:, 0]
-        obs, buf_rewards[t], buf_dones[t], ended = venv.step(actions)
-        episodes.append(ended)
+        buf_topic[t], buf_examined[t] = venv.topic_idx, venv.examined
+        obs, buf_rewards[t], buf_dones[t], _ = venv.step(actions)
     buf_values[n_steps] = forward(critic, obs)[0][:, 0]
     return (Rollout(buf_obs, buf_actions, buf_logp, buf_rewards, buf_values, buf_dones),
-            np.concatenate(episodes))
+            venv.episodes(buf_topic, buf_examined, buf_dones))
 
 
 def compute_gae(rollout: Rollout, gamma: float, gae_lambda: float) -> np.ndarray:
@@ -188,14 +195,18 @@ def compute_gae(rollout: Rollout, gamma: float, gae_lambda: float) -> np.ndarray
 
     The recursion stops at episode boundaries; episodes still open at the
     end of the rollout bootstrap with the critic value of the post-rollout
-    state, the last row of ``values``.
+    state, the last row of ``values``. Every step's TD error and decay
+    factor are computed for the whole rollout at once; the backward pass
+    then only carries them from the last step to the first, with the float64
+    operations of a per-step loop in the same order.
     """
-    advantages, values, carry = np.zeros_like(rollout.rewards), rollout.values, 0.0
-    for t in reversed(range(len(rollout.rewards))):
-        nonterminal = 1.0 - rollout.dones[t]
-        delta = rollout.rewards[t] + gamma * values[t + 1] * nonterminal - values[t]
-        carry = delta + gamma * gae_lambda * nonterminal * carry
-        advantages[t] = carry
+    values = rollout.values
+    nonterminal = 1.0 - rollout.dones
+    delta = rollout.rewards + gamma * values[1:] * nonterminal - values[:-1]
+    decay = gamma * gae_lambda * nonterminal
+    advantages, carry = np.empty_like(rollout.rewards), 0.0
+    for t in reversed(range(len(delta))):
+        carry = advantages[t] = delta[t] + decay[t] * carry
     return advantages
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_collection, make_topic
-from tarstop.env import CONTINUE, STOP, VecStoppingEnv, observation_table, observe, reward
+from tarstop.env import CONTINUE, EPISODE, STOP, VecStoppingEnv, observation_table, observe, reward
 from tarstop.errors import ConfigError
+from tarstop.nets import init_params
+from tarstop.ppo import collect_rollout
 
 
 def best_stop_batch(n_batches, target):
@@ -72,12 +74,21 @@ def one_topic_env(bt, target_recall, normalize="ratio"):
     return VecStoppingEnv(bt, target_recall, n_envs=1, seed=0, normalize=normalize)
 
 
+def step_with_records(env, actions):
+    """``env.step``, its fourth value replaced by the ended episodes' records, which
+    ``env.episodes`` builds from the slots' topics and examined counts before the step."""
+    topic, examined = env.topic_idx.copy(), env.examined.copy()
+    obs, rewards, dones, slots = env.step(actions)
+    assert slots.tolist() == np.flatnonzero(dones).tolist()
+    return obs, rewards, dones, env.episodes(topic, examined, dones)
+
+
 def run_episode(env, stop_at):
     """Step slot 0 until it finishes, stopping once ``stop_at`` batches are read."""
     total, done = 0.0, False
     while not done:
         action = STOP if env.examined[0] >= stop_at else CONTINUE
-        _, r, dones, infos = env.step([action])
+        _, r, dones, infos = step_with_records(env, [action])
         total += r[0]
         done = dones[0]
     return total, infos[0]
@@ -133,7 +144,7 @@ class TestStoppingEnv:
         env = one_topic_env(four_batch_topic(1), 1.0)
         env.step([CONTINUE])
         before = env.step([CONTINUE])[0]
-        obs, r, done, infos = env.step([STOP])
+        obs, r, done, infos = step_with_records(env, [STOP])
         assert done[0]
         assert r[0] == reward(3, four_batch_topic(1).target_batch(1.0)[0], 4)
         assert infos[0]["stop_batch"] == 3
@@ -148,7 +159,7 @@ class TestStoppingEnv:
             _, _, done, _ = env.step([CONTINUE])
             assert not done[0]
         assert env.examined[0] == 4
-        _, r, done, infos = env.step([CONTINUE])
+        _, r, done, infos = step_with_records(env, [CONTINUE])
         assert done[0]  # CONTINUE at the final batch still ends the episode
         assert r[0] == reward(4, four_batch_topic(1).target_batch(1.0)[0], 4)
         assert infos[0]["stop_batch"] == 4
@@ -217,9 +228,9 @@ def small_pool(rng, n_topics=5, n_docs=30, n_batches=6):
 class TestVecStoppingEnv:
     def test_all_stop_resets_every_slot(self, rng):
         venv = VecStoppingEnv(small_pool(rng), 0.9, n_envs=4, seed=0)
-        obs, rewards, dones, infos = venv.step([STOP] * 4)
+        obs, rewards, dones, slots = venv.step([STOP] * 4)
         assert dones.all()
-        assert len(infos) == 4
+        assert slots.tolist() == [0, 1, 2, 3]
         assert rewards.shape == (4,)
         # every returned observation is a fresh first-batch view
         assert ((obs != -1.0).sum(axis=1) == 1).all()
@@ -231,7 +242,7 @@ class TestVecStoppingEnv:
             venv = VecStoppingEnv(pool, 0.9, n_envs=3, seed=42)
             topics = venv.topic_idx.tolist()
             for _ in range(20):
-                _, _, _, ended = venv.step([STOP] * 3)
+                _, _, _, ended = step_with_records(venv, [STOP] * 3)
                 assert ended["topic"].tolist() == topics[-3:]
                 topics.extend(venv.topic_idx.tolist())
             seen.append(topics)
@@ -251,8 +262,11 @@ class TestVecStoppingEnv:
         stop_kinds = set()
         for _ in range(300):
             actions = np.where(actions_rng.random(n_envs) < 0.3, STOP, CONTINUE)
-            _, _, dones, ended = venv.step(actions)
+            topic, examined = venv.topic_idx.copy(), venv.examined.copy()
+            _, _, dones, slots = venv.step(actions)
             # perfbench's env.episodes counter reads this len as the count of ended episodes
+            assert len(slots) == dones.sum()
+            ended = venv.episodes(topic, examined, dones)
             assert len(ended) == dones.sum()
             expected = []  # each slot's walk, in slot order: (topic, stop batch, reward)
             for k, walk in enumerate(walks):
@@ -273,6 +287,37 @@ class TestVecStoppingEnv:
             assert venv.topic_idx.tolist() == [walk[0] for walk in walks]
         assert stop_kinds == {False, True}  # STOP and the last batch both ended episodes
 
+    def test_rollout_episodes_match_a_per_slot_walk_in_step_slot_order(self, rng):
+        pool = small_pool(rng, n_topics=5, n_batches=6)
+        n_envs, n_batches, targets = 4, pool.n_batches, pool.target_batch(0.9)
+        venv = VecStoppingEnv(pool, 0.9, n_envs=n_envs, seed=11)
+        actor = init_params(3, (n_batches, 8, 2), out_gain=1.0)
+        actor.biases[-1][:] = [-1.0, 0.0]  # CONTINUE favoured: some walks reach the last batch
+        critic = init_params(4, (n_batches, 8, 1), out_gain=1.0)
+        rollout, episodes = collect_rollout(actor, critic, venv, 60, np.random.default_rng(5))
+        draws = np.random.default_rng(11)  # the env's stream: one draw per slot, in slot order
+        walks = [[int(draws.integers(len(pool))), 1, 0.0] for _ in range(n_envs)]
+        expected = []  # (step, slot, topic, stop batch, reward), step by step, slots in order
+        for t, actions in enumerate(rollout.actions):
+            for k, walk in enumerate(walks):
+                topic, examined, total = walk
+                total += reward(examined, targets[topic], n_batches)  # the direct sum
+                assert rollout.dones[t, k] == (actions[k] == STOP or examined == n_batches)
+                if rollout.dones[t, k]:
+                    expected.append((t, k, topic, examined, total))
+                    walk[:] = [int(draws.integers(len(pool))), 1, 0.0]
+                else:
+                    walk[1:] = [examined + 1, total]
+        assert episodes.dtype == EPISODE and len(episodes) == rollout.dones.sum()
+        assert episodes["topic"].tolist() == [e[2] for e in expected]
+        assert episodes["stop_batch"].tolist() == [e[3] for e in expected]
+        for record, e in zip(episodes, expected):
+            assert abs(record["episode_reward"] - e[4]) < 1e-12
+        assert {e[3] == n_batches for e in expected} == {False, True}
+        # the case tells the orders apart: slot by slot, the records would differ
+        by_slot = sorted(expected, key=lambda e: (e[1], e[0]))
+        assert [e[2:4] for e in by_slot] != [e[2:4] for e in expected]
+
     def test_single_env_matches_plain_stepping(self, rng):
         bt = small_pool(rng, n_topics=1)
         venv = VecStoppingEnv(bt, 0.9, n_envs=1, seed=0)
@@ -289,7 +334,7 @@ class TestVecStoppingEnv:
     def test_episode_info_reports_stop_batch(self, rng):
         venv = VecStoppingEnv(small_pool(rng), 0.9, n_envs=2, seed=1)
         venv.step([CONTINUE, CONTINUE])
-        _, _, dones, infos = venv.step([STOP, CONTINUE])
+        _, _, dones, infos = step_with_records(venv, [STOP, CONTINUE])
         assert dones[0]
         assert infos[0]["stop_batch"] == 2
 

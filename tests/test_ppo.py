@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_collection, make_topic, reference_backward, topic_metrics
 from tarstop.corpus import Collection, synth_topics
-from tarstop.env import STOP, VecStoppingEnv, observation_table, observe
+from tarstop.env import CONTINUE, EPISODE, STOP, VecStoppingEnv, observation_table, observe
 from tarstop.errors import ConfigError
 from tarstop.metrics import StopResult
 from tarstop import nets, ppo
@@ -461,6 +461,132 @@ class TestLossReference:
                 monkeypatch.setattr(ppo, "normalize_advantages", reference_normalize_advantages)
             checkpoint, rows = train(topics, 0.9, hyper, n_batches=10)
             assert checkpoint.actor.flat.dtype == np.float32
+            save_checkpoint(checkpoint, tmp_path / f"{side}.json")
+            write_training_log(tmp_path / f"{side}.csv", rows)
+            outputs.append(((tmp_path / f"{side}.json").read_bytes(),
+                            (tmp_path / f"{side}.csv").read_bytes(),
+                            [list(map(repr, row)) for row in rows]))  # repr tells a float64 apart
+        assert outputs[0] == outputs[1]
+
+
+def reference_collect_rollout(actor, critic, venv, n_steps, rng):
+    """``collect_rollout`` as it was when each step built the records of the
+    episodes it ended, and the rollout concatenated them: the bits the
+    rewritten one must keep. The per-step records are built here, as
+    ``env.step`` built them then."""
+    n_envs = venv.n_envs
+    obs = venv.current_obs()
+    buf_obs = np.zeros((n_steps, n_envs, venv.n_batches), dtype=obs.dtype)
+    buf_actions = np.zeros((n_steps, n_envs), dtype=np.int64)
+    buf_logp = np.zeros((n_steps, n_envs), dtype=actor.flat.dtype)
+    buf_rewards = np.zeros((n_steps, n_envs))
+    buf_values = np.zeros((n_steps + 1, n_envs), dtype=critic.flat.dtype)
+    buf_dones = np.zeros((n_steps, n_envs), dtype=bool)
+    episodes = []
+    for t in range(n_steps):
+        logits, _ = forward(actor, obs)
+        lp, _ = log_softmax_and_softmax(logits)
+        actions = np.where(rng.random(n_envs) < np.exp(lp[:, STOP]), STOP, CONTINUE)
+        buf_obs[t] = obs
+        buf_actions[t] = actions
+        buf_logp[t] = lp[np.arange(n_envs), actions]
+        buf_values[t] = forward(critic, obs)[0][:, 0]
+        topic_idx, examined = venv.topic_idx.copy(), venv.examined.copy()
+        obs, buf_rewards[t], buf_dones[t], _ = venv.step(actions)
+        slots = np.flatnonzero(buf_dones[t])
+        ended = np.empty(len(slots), EPISODE)
+        ended["topic"], ended["stop_batch"] = topic_idx[slots], examined[slots]
+        ended["episode_reward"] = venv.reward_sums[ended["topic"], ended["stop_batch"] - 1]
+        episodes.append(ended)
+    buf_values[n_steps] = forward(critic, obs)[0][:, 0]
+    return (Rollout(buf_obs, buf_actions, buf_logp, buf_rewards, buf_values, buf_dones),
+            np.concatenate(episodes))
+
+
+def reference_compute_gae(rollout, gamma, gae_lambda):
+    """``compute_gae`` as it was, every step's delta computed inside the backward loop."""
+    advantages, values, carry = np.zeros_like(rollout.rewards), rollout.values, 0.0
+    for t in reversed(range(len(rollout.rewards))):
+        nonterminal = 1.0 - rollout.dones[t]
+        delta = rollout.rewards[t] + gamma * values[t + 1] * nonterminal - values[t]
+        carry = delta + gamma * gae_lambda * nonterminal * carry
+        advantages[t] = carry
+    return advantages
+
+
+def ragged_pool(seed, n_batches=10, count=12):
+    """Topics of 1 to ``3 * n_batches`` documents, many shorter than the batch count."""
+    rng = np.random.default_rng(seed)
+    rankings = []
+    for _ in range(count):
+        labels = (rng.random(int(rng.integers(1, 3 * n_batches))) < 0.3).astype(int)
+        labels[int(rng.integers(len(labels)))] = 1  # a relevant document: a target batch
+        rankings.append(labels)
+    return make_collection(*rankings).batched(n_batches)
+
+
+class TestRolloutReference:
+    """The rewritten ``collect_rollout`` and ``compute_gae`` give the bits of the
+    references above: every rollout buffer, the episode records and the advantages."""
+
+    @pytest.mark.parametrize("normalize", ["ratio", "count"])
+    @pytest.mark.parametrize("n_steps", [1, 7, 100])
+    @pytest.mark.parametrize("n_envs", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rollout_and_advantages_keep_the_bits(self, dtype, n_envs, n_steps, normalize):
+        pool = ragged_pool(n_envs * 100 + n_steps)
+        assert (pool.sizes == 0).any()  # topics shorter than the batch count
+        outputs, venvs, rngs = [], [], []
+        for collect in (collect_rollout, reference_collect_rollout):
+            venv = VecStoppingEnv(pool, 0.9, n_envs, seed=n_steps, normalize=normalize)
+            actor = init_params(1, (pool.n_batches, *HIDDEN_SIZES, 2), 1.0, dtype)
+            actor.biases[-1][:] = [-1.5, 0.0]  # CONTINUE favoured: some walks reach the last batch
+            critic = init_params(2, (pool.n_batches, *HIDDEN_SIZES, 1), 1.0, dtype)
+            rng = np.random.default_rng(n_envs)
+            outputs.append(collect(actor, critic, venv, n_steps, rng))
+            venvs.append(venv)
+            rngs.append(rng)
+        (rollout, episodes), (ref_rollout, ref_episodes) = outputs
+        for name, value, ref in zip(Rollout._fields, rollout, ref_rollout):
+            assert (value.dtype, value.shape) == (ref.dtype, ref.shape), name
+            assert value.tobytes() == ref.tobytes(), name
+        assert episodes.dtype == ref_episodes.dtype == EPISODE
+        assert episodes.tobytes() == ref_episodes.tobytes()
+        # the env is left where the reference leaves it: the next rollout starts alike
+        assert venvs[0].topic_idx.tolist() == venvs[1].topic_idx.tolist()
+        assert venvs[0].examined.tolist() == venvs[1].examined.tolist()
+        assert venvs[0].rng.integers(2**62) == venvs[1].rng.integers(2**62)
+        assert rngs[0].integers(2**62) == rngs[1].integers(2**62)  # the action stream too
+        for gamma, lam in ((0.99, 0.95), (1.0, 1.0), (0.5, 0.7)):
+            advantages = compute_gae(rollout, gamma, lam)
+            reference = reference_compute_gae(ref_rollout, gamma, lam)
+            assert advantages.dtype == reference.dtype == np.float64
+            assert advantages.tobytes() == reference.tobytes()
+
+    def test_advantages_keep_the_bits_on_random_buffers(self, rng):
+        # float32 values beside float64 rewards, as training has them, and float64 values
+        for dtype in (np.float32, np.float64):
+            for n in (1, 2, 50):
+                rollout = rollout_from_columns(rng.standard_normal(n), rng.standard_normal(n),
+                                               rng.random(n) < 0.3, float(rng.standard_normal()))
+                rollout = rollout._replace(values=rollout.values.astype(dtype))
+                advantages = compute_gae(rollout, 0.99, 0.95)
+                assert advantages.tobytes() == reference_compute_gae(rollout, 0.99, 0.95).tobytes()
+
+    @pytest.mark.parametrize("extra", [{"total_timesteps": 2400},
+                                       {"total_timesteps": 210, "n_envs": 3, "n_steps": 7}],
+                             ids=["default", "3-envs-7-steps"])
+    @pytest.mark.parametrize("normalize", ["ratio", "count"])
+    def test_train_writes_the_bytes_of_the_references(self, normalize, extra, tmp_path,
+                                                      monkeypatch):
+        topics = synth_topics(6, 120, 0.1, 20.0, seed=3)
+        hyper = Hyperparams(seed=5, **extra)
+        outputs = []
+        for side in ("rewritten", "reference"):
+            if side == "reference":
+                monkeypatch.setattr(ppo, "collect_rollout", reference_collect_rollout)
+                monkeypatch.setattr(ppo, "compute_gae", reference_compute_gae)
+            checkpoint, rows = train(topics, 0.9, hyper, n_batches=10, normalize=normalize)
             save_checkpoint(checkpoint, tmp_path / f"{side}.json")
             write_training_log(tmp_path / f"{side}.csv", rows)
             outputs.append(((tmp_path / f"{side}.json").read_bytes(),
